@@ -32,8 +32,8 @@ bench:
 # sweep (diameter-64 cells, prefix-cache steps-per-candidate savings), and
 # the E14 -long adaptive sweep (two-node d=8 + line cells: adaptive vs
 # scripted search vs certified Shift bound). CI uploads these as per-commit
-# artifacts; BENCH_E13_long.json and BENCH_E14_long.json are also committed
-# so headline metrics diff in review.
+# artifacts; all three are also committed, and CI fails when regenerating
+# them changes a byte, so headline metrics diff in review.
 bench-snapshot:
 	$(GO) run ./cmd/gcsbench -json > BENCH_suite.json
 	$(GO) run ./cmd/gcsbench -long -only E13 -json > BENCH_E13_long.json

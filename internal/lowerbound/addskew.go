@@ -156,6 +156,7 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 	// Scripted delays realizing the remapped receive times.
 	script := make(map[trace.MsgKey]rat.Rat, len(in.Alpha.Ledger))
 	inFlight := make(map[trace.MsgKey]bool)
+	var bad firstViolation
 	for key, rec := range in.Alpha.Ledger {
 		sendB := remap(rec.SendReal, tk[key.From], gamma)
 		if !rec.Delivered {
@@ -169,9 +170,13 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 		recvB := remap(rec.RecvReal, tk[key.To], gamma)
 		delay := recvB.Sub(sendB)
 		if delay.Sign() < 0 {
-			return nil, fmt.Errorf("lowerbound: remapped delay for %v is negative (%s)", key, delay)
+			bad.note(key, fmt.Errorf("lowerbound: remapped delay for %v is negative (%s)", key, delay))
+			continue
 		}
 		script[key] = delay
+	}
+	if bad.err != nil {
+		return nil, bad.err
 	}
 
 	betaCfg := in.Cfg
@@ -228,4 +233,20 @@ var _ sim.Adversary = failingAdversary{}
 // diagnosable error.
 func (failingAdversary) Delay(int, int, uint64, rat.Rat, rat.Rat) rat.Rat {
 	return rat.FromInt(-1)
+}
+
+// firstViolation keeps, of the violations noted while ranging over a ledger
+// map, the one with the smallest (From, To, Seq) key. The reported error then
+// does not depend on the map's iteration order. The zero value holds none.
+type firstViolation struct {
+	key trace.MsgKey
+	err error
+}
+
+// note records err for key unless a violation with a smaller key is held.
+func (v *firstViolation) note(key trace.MsgKey, err error) {
+	if v.err == nil || key.From < v.key.From ||
+		key.From == v.key.From && (key.To < v.key.To || key.To == v.key.To && key.Seq < v.key.Seq) {
+		v.key, v.err = key, err
+	}
 }

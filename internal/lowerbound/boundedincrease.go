@@ -84,15 +84,19 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 	}
 	// Precondition 2: node I's delivered message delays within [d/4, 3d/4].
 	quarter, threeQ := rat.MustFrac(1, 4), rat.MustFrac(3, 4)
+	var bad firstViolation
 	for key, rec := range alpha.Ledger {
 		if (key.From != in.I && key.To != in.I) || !rec.Delivered {
 			continue
 		}
 		d := alpha.Net.Dist(key.From, key.To)
 		if rec.Delay.Less(quarter.Mul(d)) || rec.Delay.Greater(threeQ.Mul(d)) {
-			return nil, fmt.Errorf("lowerbound: bounded-increase precondition (delays): message %v delay %s outside [d/4, 3d/4]",
-				key, rec.Delay)
+			bad.note(key, fmt.Errorf("lowerbound: bounded-increase precondition (delays): message %v delay %s outside [d/4, 3d/4]",
+				key, rec.Delay))
 		}
+	}
+	if bad.err != nil {
+		return nil, bad.err
 	}
 
 	res := &BoundedIncreaseResult{I: in.I}
@@ -146,18 +150,23 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 		case key.From == in.I:
 			ms, err := remapI(rec.SendReal)
 			if err != nil {
-				return nil, fmt.Errorf("lowerbound: remap send %v: %w", key, err)
+				bad.note(key, fmt.Errorf("lowerbound: remap send %v: %w", key, err))
+				continue
 			}
 			script[key] = rec.RecvReal.Sub(ms)
 		case key.To == in.I:
 			mr, err := remapI(rec.RecvReal)
 			if err != nil {
-				return nil, fmt.Errorf("lowerbound: remap recv %v: %w", key, err)
+				bad.note(key, fmt.Errorf("lowerbound: remap recv %v: %w", key, err))
+				continue
 			}
 			script[key] = mr.Sub(rec.SendReal)
 		default:
 			script[key] = rec.Delay
 		}
+	}
+	if bad.err != nil {
+		return nil, bad.err
 	}
 
 	betaCfg := in.Cfg

@@ -1,6 +1,7 @@
 package lowerbound
 
 import (
+	"strings"
 	"testing"
 
 	"gcs/internal/algorithms"
@@ -104,5 +105,53 @@ func TestVerifierCatchesWrongSchedule(t *testing.T) {
 	}
 	if err := trace.CheckIndistinguishable(alpha, bad); err == nil {
 		t.Fatal("verifier accepted a β with a perturbed rate schedule")
+	}
+}
+
+// TestLedgerViolationsReportSmallestKey plants several violating messages in
+// α's ledger: Add Skew's negative-remapped-delay check and Bounded
+// Increase's delay precondition must name the smallest (From, To, Seq) key
+// on every call, whatever order the ledger map yields.
+func TestLedgerViolationsReportSmallestKey(t *testing.T) {
+	p := DefaultParams()
+	proto := algorithms.MaxGossip(ri(1))
+	n := 5
+	T := p.Tau().Mul(ri(int64(n - 1)))
+	cfg, alpha := lineAlpha(t, proto, n, T, p)
+	mk := func(from, to int, seq uint64) trace.MsgKey { return trace.MsgKey{From: from, To: to, Seq: seq} }
+	// Received after the clean window, so the preconditions ignore them,
+	// and before they were sent: each sender speeds up no earlier than its
+	// receiver, so every remapped delay is negative.
+	for _, key := range []trace.MsgKey{mk(2, 1, 1000), mk(2, 0, 1003), mk(1, 0, 1002), mk(1, 0, 1001), mk(3, 0, 1000)} {
+		alpha.Ledger[key] = trace.MsgRecord{Key: key, SendReal: T.Add(ri(2)), RecvReal: T.Add(ri(1)), Delivered: true}
+	}
+	positions := make([]rat.Rat, n)
+	for k := range positions {
+		positions[k] = ri(int64(k))
+	}
+	in := AddSkewInput{Cfg: cfg, Alpha: alpha, Positions: positions, I: 0, J: n - 1, S: rat.Rat{}, Params: p}
+	var first string
+	for run := 0; run < 20; run++ {
+		_, err := AddSkew(in)
+		if err == nil || !strings.Contains(err.Error(), "remapped delay for {1 0 1001} is negative") {
+			t.Fatalf("add-skew call %d: error %v, want the negative delay of {1 0 1001}", run, err)
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("add-skew call %d: error %q differs from %q", run, err, first)
+		}
+	}
+
+	cfg, alpha = lineAlpha(t, proto, n, ri(20), p)
+	for _, key := range []trace.MsgKey{mk(2, 3, 1000), mk(1, 2, 1001), mk(2, 1, 1000), mk(3, 2, 999)} {
+		alpha.Ledger[key] = trace.MsgRecord{Key: key, SendReal: ri(5), RecvReal: ri(5), Delivered: true}
+	}
+	want := "lowerbound: bounded-increase precondition (delays): message {1 2 1001} delay 0 outside [d/4, 3d/4]"
+	for run := 0; run < 20; run++ {
+		_, err := BoundedIncrease(BoundedIncreaseInput{Cfg: cfg, Alpha: alpha, I: 2, Params: p})
+		if err == nil || err.Error() != want {
+			t.Fatalf("bounded-increase call %d: error %v, want %q", run, err, want)
+		}
 	}
 }

@@ -21,13 +21,13 @@ type BoundInput struct {
 // gate takes their minimum:
 //
 //   - Propagation ("diameter"): a hardware-period-P gossip cycle takes at
-//     most P/(1−ρ) real time, and each hop adds at most its delay bound
-//     (≤ D); after the initial cycle, information at any node is at most
-//     (D+1)·(P/(1−ρ) + 1)·D/D… conservatively (D+1) cycle-plus-hop terms —
-//     plus the fault allowance A (total outage time from crash/partition
-//     windows, and a resend allowance for loss/churn) — real time stale.
-//     A max-based clock running at most (1+ρ) then shows skew at most
-//     (1+ρ)·((D+1)·(P/(1−ρ) + 1) + A).
+//     most P/(1−ρ) real time. The envelope charges D+1 cycle-plus-hop
+//     terms of P/(1−ρ) + 1 each, plus the fault allowance A (total outage
+//     time from crash/partition windows, and a resend allowance for
+//     loss/churn). After the initial cycle, the information at any node is
+//     therefore stale by at most (D+1)·(P/(1−ρ) + 1) + A real time, the
+//     staleness. A max-based clock runs at rate at most 1+ρ, so the skew
+//     is at most (1+ρ)·staleness.
 //
 //   - Drift cap ("drift-cap"): from equal starts, L_i ≤ (1+ρ)·t and
 //     L_j ≥ (1−ρ)·t for every max-based clock (dropping messages only

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"maps"
+
 	"gcs/internal/clock"
 	"gcs/internal/network"
 	"gcs/internal/piecewise"
@@ -15,6 +17,10 @@ import (
 //
 // A Recorder must be attached before the first event is dispatched to
 // capture a complete trace.
+//
+// The action log and the per-node index lists are append-only: no recorded
+// element is ever written again. Clone and Execution rely on that to share
+// them instead of copying.
 type Recorder struct {
 	actions []Action
 	perNode [][]int
@@ -44,25 +50,27 @@ func (r *Recorder) OnSend(rec MsgRecord) { r.ledger[rec.Key] = rec }
 // message's ledger entry with the realized receive time.
 func (r *Recorder) OnDeliver(rec MsgRecord) { r.ledger[rec.Key] = rec }
 
-// Clone returns an independent copy of the recorder's buffers. Attach the
-// clone to a forked engine to keep recording a branched run: the clone
-// carries the shared prefix, and the original keeps recording its own branch
-// untouched.
-func (r *Recorder) Clone() *Recorder {
-	c := &Recorder{
-		actions: append([]Action(nil), r.actions...),
-		perNode: make([][]int, len(r.perNode)),
-		ledger:  make(map[MsgKey]MsgRecord, len(r.ledger)),
-	}
+// shared returns views of the recorded actions and per-node indices with
+// capacity capped at length. The views alias the recorder's storage; an
+// append through either a view or the recorder then reallocates instead of
+// writing past the shared prefix, so neither side ever sees the other's
+// later actions.
+func (r *Recorder) shared() ([]Action, [][]int) {
+	perNode := make([][]int, len(r.perNode))
 	for i, idxs := range r.perNode {
-		if idxs != nil {
-			c.perNode[i] = append([]int(nil), idxs...)
-		}
+		perNode[i] = idxs[:len(idxs):len(idxs)]
 	}
-	for k, v := range r.ledger {
-		c.ledger[k] = v
-	}
-	return c
+	return r.actions[:len(r.actions):len(r.actions)], perNode
+}
+
+// Clone returns a recorder that continues from r's trace. Attach the clone
+// to a forked engine to keep recording a branched run: the clone carries the
+// shared prefix, and the original keeps recording its own branch untouched.
+// The recorded actions are shared, not copied; only the ledger is copied,
+// because OnDeliver overwrites its entries.
+func (r *Recorder) Clone() *Recorder {
+	actions, perNode := r.shared()
+	return &Recorder{actions: actions, perNode: perNode, ledger: maps.Clone(r.ledger)}
 }
 
 // Actions returns the number of actions recorded so far.
@@ -72,36 +80,22 @@ func (r *Recorder) Actions() int { return len(r.actions) }
 func (r *Recorder) Messages() int { return len(r.ledger) }
 
 // Execution assembles the recorded trace with the environment and compiled
-// clocks into a complete Execution. The buffers are copied, so the returned
-// Execution is a stable snapshot: the engine can keep running (and the
-// Recorder keep recording) without corrupting it, and a later Execution
-// call yields the extended trace.
+// clocks into a complete Execution. The returned Execution is a stable,
+// read-only snapshot: its Actions and PerNode share the recorder's storage
+// (see shared), and its Ledger is a copy. The engine can keep running (and
+// the Recorder keep recording) without changing it, and a later Execution
+// call yields the extended trace. The cost of a snapshot is the ledger copy
+// plus one slice header per node; it does not grow with the action count.
 func (r *Recorder) Execution(net *network.Network, scheds []*clock.Schedule, duration rat.Rat,
 	logical, hardware []*piecewise.PLF) *Execution {
-	var actions []Action
-	if r.actions != nil {
-		actions = make([]Action, len(r.actions))
-		copy(actions, r.actions)
-	}
-	perNode := make([][]int, len(r.perNode))
-	for i, idxs := range r.perNode {
-		if idxs == nil {
-			continue
-		}
-		perNode[i] = make([]int, len(idxs))
-		copy(perNode[i], idxs)
-	}
-	ledger := make(map[MsgKey]MsgRecord, len(r.ledger))
-	for k, v := range r.ledger {
-		ledger[k] = v
-	}
+	actions, perNode := r.shared()
 	return &Execution{
 		Net:       net,
 		Schedules: scheds,
 		Duration:  duration,
 		Actions:   actions,
 		PerNode:   perNode,
-		Ledger:    ledger,
+		Ledger:    maps.Clone(r.ledger),
 		Logical:   logical,
 		Hardware:  hardware,
 	}

@@ -67,9 +67,10 @@ type Action struct {
 	Payload string  // canonical message string (Recv/Send)
 }
 
-// observation is the node-visible part of an Action, used for
-// indistinguishability. Built with strconv: it runs once per action per
-// check over whole executions.
+// observation renders the node-visible part of an Action: what
+// indistinguishability compares. The checkers compare it field by field with
+// sameObservation and build this string only for their error messages; it
+// stays the reference that sameObservation must agree with.
 func (a Action) observation() string {
 	var b strings.Builder
 	b.Grow(32 + len(a.Payload))
@@ -85,6 +86,15 @@ func (a Action) observation() string {
 	b.WriteByte('|')
 	b.WriteString(a.Payload)
 	return b.String()
+}
+
+// sameObservation reports a.observation() == b.observation() without
+// building either string. The rendering is injective: Kind's name and the
+// numeric fields contain no '|', the payload comes last, and a Rat's String
+// is canonical, so HW compares by value.
+func sameObservation(a, b *Action) bool {
+	return a.Kind == b.Kind && a.Peer == b.Peer && a.MsgSeq == b.MsgSeq &&
+		a.TimerID == b.TimerID && a.Payload == b.Payload && a.HW.Equal(b.HW)
 }
 
 // Decl is one logical-clock declaration by a node: from hardware reading HW0
@@ -118,6 +128,10 @@ type MsgRecord struct {
 }
 
 // Execution is a completed run.
+//
+// An Execution from Recorder.Execution is a read-only snapshot: Actions and
+// PerNode share the recorder's append-only storage (and that of any other
+// snapshot or clone of it), so writing an element would change them all.
 type Execution struct {
 	Net       *network.Network
 	Schedules []*clock.Schedule
@@ -169,23 +183,29 @@ func CheckIndistinguishable(alpha, beta *Execution) error {
 	}
 	for i := 0; i < alpha.N(); i++ {
 		horizon := beta.HWAt(i, beta.Duration)
-		av := alpha.NodeActions(i)
-		bv := beta.NodeActions(i)
+		av, bv := alpha.PerNode[i], beta.PerNode[i]
 		// The alpha prefix visible within beta's horizon.
-		var aPrefix []Action
-		for _, a := range av {
-			if a.HW.LessEq(horizon) {
-				aPrefix = append(aPrefix, a)
+		visible := 0
+		for _, x := range av {
+			if alpha.Actions[x].HW.LessEq(horizon) {
+				visible++
 			}
 		}
-		if len(aPrefix) != len(bv) {
+		if visible != len(bv) {
 			return fmt.Errorf("trace: node %d observes %d actions in beta, want %d (horizon H=%s)",
-				i, len(bv), len(aPrefix), horizon)
+				i, len(bv), visible, horizon)
 		}
-		for k := range bv {
-			if ao, bo := aPrefix[k].observation(), bv[k].observation(); ao != bo {
-				return fmt.Errorf("trace: node %d action %d differs:\n  alpha: %s\n  beta:  %s", i, k, ao, bo)
+		k := 0
+		for _, x := range av {
+			a := &alpha.Actions[x]
+			if !a.HW.LessEq(horizon) {
+				continue
 			}
+			if b := &beta.Actions[bv[k]]; !sameObservation(a, b) {
+				return fmt.Errorf("trace: node %d action %d differs:\n  alpha: %s\n  beta:  %s",
+					i, k, a.observation(), b.observation())
+			}
+			k++
 		}
 	}
 	return nil
@@ -194,8 +214,12 @@ func CheckIndistinguishable(alpha, beta *Execution) error {
 // CheckDelayBounds verifies every delivered message's delay lies within
 // [lo·d(i,j), hi·d(i,j)] for messages received in the real-time window
 // (from, to]. The Add Skew lemma both assumes such bounds on α's suffix
-// (lo = hi = 1/2) and guarantees them on β ([1/4, 3/4]).
+// (lo = hi = 1/2) and guarantees them on β ([1/4, 3/4]). Of several
+// violations it reports the one with the smallest key, so the error does not
+// depend on the ledger's iteration order.
 func CheckDelayBounds(e *Execution, from, to, lo, hi rat.Rat) error {
+	var bad MsgKey
+	var err error
 	for key, rec := range e.Ledger {
 		if !rec.Delivered {
 			continue
@@ -205,11 +229,25 @@ func CheckDelayBounds(e *Execution, from, to, lo, hi rat.Rat) error {
 		}
 		d := e.Net.Dist(key.From, key.To)
 		if rec.Delay.Less(lo.Mul(d)) || rec.Delay.Greater(hi.Mul(d)) {
-			return fmt.Errorf("trace: message %v delay %s outside [%s, %s]·%s",
-				key, rec.Delay, lo, hi, d)
+			if err == nil || keyLess(key, bad) {
+				bad = key
+				err = fmt.Errorf("trace: message %v delay %s outside [%s, %s]·%s",
+					key, rec.Delay, lo, hi, d)
+			}
 		}
 	}
-	return nil
+	return err
+}
+
+// keyLess orders message keys by (From, To, Seq).
+func keyLess(a, b MsgKey) bool {
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	if a.To != b.To {
+		return a.To < b.To
+	}
+	return a.Seq < b.Seq
 }
 
 // CheckRateBounds verifies every node's hardware rate lies within [lo, hi]
@@ -232,28 +270,40 @@ func PrefixEqual(a, b *Execution, t rat.Rat) error {
 		return fmt.Errorf("trace: node counts differ: %d vs %d", a.N(), b.N())
 	}
 	for i := 0; i < a.N(); i++ {
-		av := a.NodeActions(i)
-		bv := b.NodeActions(i)
-		var af, bf []Action
+		na, nb := a.countBefore(i, t), b.countBefore(i, t)
+		if na != nb {
+			return fmt.Errorf("trace: node %d has %d vs %d actions before %s", i, na, nb, t)
+		}
+		// Walk both filtered sequences in step; equal counts keep q in range.
+		av, bv := a.PerNode[i], b.PerNode[i]
+		k, q := 0, 0
 		for _, x := range av {
-			if x.Real.LessEq(t) {
-				af = append(af, x)
+			ax := &a.Actions[x]
+			if !ax.Real.LessEq(t) {
+				continue
 			}
-		}
-		for _, x := range bv {
-			if x.Real.LessEq(t) {
-				bf = append(bf, x)
+			for !b.Actions[bv[q]].Real.LessEq(t) {
+				q++
 			}
-		}
-		if len(af) != len(bf) {
-			return fmt.Errorf("trace: node %d has %d vs %d actions before %s", i, len(af), len(bf), t)
-		}
-		for k := range af {
-			if af[k].observation() != bf[k].observation() || !af[k].Real.Equal(bf[k].Real) {
+			bx := &b.Actions[bv[q]]
+			q++
+			if !sameObservation(ax, bx) || !ax.Real.Equal(bx.Real) {
 				return fmt.Errorf("trace: node %d action %d differs before %s:\n  a: %s @%s\n  b: %s @%s",
-					i, k, t, af[k].observation(), af[k].Real, bf[k].observation(), bf[k].Real)
+					i, k, t, ax.observation(), ax.Real, bx.observation(), bx.Real)
 			}
+			k++
 		}
 	}
 	return nil
+}
+
+// countBefore returns how many of node i's actions occur at real time ≤ t.
+func (e *Execution) countBefore(i int, t rat.Rat) int {
+	n := 0
+	for _, x := range e.PerNode[i] {
+		if e.Actions[x].Real.LessEq(t) {
+			n++
+		}
+	}
+	return n
 }

@@ -187,6 +187,24 @@ func TestCheckDelayBounds(t *testing.T) {
 	}
 }
 
+// TestCheckDelayBoundsReportsSmallestKey: with several violating messages,
+// the error names the one with the smallest (From, To, Seq) key on every
+// call, whatever order the ledger map yields.
+func TestCheckDelayBoundsReportsSmallestKey(t *testing.T) {
+	e := buildExec(t, ri(10), []rat.Rat{ri(1), ri(1)}, nil)
+	for _, key := range []MsgKey{{1, 0, 0}, {0, 1, 3}, {1, 0, 2}, {0, 1, 2}, {0, 1, 5}} {
+		// d(0,1) = 2; delay 0 is below the lower bound 2/4.
+		e.Ledger[key] = MsgRecord{Key: key, SendReal: ri(2), RecvReal: ri(2), Delivered: true}
+	}
+	want := "trace: message {0 1 2} delay 0 outside [1/4, 3/4]·2"
+	for run := 0; run < 20; run++ {
+		err := CheckDelayBounds(e, rat.Rat{}, ri(10), rf(1, 4), rf(3, 4))
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", run, err, want)
+		}
+	}
+}
+
 func TestCheckRateBounds(t *testing.T) {
 	e := buildExec(t, ri(10), []rat.Rat{ri(1), rf(9, 8)}, nil)
 	if err := CheckRateBounds(e, rat.Rat{}, ri(10), ri(1), rf(5, 4)); err != nil {

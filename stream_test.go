@@ -211,7 +211,8 @@ func TestRunUntilEarlyStop(t *testing.T) {
 	}
 
 	// The mid-run snapshot is stable: resuming the engine must not have
-	// mutated it (Execution copies the recorder's buffers).
+	// mutated it (Execution shares the recorder's append-only buffers with
+	// capacity capped at length, and copies the ledger).
 	if len(part.Actions) != len(pre.Actions) || !reflect.DeepEqual(part.Ledger, pre.Ledger) {
 		t.Fatal("mid-run snapshot mutated by resuming the engine")
 	}
