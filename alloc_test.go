@@ -2,7 +2,7 @@ package gcs_test
 
 // Allocation pins for forking protocols with per-node estimate state. The
 // engine-level fork budgets live in internal/engine/alloc_test.go, but that
-// package cannot import the algorithms (import cycle through sim), so the
+// package cannot import the algorithms (they import the engine), so the
 // gradient/LLW pins — the protocols whose per-node neighbor-estimate tables
 // used to dominate fork cost — live here against the public facade.
 

@@ -33,11 +33,11 @@ import (
 	"strings"
 
 	"gcs/internal/algorithms"
+	"gcs/internal/engine"
 	"gcs/internal/experiments"
 	"gcs/internal/perf"
 	"gcs/internal/rat"
 	"gcs/internal/scenario"
-	"gcs/internal/sim"
 )
 
 func main() {
@@ -117,7 +117,7 @@ type result struct {
 // dispatch are the same data, so they cannot drift apart.
 type experiment struct {
 	id  string
-	run func(protos []sim.Protocol, long bool) (result, error)
+	run func(protos []engine.Protocol, long bool) (result, error)
 }
 
 // suite lists every experiment in output order (E11 reports seed stability
@@ -188,7 +188,7 @@ func run(long bool, only string, stream, jsonOut bool) (string, error) {
 	return b.String(), nil
 }
 
-func runE1(protos []sim.Protocol, long bool) (result, error) {
+func runE1(protos []engine.Protocol, long bool) (result, error) {
 	opt := experiments.DefaultE1(protos)
 	if long {
 		opt.Distances = append(opt.Distances, 64, 128)
@@ -200,7 +200,7 @@ func runE1(protos []sim.Protocol, long bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE2(protos []sim.Protocol, long bool) (result, error) {
+func runE2(protos []engine.Protocol, long bool) (result, error) {
 	opt := experiments.DefaultE2(protos)
 	if long {
 		opt.Lines = append(opt.Lines, 65, 129)
@@ -216,7 +216,7 @@ func runE2(protos []sim.Protocol, long bool) (result, error) {
 	}, nil
 }
 
-func runE3(protos []sim.Protocol, _ bool) (result, error) {
+func runE3(protos []engine.Protocol, _ bool) (result, error) {
 	opt := experiments.DefaultE3(protos)
 	_, table, err := experiments.E3BoundedIncrease(opt)
 	if err != nil {
@@ -225,7 +225,7 @@ func runE3(protos []sim.Protocol, _ bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE4(protos []sim.Protocol, long bool) (result, error) {
+func runE4(protos []engine.Protocol, long bool) (result, error) {
 	opt := experiments.DefaultE4(protos)
 	if long {
 		opt.RoundsList = append(opt.RoundsList, 4)
@@ -237,7 +237,7 @@ func runE4(protos []sim.Protocol, long bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE5(protos []sim.Protocol, long bool) (result, error) {
+func runE5(protos []engine.Protocol, long bool) (result, error) {
 	opt := experiments.DefaultE5(protos)
 	if long {
 		opt.Dcs = append(opt.Dcs, 128)
@@ -249,7 +249,7 @@ func runE5(protos []sim.Protocol, long bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE6(protos []sim.Protocol, long bool) (result, error) {
+func runE6(protos []engine.Protocol, long bool) (result, error) {
 	opt := experiments.DefaultE6(protos)
 	if long {
 		opt.N = 33
@@ -262,7 +262,7 @@ func runE6(protos []sim.Protocol, long bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE7(protos []sim.Protocol, long bool) (result, error) {
+func runE7(protos []engine.Protocol, long bool) (result, error) {
 	opt := experiments.DefaultE7(protos)
 	if long {
 		opt.Diameters = append(opt.Diameters, 64)
@@ -274,7 +274,7 @@ func runE7(protos []sim.Protocol, long bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE8(protos []sim.Protocol, _ bool) (result, error) {
+func runE8(protos []engine.Protocol, _ bool) (result, error) {
 	opt := experiments.DefaultE8(protos)
 	_, table, err := experiments.E8Applications(opt)
 	if err != nil {
@@ -283,7 +283,7 @@ func runE8(protos []sim.Protocol, _ bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE9(_ []sim.Protocol, _ bool) (result, error) {
+func runE9(_ []engine.Protocol, _ bool) (result, error) {
 	opt := experiments.DefaultE9()
 	_, _, gt, ct, err := experiments.E9Ablations(opt)
 	if err != nil {
@@ -292,7 +292,7 @@ func runE9(_ []sim.Protocol, _ bool) (result, error) {
 	return result{tables: []*experiments.Table{gt, ct}}, nil
 }
 
-func runE10(protos []sim.Protocol, _ bool) (result, error) {
+func runE10(protos []engine.Protocol, _ bool) (result, error) {
 	opt := experiments.DefaultE10(protos)
 	_, table, err := experiments.E10Topologies(opt)
 	if err != nil {
@@ -301,7 +301,7 @@ func runE10(protos []sim.Protocol, _ bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE11(protos []sim.Protocol, long bool) (result, error) {
+func runE11(protos []engine.Protocol, long bool) (result, error) {
 	opt := experiments.DefaultE11(protos)
 	if long {
 		opt.Seeds = append(opt.Seeds, 55, 89, 144, 233)
@@ -313,9 +313,9 @@ func runE11(protos []sim.Protocol, long bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE12(_ []sim.Protocol, long bool) (result, error) {
+func runE12(_ []engine.Protocol, long bool) (result, error) {
 	// Streaming scale: the max-based strawman vs the gradient algorithm.
-	opt := experiments.DefaultE12([]sim.Protocol{
+	opt := experiments.DefaultE12([]engine.Protocol{
 		algorithms.MaxGossip(rat.FromInt(1)),
 		algorithms.Gradient(algorithms.DefaultGradientParams()),
 	})
@@ -330,7 +330,7 @@ func runE12(_ []sim.Protocol, long bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE13(protos []sim.Protocol, long bool) (result, error) {
+func runE13(protos []engine.Protocol, long bool) (result, error) {
 	opt, err := experiments.DefaultE13(protos)
 	if err != nil {
 		return result{}, err
@@ -348,7 +348,7 @@ func runE13(protos []sim.Protocol, long bool) (result, error) {
 	return result{tables: []*experiments.Table{table}}, nil
 }
 
-func runE14(protos []sim.Protocol, long bool) (result, error) {
+func runE14(protos []engine.Protocol, long bool) (result, error) {
 	opt, err := experiments.DefaultE14(protos)
 	if err != nil {
 		return result{}, err

@@ -17,10 +17,10 @@ import (
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 	}
 }
 
-func protocol(name string) (sim.Protocol, error) {
+func protocol(name string) (engine.Protocol, error) {
 	switch name {
 	case "null":
 		return algorithms.Null(), nil
@@ -91,11 +91,11 @@ func run(construction, protoName string, d int64, n int, branch int64, rounds in
 		for i := range scheds {
 			scheds[i] = clock.Constant(rat.FromInt(1))
 		}
-		cfg := sim.Config{
-			Net: net, Schedules: scheds, Adversary: sim.Midpoint(),
+		cfg := engine.Config{
+			Net: net, Schedules: scheds, Adversary: engine.Midpoint(),
 			Protocol: proto, Duration: rat.FromInt(24), Rho: p.Rho,
 		}
-		alpha, err := sim.Run(cfg)
+		alpha, err := engine.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func run(construction, protoName string, d int64, n int, branch int64, rounds in
 	}
 }
 
-func addSkewLine(proto sim.Protocol, n int, p lowerbound.Params) (*lowerbound.AddSkewResult, error) {
+func addSkewLine(proto engine.Protocol, n int, p lowerbound.Params) (*lowerbound.AddSkewResult, error) {
 	net, err := network.Line(n)
 	if err != nil {
 		return nil, err
@@ -149,11 +149,11 @@ func addSkewLine(proto sim.Protocol, n int, p lowerbound.Params) (*lowerbound.Ad
 	for i := range scheds {
 		scheds[i] = clock.Constant(rat.FromInt(1))
 	}
-	cfg := sim.Config{
-		Net: net, Schedules: scheds, Adversary: sim.Midpoint(),
+	cfg := engine.Config{
+		Net: net, Schedules: scheds, Adversary: engine.Midpoint(),
 		Protocol: proto, Duration: p.Tau().Mul(rat.FromInt(int64(n - 1))), Rho: p.Rho,
 	}
-	alpha, err := sim.Run(cfg)
+	alpha, err := engine.Run(cfg)
 	if err != nil {
 		return nil, err
 	}

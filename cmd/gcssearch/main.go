@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -58,7 +59,7 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "plan":
-		err = cmdPlan(os.Args[2:])
+		err = cmdPlan(os.Args[2:], os.Stdout)
 	case "worker":
 		err = cmdWorker(os.Args[2:])
 	case "run":
@@ -104,7 +105,7 @@ func loadSpec(path string) (dist.CampaignSpec, error) {
 
 // cmdPlan prices a campaign: candidate-count bounds and an ns/step-based
 // wall-clock estimate, without executing any engine step.
-func cmdPlan(args []string) error {
+func cmdPlan(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gcssearch plan", flag.ExitOnError)
 	specPath := fs.String("spec", "", "campaign spec file (required)")
 	bench := fs.String("bench", "BENCH_perf.json", "perf snapshot supplying the ns/step cost model")
@@ -122,12 +123,12 @@ func cmdPlan(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(plan)
 	}
-	fmt.Print(plan.Render())
-	return nil
+	_, err = io.WriteString(out, plan.Render())
+	return err
 }
 
 // cmdWorker serves shard evaluations until interrupted, then drains: SIGINT

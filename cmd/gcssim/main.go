@@ -46,7 +46,6 @@ import (
 	"gcs/internal/plot"
 	"gcs/internal/rat"
 	"gcs/internal/search"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -115,7 +114,7 @@ func buildNetwork(topology string, n int, seed uint64) (*network.Network, error)
 	}
 }
 
-func buildProtocol(protoName string) (sim.Protocol, error) {
+func buildProtocol(protoName string) (engine.Protocol, error) {
 	switch protoName {
 	case "null":
 		return algorithms.Null(), nil
@@ -138,16 +137,16 @@ func buildProtocol(protoName string) (sim.Protocol, error) {
 	}
 }
 
-func buildAdversary(advName string, seed uint64) (sim.Adversary, error) {
+func buildAdversary(advName string, seed uint64) (engine.Adversary, error) {
 	switch advName {
 	case "midpoint":
-		return sim.Midpoint(), nil
+		return engine.Midpoint(), nil
 	case "zero":
-		return sim.FractionAdversary{Frac: rat.Rat{}}, nil
+		return engine.FractionAdversary{Frac: rat.Rat{}}, nil
 	case "max":
-		return sim.FractionAdversary{Frac: rat.FromInt(1)}, nil
+		return engine.FractionAdversary{Frac: rat.FromInt(1)}, nil
 	case "random":
-		return sim.HashAdversary{Seed: seed, Denom: 8}, nil
+		return engine.HashAdversary{Seed: seed, Denom: 8}, nil
 	default:
 		return nil, fmt.Errorf("unknown adversary %q", advName)
 	}
@@ -372,7 +371,7 @@ func runSearch(protoName, topology string, n int, durStr, rhoStr, advName string
 
 // runStream drives the incremental engine with online trackers: O(nodes²)
 // memory regardless of event count.
-func runStream(net *network.Network, scheds []*clock.Schedule, adv sim.Adversary, proto sim.Protocol,
+func runStream(net *network.Network, scheds []*clock.Schedule, adv engine.Adversary, proto engine.Protocol,
 	dur, rho rat.Rat, protoName, advName string, profile bool) error {
 	skew, err := core.NewSkewTracker(net, scheds)
 	if err != nil {
@@ -417,9 +416,9 @@ func runStream(net *network.Network, scheds []*clock.Schedule, adv sim.Adversary
 }
 
 // runRecorded is the original record-then-check path.
-func runRecorded(net *network.Network, scheds []*clock.Schedule, adv sim.Adversary, proto sim.Protocol,
+func runRecorded(net *network.Network, scheds []*clock.Schedule, adv engine.Adversary, proto engine.Protocol,
 	dur, rho rat.Rat, protoName, advName string, profile, chart bool) error {
-	exec, err := sim.Run(sim.Config{
+	exec, err := engine.Run(engine.Config{
 		Net:       net,
 		Schedules: scheds,
 		Adversary: adv,

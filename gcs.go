@@ -96,7 +96,6 @@ import (
 	"gcs/internal/rat"
 	"gcs/internal/scenario"
 	"gcs/internal/search"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 	"gcs/internal/workload"
 )
@@ -169,20 +168,20 @@ func ConstantSchedules(n int, rate Rat) []*Schedule {
 // Simulation.
 type (
 	// Config fully describes a run.
-	Config = sim.Config
+	Config = engine.Config
 	// Protocol instantiates per-node automata.
-	Protocol = sim.Protocol
+	Protocol = engine.Protocol
 	// Node is one timed automaton.
-	Node = sim.Node
+	Node = engine.Node
 	// Runtime is a node's interface to the simulated world.
-	Runtime = sim.Runtime
+	Runtime = engine.Runtime
 	// Message is a payload with a canonical string form.
-	Message = sim.Message
+	Message = engine.Message
 	// Adversary chooses message delays.
-	Adversary = sim.Adversary
+	Adversary = engine.Adversary
 	// CheckedAdversary is an Adversary whose decision can fail with a
 	// precise error (e.g. an exhausted script with no fallback).
-	CheckedAdversary = sim.CheckedAdversary
+	CheckedAdversary = engine.CheckedAdversary
 	// StatefulAdversary is an Adversary carrying mutable decision state
 	// (adaptive strategies): CloneAdversary mirrors Protocol.CloneState, so
 	// Engine.Fork can branch a run without sharing adversary state. An
@@ -191,13 +190,13 @@ type (
 	StatefulAdversary = engine.StatefulAdversary
 	// FractionAdversary delays every message by a fixed fraction of the
 	// bound.
-	FractionAdversary = sim.FractionAdversary
+	FractionAdversary = engine.FractionAdversary
 	// ScriptedAdversary replays exact per-message delays.
-	ScriptedAdversary = sim.ScriptedAdversary
+	ScriptedAdversary = engine.ScriptedAdversary
 	// FuncAdversary adapts a function.
-	FuncAdversary = sim.FuncAdversary
+	FuncAdversary = engine.FuncAdversary
 	// HashAdversary draws reproducible pseudo-random delays.
-	HashAdversary = sim.HashAdversary
+	HashAdversary = engine.HashAdversary
 	// AdversaryWrapper is a decorator adversary exposing the adversary it
 	// wraps (engine feedback and fault hooks walk the chain via Unwrap).
 	AdversaryWrapper = engine.AdversaryWrapper
@@ -285,25 +284,15 @@ var (
 	WithLane      = engine.WithLane
 	NewRecorder   = trace.NewRecorder
 
-	// SetDefaultLane / DefaultLane flip the process-wide lane for engines
-	// built with LaneAuto — the differential-test hook for forcing whole
-	// subsystems (search, campaigns) onto the rat lane.
-	SetDefaultLane = engine.SetDefaultLane
-	DefaultLane    = engine.DefaultLane
+	// Run executes a configuration and returns its recorded trace.
+	Run = engine.Run
+	// Midpoint returns the delay = d/2 adversary used by the constructions.
+	Midpoint = engine.Midpoint
+	// CloneAdversaryState returns an independent copy of an adversary's
+	// mutable decision state (the adversary itself when stateless); ok is
+	// false for an adversary that observes the run without being cloneable.
+	CloneAdversaryState = engine.CloneAdversaryState
 )
-
-// Run executes a configuration and returns its trace: a compatibility
-// wrapper that builds an Engine, attaches a Recorder, and compiles the
-// Execution.
-func Run(cfg Config) (*Execution, error) { return sim.Run(cfg) }
-
-// Midpoint returns the delay = d/2 adversary used by the constructions.
-func Midpoint() FractionAdversary { return sim.Midpoint() }
-
-// CloneAdversaryState returns an independent copy of an adversary's mutable
-// decision state (the adversary itself when stateless); ok is false for an
-// adversary that observes the run without being cloneable.
-var CloneAdversaryState = engine.CloneAdversaryState
 
 // Scenario matrix (internal/scenario): the registered topology × fault ×
 // drift grid, its runners, and the certified envelope it gates against.

@@ -1,5 +1,5 @@
 // Package algorithms implements clock synchronization algorithms (CSAs) as
-// sim.Protocol automata.
+// engine.Protocol automata.
 //
 // The portfolio mirrors the paper's discussion:
 //
@@ -23,15 +23,15 @@
 //     frame. Intended for Star topologies where the beacon-to-leaf delay
 //     spread is the distance.
 //
-// All message payloads implement sim.Message with canonical value-determined
+// All message payloads implement engine.Message with canonical value-determined
 // strings, which the indistinguishability checker compares.
 package algorithms
 
 import (
 	"strconv"
 
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // ValueMsg carries a logical clock value.
@@ -39,7 +39,7 @@ type ValueMsg struct {
 	Val rat.Rat
 }
 
-// MsgString implements sim.Message. It is called for every message the
+// MsgString implements engine.Message. It is called for every message the
 // simulator observes, so the common small-rational case is rendered into a
 // stack buffer and converted with a single allocation.
 func (m ValueMsg) MsgString() string {
@@ -63,7 +63,7 @@ type PulseMsg struct {
 	Index int64
 }
 
-// MsgString implements sim.Message.
+// MsgString implements engine.Message.
 func (m PulseMsg) MsgString() string { return "pulse:" + strconv.FormatInt(m.Index, 10) }
 
 const tickTimer = 1
@@ -73,19 +73,19 @@ const tickTimer = 1
 type nullProto struct{}
 
 // Null returns the no-communication baseline protocol with L = H.
-func Null() sim.Protocol { return nullProto{} }
+func Null() engine.Protocol { return nullProto{} }
 
-func (nullProto) Name() string         { return "null" }
-func (nullProto) NewNode(int) sim.Node { return nullNode{} }
+func (nullProto) Name() string            { return "null" }
+func (nullProto) NewNode(int) engine.Node { return nullNode{} }
 
-// CloneState implements sim.Protocol; nullNode is stateless.
-func (nullProto) CloneState(n sim.Node) sim.Node { return n }
+// CloneState implements engine.Protocol; nullNode is stateless.
+func (nullProto) CloneState(n engine.Node) engine.Node { return n }
 
 type nullNode struct{}
 
-func (nullNode) Init(*sim.Runtime)                        {}
-func (nullNode) OnTimer(*sim.Runtime, int)                {}
-func (nullNode) OnMessage(*sim.Runtime, int, sim.Message) {}
+func (nullNode) Init(*engine.Runtime)                           {}
+func (nullNode) OnTimer(*engine.Runtime, int)                   {}
+func (nullNode) OnMessage(*engine.Runtime, int, engine.Message) {}
 
 // ---- MaxGossip ----
 
@@ -97,11 +97,11 @@ type maxProto struct {
 // MaxGossip returns the simplified Srikanth–Toueg protocol: every period (in
 // hardware time) broadcast the logical clock to gossip neighbors; on receipt
 // of a larger value, jump to it.
-func MaxGossip(period rat.Rat) sim.Protocol { return maxProto{period: period} }
+func MaxGossip(period rat.Rat) engine.Protocol { return maxProto{period: period} }
 
 // MaxFlood is MaxGossip plus immediate re-broadcast whenever a receipt
 // increases the clock, propagating the maximum at network speed.
-func MaxFlood(period rat.Rat) sim.Protocol { return maxProto{period: period, flood: true} }
+func MaxFlood(period rat.Rat) engine.Protocol { return maxProto{period: period, flood: true} }
 
 func (p maxProto) Name() string {
 	if p.flood {
@@ -110,12 +110,12 @@ func (p maxProto) Name() string {
 	return "max-gossip"
 }
 
-func (p maxProto) NewNode(int) sim.Node { return &maxNode{period: p.period, flood: p.flood} }
+func (p maxProto) NewNode(int) engine.Node { return &maxNode{period: p.period, flood: p.flood} }
 
-// CloneState implements sim.Protocol. A maxNode carries only immutable
+// CloneState implements engine.Protocol. A maxNode carries only immutable
 // configuration (its mutable state — the logical clock — lives in the
 // Runtime), so forks share the automaton itself.
-func (p maxProto) CloneState(n sim.Node) sim.Node { return n }
+func (p maxProto) CloneState(n engine.Node) engine.Node { return n }
 
 // maxNode holds configuration only; its callbacks never write a field.
 // CloneState shares it across forks on that basis.
@@ -124,24 +124,24 @@ type maxNode struct {
 	flood  bool
 }
 
-func (n *maxNode) Init(rt *sim.Runtime) {
+func (n *maxNode) Init(rt *engine.Runtime) {
 	rt.SetTimerAtHW(rt.HW().Add(n.period), tickTimer)
 }
 
-func (n *maxNode) OnTimer(rt *sim.Runtime, _ int) {
+func (n *maxNode) OnTimer(rt *engine.Runtime, _ int) {
 	n.broadcast(rt)
 	rt.SetTimerAtHW(rt.HW().Add(n.period), tickTimer)
 }
 
-func (n *maxNode) broadcast(rt *sim.Runtime) {
+func (n *maxNode) broadcast(rt *engine.Runtime) {
 	// Box the payload once: the same immutable value goes to every neighbor.
-	msg := sim.Message(ValueMsg{Val: rt.Logical()})
+	msg := engine.Message(ValueMsg{Val: rt.Logical()})
 	for _, j := range rt.Neighbors() {
 		rt.Send(j, msg)
 	}
 }
 
-func (n *maxNode) OnMessage(rt *sim.Runtime, _ int, msg sim.Message) {
+func (n *maxNode) OnMessage(rt *engine.Runtime, _ int, msg engine.Message) {
 	m, ok := msg.(ValueMsg)
 	if !ok {
 		return
@@ -189,27 +189,27 @@ type gradientProto struct {
 }
 
 // Gradient returns the rate-based gradient protocol.
-func Gradient(params GradientParams) sim.Protocol { return gradientProto{params: params} }
+func Gradient(params GradientParams) engine.Protocol { return gradientProto{params: params} }
 
 func (p gradientProto) Name() string { return "gradient" }
 
-func (p gradientProto) NewNode(int) sim.Node {
+func (p gradientProto) NewNode(int) engine.Node {
 	return &gradientNode{params: p.params}
 }
 
-// CloneState implements sim.Protocol: the neighbor-estimate table is the
+// CloneState implements engine.Protocol: the neighbor-estimate table is the
 // node's mutable state; it is shared copy-on-write (see estSet.clone), so
 // cloning is a single struct copy regardless of degree.
-func (p gradientProto) CloneState(n sim.Node) sim.Node {
+func (p gradientProto) CloneState(n engine.Node) engine.Node {
 	g := n.(*gradientNode)
 	return &gradientNode{params: g.params, est: g.est.clone(), fast: g.fast}
 }
 
-// CloneStates implements sim.BulkCloneProtocol: all clones come out of one
+// CloneStates implements engine.BulkCloneProtocol: all clones come out of one
 // slab, so a whole-network fork costs two allocations however wide the net.
-func (p gradientProto) CloneStates(nodes []sim.Node) []sim.Node {
+func (p gradientProto) CloneStates(nodes []engine.Node) []engine.Node {
 	slab := make([]gradientNode, len(nodes))
-	out := make([]sim.Node, len(nodes))
+	out := make([]engine.Node, len(nodes))
 	for i, n := range nodes {
 		g := n.(*gradientNode)
 		slab[i] = gradientNode{params: g.params, est: g.est.clone(), fast: g.fast}
@@ -224,12 +224,12 @@ type gradientNode struct {
 	fast   bool
 }
 
-func (n *gradientNode) Init(rt *sim.Runtime) {
+func (n *gradientNode) Init(rt *engine.Runtime) {
 	rt.SetTimerAtHW(rt.HW().Add(n.params.Period), tickTimer)
 }
 
-func (n *gradientNode) OnTimer(rt *sim.Runtime, _ int) {
-	msg := sim.Message(ValueMsg{Val: rt.Logical()})
+func (n *gradientNode) OnTimer(rt *engine.Runtime, _ int) {
+	msg := engine.Message(ValueMsg{Val: rt.Logical()})
 	for _, j := range rt.Neighbors() {
 		rt.Send(j, msg)
 	}
@@ -237,7 +237,7 @@ func (n *gradientNode) OnTimer(rt *sim.Runtime, _ int) {
 	rt.SetTimerAtHW(rt.HW().Add(n.params.Period), tickTimer)
 }
 
-func (n *gradientNode) OnMessage(rt *sim.Runtime, from int, msg sim.Message) {
+func (n *gradientNode) OnMessage(rt *engine.Runtime, from int, msg engine.Message) {
 	m, ok := msg.(ValueMsg)
 	if !ok {
 		return
@@ -250,7 +250,7 @@ func (n *gradientNode) OnMessage(rt *sim.Runtime, from int, msg sim.Message) {
 // adjust recomputes the rate mode from the freshest neighbor estimates.
 // Slots follow the runtime's neighbor order, so the sweep sees estimates in
 // the same order the map version's per-neighbor lookups did.
-func (n *gradientNode) adjust(rt *sim.Runtime) {
+func (n *gradientNode) adjust(rt *engine.Runtime) {
 	l := rt.Logical()
 	hw := rt.HW()
 	var maxAhead rat.Rat
@@ -286,16 +286,16 @@ type rbsProto struct {
 // pulse k at hardware time k·period to its gossip neighbors; every receiver
 // aligns its logical clock to the pulse frame (pulse k ↦ logical time
 // k·period), jumping only forward so validity is preserved.
-func RBS(period rat.Rat, beacon int) sim.Protocol { return rbsProto{period: period, beacon: beacon} }
+func RBS(period rat.Rat, beacon int) engine.Protocol { return rbsProto{period: period, beacon: beacon} }
 
 func (p rbsProto) Name() string { return "rbs" }
 
-func (p rbsProto) NewNode(id int) sim.Node {
+func (p rbsProto) NewNode(id int) engine.Node {
 	return &rbsNode{period: p.period, beacon: p.beacon, id: id}
 }
 
-// CloneState implements sim.Protocol.
-func (p rbsProto) CloneState(n sim.Node) sim.Node {
+// CloneState implements engine.Protocol.
+func (p rbsProto) CloneState(n engine.Node) engine.Node {
 	c := *n.(*rbsNode)
 	return &c
 }
@@ -307,13 +307,13 @@ type rbsNode struct {
 	pulse  int64
 }
 
-func (n *rbsNode) Init(rt *sim.Runtime) {
+func (n *rbsNode) Init(rt *engine.Runtime) {
 	if n.id == n.beacon {
 		rt.SetTimerAtHW(rt.HW().Add(n.period), tickTimer)
 	}
 }
 
-func (n *rbsNode) OnTimer(rt *sim.Runtime, _ int) {
+func (n *rbsNode) OnTimer(rt *engine.Runtime, _ int) {
 	if n.id != n.beacon {
 		return
 	}
@@ -324,7 +324,7 @@ func (n *rbsNode) OnTimer(rt *sim.Runtime, _ int) {
 	rt.SetTimerAtHW(rt.HW().Add(n.period), tickTimer)
 }
 
-func (n *rbsNode) OnMessage(rt *sim.Runtime, _ int, msg sim.Message) {
+func (n *rbsNode) OnMessage(rt *engine.Runtime, _ int, msg engine.Message) {
 	m, ok := msg.(PulseMsg)
 	if !ok {
 		return
@@ -339,9 +339,9 @@ func (n *rbsNode) OnMessage(rt *sim.Runtime, _ int, msg sim.Message) {
 // MaxGossip, MaxFlood, BoundedMax (jump cap 1), Gradient, LLW (blocking
 // gradient), and RootSync (root 0), each exchanging every 1 hardware time
 // unit. (RBS is excluded: it needs a designated beacon topology.)
-func All() []sim.Protocol {
+func All() []engine.Protocol {
 	one := rat.FromInt(1)
-	return []sim.Protocol{
+	return []engine.Protocol{
 		Null(),
 		MaxGossip(one),
 		MaxFlood(one),

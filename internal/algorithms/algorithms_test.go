@@ -5,9 +5,9 @@ import (
 
 	"gcs/internal/clock"
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -15,7 +15,7 @@ func ri(n int64) rat.Rat    { return rat.FromInt(n) }
 func rf(n, d int64) rat.Rat { return rat.MustFrac(n, d) }
 
 // lineRun runs a protocol on a line of n nodes with the given per-node rates.
-func lineRun(t *testing.T, proto sim.Protocol, n int, rates []rat.Rat, adv sim.Adversary, dur rat.Rat) *trace.Execution {
+func lineRun(t *testing.T, proto engine.Protocol, n int, rates []rat.Rat, adv engine.Adversary, dur rat.Rat) *trace.Execution {
 	t.Helper()
 	net, err := network.Line(n)
 	if err != nil {
@@ -29,7 +29,7 @@ func lineRun(t *testing.T, proto sim.Protocol, n int, rates []rat.Rat, adv sim.A
 		}
 		scheds[i] = clock.Constant(r)
 	}
-	exec, err := sim.Run(sim.Config{
+	exec, err := engine.Run(engine.Config{
 		Net:       net,
 		Schedules: scheds,
 		Adversary: adv,
@@ -46,7 +46,7 @@ func lineRun(t *testing.T, proto sim.Protocol, n int, rates []rat.Rat, adv sim.A
 func TestNullAccumulatesDrift(t *testing.T) {
 	// Rates 3/2 and 1: with L = H the skew after time T is T/2.
 	rates := []rat.Rat{rf(3, 2), ri(1)}
-	e := lineRun(t, Null(), 2, rates, sim.Midpoint(), ri(20))
+	e := lineRun(t, Null(), 2, rates, engine.Midpoint(), ri(20))
 	if err := core.CheckValidity(e); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMaxGossipConverges(t *testing.T) {
 	// by roughly drift·period + diameter-delay, far below the Null drift.
 	n := 5
 	rates := []rat.Rat{rf(3, 2), ri(1), ri(1), ri(1), ri(1)}
-	e := lineRun(t, MaxGossip(ri(1)), n, rates, sim.Midpoint(), ri(40))
+	e := lineRun(t, MaxGossip(ri(1)), n, rates, engine.Midpoint(), ri(40))
 	if err := core.CheckValidity(e); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestMaxGossipConverges(t *testing.T) {
 func TestMaxFloodTighterThanGossip(t *testing.T) {
 	n := 6
 	rates := []rat.Rat{rf(3, 2), ri(1), ri(1), ri(1), ri(1), ri(1)}
-	gossip := lineRun(t, MaxGossip(ri(1)), n, rates, sim.Midpoint(), ri(30))
-	flood := lineRun(t, MaxFlood(ri(1)), n, rates, sim.Midpoint(), ri(30))
+	gossip := lineRun(t, MaxGossip(ri(1)), n, rates, engine.Midpoint(), ri(30))
+	flood := lineRun(t, MaxFlood(ri(1)), n, rates, engine.Midpoint(), ri(30))
 	gs := core.GlobalSkew(gossip).Skew
 	fs := core.GlobalSkew(flood).Skew
 	if fs.Greater(gs) {
@@ -101,7 +101,7 @@ func TestGradientValidityAndBoundedIncrease(t *testing.T) {
 	n := 6
 	rates := []rat.Rat{rf(3, 2), ri(1), ri(1), ri(1), ri(1), rf(1, 2)}
 	params := DefaultGradientParams()
-	e := lineRun(t, Gradient(params), n, rates, sim.Midpoint(), ri(40))
+	e := lineRun(t, Gradient(params), n, rates, engine.Midpoint(), ri(40))
 	if err := core.CheckValidity(e); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestGradientKeepsLocalSkewSmall(t *testing.T) {
 		rates[i] = ri(1)
 	}
 	rates[0] = rf(5, 4)
-	e := lineRun(t, Gradient(DefaultGradientParams()), n, rates, sim.Midpoint(), ri(60))
+	e := lineRun(t, Gradient(DefaultGradientParams()), n, rates, engine.Midpoint(), ri(60))
 	local := core.LocalSkew(e)
 	global := core.GlobalSkew(e)
 	if local.Skew.Greater(global.Skew) {
@@ -153,10 +153,10 @@ func TestRBSOnStar(t *testing.T) {
 		scheds[i] = clock.Constant(ri(1))
 	}
 	scheds[2] = clock.Constant(rf(9, 8))
-	exec, err := sim.Run(sim.Config{
+	exec, err := engine.Run(engine.Config{
 		Net:       net,
 		Schedules: scheds,
-		Adversary: sim.HashAdversary{Seed: 5, Denom: 8},
+		Adversary: engine.HashAdversary{Seed: 5, Denom: 8},
 		Protocol:  RBS(ri(2), 0),
 		Duration:  ri(30),
 		Rho:       rf(1, 2),

@@ -3,8 +3,8 @@ package algorithms
 import (
 	"testing"
 
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // TestCloneStateIndependence: every protocol's CloneState must isolate
@@ -78,7 +78,7 @@ func TestCloneStateIndependence(t *testing.T) {
 	}
 }
 
-func nodeType(n sim.Node) string {
+func nodeType(n engine.Node) string {
 	switch n.(type) {
 	case nullNode:
 		return "null"

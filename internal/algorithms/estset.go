@@ -8,8 +8,8 @@
 package algorithms
 
 import (
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // nbrEst is one neighbor slot: the last value heard, anchored at the local
@@ -40,7 +40,7 @@ type estSet struct {
 }
 
 // init binds the slot table to the runtime's neighbor order on first use.
-func (s *estSet) init(rt *sim.Runtime) {
+func (s *estSet) init(rt *engine.Runtime) {
 	if s.slots != nil {
 		return
 	}

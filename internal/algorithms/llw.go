@@ -1,8 +1,8 @@
 package algorithms
 
 import (
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // LLWParams configures the blocking gradient protocol.
@@ -40,7 +40,7 @@ func DefaultLLWParams() LLWParams {
 // lag (fast iff maxAhead ≥ maxBehind + κ), which propagates back-pressure
 // along chains in quantized steps and is the key idea behind the optimal
 // gradient bound.
-func LLW(params LLWParams) sim.Protocol { return llwProto{params: params} }
+func LLW(params LLWParams) engine.Protocol { return llwProto{params: params} }
 
 type llwProto struct {
 	params LLWParams
@@ -48,23 +48,23 @@ type llwProto struct {
 
 func (p llwProto) Name() string { return "llw" }
 
-func (p llwProto) NewNode(int) sim.Node {
+func (p llwProto) NewNode(int) engine.Node {
 	return &llwNode{params: p.params}
 }
 
-// CloneState implements sim.Protocol: the neighbor-estimate table is the
+// CloneState implements engine.Protocol: the neighbor-estimate table is the
 // node's mutable state; it is shared copy-on-write (see estSet.clone), so
 // cloning is a single struct copy regardless of degree.
-func (p llwProto) CloneState(n sim.Node) sim.Node {
+func (p llwProto) CloneState(n engine.Node) engine.Node {
 	l := n.(*llwNode)
 	return &llwNode{params: l.params, est: l.est.clone(), fast: l.fast}
 }
 
-// CloneStates implements sim.BulkCloneProtocol: all clones come out of one
+// CloneStates implements engine.BulkCloneProtocol: all clones come out of one
 // slab, so a whole-network fork costs two allocations however wide the net.
-func (p llwProto) CloneStates(nodes []sim.Node) []sim.Node {
+func (p llwProto) CloneStates(nodes []engine.Node) []engine.Node {
 	slab := make([]llwNode, len(nodes))
-	out := make([]sim.Node, len(nodes))
+	out := make([]engine.Node, len(nodes))
 	for i, n := range nodes {
 		l := n.(*llwNode)
 		slab[i] = llwNode{params: l.params, est: l.est.clone(), fast: l.fast}
@@ -79,11 +79,11 @@ type llwNode struct {
 	fast   bool
 }
 
-func (n *llwNode) Init(rt *sim.Runtime) {
+func (n *llwNode) Init(rt *engine.Runtime) {
 	rt.SetTimerAtHW(rt.HW().Add(n.params.Period), tickTimer)
 }
 
-func (n *llwNode) OnTimer(rt *sim.Runtime, _ int) {
+func (n *llwNode) OnTimer(rt *engine.Runtime, _ int) {
 	l := rt.Logical()
 	for _, j := range rt.Neighbors() {
 		rt.Send(j, ValueMsg{Val: l})
@@ -92,7 +92,7 @@ func (n *llwNode) OnTimer(rt *sim.Runtime, _ int) {
 	rt.SetTimerAtHW(rt.HW().Add(n.params.Period), tickTimer)
 }
 
-func (n *llwNode) OnMessage(rt *sim.Runtime, from int, msg sim.Message) {
+func (n *llwNode) OnMessage(rt *engine.Runtime, from int, msg engine.Message) {
 	m, ok := msg.(ValueMsg)
 	if !ok {
 		return
@@ -102,7 +102,7 @@ func (n *llwNode) OnMessage(rt *sim.Runtime, from int, msg sim.Message) {
 	n.adjust(rt)
 }
 
-func (n *llwNode) adjust(rt *sim.Runtime) {
+func (n *llwNode) adjust(rt *engine.Runtime) {
 	l := rt.Logical()
 	hw := rt.HW()
 	var maxAhead, maxBehind rat.Rat

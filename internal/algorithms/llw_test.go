@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 func TestLLWValidityAndBoundedIncrease(t *testing.T) {
@@ -16,7 +16,7 @@ func TestLLWValidityAndBoundedIncrease(t *testing.T) {
 	}
 	rates[0] = rf(5, 4)
 	params := DefaultLLWParams()
-	e := lineRun(t, LLW(params), n, rates, sim.Midpoint(), ri(60))
+	e := lineRun(t, LLW(params), n, rates, engine.Midpoint(), ri(60))
 	if err := core.CheckValidity(e); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestLLWTracksDrift(t *testing.T) {
 		rates[i] = ri(1)
 	}
 	rates[0] = rf(9, 8) // mild drift: FastMult 2 > 9/8 suffices to follow
-	e := lineRun(t, LLW(DefaultLLWParams()), n, rates, sim.Midpoint(), ri(240))
+	e := lineRun(t, LLW(DefaultLLWParams()), n, rates, engine.Midpoint(), ri(240))
 	// Null would put the full 30 = (9/8−1)·240 between nodes 0 and 1. LLW
 	// distributes the skew down the staircase: the head's neighbor follows
 	// to within a few κ-quanta...
@@ -62,8 +62,8 @@ func TestLLWStaircaseUnderSustainedDrift(t *testing.T) {
 	}
 	rates[0] = rf(5, 4)
 
-	short := lineRun(t, LLW(DefaultLLWParams()), n, rates, sim.Midpoint(), ri(60))
-	long := lineRun(t, LLW(DefaultLLWParams()), n, rates, sim.Midpoint(), ri(120))
+	short := lineRun(t, LLW(DefaultLLWParams()), n, rates, engine.Midpoint(), ri(60))
+	long := lineRun(t, LLW(DefaultLLWParams()), n, rates, engine.Midpoint(), ri(120))
 	shortLocal := core.LocalSkew(short).Skew
 	longLocal := core.LocalSkew(long).Skew
 	// Stable: doubling the horizon must not double the local skew.

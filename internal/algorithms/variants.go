@@ -1,8 +1,8 @@
 package algorithms
 
 import (
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // ---- BoundedMax ----
@@ -15,7 +15,7 @@ import (
 // sweeping cap interpolates between the gradient algorithm's bounded
 // behaviour (small cap) and MaxGossip's unbounded jumps (cap = ∞) — and the
 // Lemma 7.1 probe shows the implied f(1) growing with cap.
-func BoundedMax(period, jumpCap rat.Rat) sim.Protocol {
+func BoundedMax(period, jumpCap rat.Rat) engine.Protocol {
 	return boundedMaxProto{period: period, cap: jumpCap}
 }
 
@@ -26,24 +26,24 @@ type boundedMaxProto struct {
 
 func (p boundedMaxProto) Name() string { return "bounded-max" }
 
-func (p boundedMaxProto) NewNode(int) sim.Node {
+func (p boundedMaxProto) NewNode(int) engine.Node {
 	return &boundedMaxNode{period: p.period, cap: p.cap}
 }
 
-// CloneState implements sim.Protocol. A boundedMaxNode carries only
+// CloneState implements engine.Protocol. A boundedMaxNode carries only
 // immutable configuration, so forks share the automaton itself.
-func (p boundedMaxProto) CloneState(n sim.Node) sim.Node { return n }
+func (p boundedMaxProto) CloneState(n engine.Node) engine.Node { return n }
 
 type boundedMaxNode struct {
 	period rat.Rat
 	cap    rat.Rat
 }
 
-func (n *boundedMaxNode) Init(rt *sim.Runtime) {
+func (n *boundedMaxNode) Init(rt *engine.Runtime) {
 	rt.SetTimerAtHW(rt.HW().Add(n.period), tickTimer)
 }
 
-func (n *boundedMaxNode) OnTimer(rt *sim.Runtime, _ int) {
+func (n *boundedMaxNode) OnTimer(rt *engine.Runtime, _ int) {
 	l := rt.Logical()
 	for _, j := range rt.Neighbors() {
 		rt.Send(j, ValueMsg{Val: l})
@@ -51,7 +51,7 @@ func (n *boundedMaxNode) OnTimer(rt *sim.Runtime, _ int) {
 	rt.SetTimerAtHW(rt.HW().Add(n.period), tickTimer)
 }
 
-func (n *boundedMaxNode) OnMessage(rt *sim.Runtime, _ int, msg sim.Message) {
+func (n *boundedMaxNode) OnMessage(rt *engine.Runtime, _ int, msg engine.Message) {
 	m, ok := msg.(ValueMsg)
 	if !ok {
 		return
@@ -74,7 +74,7 @@ func (n *boundedMaxNode) OnMessage(rt *sim.Runtime, _ int, msg sim.Message) {
 // Patt-Shamir's setting, discussed in §2): good global alignment to the
 // source, but — like all max-style schemes — no gradient guarantee, since a
 // stale branch jumps when fresher root values finally arrive.
-func RootSync(period rat.Rat, root int) sim.Protocol {
+func RootSync(period rat.Rat, root int) engine.Protocol {
 	return rootSyncProto{period: period, root: root}
 }
 
@@ -85,13 +85,13 @@ type rootSyncProto struct {
 
 func (p rootSyncProto) Name() string { return "root-sync" }
 
-func (p rootSyncProto) NewNode(id int) sim.Node {
+func (p rootSyncProto) NewNode(id int) engine.Node {
 	return &rootSyncNode{period: p.period, root: p.root, id: id}
 }
 
-// CloneState implements sim.Protocol. A rootSyncNode carries only immutable
+// CloneState implements engine.Protocol. A rootSyncNode carries only immutable
 // configuration, so forks share the automaton itself.
-func (p rootSyncProto) CloneState(n sim.Node) sim.Node { return n }
+func (p rootSyncProto) CloneState(n engine.Node) engine.Node { return n }
 
 type rootSyncNode struct {
 	period rat.Rat
@@ -99,11 +99,11 @@ type rootSyncNode struct {
 	id     int
 }
 
-func (n *rootSyncNode) Init(rt *sim.Runtime) {
+func (n *rootSyncNode) Init(rt *engine.Runtime) {
 	rt.SetTimerAtHW(rt.HW().Add(n.period), tickTimer)
 }
 
-func (n *rootSyncNode) OnTimer(rt *sim.Runtime, _ int) {
+func (n *rootSyncNode) OnTimer(rt *engine.Runtime, _ int) {
 	l := rt.Logical()
 	for _, j := range rt.Neighbors() {
 		rt.Send(j, ValueMsg{Val: l})
@@ -111,7 +111,7 @@ func (n *rootSyncNode) OnTimer(rt *sim.Runtime, _ int) {
 	rt.SetTimerAtHW(rt.HW().Add(n.period), tickTimer)
 }
 
-func (n *rootSyncNode) OnMessage(rt *sim.Runtime, _ int, msg sim.Message) {
+func (n *rootSyncNode) OnMessage(rt *engine.Runtime, _ int, msg engine.Message) {
 	m, ok := msg.(ValueMsg)
 	if !ok {
 		return

@@ -4,15 +4,15 @@ import (
 	"testing"
 
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 func TestBoundedMaxCapsJumps(t *testing.T) {
 	n := 6
 	rates := []rat.Rat{rf(3, 2), ri(1), ri(1), ri(1), ri(1), ri(1)}
 	capVal := rf(1, 2)
-	e := lineRun(t, BoundedMax(ri(1), capVal), n, rates, sim.Midpoint(), ri(40))
+	e := lineRun(t, BoundedMax(ri(1), capVal), n, rates, engine.Midpoint(), ri(40))
 	if err := core.CheckValidity(e); err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func TestBoundedMaxInterpolatesToMaxGossip(t *testing.T) {
 	n := 6
 	rates := []rat.Rat{rf(3, 2), ri(1), ri(1), ri(1), ri(1), ri(1)}
 	huge := ri(1000)
-	bm := lineRun(t, BoundedMax(ri(1), huge), n, rates, sim.Midpoint(), ri(30))
-	mg := lineRun(t, MaxGossip(ri(1)), n, rates, sim.Midpoint(), ri(30))
+	bm := lineRun(t, BoundedMax(ri(1), huge), n, rates, engine.Midpoint(), ri(30))
+	mg := lineRun(t, MaxGossip(ri(1)), n, rates, engine.Midpoint(), ri(30))
 	// With an unreachable cap, BoundedMax behaves exactly like MaxGossip.
 	for i := 0; i < n; i++ {
 		if !bm.LogicalAt(i, ri(30)).Equal(mg.LogicalAt(i, ri(30))) {
@@ -52,7 +52,7 @@ func TestBoundedMaxIncreaseScalesWithCap(t *testing.T) {
 	n := 6
 	rates := []rat.Rat{rf(3, 2), ri(1), ri(1), ri(1), ri(1), ri(1)}
 	measure := func(capVal rat.Rat) rat.Rat {
-		e := lineRun(t, BoundedMax(ri(1), capVal), n, rates, sim.Midpoint(), ri(40))
+		e := lineRun(t, BoundedMax(ri(1), capVal), n, rates, engine.Midpoint(), ri(40))
 		worst := rat.Rat{}
 		for i := 1; i < n; i++ {
 			if v := core.MaxIncreasePerUnit(e, i, ri(2), ri(40)).Val; v.Greater(worst) {
@@ -77,7 +77,7 @@ func TestRootSyncFollowsRoot(t *testing.T) {
 	n := 6
 	// Root (node 0) has the fastest clock: everyone converges to it.
 	rates := []rat.Rat{rf(5, 4), ri(1), ri(1), ri(1), ri(1), ri(1)}
-	e := lineRun(t, RootSync(ri(1), 0), n, rates, sim.Midpoint(), ri(40))
+	e := lineRun(t, RootSync(ri(1), 0), n, rates, engine.Midpoint(), ri(40))
 	if err := core.CheckValidity(e); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRootSyncIgnoredWhenRootSlow(t *testing.T) {
 	// so global skew stays bounded — but nodes can run ahead of the root.
 	n := 5
 	rates := []rat.Rat{ri(1), ri(1), rf(5, 4), ri(1), ri(1)}
-	e := lineRun(t, RootSync(ri(1), 0), n, rates, sim.Midpoint(), ri(30))
+	e := lineRun(t, RootSync(ri(1), 0), n, rates, engine.Midpoint(), ri(30))
 	if err := core.CheckValidity(e); err != nil {
 		t.Fatal(err)
 	}

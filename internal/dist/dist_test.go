@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"gcs/internal/obs"
 	"gcs/internal/perf"
 	"gcs/internal/rat"
 	"gcs/internal/search"
@@ -269,6 +271,69 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
+// endlessByte reads as an endless run of one byte.
+type endlessByte byte
+
+func (b endlessByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestWorkerRejectsOversizeBody: a request body past the cap is answered
+// with 413 in the versioned JSON error shape, and nothing is evaluated.
+func TestWorkerRejectsOversizeBody(t *testing.T) {
+	w := &Worker{Registry: obs.NewRegistry()}
+	body := io.MultiReader(
+		strings.NewReader(`{"version":1,"spec":{"protocol":"`),
+		io.LimitReader(endlessByte('a'), maxShardRequestBytes))
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathShard, body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body got HTTP %d, want 413", rec.Code)
+	}
+	var sr ShardResponse
+	if err := json.NewDecoder(rec.Body).Decode(&sr); err != nil {
+		t.Fatalf("oversize-body reply is not the versioned JSON error: %v", err)
+	}
+	if sr.Version != ProtocolVersion || !strings.Contains(sr.Error, "too large") {
+		t.Fatalf("oversize-body error = %+v", sr)
+	}
+	met := w.Metrics()
+	if met.ShardSeconds.Count() != 0 || met.Shards.Value() != 0 || met.Engine.Steps.Value() != 0 {
+		t.Fatalf("oversize body was evaluated: %d shard timings, %d shards, %d engine steps",
+			met.ShardSeconds.Count(), met.Shards.Value(), met.Engine.Steps.Value())
+	}
+}
+
+// TestWorkerValidatesSpec: the worker validates the decoded spec and
+// answers an invalid one with 400 before evaluating anything.
+func TestWorkerValidatesSpec(t *testing.T) {
+	w := &Worker{Registry: obs.NewRegistry()}
+	spec := e13LongSpec()
+	spec.Cells[0] = CellSpec{Topology: "line", N: 1000000, Duration: rat.FromInt(4)}
+	body, err := json.Marshal(ShardRequest{Version: ProtocolVersion, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathShard, bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("invalid spec got HTTP %d, want 400", rec.Code)
+	}
+	var sr ShardResponse
+	if err := json.NewDecoder(rec.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Version != ProtocolVersion || !strings.Contains(sr.Error, "exceeds the cap") {
+		t.Fatalf("invalid-spec error = %+v", sr)
+	}
+	if met := w.Metrics(); met.ShardSeconds.Count() != 0 {
+		t.Fatalf("invalid spec was evaluated")
+	}
+}
+
 // TestPlanCampaign: `gcssearch plan` pricing — exact candidate bounds and a
 // ns/step-based wall-clock estimate, no engine constructed.
 func TestPlanCampaign(t *testing.T) {
@@ -314,10 +379,41 @@ func TestPlanCampaign(t *testing.T) {
 	}
 }
 
-// TestSpecValidate rejects the misconfigurations a CLI user will actually
-// produce.
-func TestSpecValidate(t *testing.T) {
-	bad := []CampaignSpec{
+// TestPlanCampaignLanePricing: the planner has no per-lane prices. Every
+// cell — the two-node midpoint cell the engine runs in the fixed lane and a
+// line cell alike — is priced at the model's one ns/step, and the serial
+// estimate is EstSteps × ns/step.
+func TestPlanCampaignLanePricing(t *testing.T) {
+	spec := e13LongSpec()
+	spec.Cells = append(spec.Cells, CellSpec{Topology: "line", N: 3, Duration: rat.FromInt(4)})
+	model := perf.CostModel{NsPerStep: 500, Source: "SearchPrefixCached/E13"}
+	plan, err := PlanCampaign(spec, model, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Cells) != 2 {
+		t.Fatalf("got %d cell plans, want 2", len(plan.Cells))
+	}
+	for i, cp := range plan.Cells {
+		if cp.NsPerStep != model.NsPerStep || cp.CostSource != model.Source {
+			t.Fatalf("cell %d priced %v ns/step (%s), want the model's %v (%s)", i, cp.NsPerStep, cp.CostSource, model.NsPerStep, model.Source)
+		}
+	}
+	if want := float64(plan.EstSteps) * model.NsPerStep; plan.EstSerialNs != want {
+		t.Fatalf("serial estimate %f, want EstSteps × ns/step = %f", plan.EstSerialNs, want)
+	}
+	if plan.EstParallelNs != plan.EstSerialNs {
+		t.Fatalf("one-worker parallel estimate %f differs from serial %f", plan.EstParallelNs, plan.EstSerialNs)
+	}
+	if strings.Contains(plan.Render(), "lane") {
+		t.Fatal("plan report still shows a per-cell lane")
+	}
+}
+
+// invalidSpecs are the misconfigurations a CLI user or a remote caller will
+// actually produce.
+func invalidSpecs() []CampaignSpec {
+	return []CampaignSpec{
 		{},
 		{Protocol: "gradient"},
 		{Protocol: "nope", Cells: []CellSpec{{Topology: "line", N: 3, Duration: rat.FromInt(4)}}},
@@ -326,8 +422,15 @@ func TestSpecValidate(t *testing.T) {
 		{Protocol: "gradient", Adversary: "nope", Cells: []CellSpec{{Topology: "line", N: 3, Duration: rat.FromInt(4)}}},
 		{Protocol: "gradient", Objective: "nope", Cells: []CellSpec{{Topology: "line", N: 3, Duration: rat.FromInt(4)}}},
 		{Protocol: "gradient", Cells: []CellSpec{{Topology: "two-node", Duration: rat.FromInt(4)}}},
+		{Protocol: "gradient", Cells: []CellSpec{{Topology: "line", N: 1000000, Duration: rat.FromInt(4)}}},
+		{Protocol: "gradient", Cells: []CellSpec{{Topology: "complete", N: maxCellNodes + 1, Duration: rat.FromInt(4)}}},
+		{Protocol: "gradient", Rounds: maxRounds + 1, Cells: []CellSpec{{Topology: "line", N: 3, Duration: rat.FromInt(4)}}},
 	}
-	for i, s := range bad {
+}
+
+// TestSpecValidate rejects every invalid spec and accepts the E13 one.
+func TestSpecValidate(t *testing.T) {
+	for i, s := range invalidSpecs() {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("spec %d validated: %+v", i, s)
 		}
@@ -335,35 +438,5 @@ func TestSpecValidate(t *testing.T) {
 	good := e13LongSpec()
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPlanCampaignLanePricing: with a lane-tagged snapshot, each cell is
-// priced at its probed lane's measured ns/step, not the lane-agnostic figure.
-func TestPlanCampaignLanePricing(t *testing.T) {
-	spec := e13LongSpec()
-	model := perf.CostModel{
-		NsPerStep: 2000, Source: "legacy",
-		Lanes: map[string]perf.LaneCost{
-			"fixed": {NsPerStep: 500, Source: "SearchPrefixCached/E13"},
-			"rat":   {NsPerStep: 1500, Source: "SearchPrefixCached/E13/rat"},
-		},
-	}
-	plan, err := PlanCampaign(spec, model, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := plan.Cells[0]
-	if cp.Lane != "fixed" {
-		t.Fatalf("two-node midpoint cell probed lane %q, want fixed", cp.Lane)
-	}
-	if cp.NsPerStep != 500 || cp.CostSource != "SearchPrefixCached/E13" {
-		t.Fatalf("cell priced %v ns/step (%s), want the fixed lane's cost", cp.NsPerStep, cp.CostSource)
-	}
-	if want := float64(plan.EstSteps) * 500; plan.EstSerialNs != want {
-		t.Fatalf("serial estimate %f, want %f from the fixed-lane cost", plan.EstSerialNs, want)
-	}
-	if !strings.Contains(plan.Render(), "fixed lane") {
-		t.Fatal("plan report does not show the per-cell lane")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"gcs/internal/engine"
-	"gcs/internal/network"
 	"gcs/internal/perf"
 	"gcs/internal/rat"
 )
@@ -16,11 +14,7 @@ import (
 type CellPlan struct {
 	Cell  CellSpec `json:"cell"`
 	Nodes int      `json:"nodes"`
-	// Lane is the arithmetic lane a zero-step probe engine for this cell
-	// detects ("fixed" or "rat"), and NsPerStep / CostSource the lane's
-	// modeled step cost — fixed-lane cells price several times cheaper than
-	// rat-lane cells once the snapshot carries lane-tagged measurements.
-	Lane       string  `json:"lane"`
+	// NsPerStep and CostSource are the cost model's step price.
 	NsPerStep  float64 `json:"ns_per_step"`
 	CostSource string  `json:"cost_source"`
 	// Generations is the maximum number of evaluated generations: the
@@ -67,10 +61,8 @@ func (p *Plan) EstSerial() time.Duration { return time.Duration(p.EstSerialNs) }
 func (p *Plan) EstParallel() time.Duration { return time.Duration(p.EstParallelNs) }
 
 // PlanCampaign prices spec against a cost model for a fleet of `workers`
-// evaluators (0 = 1). No candidate is evaluated: the counts are arithmetic
-// over the spec, and the only engine work is one zero-step probe per cell to
-// detect the arithmetic lane its evaluations will run on, so lane-tagged
-// snapshots price fixed-lane and rat-lane cells at their measured costs.
+// evaluators (0 = 1). No engine is constructed: the counts are arithmetic
+// over the spec, priced at the model's ns/step.
 func PlanCampaign(spec CampaignSpec, model perf.CostModel, workers int) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -97,7 +89,6 @@ func PlanCampaign(spec CampaignSpec, model perf.CostModel, workers int) (*Plan, 
 			return nil, err
 		}
 		n := net.N()
-		lane := probeLane(spec, net)
 		// Per mutation generation, each of the Beam parents contributes at
 		// most: 2 whole-run rate flips per node (to 1−ρ and 1+ρ; the third
 		// choice always matches the current rate), 2 windowed pins per node
@@ -106,6 +97,8 @@ func PlanCampaign(spec CampaignSpec, model perf.CostModel, workers int) (*Plan, 
 		cp := CellPlan{
 			Cell:             cell,
 			Nodes:            n,
+			NsPerStep:        model.NsPerStep,
+			CostSource:       model.Source,
 			Generations:      1 + rounds,
 			CandidatesPerGen: []int{1},
 		}
@@ -116,8 +109,6 @@ func PlanCampaign(spec CampaignSpec, model perf.CostModel, workers int) (*Plan, 
 		}
 		cp.StepsPerCandidate = estimateSteps(net, cell.Duration)
 		cp.EstSteps = uint64(cp.MaxCandidates) * cp.StepsPerCandidate
-		cp.Lane = lane
-		cp.NsPerStep, cp.CostSource = model.ForLane(lane)
 		p.Cells = append(p.Cells, cp)
 		p.MaxCandidates += cp.MaxCandidates
 		p.EstSteps += cp.EstSteps
@@ -125,32 +116,6 @@ func PlanCampaign(spec CampaignSpec, model perf.CostModel, workers int) (*Plan, 
 	}
 	p.EstParallelNs = p.EstSerialNs / float64(workers)
 	return p, nil
-}
-
-// probeLane builds a zero-step engine with the cell's network, protocol,
-// base adversary, drift bound, and the default unit-rate schedules, and asks
-// which arithmetic lane detection picks. The probe mirrors the engines the
-// campaign's search will construct (mutated rates stay on the 1±ρ grid, so
-// the base configuration's lane is the campaign's lane); any construction
-// error prices conservatively as the rat lane.
-func probeLane(spec CampaignSpec, net *network.Network) string {
-	proto, err := buildProtocol(spec.Protocol)
-	if err != nil {
-		return "rat"
-	}
-	adv, err := buildAdversary(spec.adversaryName(), spec.Seed)
-	if err != nil {
-		return "rat"
-	}
-	eng, err := engine.New(net,
-		engine.WithProtocol(proto),
-		engine.WithAdversary(adv),
-		engine.WithRho(spec.rho()),
-	)
-	if err != nil {
-		return "rat"
-	}
-	return eng.TimeLane()
 }
 
 // estimateSteps models one candidate run's dispatched events: n inits, and
@@ -178,8 +143,8 @@ func estimateSteps(net interface {
 func (p *Plan) Render() string {
 	out := ""
 	for i, cp := range p.Cells {
-		out += fmt.Sprintf("cell %d %-20s %d nodes, %d generations, ≤ %d candidates, ~%d steps/candidate, ~%d engine steps, %s lane @ %.0f ns/step\n",
-			i, cp.Cell.Label(), cp.Nodes, cp.Generations, cp.MaxCandidates, cp.StepsPerCandidate, cp.EstSteps, cp.Lane, cp.NsPerStep)
+		out += fmt.Sprintf("cell %d %-20s %d nodes, %d generations, ≤ %d candidates, ~%d steps/candidate, ~%d engine steps @ %.0f ns/step\n",
+			i, cp.Cell.Label(), cp.Nodes, cp.Generations, cp.MaxCandidates, cp.StepsPerCandidate, cp.EstSteps, cp.NsPerStep)
 	}
 	out += fmt.Sprintf("total: ≤ %d candidates, ~%d engine steps\n", p.MaxCandidates, p.EstSteps)
 	out += fmt.Sprintf("cost model: %.0f ns/step (%s)\n", p.NsPerStep, p.CostSource)

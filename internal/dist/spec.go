@@ -22,10 +22,10 @@ import (
 
 	"gcs/internal/algorithms"
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
 	"gcs/internal/search"
-	"gcs/internal/sim"
 )
 
 // CellSpec names one topology instance of a campaign. Cells are specs, not
@@ -58,9 +58,19 @@ func (c CellSpec) Label() string {
 	return fmt.Sprintf("%s n=%d", c.Topology, c.N)
 }
 
+// Input caps for remote specs. A network holds a dense n×n distance matrix,
+// so 1,024 nodes is about 25 MB; the planner keeps one bound per round.
+const (
+	maxCellNodes = 1024
+	maxRounds    = 1024
+)
+
 // Network rebuilds the cell's network. Deterministic in the spec alone:
 // coordinator and workers agree on the topology by construction.
 func (c CellSpec) Network() (*network.Network, error) {
+	if c.N > maxCellNodes {
+		return nil, fmt.Errorf("dist: %d nodes exceeds the cap of %d", c.N, maxCellNodes)
+	}
 	switch c.Topology {
 	case "line":
 		return network.Line(c.N)
@@ -129,10 +139,13 @@ type CampaignSpec struct {
 }
 
 // Validate checks the spec rebuilds: every cell's network, the protocol, the
-// adversary, and the objective.
+// adversary, and the objective, with the round budget under maxRounds.
 func (s *CampaignSpec) Validate() error {
 	if len(s.Cells) == 0 {
 		return fmt.Errorf("dist: campaign has no cells")
+	}
+	if s.Rounds > maxRounds {
+		return fmt.Errorf("dist: %d rounds exceeds the cap of %d", s.Rounds, maxRounds)
 	}
 	for i := range s.Cells {
 		if _, err := s.Cells[i].Network(); err != nil {
@@ -226,7 +239,7 @@ func (s *CampaignSpec) CellOptions(i int) (search.Options, error) {
 }
 
 // buildProtocol maps the gcssim protocol vocabulary onto constructors.
-func buildProtocol(name string) (sim.Protocol, error) {
+func buildProtocol(name string) (engine.Protocol, error) {
 	switch name {
 	case "null":
 		return algorithms.Null(), nil
@@ -252,16 +265,16 @@ func buildProtocol(name string) (sim.Protocol, error) {
 // buildAdversary maps the gcssim adversary vocabulary onto constructors. All
 // four are stateless, hence shard-safe; stateful bases enter campaigns only
 // through the programmatic API, where Campaign.Shardable gates dispatch.
-func buildAdversary(name string, seed uint64) (sim.Adversary, error) {
+func buildAdversary(name string, seed uint64) (engine.Adversary, error) {
 	switch name {
 	case "midpoint":
-		return sim.Midpoint(), nil
+		return engine.Midpoint(), nil
 	case "zero":
-		return sim.FractionAdversary{Frac: rat.Rat{}}, nil
+		return engine.FractionAdversary{Frac: rat.Rat{}}, nil
 	case "max":
-		return sim.FractionAdversary{Frac: rat.FromInt(1)}, nil
+		return engine.FractionAdversary{Frac: rat.FromInt(1)}, nil
 	case "random":
-		return sim.HashAdversary{Seed: seed, Denom: 8}, nil
+		return engine.HashAdversary{Seed: seed, Denom: 8}, nil
 	default:
 		return nil, fmt.Errorf("dist: unknown adversary %q", name)
 	}

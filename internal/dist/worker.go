@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -10,6 +11,10 @@ import (
 	"gcs/internal/obs"
 	"gcs/internal/search"
 )
+
+// maxShardRequestBytes caps a shard request body; the example campaign's
+// largest, a 40-candidate generation of its d=64 cell, is 573 KB.
+const maxShardRequestBytes = 64 << 20
 
 // Worker serves shard evaluations. It is stateless between requests: every
 // ShardRequest carries the full campaign spec and wire generation, so a
@@ -83,8 +88,13 @@ func (w *Worker) Handler() http.Handler {
 			return
 		}
 		var req ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(rw, http.StatusBadRequest, ShardResponse{
+		if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardRequestBytes)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(rw, status, ShardResponse{
 				Version: ProtocolVersion, Error: fmt.Sprintf("decode request: %v", err),
 			})
 			return
@@ -93,6 +103,12 @@ func (w *Worker) Handler() http.Handler {
 			writeJSON(rw, http.StatusBadRequest, ShardResponse{
 				Version: ProtocolVersion,
 				Error:   fmt.Sprintf("protocol version %d, worker speaks %d", req.Version, ProtocolVersion),
+			})
+			return
+		}
+		if err := req.Spec.Validate(); err != nil {
+			writeJSON(rw, http.StatusBadRequest, ShardResponse{
+				Version: ProtocolVersion, Error: err.Error(),
 			})
 			return
 		}

@@ -1,4 +1,4 @@
-package sim
+package engine
 
 import (
 	"testing"
@@ -26,14 +26,14 @@ func (c *chatterNode) Init(rt *Runtime) {
 
 func (c *chatterNode) OnTimer(rt *Runtime, _ int) {
 	for _, j := range rt.Neighbors() {
-		rt.Send(j, pingMsg{Val: rt.Logical()})
+		rt.Send(j, echoMsg{Val: rt.Logical()})
 	}
 	rt.SetLogical(rt.Logical(), c.mult)
 	rt.SetTimerAtHW(rt.HW().Add(c.period), 1)
 }
 
 func (c *chatterNode) OnMessage(rt *Runtime, from int, msg Message) {
-	m, ok := msg.(pingMsg)
+	m, ok := msg.(echoMsg)
 	if !ok {
 		return
 	}
@@ -42,7 +42,7 @@ func (c *chatterNode) OnMessage(rt *Runtime, from int, msg Message) {
 		if c.relay {
 			for _, j := range rt.Neighbors() {
 				if j != from {
-					rt.Send(j, pingMsg{Val: m.Val})
+					rt.Send(j, echoMsg{Val: m.Val})
 				}
 			}
 		}

@@ -2,8 +2,7 @@
 // networks of timed automata with drifting hardware clocks, following the
 // model of Fan & Lynch (PODC 2004), §3.
 //
-// Unlike the original batch runner (now the compatibility wrapper Run), an
-// Engine is constructed once and then driven step by step: Step dispatches
+// An Engine is constructed once and then driven step by step: Step dispatches
 // the single next event, RunUntil(t) dispatches everything through real time
 // t, and RunFor(r) extends the covered horizon by r. Consumers observe the
 // run through the Observer interface instead of receiving a buffered trace,
@@ -31,6 +30,33 @@
 // invariant under the per-node monotone time remappings used by the Add Skew
 // and Bounded Increase lemmas, because ties are broken by node-visible keys
 // rather than by wall-clock accidents.
+//
+// # Optional extensions
+//
+// Beyond Protocol, Node, Adversary and Observer, the engine type-asserts
+// nine optional interfaces. Each keeps a behaviour or a pinned budget, and
+// the benchmark's timing wrappers (gcsperf) forward all nine:
+//
+//   - CheckedAdversary (ScriptedAdversary, scenario.FaultAdversary): an
+//     exhausted script fails the run with an error, not a panic.
+//   - DropAdversary (FaultAdversary): message loss decided at send, after
+//     sequence assignment; the scenario matrix's faults.
+//   - AdversaryWrapper (ScriptedAdversary, FaultAdversary): hooks walk the
+//     Fallback/Inner chain, so faults stay live inside replay scripts.
+//   - StatefulAdversary (ScriptedAdversary, FaultAdversary,
+//     lowerbound.AdaptiveScheduler): Fork clones adversary state.
+//   - DenomHinter (Fraction-, Hash-, Scripted- and FaultAdversary,
+//     AdaptiveScheduler): the delay grid fixed-lane detection needs.
+//   - FixedLaneAdopter (core.SkewTracker): tracker pair state in ticks on
+//     fixed-lane runs; its share of the E12 gain is not measured alone.
+//   - BulkCloneProtocol (gradient, LLW): slab clones hold a fork of a
+//     warmed 33-node gradient line to 9 allocations at any width.
+//   - ClockObserver and HorizonObserver (core.SkewTracker,
+//     core.ValidityTracker, Funcs): the declaration stream and the exact
+//     horizon close-out that make online metrics equal the post-hoc ones.
+//
+// An adversary implementing an observer interface is also fed the event
+// stream of every engine it is bound to (AdaptiveScheduler).
 package engine
 
 import (
@@ -99,7 +125,7 @@ type Adversary interface {
 	Delay(from, to int, seq uint64, sendReal rat.Rat, bound rat.Rat) rat.Rat
 }
 
-// Config fully describes a batch run for the Run compatibility wrapper.
+// Config fully describes a batch run for Run.
 type Config struct {
 	Net       *network.Network
 	Schedules []*clock.Schedule // one per node
@@ -497,11 +523,9 @@ func (e *Engine) Execution(rec *trace.Recorder) (*trace.Execution, error) {
 	return rec.Execution(e.net, e.scheds, e.horizon, logical, hardware), nil
 }
 
-// Run executes a batch configuration and returns its recorded trace. It is
-// the legacy record-everything API, now a thin compatibility wrapper: it
+// Run executes a batch configuration and returns its recorded trace: it
 // builds an Engine, attaches a trace.Recorder, drives the run to
-// cfg.Duration, and compiles the Execution — byte-identical to the original
-// monolithic runner.
+// cfg.Duration, and compiles the Execution.
 func Run(cfg Config) (*trace.Execution, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("engine: nil network")

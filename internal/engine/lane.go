@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"gcs/internal/clock"
 	"gcs/internal/fixed"
 )
@@ -38,19 +36,6 @@ func (l Lane) String() string {
 
 // WithLane selects the engine's arithmetic lane (default LaneAuto).
 func WithLane(l Lane) Option { return func(e *Engine) { e.lane = l } }
-
-// defaultLane is the process-wide lane for engines built with LaneAuto.
-// Differential tests flip it to force whole subsystems (search, campaigns)
-// onto the rat lane without threading an option through every constructor.
-var defaultLane atomic.Uint32
-
-// SetDefaultLane sets the process-wide lane used by engines constructed
-// with LaneAuto. Intended for tests and experiments; the zero value is
-// LaneAuto.
-func SetDefaultLane(l Lane) { defaultLane.Store(uint32(l)) }
-
-// DefaultLane returns the process-wide lane for LaneAuto engines.
-func DefaultLane() Lane { return Lane(defaultLane.Load()) }
 
 // FixedLaneAdopter is an optional Observer extension: an observer that can
 // mirror its own state in scaled int64 ticks implements it, and Observe (or
@@ -131,11 +116,7 @@ func (a ScriptedAdversary) DelayDenom() int64 {
 // engine compiles each schedule onto the grid and runs its hot path in
 // ticks; on any failure it silently stays on the rat lane.
 func (e *Engine) detectLane() {
-	lane := e.lane
-	if lane == LaneAuto {
-		lane = DefaultLane()
-	}
-	if lane == LaneRat {
+	if e.lane == LaneRat {
 		return
 	}
 	det := fixed.NewDetector()

@@ -1,4 +1,4 @@
-package sim
+package engine
 
 import (
 	"fmt"
@@ -10,54 +10,6 @@ import (
 	"gcs/internal/trace"
 )
 
-func ri(n int64) rat.Rat    { return rat.FromInt(n) }
-func rf(n, d int64) rat.Rat { return rat.MustFrac(n, d) }
-
-// pingMsg is a test payload.
-type pingMsg struct {
-	Val rat.Rat
-}
-
-func (m pingMsg) MsgString() string { return "ping:" + m.Val.String() }
-
-// pingNode node 0 sends its hardware time to node 1 every period; node 1
-// records receipt count via logical jumps.
-type pingNode struct {
-	id     int
-	period rat.Rat
-}
-
-func (p *pingNode) Init(rt *Runtime) {
-	if p.id == 0 {
-		rt.SetTimerAtHW(p.period, 1)
-	}
-}
-
-func (p *pingNode) OnTimer(rt *Runtime, timerID int) {
-	rt.Send(1, pingMsg{Val: rt.HW()})
-	rt.SetTimerAtHW(rt.HW().Add(p.period), 1)
-}
-
-func (p *pingNode) OnMessage(rt *Runtime, from int, msg Message) {
-	m, ok := msg.(pingMsg)
-	if !ok {
-		return
-	}
-	// Jump logical clock to the received value if ahead.
-	if m.Val.Greater(rt.Logical()) {
-		rt.SetLogical(m.Val, rat.FromInt(1))
-	}
-}
-
-type pingProtocol struct{ period rat.Rat }
-
-func (p pingProtocol) Name() string        { return "ping" }
-func (p pingProtocol) NewNode(id int) Node { return &pingNode{id: id, period: p.period} }
-func (p pingProtocol) CloneState(n Node) Node {
-	c := *n.(*pingNode)
-	return &c
-}
-
 func twoNodeConfig(t *testing.T, sched0, sched1 *clock.Schedule, adv Adversary, dur rat.Rat) Config {
 	t.Helper()
 	net, err := network.TwoNode(ri(2))
@@ -68,7 +20,7 @@ func twoNodeConfig(t *testing.T, sched0, sched1 *clock.Schedule, adv Adversary, 
 		Net:       net,
 		Schedules: []*clock.Schedule{sched0, sched1},
 		Adversary: adv,
-		Protocol:  pingProtocol{period: ri(1)},
+		Protocol:  tickProtocol{period: ri(1)},
 		Duration:  dur,
 		Rho:       rf(1, 2),
 	}
@@ -117,30 +69,6 @@ func TestRunBasics(t *testing.T) {
 	}
 	if delivered != 9 {
 		t.Errorf("delivered = %d, want 9", delivered)
-	}
-}
-
-func TestRunDeterministic(t *testing.T) {
-	mk := func() *trace.Execution {
-		cfg := twoNodeConfig(t, clock.Constant(ri(1)), clock.Constant(rf(9, 8)), HashAdversary{Seed: 7}, ri(20))
-		exec, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return exec
-	}
-	a, b := mk(), mk()
-	if len(a.Actions) != len(b.Actions) {
-		t.Fatalf("action counts differ: %d vs %d", len(a.Actions), len(b.Actions))
-	}
-	for i := range a.Actions {
-		x, y := a.Actions[i], b.Actions[i]
-		if x != y {
-			t.Fatalf("action %d differs: %+v vs %+v", i, x, y)
-		}
-	}
-	if err := trace.PrefixEqual(a, b, ri(20)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -199,15 +127,70 @@ func TestLogicalClockCompilation(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
+// badDelayAdversary returns delays exceeding the bound.
+type badDelayAdversary struct{}
+
+func (badDelayAdversary) Delay(_, _ int, _ uint64, _ rat.Rat, bound rat.Rat) rat.Rat {
+	return bound.Add(ri(1))
+}
+
+// pastTimerNode sets a timer in the past from its first timer callback.
+type pastTimerNode struct{}
+
+func (pastTimerNode) Init(rt *Runtime) { rt.SetTimerAtHW(rt.HW().Add(ri(1)), 1) }
+func (pastTimerNode) OnTimer(rt *Runtime, id int) {
+	rt.SetTimerAtHW(rt.HW().Sub(ri(1)), 2) // in the past: must fail the run
+}
+func (pastTimerNode) OnMessage(*Runtime, int, Message) {}
+
+type pastTimerProtocol struct{}
+
+func (pastTimerProtocol) Name() string           { return "past-timer" }
+func (pastTimerProtocol) NewNode(int) Node       { return pastTimerNode{} }
+func (pastTimerProtocol) CloneState(n Node) Node { return n }
+
+// negMultNode declares an invalid negative multiplier.
+type negMultNode struct{}
+
+func (negMultNode) Init(rt *Runtime)                 { rt.SetLogical(ri(0), ri(-1)) }
+func (negMultNode) OnTimer(*Runtime, int)            {}
+func (negMultNode) OnMessage(*Runtime, int, Message) {}
+
+type negMultProtocol struct{}
+
+func (negMultProtocol) Name() string           { return "neg-mult" }
+func (negMultProtocol) NewNode(int) Node       { return negMultNode{} }
+func (negMultProtocol) CloneState(n Node) Node { return n }
+
+// nilMsgNode sends a nil payload.
+type nilMsgNode struct{}
+
+func (nilMsgNode) Init(rt *Runtime)                 { rt.Send(1, nil) }
+func (nilMsgNode) OnTimer(*Runtime, int)            {}
+func (nilMsgNode) OnMessage(*Runtime, int, Message) {}
+
+type nilMsgProtocol struct{}
+
+func (nilMsgProtocol) Name() string           { return "nil-msg" }
+func (nilMsgProtocol) NewNode(int) Node       { return nilMsgNode{} }
+func (nilMsgProtocol) CloneState(n Node) Node { return n }
+
+// TestRunErrors: Run rejects every invalid configuration before the first
+// event, and fails the run on an adversary delay beyond the bound or an
+// invalid node action (a timer in the past, a negative multiplier, a send
+// to self, a nil payload).
+func TestRunErrors(t *testing.T) {
 	net, _ := network.TwoNode(ri(1))
 	good := Config{
 		Net:       net,
 		Schedules: []*clock.Schedule{clock.Constant(ri(1)), clock.Constant(ri(1))},
 		Adversary: Midpoint(),
-		Protocol:  pingProtocol{period: ri(1)},
-		Duration:  ri(1),
+		Protocol:  tickProtocol{period: ri(1)},
+		Duration:  ri(2),
 		Rho:       rf(1, 2),
+	}
+	if _, err := Run(good); err != nil {
+		t.Fatalf("unmutated config failed: %v", err)
 	}
 	cases := []struct {
 		name   string
@@ -222,63 +205,21 @@ func TestConfigValidation(t *testing.T) {
 		{"drift violation", func(c *Config) {
 			c.Schedules = []*clock.Schedule{clock.Constant(ri(3)), clock.Constant(ri(1))}
 		}},
+		{"delay beyond bound", func(c *Config) { c.Adversary = badDelayAdversary{} }},
+		{"past timer", func(c *Config) { c.Protocol = pastTimerProtocol{} }},
+		{"negative multiplier", func(c *Config) { c.Protocol = negMultProtocol{} }},
+		{"self send", func(c *Config) { c.Protocol = selfSendProtocol{} }},
+		{"nil message", func(c *Config) { c.Protocol = nilMsgProtocol{} }},
 	}
 	for _, tc := range cases {
-		cfg := good
-		cfg.Schedules = append([]*clock.Schedule{}, good.Schedules...)
-		tc.mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: want error", tc.name)
-		}
-	}
-}
-
-// badDelayAdversary returns delays exceeding the bound.
-type badDelayAdversary struct{}
-
-func (badDelayAdversary) Delay(_, _ int, _ uint64, _ rat.Rat, bound rat.Rat) rat.Rat {
-	return bound.Add(ri(1))
-}
-
-func TestAdversaryDelayValidation(t *testing.T) {
-	cfg := twoNodeConfig(t, clock.Constant(ri(1)), clock.Constant(ri(1)), badDelayAdversary{}, ri(5))
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("expected delay-bound violation error")
-	}
-}
-
-// pastTimerNode sets a timer in the past from Init.
-type pastTimerNode struct{ fired bool }
-
-func (n *pastTimerNode) Init(rt *Runtime) {
-	rt.SetTimerAtHW(rt.HW().Add(ri(1)), 1)
-}
-func (n *pastTimerNode) OnTimer(rt *Runtime, id int) {
-	rt.SetTimerAtHW(rt.HW().Sub(ri(1)), 2) // in the past: must fail the run
-}
-func (n *pastTimerNode) OnMessage(rt *Runtime, from int, msg Message) {}
-
-type pastTimerProtocol struct{}
-
-func (pastTimerProtocol) Name() string        { return "past-timer" }
-func (pastTimerProtocol) NewNode(id int) Node { return &pastTimerNode{} }
-func (pastTimerProtocol) CloneState(n Node) Node {
-	c := *n.(*pastTimerNode)
-	return &c
-}
-
-func TestPastTimerRejected(t *testing.T) {
-	net, _ := network.TwoNode(ri(1))
-	cfg := Config{
-		Net:       net,
-		Schedules: []*clock.Schedule{clock.Constant(ri(1)), clock.Constant(ri(1))},
-		Adversary: Midpoint(),
-		Protocol:  pastTimerProtocol{},
-		Duration:  ri(5),
-		Rho:       rf(1, 2),
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("expected past-timer error")
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := good
+			cfg.Schedules = append([]*clock.Schedule{}, good.Schedules...)
+			tc.mutate(&cfg)
+			if _, err := Run(cfg); err == nil {
+				t.Error("want error")
+			}
+		})
 	}
 }
 
@@ -299,53 +240,6 @@ func TestScriptedAdversary(t *testing.T) {
 	rec = exec.Ledger[trace.MsgKey{From: 0, To: 1, Seq: 1}]
 	if !rec.Delay.Equal(ri(1)) {
 		t.Errorf("fallback delay = %s, want 1", rec.Delay)
-	}
-}
-
-func TestHashAdversaryDeterministicAndBounded(t *testing.T) {
-	adv := HashAdversary{Seed: 99}
-	bound := ri(4)
-	seen := map[string]bool{}
-	for seq := uint64(0); seq < 50; seq++ {
-		d1 := adv.Delay(0, 1, seq, ri(0), bound)
-		d2 := adv.Delay(0, 1, seq, ri(7), bound) // send time must not matter
-		if !d1.Equal(d2) {
-			t.Fatal("hash adversary depends on send time")
-		}
-		if d1.Sign() < 0 || d1.Greater(bound) {
-			t.Fatalf("delay %s out of bounds", d1)
-		}
-		seen[d1.String()] = true
-	}
-	if len(seen) < 3 {
-		t.Errorf("hash adversary produced only %d distinct delays in 50 draws", len(seen))
-	}
-}
-
-func TestIndistinguishabilitySelf(t *testing.T) {
-	cfg := twoNodeConfig(t, clock.Constant(ri(1)), clock.Constant(rf(9, 8)), HashAdversary{Seed: 3}, ri(15))
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.CheckIndistinguishable(a, b); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMsgString(t *testing.T) {
-	m := pingMsg{Val: rf(3, 2)}
-	if got, want := m.MsgString(), "ping:3/2"; got != want {
-		t.Errorf("MsgString = %q, want %q", got, want)
-	}
-	// Equal values must produce equal strings regardless of how computed.
-	v := ri(3).Div(ri(2))
-	if (pingMsg{Val: v}).MsgString() != m.MsgString() {
-		t.Error("canonical strings differ for equal values")
 	}
 }
 
@@ -377,7 +271,7 @@ func ExampleRun() {
 		Net:       net,
 		Schedules: []*clock.Schedule{clock.Constant(rat.FromInt(1)), clock.Constant(rat.FromInt(1))},
 		Adversary: Midpoint(),
-		Protocol:  pingProtocol{period: rat.FromInt(1)},
+		Protocol:  tickProtocol{period: rat.FromInt(1)},
 		Duration:  rat.FromInt(4),
 		Rho:       rat.MustFrac(1, 2),
 	}
@@ -386,8 +280,10 @@ func ExampleRun() {
 		fmt.Println("error:", err)
 		return
 	}
+	// Node 0: init, 4 timers, 4 sends. Node 1: init, 3 receipts (the send
+	// at t=4 lands at 5, past the horizon), 4 timers that send nothing.
 	fmt.Println("actions:", len(exec.Actions))
-	// Output: actions: 13
+	// Output: actions: 17
 }
 
 // introspectNode exercises the Runtime accessors from inside callbacks.
@@ -448,97 +344,13 @@ func TestRuntimeAccessors(t *testing.T) {
 	}
 }
 
-// negMultNode declares an invalid negative multiplier.
-type negMultNode struct{}
-
-func (negMultNode) Init(rt *Runtime)                 { rt.SetLogical(ri(0), ri(-1)) }
-func (negMultNode) OnTimer(*Runtime, int)            {}
-func (negMultNode) OnMessage(*Runtime, int, Message) {}
-
-type negMultProtocol struct{}
-
-func (negMultProtocol) Name() string           { return "neg-mult" }
-func (negMultProtocol) NewNode(int) Node       { return negMultNode{} }
-func (negMultProtocol) CloneState(n Node) Node { return n }
-
-func TestNegativeMultRejected(t *testing.T) {
-	net, _ := network.TwoNode(ri(1))
-	cfg := Config{
-		Net:       net,
-		Schedules: []*clock.Schedule{clock.Constant(ri(1)), clock.Constant(ri(1))},
-		Adversary: Midpoint(),
-		Protocol:  negMultProtocol{},
-		Duration:  ri(2),
-		Rho:       rf(1, 2),
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative multiplier should fail the run")
-	}
-}
-
-// badSendNode sends to itself.
-type badSendNode struct{ id int }
-
-func (n badSendNode) Init(rt *Runtime)               { rt.Send(rt.ID(), pingMsg{Val: ri(1)}) }
-func (badSendNode) OnTimer(*Runtime, int)            {}
-func (badSendNode) OnMessage(*Runtime, int, Message) {}
-
-type badSendProtocol struct{}
-
-func (badSendProtocol) Name() string           { return "bad-send" }
-func (badSendProtocol) NewNode(id int) Node    { return badSendNode{id: id} }
-func (badSendProtocol) CloneState(n Node) Node { return n }
-
-func TestSelfSendRejected(t *testing.T) {
-	net, _ := network.TwoNode(ri(1))
-	cfg := Config{
-		Net:       net,
-		Schedules: []*clock.Schedule{clock.Constant(ri(1)), clock.Constant(ri(1))},
-		Adversary: Midpoint(),
-		Protocol:  badSendProtocol{},
-		Duration:  ri(2),
-		Rho:       rf(1, 2),
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("self-send should fail the run")
-	}
-}
-
-// nilMsgNode sends a nil payload.
-type nilMsgNode struct{}
-
-func (nilMsgNode) Init(rt *Runtime)                 { rt.Send(1, nil) }
-func (nilMsgNode) OnTimer(*Runtime, int)            {}
-func (nilMsgNode) OnMessage(*Runtime, int, Message) {}
-
-type nilMsgProtocol struct{}
-
-func (nilMsgProtocol) Name() string           { return "nil-msg" }
-func (nilMsgProtocol) NewNode(int) Node       { return nilMsgNode{} }
-func (nilMsgProtocol) CloneState(n Node) Node { return n }
-
-func TestNilMessageRejected(t *testing.T) {
-	net, _ := network.TwoNode(ri(1))
-	cfg := Config{
-		Net:       net,
-		Schedules: []*clock.Schedule{clock.Constant(ri(1)), clock.Constant(ri(1))},
-		Adversary: Midpoint(),
-		Protocol:  nilMsgProtocol{},
-		Duration:  ri(2),
-		Rho:       rf(1, 2),
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("nil message should fail the run")
-	}
-}
-
 // farSenderNode sends directly to a distant (non-neighbor) node, which the
 // model permits: distances bound delays for every pair.
 type farSenderNode struct{ id int }
 
 func (n farSenderNode) Init(rt *Runtime) {
 	if n.id == 0 {
-		rt.Send(rt.N()-1, pingMsg{Val: ri(42)})
+		rt.Send(rt.N()-1, echoMsg{Val: ri(42)})
 	}
 }
 func (farSenderNode) OnTimer(*Runtime, int)            {}
@@ -579,17 +391,31 @@ func TestLongDistanceSend(t *testing.T) {
 	}
 }
 
-func TestHashAdversaryString(t *testing.T) {
-	if got := (HashAdversary{Seed: 42}).String(); got != "hash-42" {
-		t.Errorf("String = %q", got)
-	}
-}
-
 func TestFuncAdversary(t *testing.T) {
 	adv := FuncAdversary(func(_, _ int, _ uint64, _ rat.Rat, bound rat.Rat) rat.Rat {
 		return bound
 	})
 	if got := adv.Delay(0, 1, 0, ri(0), ri(3)); !got.Equal(ri(3)) {
 		t.Errorf("FuncAdversary delay = %s", got)
+	}
+}
+
+func TestHashAdversaryDeterministicAndBounded(t *testing.T) {
+	adv := HashAdversary{Seed: 99}
+	bound := ri(4)
+	seen := map[string]bool{}
+	for seq := uint64(0); seq < 50; seq++ {
+		d1 := adv.Delay(0, 1, seq, ri(0), bound)
+		d2 := adv.Delay(0, 1, seq, ri(7), bound) // send time must not matter
+		if !d1.Equal(d2) {
+			t.Fatal("hash adversary depends on send time")
+		}
+		if d1.Sign() < 0 || d1.Greater(bound) {
+			t.Fatalf("delay %s out of bounds", d1)
+		}
+		seen[d1.String()] = true
+	}
+	if len(seen) < 3 {
+		t.Errorf("hash adversary produced only %d distinct delays in 50 draws", len(seen))
 	}
 }

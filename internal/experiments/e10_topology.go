@@ -5,21 +5,21 @@ import (
 
 	"gcs/internal/clock"
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E10Options configures the topology sweep.
 type E10Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	Duration  rat.Rat
 	Rho       rat.Rat
 	Seed      uint64
 }
 
 // DefaultE10 returns the benchmark configuration.
-func DefaultE10(protos []sim.Protocol) E10Options {
+func DefaultE10(protos []engine.Protocol) E10Options {
 	return E10Options{
 		Protocols: protos,
 		Duration:  rat.FromInt(48),
@@ -78,10 +78,10 @@ func E10Topologies(opt E10Options) ([]E10Row, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			exec, err := sim.Run(sim.Config{
+			exec, err := engine.Run(engine.Config{
 				Net:       net,
 				Schedules: scheds,
-				Adversary: sim.HashAdversary{Seed: opt.Seed, Denom: 8},
+				Adversary: engine.HashAdversary{Seed: opt.Seed, Denom: 8},
 				Protocol:  proto,
 				Duration:  opt.Duration,
 				Rho:       opt.Rho,

@@ -6,14 +6,14 @@ import (
 
 	"gcs/internal/clock"
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E11Options configures the multi-seed robustness sweep.
 type E11Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	N         int
 	Duration  rat.Rat
 	Rho       rat.Rat
@@ -21,7 +21,7 @@ type E11Options struct {
 }
 
 // DefaultE11 returns the benchmark configuration.
-func DefaultE11(protos []sim.Protocol) E11Options {
+func DefaultE11(protos []engine.Protocol) E11Options {
 	return E11Options{
 		Protocols: protos,
 		N:         17,
@@ -60,10 +60,10 @@ func E11Seeds(opt E11Options) ([]E11Row, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			exec, err := sim.Run(sim.Config{
+			exec, err := engine.Run(engine.Config{
 				Net:       net,
 				Schedules: scheds,
-				Adversary: sim.HashAdversary{Seed: seed, Denom: 8},
+				Adversary: engine.HashAdversary{Seed: seed, Denom: 8},
 				Protocol:  proto,
 				Duration:  opt.Duration,
 				Rho:       opt.Rho,

@@ -8,7 +8,6 @@ import (
 	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -16,7 +15,7 @@ import (
 // lines far larger than the recorded path can hold, measured online with no
 // trace retention.
 type E12Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	Sizes     []int // line lengths
 	Duration  rat.Rat
 	Seed      uint64
@@ -25,7 +24,7 @@ type E12Options struct {
 
 // DefaultE12 returns the benchmark configuration. Long mode appends larger
 // lines in the caller.
-func DefaultE12(protos []sim.Protocol) E12Options {
+func DefaultE12(protos []engine.Protocol) E12Options {
 	return E12Options{
 		Protocols: protos,
 		Sizes:     []int{33, 65, 129},
@@ -72,7 +71,7 @@ func E12StreamScale(opt E12Options) ([]E12Row, *Table, error) {
 			var messages uint64
 			eng, err := engine.New(net,
 				engine.WithProtocol(proto),
-				engine.WithAdversary(sim.HashAdversary{Seed: opt.Seed, Denom: 8}),
+				engine.WithAdversary(engine.HashAdversary{Seed: opt.Seed, Denom: 8}),
 				engine.WithSchedules(scheds),
 				engine.WithRho(opt.Rho),
 			)

@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/network"
 	"gcs/internal/rat"
 	"gcs/internal/search"
-	"gcs/internal/sim"
 )
 
 // E13SeedKind selects which certified construction seeds a cell's search
@@ -52,7 +52,7 @@ type E13Cell struct {
 // × topology cell, hunt a skew-maximizing execution and compare it with the
 // Midpoint baseline and (at the cell's diameter) the certified Shift bound.
 type E13Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	Cells     []E13Cell
 	Params    lowerbound.Params
 
@@ -67,7 +67,7 @@ type E13Options struct {
 // Shift bound certifies (searched over the same horizon τ·d the
 // construction uses, seeded by the construction itself) plus a short
 // drifting line.
-func DefaultE13(protos []sim.Protocol) (E13Options, error) {
+func DefaultE13(protos []engine.Protocol) (E13Options, error) {
 	p := lowerbound.DefaultParams()
 	d := rat.FromInt(2)
 	two, err := network.TwoNode(d)
@@ -158,7 +158,7 @@ type E13Row struct {
 // construction that fails on this protocol (its side conditions are
 // protocol-dependent) degrades to an unseeded search rather than failing
 // the sweep.
-func cellSeeds(opt E13Options, cell E13Cell, proto sim.Protocol, shift *lowerbound.ShiftResult) []search.Seed {
+func cellSeeds(opt E13Options, cell E13Cell, proto engine.Protocol, shift *lowerbound.ShiftResult) []search.Seed {
 	var seed lowerbound.AdversarySeed
 	var err error
 	switch cell.Seed {

@@ -10,7 +10,6 @@ import (
 	"gcs/internal/network"
 	"gcs/internal/rat"
 	"gcs/internal/search"
-	"gcs/internal/sim"
 )
 
 // E14Cell is one topology instance of the adaptive-adversary experiment.
@@ -29,7 +28,7 @@ type E14Cell struct {
 // run the scripted beam search on the same cell, and put both next to the
 // certified Shift bound at the cell's diameter.
 type E14Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	Cells     []E14Cell
 	Params    lowerbound.Params
 
@@ -43,7 +42,7 @@ type E14Options struct {
 // DefaultE14 returns the smoke configuration: the two-node cell the Shift
 // bound certifies, searched over the construction's own horizon τ·d — the
 // cell on which the adaptive scheduler must attain the certified bound.
-func DefaultE14(protos []sim.Protocol) (E14Options, error) {
+func DefaultE14(protos []engine.Protocol) (E14Options, error) {
 	p := lowerbound.DefaultParams()
 	d := rat.FromInt(2)
 	two, err := network.TwoNode(d)
@@ -109,7 +108,7 @@ type E14Row struct {
 // the fast 1+ρ/2 rate band, everyone else at rate 1, release threshold at
 // the conventional ρ·dur/3. It returns the forced global skew and the
 // release time, if the trigger fired.
-func adaptiveSkew(cell E14Cell, proto sim.Protocol, p lowerbound.Params) (rat.Rat, *rat.Rat, error) {
+func adaptiveSkew(cell E14Cell, proto engine.Protocol, p lowerbound.Params) (rat.Rat, *rat.Rat, error) {
 	adv, err := lowerbound.NewAdaptiveScheduler(cell.Net, cell.Source, cell.Front,
 		lowerbound.AutoThreshold(p.Rho, cell.Duration))
 	if err != nil {

@@ -3,20 +3,20 @@ package experiments
 import (
 	"fmt"
 
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E1Options configures the Ω(d) shift experiment.
 type E1Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	Distances []int64
 	Params    lowerbound.Params
 }
 
 // DefaultE1 returns the benchmark configuration.
-func DefaultE1(protos []sim.Protocol) E1Options {
+func DefaultE1(protos []engine.Protocol) E1Options {
 	return E1Options{
 		Protocols: protos,
 		Distances: []int64{1, 2, 4, 8, 16, 32},

@@ -4,15 +4,15 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E2Options configures the Add Skew lemma experiment.
 type E2Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	// Lines is the list of line sizes (node counts) to run.
 	Lines []int
 	// Pairs, per line size, chooses (I, J); nil means (0, n−1).
@@ -23,7 +23,7 @@ type E2Options struct {
 }
 
 // DefaultE2 returns the benchmark configuration.
-func DefaultE2(protos []sim.Protocol) E2Options {
+func DefaultE2(protos []engine.Protocol) E2Options {
 	return E2Options{
 		Protocols:    protos,
 		Lines:        []int{5, 9, 17, 33},
@@ -92,7 +92,7 @@ func E2AddSkew(opt E2Options) ([]E2Row, *Table, string, error) {
 
 // runAddSkewLine builds the clean α on a unit line and applies the lemma to
 // the endpoints.
-func runAddSkewLine(proto sim.Protocol, n int, p lowerbound.Params) (*lowerbound.AddSkewResult, error) {
+func runAddSkewLine(proto engine.Protocol, n int, p lowerbound.Params) (*lowerbound.AddSkewResult, error) {
 	net, err := network.Line(n)
 	if err != nil {
 		return nil, err
@@ -102,15 +102,15 @@ func runAddSkewLine(proto sim.Protocol, n int, p lowerbound.Params) (*lowerbound
 		scheds[i] = clock.Constant(rat.FromInt(1))
 	}
 	span := int64(n - 1)
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Net:       net,
 		Schedules: scheds,
-		Adversary: sim.Midpoint(),
+		Adversary: engine.Midpoint(),
 		Protocol:  proto,
 		Duration:  p.Tau().Mul(rat.FromInt(span)),
 		Rho:       p.Rho,
 	}
-	alpha, err := sim.Run(cfg)
+	alpha, err := engine.Run(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -5,15 +5,15 @@ import (
 
 	"gcs/internal/clock"
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E3Options configures the Bounded Increase experiment.
 type E3Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	N         int
 	Duration  rat.Rat
 	// Node probes a specific node when >= 0; otherwise the node with the
@@ -26,7 +26,7 @@ type E3Options struct {
 // DefaultE3 returns the benchmark configuration. The base execution uses
 // drift-diverse rates within the lemma's allowed band [1, 1+ρ/2] — on a
 // perfectly clean line no algorithm ever jumps and the probe is vacuous.
-func DefaultE3(protos []sim.Protocol) E3Options {
+func DefaultE3(protos []engine.Protocol) E3Options {
 	return E3Options{
 		Protocols: protos,
 		N:         9,
@@ -66,15 +66,15 @@ func E3BoundedIncrease(opt E3Options) ([]E3Row, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cfg := sim.Config{
+		cfg := engine.Config{
 			Net:       net,
 			Schedules: scheds,
-			Adversary: sim.Midpoint(),
+			Adversary: engine.Midpoint(),
 			Protocol:  proto,
 			Duration:  opt.Duration,
 			Rho:       opt.Params.Rho,
 		}
-		alpha, err := sim.Run(cfg)
+		alpha, err := engine.Run(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("e3 %s: %w", proto.Name(), err)
 		}

@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"math"
 
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E4Options configures the main-theorem sweep.
 type E4Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	Branch    int64
 	// RoundsList sweeps R; each entry runs a line of Branch^R + 1 nodes.
 	RoundsList []int
@@ -20,7 +20,7 @@ type E4Options struct {
 
 // DefaultE4 returns the benchmark configuration. Branch 4 with up to 3
 // rounds keeps runs in seconds; cmd/gcsbench -long extends the sweep.
-func DefaultE4(protos []sim.Protocol) E4Options {
+func DefaultE4(protos []engine.Protocol) E4Options {
 	return E4Options{
 		Protocols:  protos,
 		Branch:     4,

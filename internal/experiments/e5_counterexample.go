@@ -3,20 +3,20 @@ package experiments
 import (
 	"fmt"
 
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E5Options configures the §2 counterexample sweep.
 type E5Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	Dcs       []int64
 	Params    lowerbound.Params
 }
 
 // DefaultE5 returns the benchmark configuration.
-func DefaultE5(protos []sim.Protocol) E5Options {
+func DefaultE5(protos []engine.Protocol) E5Options {
 	return E5Options{
 		Protocols: protos,
 		Dcs:       []int64{4, 8, 16, 32, 64},

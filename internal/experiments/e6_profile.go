@@ -6,14 +6,14 @@ import (
 
 	"gcs/internal/clock"
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E6Options configures the empirical gradient-profile experiment.
 type E6Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	N         int
 	Duration  rat.Rat
 	// Seed drives the reproducible random delay adversary; FastEnd makes
@@ -26,7 +26,7 @@ type E6Options struct {
 }
 
 // DefaultE6 returns the benchmark configuration.
-func DefaultE6(protos []sim.Protocol) E6Options {
+func DefaultE6(protos []engine.Protocol) E6Options {
 	return E6Options{
 		Protocols: protos,
 		N:         17,
@@ -81,10 +81,10 @@ func E6Profiles(opt E6Options) ([]E6Profile, *Table, error) {
 		if opt.FastEnd {
 			scheds[0] = clock.Constant(rat.FromInt(1).Add(opt.Rho.Div(rat.FromInt(2))))
 		}
-		exec, err := sim.Run(sim.Config{
+		exec, err := engine.Run(engine.Config{
 			Net:       net,
 			Schedules: scheds,
-			Adversary: sim.HashAdversary{Seed: opt.Seed, Denom: 8},
+			Adversary: engine.HashAdversary{Seed: opt.Seed, Denom: 8},
 			Protocol:  proto,
 			Duration:  opt.Duration,
 			Rho:       opt.Rho,

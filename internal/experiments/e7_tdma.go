@@ -4,16 +4,16 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/workload"
 )
 
 // E7Options configures the TDMA scaling experiment.
 type E7Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	Diameters []int
 	TDMA      workload.TDMAConfig
 	Duration  rat.Rat
@@ -26,7 +26,7 @@ type E7Options struct {
 // interfere, so the schedule is collision-free exactly while distance-2
 // skew stays ≤ 3. (Three or more slots on a line put same-slot nodes beyond
 // interference range, which hides the effect entirely.)
-func DefaultE7(protos []sim.Protocol) E7Options {
+func DefaultE7(protos []engine.Protocol) E7Options {
 	return E7Options{
 		Protocols: protos,
 		Diameters: []int{4, 8, 16, 32},
@@ -75,10 +75,10 @@ func E7TDMA(opt E7Options) ([]E7Row, *Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			exec, err := sim.Run(sim.Config{
+			exec, err := engine.Run(engine.Config{
 				Net:       net,
 				Schedules: scheds,
-				Adversary: sim.HashAdversary{Seed: opt.Seed, Denom: 8},
+				Adversary: engine.HashAdversary{Seed: opt.Seed, Denom: 8},
 				Protocol:  proto,
 				Duration:  opt.Duration,
 				Rho:       opt.Rho,

@@ -4,15 +4,15 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/workload"
 )
 
 // E8Options configures the application-level experiment.
 type E8Options struct {
-	Protocols []sim.Protocol
+	Protocols []engine.Protocol
 	N         int
 	Duration  rat.Rat
 	Rho       rat.Rat
@@ -24,7 +24,7 @@ type E8Options struct {
 }
 
 // DefaultE8 returns the benchmark configuration.
-func DefaultE8(protos []sim.Protocol) E8Options {
+func DefaultE8(protos []engine.Protocol) E8Options {
 	return E8Options{
 		Protocols:  protos,
 		N:          15,
@@ -61,10 +61,10 @@ func E8Applications(opt E8Options) ([]E8Row, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		exec, err := sim.Run(sim.Config{
+		exec, err := engine.Run(engine.Config{
 			Net:       net,
 			Schedules: scheds,
-			Adversary: sim.HashAdversary{Seed: opt.Seed, Denom: 8},
+			Adversary: engine.HashAdversary{Seed: opt.Seed, Denom: 8},
 			Protocol:  proto,
 			Duration:  opt.Duration,
 			Rho:       opt.Rho,

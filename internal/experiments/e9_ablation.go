@@ -6,10 +6,10 @@ import (
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // E9Options configures the design-choice ablations (DESIGN.md §5).
@@ -75,7 +75,7 @@ type E9CapRow struct {
 //     showing the Bounded Increase lemma's quantity and the adversarial
 //     local skew rising together.
 func E9Ablations(opt E9Options) ([]E9GradientRow, []E9CapRow, *Table, *Table, error) {
-	runLine := func(proto sim.Protocol) (*core.PairSkew, *core.PairSkew, int, error) {
+	runLine := func(proto engine.Protocol) (*core.PairSkew, *core.PairSkew, int, error) {
 		net, err := network.Line(opt.N)
 		if err != nil {
 			return nil, nil, 0, err
@@ -85,10 +85,10 @@ func E9Ablations(opt E9Options) ([]E9GradientRow, []E9CapRow, *Table, *Table, er
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		exec, err := sim.Run(sim.Config{
+		exec, err := engine.Run(engine.Config{
 			Net:       net,
 			Schedules: scheds,
-			Adversary: sim.HashAdversary{Seed: opt.Seed, Denom: 8},
+			Adversary: engine.HashAdversary{Seed: opt.Seed, Denom: 8},
 			Protocol:  proto,
 			Duration:  opt.Duration,
 			Rho:       opt.Rho,
@@ -182,7 +182,7 @@ func E9Ablations(opt E9Options) ([]E9GradientRow, []E9CapRow, *Table, *Table, er
 
 // cleanLineIncrease measures the worst unit-window increase across interior
 // nodes of a clean (rates-1, midpoint) line — the Lemma 7.1 quantity.
-func cleanLineIncrease(proto sim.Protocol, p lowerbound.Params) (rat.Rat, error) {
+func cleanLineIncrease(proto engine.Protocol, p lowerbound.Params) (rat.Rat, error) {
 	const n = 9
 	net, err := network.Line(n)
 	if err != nil {
@@ -192,11 +192,11 @@ func cleanLineIncrease(proto sim.Protocol, p lowerbound.Params) (rat.Rat, error)
 	for i := range scheds {
 		scheds[i] = clock.Constant(rat.FromInt(1))
 	}
-	cfg := sim.Config{
-		Net: net, Schedules: scheds, Adversary: sim.Midpoint(),
+	cfg := engine.Config{
+		Net: net, Schedules: scheds, Adversary: engine.Midpoint(),
 		Protocol: proto, Duration: rat.FromInt(24), Rho: p.Rho,
 	}
-	exec, err := sim.Run(cfg)
+	exec, err := engine.Run(cfg)
 	if err != nil {
 		return rat.Rat{}, err
 	}

@@ -6,14 +6,14 @@ import (
 	"testing"
 
 	"gcs/internal/algorithms"
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // smallProtos keeps experiment tests fast: one jump-based and one
 // rate-based algorithm.
-func smallProtos() []sim.Protocol {
-	return []sim.Protocol{
+func smallProtos() []engine.Protocol {
+	return []engine.Protocol{
 		algorithms.MaxGossip(rat.FromInt(1)),
 		algorithms.Gradient(algorithms.DefaultGradientParams()),
 	}

@@ -28,7 +28,6 @@ import (
 	"gcs/internal/network"
 	"gcs/internal/piecewise"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -176,7 +175,7 @@ func (a *AdaptiveScheduler) String() string {
 // hardware gap between x and y reaches Threshold) instead of scripted at a
 // known real time.
 type AdaptiveCounterexampleInput struct {
-	Protocol sim.Protocol
+	Protocol engine.Protocol
 	// Dc is the x−y distance (the paper's "D").
 	Dc rat.Rat
 	// Threshold is the observed HW(x) − HW(y) gap that triggers the release;
@@ -244,7 +243,7 @@ func AdaptiveCounterexample(in AdaptiveCounterexampleInput) (*AdaptiveCounterexa
 	if err != nil {
 		return nil, err
 	}
-	exec, err := sim.Run(sim.Config{
+	exec, err := engine.Run(engine.Config{
 		Net:       net,
 		Schedules: scheds,
 		Adversary: adv,

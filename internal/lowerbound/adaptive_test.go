@@ -11,7 +11,6 @@ import (
 	"gcs/internal/network"
 	"gcs/internal/obs"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // TestAdaptiveSchedulerDecisions: full delay everywhere before the release,
@@ -184,7 +183,7 @@ func TestAdaptiveCounterexampleSpikesMaxBased(t *testing.T) {
 	dc := rat.FromInt(32)
 	// Long enough for the auto threshold to fire and the release to play out.
 	dur := dc.Div(p.Rho.Div(rat.FromInt(2))).Add(dc).Add(rat.FromInt(8))
-	run := func(proto sim.Protocol) *AdaptiveCounterexampleResult {
+	run := func(proto engine.Protocol) *AdaptiveCounterexampleResult {
 		t.Helper()
 		res, err := AdaptiveCounterexample(AdaptiveCounterexampleInput{
 			Protocol: proto,

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -19,7 +19,7 @@ import (
 type AddSkewInput struct {
 	// Cfg is the configuration that produced Alpha (protocol, network,
 	// schedules, adversary, ρ).
-	Cfg sim.Config
+	Cfg engine.Config
 	// Alpha is the base execution, of duration Cfg.Duration = T.
 	Alpha *trace.Execution
 	// Positions are the line coordinates x_k; Cfg.Net distances must equal
@@ -41,7 +41,7 @@ type AddSkewResult struct {
 	Beta *trace.Execution
 	// BetaCfg is the configuration that re-simulated Beta (surgery schedules
 	// plus the scripted-delay adversary).
-	BetaCfg sim.Config
+	BetaCfg engine.Config
 	// TPrime = S + (τ/γ)(x_J − x_I), the duration of Beta.
 	TPrime rat.Rat
 	// Tk are the per-node speed-up times: node k runs at rate γ on
@@ -181,10 +181,10 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 
 	betaCfg := in.Cfg
 	betaCfg.Schedules = scheds
-	betaCfg.Adversary = sim.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}
+	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}
 	betaCfg.Duration = tPrime
 
-	beta, err := sim.Run(betaCfg)
+	beta, err := engine.Run(betaCfg)
 	if err != nil {
 		return nil, fmt.Errorf("lowerbound: β re-simulation: %w", err)
 	}
@@ -227,7 +227,7 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 // fallback means the construction diverged.
 type failingAdversary struct{}
 
-var _ sim.Adversary = failingAdversary{}
+var _ engine.Adversary = failingAdversary{}
 
 // Delay returns an out-of-bounds value, failing the simulation with a
 // diagnosable error.

@@ -5,9 +5,9 @@ import (
 
 	"gcs/internal/clock"
 	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/piecewise"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -18,7 +18,7 @@ import (
 // within [1, 1+ρ/2] at all times; every delivered message to or from node I
 // has delay within [d/4, 3d/4].
 type BoundedIncreaseInput struct {
-	Cfg    sim.Config
+	Cfg    engine.Config
 	Alpha  *trace.Execution
 	I      int
 	Params Params
@@ -171,10 +171,10 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 
 	betaCfg := in.Cfg
 	betaCfg.Schedules = scheds
-	betaCfg.Adversary = sim.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}
+	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}
 	betaCfg.Duration = horizon
 
-	beta, err := sim.Run(betaCfg)
+	beta, err := engine.Run(betaCfg)
 	if err != nil {
 		return nil, fmt.Errorf("lowerbound: β re-simulation: %w", err)
 	}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/piecewise"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -21,7 +21,7 @@ import (
 // jumps, while z is still one second behind the news — so for about a
 // second, y is ≈ drift·Dc ahead of z although d(y,z) = 1.
 type CounterexampleInput struct {
-	Protocol sim.Protocol
+	Protocol engine.Protocol
 	// Dc is the x−y distance (the paper's "D").
 	Dc rat.Rat
 	// SwitchAt is the real time at which the x→y delay collapses.
@@ -83,7 +83,7 @@ func Counterexample(in CounterexampleInput) (*CounterexampleResult, error) {
 	}
 
 	switchAt := in.SwitchAt
-	adv := sim.FuncAdversary(func(from, to int, _ uint64, sendReal rat.Rat, bound rat.Rat) rat.Rat {
+	adv := engine.FuncAdversary(func(from, to int, _ uint64, sendReal rat.Rat, bound rat.Rat) rat.Rat {
 		switch {
 		case from == x && to == y:
 			if sendReal.Less(switchAt) {
@@ -99,7 +99,7 @@ func Counterexample(in CounterexampleInput) (*CounterexampleResult, error) {
 		}
 	})
 
-	exec, err := sim.Run(sim.Config{
+	exec, err := engine.Run(engine.Config{
 		Net:       net,
 		Schedules: scheds,
 		Adversary: adv,

@@ -6,15 +6,15 @@ import (
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
 // lineAlpha builds a clean rate-1, midpoint-delay execution on a line, the
 // standing precondition environment for the lemmas.
-func lineAlpha(t *testing.T, proto sim.Protocol, n int, dur rat.Rat, p Params) (sim.Config, *trace.Execution) {
+func lineAlpha(t *testing.T, proto engine.Protocol, n int, dur rat.Rat, p Params) (engine.Config, *trace.Execution) {
 	t.Helper()
 	net, err := network.Line(n)
 	if err != nil {
@@ -24,15 +24,15 @@ func lineAlpha(t *testing.T, proto sim.Protocol, n int, dur rat.Rat, p Params) (
 	for i := range scheds {
 		scheds[i] = clock.Constant(ri(1))
 	}
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Net:       net,
 		Schedules: scheds,
-		Adversary: sim.Midpoint(),
+		Adversary: engine.Midpoint(),
 		Protocol:  proto,
 		Duration:  dur,
 		Rho:       p.Rho,
 	}
-	exec, err := sim.Run(cfg)
+	exec, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +127,12 @@ func TestAddSkewPreconditionViolations(t *testing.T) {
 	// Wrong adversary (delays not d/2) must be rejected.
 	net, _ := network.Line(n)
 	scheds := []*clock.Schedule{clock.Constant(ri(1)), clock.Constant(ri(1)), clock.Constant(ri(1))}
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Net: net, Schedules: scheds,
-		Adversary: sim.FractionAdversary{Frac: rf(1, 4)},
+		Adversary: engine.FractionAdversary{Frac: rf(1, 4)},
 		Protocol:  algorithms.MaxGossip(ri(1)), Duration: p.Tau().Mul(ri(2)), Rho: p.Rho,
 	}
-	alpha, err := sim.Run(cfg)
+	alpha, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +142,9 @@ func TestAddSkewPreconditionViolations(t *testing.T) {
 
 	// Wrong rates (not 1 in the window) must be rejected.
 	cfg2 := cfg
-	cfg2.Adversary = sim.Midpoint()
+	cfg2.Adversary = engine.Midpoint()
 	cfg2.Schedules = []*clock.Schedule{clock.Constant(rf(9, 8)), clock.Constant(ri(1)), clock.Constant(ri(1))}
-	alpha2, err := sim.Run(cfg2)
+	alpha2, err := engine.Run(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestAddSkewPreconditionViolations(t *testing.T) {
 
 	// Mismatched duration.
 	cfg3 := cfg
-	cfg3.Adversary = sim.Midpoint()
-	alpha3, err := sim.Run(cfg3)
+	cfg3.Adversary = engine.Midpoint()
+	alpha3, err := engine.Run(cfg3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestBoundedIncreaseGradientVsMax(t *testing.T) {
 	p := DefaultParams()
 	n := 7
 	dur := ri(20)
-	protos := []sim.Protocol{
+	protos := []engine.Protocol{
 		algorithms.MaxGossip(ri(1)),
 		algorithms.Gradient(algorithms.DefaultGradientParams()),
 	}
@@ -206,9 +206,9 @@ func TestBoundedIncreasePreconditions(t *testing.T) {
 	// Rates outside [1, 1+ρ/2].
 	net, _ := network.Line(3)
 	scheds := []*clock.Schedule{clock.Constant(rf(3, 4)), clock.Constant(ri(1)), clock.Constant(ri(1))}
-	cfg2 := sim.Config{Net: net, Schedules: scheds, Adversary: sim.Midpoint(),
+	cfg2 := engine.Config{Net: net, Schedules: scheds, Adversary: engine.Midpoint(),
 		Protocol: algorithms.Null(), Duration: ri(10), Rho: p.Rho}
-	alpha2, err := sim.Run(cfg2)
+	alpha2, err := engine.Run(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -26,7 +26,7 @@ import (
 // actual gain and loss so the guaranteed-versus-measured comparison is
 // explicit at any branching factor.
 type MainTheoremInput struct {
-	Protocol sim.Protocol
+	Protocol engine.Protocol
 	Params   Params
 	// Branch is the block shrink factor B = n_k / n_{k+1} (≥ 2).
 	Branch int64
@@ -69,7 +69,7 @@ type MainTheoremResult struct {
 	// produced it (composed schedules plus the scripted delays); Seed
 	// exports FinalCfg to the worst-case search.
 	Final    *trace.Execution
-	FinalCfg sim.Config
+	FinalCfg engine.Config
 	// AdjacentI and AdjacentSkew: the adjacent pair (i, i+1) with the
 	// largest final skew — the paper's claim 8.7 quantity, which it proves
 	// reaches k/24 = Ω(log D / log log D).
@@ -118,15 +118,15 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 	for k := range scheds {
 		scheds[k] = clock.Constant(one)
 	}
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Net:       net,
 		Schedules: scheds,
-		Adversary: sim.Midpoint(),
+		Adversary: engine.Midpoint(),
 		Protocol:  in.Protocol,
 		Duration:  tau.Mul(rat.FromInt(n0)),
 		Rho:       p.Rho,
 	}
-	alpha, err := sim.Run(cfg)
+	alpha, err := engine.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("lowerbound: α₀: %w", err)
 	}
@@ -180,15 +180,15 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 				script[key] = rec.Delay
 			}
 		}
-		nextCfg := sim.Config{
+		nextCfg := engine.Config{
 			Net:       net,
 			Schedules: nextScheds,
-			Adversary: sim.ScriptedAdversary{Delays: script, Fallback: sim.Midpoint()},
+			Adversary: engine.ScriptedAdversary{Delays: script, Fallback: engine.Midpoint()},
 			Protocol:  in.Protocol,
 			Duration:  extDur,
 			Rho:       p.Rho,
 		}
-		next, err := sim.Run(nextCfg)
+		next, err := engine.Run(nextCfg)
 		if err != nil {
 			return nil, fmt.Errorf("lowerbound: round %d extension: %w", k, err)
 		}

@@ -6,9 +6,9 @@ import (
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // TestQuickAddSkewRandomized fuzzes the Add Skew lemma over random line
@@ -18,7 +18,7 @@ import (
 // staircase.
 func TestQuickAddSkewRandomized(t *testing.T) {
 	p := DefaultParams()
-	protos := []sim.Protocol{
+	protos := []engine.Protocol{
 		algorithms.Null(),
 		algorithms.MaxGossip(ri(1)),
 		algorithms.MaxFlood(ri(1)),
@@ -42,15 +42,15 @@ func TestQuickAddSkewRandomized(t *testing.T) {
 			scheds[k] = clock.Constant(ri(1))
 		}
 		span := int64(j - i)
-		cfg := sim.Config{
+		cfg := engine.Config{
 			Net:       net,
 			Schedules: scheds,
-			Adversary: sim.Midpoint(),
+			Adversary: engine.Midpoint(),
 			Protocol:  proto,
 			Duration:  warmup.Add(p.Tau().Mul(ri(span))),
 			Rho:       p.Rho,
 		}
-		alpha, err := sim.Run(cfg)
+		alpha, err := engine.Run(cfg)
 		if err != nil {
 			return false
 		}

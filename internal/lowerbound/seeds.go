@@ -10,8 +10,8 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -31,8 +31,8 @@ type AdversarySeed struct {
 
 // seedFromCfg extracts the script and schedules from a re-simulation config
 // whose adversary is scripted.
-func seedFromCfg(name string, cfg sim.Config) (AdversarySeed, error) {
-	sa, ok := cfg.Adversary.(sim.ScriptedAdversary)
+func seedFromCfg(name string, cfg engine.Config) (AdversarySeed, error) {
+	sa, ok := cfg.Adversary.(engine.ScriptedAdversary)
 	if !ok {
 		return AdversarySeed{}, fmt.Errorf("lowerbound: %s adversary is %T, not scripted; no seed to export", name, cfg.Adversary)
 	}

@@ -8,7 +8,6 @@ import (
 	"gcs/internal/core"
 	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // TestShiftSeedRealizesBound: the Shift construction's exported seed —
@@ -87,7 +86,7 @@ func TestMainTheoremSeedExports(t *testing.T) {
 	}
 	// The exported script is a copy: mutating an entry must not corrupt the
 	// result's own config.
-	sa := res.FinalCfg.Adversary.(sim.ScriptedAdversary)
+	sa := res.FinalCfg.Adversary.(engine.ScriptedAdversary)
 	for k, v := range seed.Script {
 		if v.IsZero() {
 			continue
@@ -104,7 +103,7 @@ func TestMainTheoremSeedExports(t *testing.T) {
 // TestSeedFromUnscriptedConfig: a config whose adversary is not scripted
 // has no seed to export and says so.
 func TestSeedFromUnscriptedConfig(t *testing.T) {
-	res := &MainTheoremResult{FinalCfg: sim.Config{Adversary: sim.Midpoint()}}
+	res := &MainTheoremResult{FinalCfg: engine.Config{Adversary: engine.Midpoint()}}
 	if _, err := res.Seed(); err == nil || !strings.Contains(err.Error(), "not scripted") {
 		t.Fatalf("unscripted seed export: %v", err)
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -27,7 +27,7 @@ type ShiftResult struct {
 	Implied rat.Rat
 	// BetaCfg is the configuration that re-simulated β (γ speed-up schedules
 	// plus the scripted delays); Seed exports it to the worst-case search.
-	BetaCfg sim.Config
+	BetaCfg engine.Config
 }
 
 // Shift runs the two-node construction for the given protocol and distance
@@ -35,7 +35,7 @@ type ShiftResult struct {
 // execution has rate-1 clocks and midpoint (d/2) delays; the transformed
 // execution speeds node 0 by γ inside the window, remaining indistinguishable
 // while node 0 gains d·(1/(8+4ρ)) of logical time on node 1.
-func Shift(proto sim.Protocol, d rat.Rat, p Params) (*ShiftResult, error) {
+func Shift(proto engine.Protocol, d rat.Rat, p Params) (*ShiftResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -47,15 +47,15 @@ func Shift(proto sim.Protocol, d rat.Rat, p Params) (*ShiftResult, error) {
 		return nil, err
 	}
 	tau := p.Tau()
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Net:       net,
 		Schedules: []*clock.Schedule{clock.Constant(rat.FromInt(1)), clock.Constant(rat.FromInt(1))},
-		Adversary: sim.Midpoint(),
+		Adversary: engine.Midpoint(),
 		Protocol:  proto,
 		Duration:  tau.Mul(d),
 		Rho:       p.Rho,
 	}
-	alpha, err := sim.Run(cfg)
+	alpha, err := engine.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("lowerbound: shift α: %w", err)
 	}

@@ -72,7 +72,7 @@ func TestShiftRejectsBadInput(t *testing.T) {
 
 func TestShiftBetaIsValidExecution(t *testing.T) {
 	// The β execution must itself satisfy the model: drift-bounded rates and
-	// delays within [0, d] (sim.Run validates both; this test documents it).
+	// delays within [0, d] (engine.Run validates both; this test documents it).
 	res, err := Shift(algorithms.MaxGossip(ri(1)), ri(4), DefaultParams())
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,8 @@ import (
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -36,7 +36,7 @@ func TestVerifierCatchesCorruptedScript(t *testing.T) {
 
 	// Rebuild β's adversary with one delay nudged by 1/8 (still within
 	// bounds so the simulation itself succeeds).
-	scripted, ok := res.BetaCfg.Adversary.(sim.ScriptedAdversary)
+	scripted, ok := res.BetaCfg.Adversary.(engine.ScriptedAdversary)
 	if !ok {
 		t.Fatal("β adversary is not scripted")
 	}
@@ -60,8 +60,8 @@ func TestVerifierCatchesCorruptedScript(t *testing.T) {
 	corrupted[victim] = corrupted[victim].Add(rf(1, 8))
 
 	badCfg := res.BetaCfg
-	badCfg.Adversary = sim.ScriptedAdversary{Delays: corrupted, Fallback: sim.Midpoint()}
-	bad, err := sim.Run(badCfg)
+	badCfg.Adversary = engine.ScriptedAdversary{Delays: corrupted, Fallback: engine.Midpoint()}
+	bad, err := engine.Run(badCfg)
 	if err != nil {
 		t.Fatalf("corrupted β should still simulate (delays remain legal): %v", err)
 	}
@@ -97,7 +97,7 @@ func TestVerifierCatchesWrongSchedule(t *testing.T) {
 	badCfg := res.BetaCfg
 	badCfg.Schedules = append([]*clock.Schedule{}, res.BetaCfg.Schedules...)
 	badCfg.Schedules[2] = wrong
-	bad, err := sim.Run(badCfg)
+	bad, err := engine.Run(badCfg)
 	if err != nil {
 		// Acceptable: the corrupted schedule can break delay legality, which
 		// is also a detection.

@@ -24,10 +24,7 @@
 // gating the copy-on-write clone discipline), BenchmarkAdaptiveRun (the E14
 // adaptive-adversary path), and BenchmarkSearchPrefixCached /
 // BenchmarkSearchEndToEnd (the E13 search workload) — so a local `gcsbench
-// -perf` and the CI gate watch the same hot paths. Measurements carry the
-// arithmetic lane their engines ran on ("fixed" or "rat"), and the snapshot
-// includes a rat-lane twin of the cached search, so the campaign planner can
-// price both lanes from measurement rather than guesswork.
+// -perf` and the CI gate watch the same hot paths.
 package perf
 
 import (
@@ -51,19 +48,15 @@ const stepsUnit = "steps/op"
 
 // Workload is one gated performance scenario, runnable under
 // testing.Benchmark. Bench must call b.ReportAllocs and report the number of
-// engine events dispatched per iteration as the "steps/op" metric. Lane
-// records the arithmetic lane the workload's engines run on ("fixed" or
-// "rat"), so snapshots price the two lanes separately.
+// engine events dispatched per iteration as the "steps/op" metric.
 type Workload struct {
 	Name  string
-	Lane  string
 	Bench func(b *testing.B)
 }
 
 // Measurement is one workload's measured cost in machine-readable form.
 type Measurement struct {
 	Name          string  `json:"name"`
-	Lane          string  `json:"lane,omitempty"`
 	Iterations    int     `json:"iterations"`
 	NsPerOp       float64 `json:"ns_per_op"`
 	AllocsPerOp   float64 `json:"allocs_per_op"`
@@ -78,9 +71,7 @@ type Measurement struct {
 // the fork-only unit on a wide gradient line (per-node estimate state at its
 // heaviest), the E14 adaptive-adversary run, the E13 search workload through
 // both evaluation paths plus its windowed-rate-surgery variant (rate-window
-// mutants sharing the trunk via schedule swaps), and a rat-lane twin of the
-// cached search so the snapshot carries a measured ns/step for both
-// arithmetic lanes.
+// mutants sharing the trunk via schedule swaps).
 func Workloads() ([]Workload, error) {
 	ws := []Workload{}
 	for _, dur := range []int64{32, 96} {
@@ -103,23 +94,19 @@ func Workloads() ([]Workload, error) {
 		return nil, err
 	}
 	ws = append(ws, fork, forkGrad, adaptive)
-	cached, err := searchWorkload(false, engine.LaneAuto, 0)
+	cached, err := searchWorkload(false, 0)
 	if err != nil {
 		return nil, err
 	}
-	scratch, err := searchWorkload(true, engine.LaneAuto, 0)
+	scratch, err := searchWorkload(true, 0)
 	if err != nil {
 		return nil, err
 	}
-	windows, err := searchWorkload(false, engine.LaneAuto, 4)
+	windows, err := searchWorkload(false, 4)
 	if err != nil {
 		return nil, err
 	}
-	ratCached, err := searchWorkload(false, engine.LaneRat, 0)
-	if err != nil {
-		return nil, err
-	}
-	return append(ws, cached, scratch, windows, ratCached), nil
+	return append(ws, cached, scratch, windows), nil
 }
 
 // engineStreamWorkload mirrors BenchmarkEngineStream: a 64-node drifting
@@ -137,7 +124,6 @@ func engineStreamWorkload(dur int64) (Workload, error) {
 	duration := rat.FromInt(dur)
 	return Workload{
 		Name: fmt.Sprintf("EngineStream/dur=%d", dur),
-		Lane: "fixed",
 		Bench: func(b *testing.B) {
 			b.ReportAllocs()
 			var steps uint64
@@ -180,7 +166,6 @@ func engineForkWorkload() (Workload, error) {
 	}
 	return Workload{
 		Name: "EngineFork/line17",
-		Lane: "fixed",
 		Bench: func(b *testing.B) {
 			eng, err := engine.New(net,
 				engine.WithProtocol(algorithms.MaxGossip(rat.FromInt(1))),
@@ -228,7 +213,6 @@ func engineForkGradientWorkload() (Workload, error) {
 	}
 	return Workload{
 		Name: "EngineForkGradient/line33",
-		Lane: "fixed",
 		Bench: func(b *testing.B) {
 			eng, err := engine.New(net,
 				engine.WithProtocol(algorithms.Gradient(algorithms.DefaultGradientParams())),
@@ -272,7 +256,6 @@ func adaptiveRunWorkload() (Workload, error) {
 	scheds[0] = clock.Constant(p.RateBandHigh())
 	return Workload{
 		Name: "AdaptiveRun/E14",
-		Lane: "fixed",
 		Bench: func(b *testing.B) {
 			b.ReportAllocs()
 			var steps uint64
@@ -312,11 +295,8 @@ func adaptiveRunWorkload() (Workload, error) {
 // / BenchmarkSearchRateWindows: the E13 -long two-node diameter-16 search
 // configuration, evaluated through the prefix-tree scheduler or from scratch,
 // optionally with windowed rate surgery (rateWindows > 0) fanning schedule-
-// swapped mutants off the shared trunk. lane = LaneRat forces the whole
-// campaign onto exact rational arithmetic (via the process-wide default, the
-// same hook the differential tests use), measuring what a configuration that
-// defeats fixed-lane detection would cost.
-func searchWorkload(disableCache bool, lane engine.Lane, rateWindows int) (Workload, error) {
+// swapped mutants off the shared trunk.
+func searchWorkload(disableCache bool, rateWindows int) (Workload, error) {
 	d := rat.FromInt(16)
 	net, err := network.TwoNode(d)
 	if err != nil {
@@ -341,19 +321,9 @@ func searchWorkload(disableCache bool, lane engine.Lane, rateWindows int) (Workl
 	if rateWindows > 0 {
 		name = fmt.Sprintf("SearchRateWindows/E13/w=%d", rateWindows)
 	}
-	laneTag := "fixed"
-	if lane == engine.LaneRat {
-		name += "/rat"
-		laneTag = "rat"
-	}
 	return Workload{
 		Name: name,
-		Lane: laneTag,
 		Bench: func(b *testing.B) {
-			if lane == engine.LaneRat {
-				engine.SetDefaultLane(engine.LaneRat)
-				defer engine.SetDefaultLane(engine.LaneAuto)
-			}
 			b.ReportAllocs()
 			var steps uint64
 			for i := 0; i < b.N; i++ {
@@ -374,7 +344,6 @@ func Measure(w Workload) Measurement {
 	r := testing.Benchmark(w.Bench)
 	m := Measurement{
 		Name:        w.Name,
-		Lane:        w.Lane,
 		Iterations:  r.N,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp: float64(r.AllocsPerOp()),

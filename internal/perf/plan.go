@@ -15,33 +15,11 @@ const DefaultNsPerStep = 1500.0
 // CostModel converts estimated engine steps into estimated wall-clock: the
 // `gcssearch plan` pricing input.
 type CostModel struct {
-	// NsPerStep is the modeled cost of one dispatched engine event,
-	// lane-agnostic: the first preferred measurement regardless of lane.
+	// NsPerStep is the modeled cost of one dispatched engine event.
 	NsPerStep float64
 	// Source names where NsPerStep came from: a measurement name from the
 	// snapshot, or "default" when none applied.
 	Source string
-	// Lanes holds a per-arithmetic-lane cost when the snapshot carries
-	// lane-tagged measurements: a fixed-lane campaign and a rat-lane one
-	// differ by the lane speedup, and pricing both from the same ns/step
-	// misestimates whichever lane the measurement didn't run on.
-	Lanes map[string]LaneCost
-}
-
-// LaneCost is one lane's measured step cost.
-type LaneCost struct {
-	NsPerStep float64
-	Source    string
-}
-
-// ForLane returns the modeled ns/step for engines on the given arithmetic
-// lane ("fixed" or "rat"), falling back to the lane-agnostic model when the
-// snapshot has no measurement for that lane.
-func (m CostModel) ForLane(lane string) (float64, string) {
-	if lc, ok := m.Lanes[lane]; ok && lc.NsPerStep > 0 {
-		return lc.NsPerStep, lc.Source
-	}
-	return m.NsPerStep, m.Source
 }
 
 // LoadSnapshot reads a BENCH_perf.json measurement snapshot.
@@ -68,35 +46,11 @@ func NewCostModel(ms []Measurement) CostModel {
 		for _, m := range ms {
 			if strings.HasPrefix(m.Name, prefix) && m.NsPerStep > 0 {
 				model.NsPerStep, model.Source = m.NsPerStep, m.Name
-				model.Lanes = laneCosts(ms)
 				return model
 			}
 		}
 	}
-	model.Lanes = laneCosts(ms)
 	return model
-}
-
-// laneCosts derives each lane's preferred measurement with the same workload
-// preference order as the lane-agnostic model. Untagged measurements (older
-// snapshots) contribute to no lane and pricing falls back to the
-// lane-agnostic figure.
-func laneCosts(ms []Measurement) map[string]LaneCost {
-	lanes := map[string]LaneCost{}
-	for _, prefix := range []string{"SearchPrefixCached", "SearchEndToEnd", "EngineStream"} {
-		for _, m := range ms {
-			if !strings.HasPrefix(m.Name, prefix) || m.NsPerStep <= 0 || m.Lane == "" {
-				continue
-			}
-			if _, seen := lanes[m.Lane]; !seen {
-				lanes[m.Lane] = LaneCost{NsPerStep: m.NsPerStep, Source: m.Name}
-			}
-		}
-	}
-	if len(lanes) == 0 {
-		return nil
-	}
-	return lanes
 }
 
 // LoadCostModel is LoadSnapshot + NewCostModel with a missing snapshot file

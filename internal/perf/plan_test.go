@@ -118,32 +118,3 @@ PASS
 		}
 	}
 }
-
-func TestCostModelLanes(t *testing.T) {
-	ms := []Measurement{
-		{Name: "SearchPrefixCached/E13", Lane: "fixed", NsPerStep: 500},
-		{Name: "SearchPrefixCached/E13/rat", Lane: "rat", NsPerStep: 1500},
-	}
-	m := NewCostModel(ms)
-	if m.NsPerStep != 500 || m.Source != "SearchPrefixCached/E13" {
-		t.Fatalf("lane-agnostic model %+v, want the first preferred measurement", m)
-	}
-	if ns, src := m.ForLane("fixed"); ns != 500 || src != "SearchPrefixCached/E13" {
-		t.Fatalf("fixed lane priced %v (%s)", ns, src)
-	}
-	if ns, src := m.ForLane("rat"); ns != 1500 || src != "SearchPrefixCached/E13/rat" {
-		t.Fatalf("rat lane priced %v (%s), want the rat twin's measurement", ns, src)
-	}
-	// An unknown lane falls back to the lane-agnostic figure.
-	if ns, src := m.ForLane("other"); ns != 500 || src != "SearchPrefixCached/E13" {
-		t.Fatalf("unknown lane priced %v (%s), want fallback", ns, src)
-	}
-	// Untagged (pre-lane) snapshots price every lane from the agnostic model.
-	legacy := NewCostModel([]Measurement{{Name: "EngineStream/dur=32", NsPerStep: 4000}})
-	if legacy.Lanes != nil {
-		t.Fatalf("untagged snapshot produced lane costs: %+v", legacy.Lanes)
-	}
-	if ns, src := legacy.ForLane("fixed"); ns != 4000 || src != "EngineStream/dur=32" {
-		t.Fatalf("legacy snapshot priced fixed lane %v (%s)", ns, src)
-	}
-}

@@ -6,9 +6,9 @@ import (
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -24,10 +24,10 @@ func run(t *testing.T) *trace.Execution {
 		clock.Constant(rat.FromInt(1)),
 		clock.Constant(rat.FromInt(1)),
 	}
-	exec, err := sim.Run(sim.Config{
+	exec, err := engine.Run(engine.Config{
 		Net:       net,
 		Schedules: scheds,
-		Adversary: sim.Midpoint(),
+		Adversary: engine.Midpoint(),
 		Protocol:  algorithms.MaxGossip(rat.FromInt(1)),
 		Duration:  rat.FromInt(16),
 		Rho:       rat.MustFrac(1, 2),

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"gcs/internal/algorithms"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 )
 
 // Scenario is one registered cell of the matrix: a generated topology, a
@@ -20,7 +20,7 @@ type Scenario struct {
 	Drift    DriftProfile
 	Model    FaultModel
 	Net      *network.Network
-	Protocol sim.Protocol
+	Protocol engine.Protocol
 	Period   rat.Rat // the protocol's gossip period
 	Rho      rat.Rat
 	Duration rat.Rat
@@ -115,7 +115,7 @@ func scenarioDuration(net *network.Network) rat.Rat {
 	return rat.FromInt(4).Mul(net.Diameter().Add(rat.FromInt(2)))
 }
 
-func buildScenario(fam family, fault namedFault, drift DriftProfile, proto sim.Protocol) Scenario {
+func buildScenario(fam family, fault namedFault, drift DriftProfile, proto engine.Protocol) Scenario {
 	dur := scenarioDuration(fam.net)
 	return Scenario{
 		Name:     fmt.Sprintf("%s/%s/%s/%s", fam.key, fault.key, drift, proto.Name()),
@@ -141,7 +141,7 @@ func Smoke() ([]Scenario, error) {
 	}
 	gossip := algorithms.MaxGossip(rat.FromInt(1))
 	flood := algorithms.MaxFlood(rat.FromInt(1))
-	pick := func(fam family, faultKey string, drift DriftProfile, proto sim.Protocol) (Scenario, error) {
+	pick := func(fam family, faultKey string, drift DriftProfile, proto engine.Protocol) (Scenario, error) {
 		for _, f := range faultsFor(fam.net.N(), scenarioDuration(fam.net)) {
 			if f.key == faultKey {
 				return buildScenario(fam, f, drift, proto), nil
@@ -153,7 +153,7 @@ func Smoke() ([]Scenario, error) {
 		fam   int
 		fault string
 		drift DriftProfile
-		proto sim.Protocol
+		proto engine.Protocol
 	}{
 		{0, "none", DriftHeterogeneous, gossip},
 		{0, "crash", DriftHomogeneous, flood},

@@ -179,6 +179,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 		engine.WithRho(opt.Rho),
 		engine.WithObservers(skew, log),
 		engine.WithMetrics(opt.EngineMetrics),
+		engine.WithLane(opt.lane),
 	)
 	if err != nil {
 		failRest(err)
@@ -310,6 +311,7 @@ func evaluate(opt Options, cand candidate) evaluation {
 		engine.WithRho(opt.Rho),
 		engine.WithObservers(skew, log),
 		engine.WithMetrics(opt.EngineMetrics),
+		engine.WithLane(opt.lane),
 	)
 	if err != nil {
 		return evaluation{cand: cand, err: err}

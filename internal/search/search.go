@@ -11,7 +11,6 @@ import (
 	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -78,7 +77,7 @@ type Seed struct {
 // Options configures a worst-case search.
 type Options struct {
 	Net      *network.Network
-	Protocol sim.Protocol
+	Protocol engine.Protocol
 	Duration rat.Rat
 	Rho      rat.Rat // drift bound ρ; rate mutations stay within [1−ρ, 1+ρ]
 
@@ -165,6 +164,8 @@ type Options struct {
 	// shared Base instance must then see candidate runs one at a time, in a
 	// deterministic order.
 	serialEval bool
+	// lane is every engine's lane; cross-lane tests force the LaneRat reference.
+	lane engine.Lane
 }
 
 // Result is the outcome of a search: the best adversary found, as a

@@ -11,6 +11,7 @@ import (
 	"gcs/internal/engine"
 	"gcs/internal/lowerbound"
 	"gcs/internal/network"
+	"gcs/internal/obs"
 	"gcs/internal/rat"
 	"gcs/internal/trace"
 )
@@ -192,9 +193,11 @@ func TestPrefixCacheMatchesFullResim(t *testing.T) {
 // from scratch, for a plain and a stateful base tail and on both arithmetic
 // lanes, while dispatching strictly fewer engine events.
 func TestRateMutantPrefixCacheMatchesFullResim(t *testing.T) {
-	mk := func(stateful bool) Options {
+	mk := func(lane engine.Lane, stateful bool) Options {
 		opt := lineOpts(t, 4, 4)
 		opt.RateWindows = 2
+		opt.lane = lane
+		opt.EngineMetrics = engine.NewMetrics(obs.NewRegistry())
 		if stateful {
 			opt.Base = adaptiveBase(t, opt.Net, opt.Duration)
 		}
@@ -211,18 +214,19 @@ func TestRateMutantPrefixCacheMatchesFullResim(t *testing.T) {
 	for _, ln := range lanes {
 		for _, bs := range bases {
 			t.Run(ln.name+"/"+bs.name, func(t *testing.T) {
-				engine.SetDefaultLane(ln.lane)
-				defer engine.SetDefaultLane(engine.LaneAuto)
-				cached, err := Search(mk(bs.stateful))
+				opt := mk(ln.lane, bs.stateful)
+				cached, err := Search(opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				full := mk(bs.stateful)
+				full := mk(ln.lane, bs.stateful)
 				full.DisablePrefixCache = true
 				scratch, err := Search(full)
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkLane(t, "prefix-cached", opt.EngineMetrics, ln.lane)
+				checkLane(t, "from scratch", full.EngineMetrics, ln.lane)
 				resultsEqual(t, cached, scratch)
 				if scratch.EngineSteps != scratch.CandidateSteps {
 					t.Fatalf("full resim dispatched %d events but candidates total %d",
@@ -643,6 +647,23 @@ func TestScriptPrefixClamps(t *testing.T) {
 	}
 }
 
+// checkLane asserts which lane a search's engines were built on, read off
+// the engine metrics the search ran with: a forced rat-lane search builds
+// only rat-lane engines, and an auto-lane one engages the fixed lane. Without
+// it, a lane selector that stopped reaching engine.New would make the
+// cross-lane tests compare auto against auto and still pass.
+func checkLane(t *testing.T, what string, met *engine.Metrics, lane engine.Lane) {
+	t.Helper()
+	fixedRuns, ratRuns := met.FixedLaneRuns.Value(), met.RatLaneRuns.Value()
+	if lane == engine.LaneRat {
+		if ratRuns == 0 || fixedRuns != 0 {
+			t.Fatalf("%s: forced rat lane built %d fixed-lane and %d rat-lane engines", what, fixedRuns, ratRuns)
+		}
+	} else if fixedRuns == 0 {
+		t.Fatalf("%s: auto lane never engaged the fixed lane (%d rat-lane engines)", what, ratRuns)
+	}
+}
+
 // TestSearchLaneEquivalence: the whole search pipeline — prefix-cached forks
 // and full re-simulation alike — returns byte-identical Results whether the
 // engines inside it run on the fixed-point lane (the default on these
@@ -650,28 +671,24 @@ func TestScriptPrefixClamps(t *testing.T) {
 // accounting must match too: the lane changes arithmetic representation,
 // never which events dispatch.
 func TestSearchLaneEquivalence(t *testing.T) {
-	auto, err := Search(lineOpts(t, 5, 4))
-	if err != nil {
-		t.Fatal(err)
+	run := func(what string, lane engine.Lane, scratch bool) *Result {
+		t.Helper()
+		opt := lineOpts(t, 5, 4)
+		opt.lane = lane
+		opt.DisablePrefixCache = scratch
+		opt.EngineMetrics = engine.NewMetrics(obs.NewRegistry())
+		res, err := Search(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLane(t, what, opt.EngineMetrics, lane)
+		return res
 	}
-
-	engine.SetDefaultLane(engine.LaneRat)
-	defer engine.SetDefaultLane(engine.LaneAuto)
-
-	ratCached, err := Search(lineOpts(t, 5, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	auto := run("auto", engine.LaneAuto, false)
+	ratCached := run("rat prefix-cached", engine.LaneRat, false)
 	resultsEqual(t, auto, ratCached)
 	if auto.EngineSteps != ratCached.EngineSteps {
 		t.Fatalf("engine steps differ across lanes: %d vs %d", auto.EngineSteps, ratCached.EngineSteps)
 	}
-
-	scratchOpts := lineOpts(t, 5, 4)
-	scratchOpts.DisablePrefixCache = true
-	ratScratch, err := Search(scratchOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, auto, ratScratch)
+	resultsEqual(t, auto, run("rat from scratch", engine.LaneRat, true))
 }

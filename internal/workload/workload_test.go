@@ -5,16 +5,16 @@ import (
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
 func ri(n int64) rat.Rat    { return rat.FromInt(n) }
 func rf(n, d int64) rat.Rat { return rat.MustFrac(n, d) }
 
-func runLine(t *testing.T, proto sim.Protocol, n int, fastNode int, dur rat.Rat) *trace.Execution {
+func runLine(t *testing.T, proto engine.Protocol, n int, fastNode int, dur rat.Rat) *trace.Execution {
 	t.Helper()
 	net, err := network.Line(n)
 	if err != nil {
@@ -27,10 +27,10 @@ func runLine(t *testing.T, proto sim.Protocol, n int, fastNode int, dur rat.Rat)
 	if fastNode >= 0 {
 		scheds[fastNode] = clock.Constant(rf(5, 4))
 	}
-	exec, err := sim.Run(sim.Config{
+	exec, err := engine.Run(engine.Config{
 		Net:       net,
 		Schedules: scheds,
-		Adversary: sim.Midpoint(),
+		Adversary: engine.Midpoint(),
 		Protocol:  proto,
 		Duration:  dur,
 		Rho:       rf(1, 2),
@@ -104,8 +104,8 @@ func TestTrackingSkewedClocks(t *testing.T) {
 		scheds[i] = clock.Constant(ri(1))
 	}
 	scheds[0] = clock.Constant(rf(9, 8)) // sensor 0 fast
-	e, err := sim.Run(sim.Config{
-		Net: net, Schedules: scheds, Adversary: sim.Midpoint(),
+	e, err := engine.Run(engine.Config{
+		Net: net, Schedules: scheds, Adversary: engine.Midpoint(),
 		Protocol: algorithms.Null(), Duration: ri(40), Rho: rf(1, 2),
 	})
 	if err != nil {
@@ -174,8 +174,8 @@ func TestTDMASkewBreaksSchedule(t *testing.T) {
 	// Nodes 2 and 4? slots with Slots=2: interferers at distance 2 share a
 	// slot. Make node 2 fast so (2,4) diverge.
 	scheds[2] = clock.Constant(rf(5, 4))
-	e, err := sim.Run(sim.Config{
-		Net: net, Schedules: scheds, Adversary: sim.Midpoint(),
+	e, err := engine.Run(engine.Config{
+		Net: net, Schedules: scheds, Adversary: engine.Midpoint(),
 		Protocol: algorithms.Null(), Duration: ri(40), Rho: rf(1, 2),
 	})
 	if err != nil {

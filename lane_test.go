@@ -213,38 +213,3 @@ func FuzzLaneRun(f *testing.F) {
 		}
 	})
 }
-
-// TestLaneDefaultOverride: SetDefaultLane flips engines built with LaneAuto
-// — the hook the subsystem-wide differential tests (search, campaigns) use —
-// and WithLane(LaneAuto) follows it.
-func TestLaneDefaultOverride(t *testing.T) {
-	net, err := gcs.Line(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheds, err := gcs.DiverseSchedules(5, gcs.R(1), gcs.Frac(5, 4), 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() *gcs.Engine {
-		t.Helper()
-		eng, err := gcs.NewEngine(net,
-			gcs.WithProtocol(gcs.MaxGossip(gcs.R(1))),
-			gcs.WithAdversary(gcs.HashAdversary{Seed: 7, Denom: 8}),
-			gcs.WithSchedules(scheds),
-			gcs.WithRho(gcs.Frac(1, 2)),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	if lane := build().TimeLane(); lane != "fixed" {
-		t.Fatalf("auto lane on a common-denominator workload: %q, want fixed", lane)
-	}
-	gcs.SetDefaultLane(gcs.LaneRat)
-	defer gcs.SetDefaultLane(gcs.LaneAuto)
-	if lane := build().TimeLane(); lane != "rat" {
-		t.Fatalf("after SetDefaultLane(LaneRat): %q, want rat", lane)
-	}
-}
