@@ -47,12 +47,16 @@ bench-snapshot:
 bench-perf:
 	$(GO) run ./cmd/gcsbench -perf > BENCH_perf.json
 
+# The gated benchmarks: the one list the perf gate, the bench history and
+# the docs refer to.
+GATED_BENCH = EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows
+
 # The exact benchmark command the CI perf-gate job runs on the PR head and
-# on the merge base; pipe each into a file and compare with
-# `go run ./cmd/perfgate -base base.txt -head head.txt` (and/or benchstat).
+# on the merge base (`make -s bench-gated`); pipe each into a file and
+# compare with `go run ./cmd/perfgate -base base.txt -head head.txt`
+# (and/or benchstat).
 bench-gated:
-	$(GO) test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows' \
-		-benchmem -count 6 -run '^$$' ./...
+	$(GO) test -bench '$(GATED_BENCH)' -benchmem -count 6 -run '^$$' ./...
 
 # Scenario matrix (internal/scenario): generated topology families × fault
 # models × drift profiles, each cell searched and adaptively scheduled, then
@@ -78,8 +82,7 @@ plan-smoke:
 # main; run it locally only to inspect the mechanism — local timings do not
 # belong in the shared curve.
 bench-history:
-	$(GO) test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows' \
-		-benchmem -count 6 -run '^$$' ./... > bench-head.txt
+	$(MAKE) -s bench-gated > bench-head.txt
 	$(GO) run ./cmd/perfgate -append -head bench-head.txt \
 		-history dev/bench/data.js \
 		-commit "$$(git rev-parse HEAD)" \

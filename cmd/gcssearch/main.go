@@ -63,7 +63,7 @@ func main() {
 	case "worker":
 		err = cmdWorker(os.Args[2:])
 	case "run":
-		err = cmdRun(os.Args[2:])
+		err = cmdRun(os.Args[2:], os.Stdout)
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -206,9 +206,9 @@ type runSummary struct {
 }
 
 // cmdRun executes a campaign against the fleet (or in-process) and streams
-// per-generation progress — to stdout always, and to attached HTTP clients
-// on /v1/events when -serve is set.
-func cmdRun(args []string) error {
+// per-generation progress — to out always, and to attached HTTP clients on
+// /v1/events when -serve is set.
+func cmdRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gcssearch run", flag.ExitOnError)
 	specPath := fs.String("spec", "", "campaign spec file (required)")
 	workers := fs.String("workers", "", "comma-separated worker base URLs (empty: in-process)")
@@ -258,7 +258,7 @@ func cmdRun(args []string) error {
 		fmt.Fprintf(os.Stderr, "gcssearch run: serving %s and %s on %s\n", obs.PathMetrics, obs.PathEvents, *serve)
 	}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	coord := &dist.Coordinator{
 		Spec:    spec,
 		Workers: urls,
@@ -272,7 +272,7 @@ func cmdRun(args []string) error {
 			if *jsonOut {
 				_ = enc.Encode(ev)
 			} else {
-				fmt.Printf("cell %d (%s) round %d: %d candidates in %d shard(s) (%d remote, %d local), best %s after %d evaluations\n",
+				fmt.Fprintf(out, "cell %d (%s) round %d: %d candidates in %d shard(s) (%d remote, %d local), best %s after %d evaluations\n",
 					ev.Cell, ev.CellName, ev.Round, ev.Candidates, ev.Shards, ev.Remote, ev.Local, ev.Best, ev.Evaluated)
 			}
 		},
@@ -318,22 +318,22 @@ func cmdRun(args []string) error {
 	}
 
 	if *jsonOut {
-		for _, out := range outs {
-			_ = enc.Encode(out)
+		for _, co := range outs {
+			_ = enc.Encode(co)
 		}
 		return enc.Encode(summary)
 	}
-	for i, out := range outs {
-		fmt.Printf("cell %d %s:\n", i, out.Cell.Label())
-		fmt.Printf("  baseline %s, searched worst case %s (candidate %d)\n", out.Baseline, out.Best, out.BestCandidate)
-		fmt.Printf("  witness pair (%d, %d) at t=%s\n", out.WitnessI, out.WitnessJ, out.WitnessAt)
-		fmt.Printf("  %d rounds, %d candidates, %d engine steps (%d re-simulated)\n",
-			out.Rounds, out.Evaluated, out.EngineSteps, out.CandidateSteps)
-		fmt.Printf("  script: %d scripted delays\n", len(out.Script))
-		for _, note := range out.Notes {
-			fmt.Printf("  note: %s\n", note)
+	for i, co := range outs {
+		fmt.Fprintf(out, "cell %d %s:\n", i, co.Cell.Label())
+		fmt.Fprintf(out, "  baseline %s, searched worst case %s (candidate %d)\n", co.Baseline, co.Best, co.BestCandidate)
+		fmt.Fprintf(out, "  witness pair (%d, %d) at t=%s\n", co.WitnessI, co.WitnessJ, co.WitnessAt)
+		fmt.Fprintf(out, "  %d rounds, %d candidates, %d engine steps (%d re-simulated)\n",
+			co.Rounds, co.Evaluated, co.EngineSteps, co.CandidateSteps)
+		fmt.Fprintf(out, "  script: %d scripted delays\n", len(co.Script))
+		for _, note := range co.Notes {
+			fmt.Fprintf(out, "  note: %s\n", note)
 		}
 	}
-	fmt.Printf("campaign: %d cell(s) in %s\n", len(cells), elapsed)
-	return nil
+	_, err = fmt.Fprintf(out, "campaign: %d cell(s) in %s\n", len(cells), elapsed)
+	return err
 }

@@ -4,10 +4,12 @@
 //
 // Usage:
 //
-//	go test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows' \
-//	    -benchmem -count 6 -run '^$' ./... > head.txt     # on the PR head
-//	git checkout <merge-base> && go test ... > base.txt   # same command
+//	make -s bench-gated > head.txt                           # on the PR head
+//	git checkout <merge-base> && make -s bench-gated > base.txt
 //	perfgate -base base.txt -head head.txt
+//
+// `make bench-gated` runs the gated benchmarks (the Makefile's GATED_BENCH
+// list) with -benchmem -count 6.
 //
 // Each gated benchmark is aggregated by the median of its -count
 // repetitions (one noisy repetition cannot fail or save a run), then head

@@ -245,8 +245,7 @@ type firstViolation struct {
 
 // note records err for key unless a violation with a smaller key is held.
 func (v *firstViolation) note(key trace.MsgKey, err error) {
-	if v.err == nil || key.From < v.key.From ||
-		key.From == v.key.From && (key.To < v.key.To || key.To == v.key.To && key.Seq < v.key.Seq) {
+	if v.err == nil || key.Compare(v.key) < 0 {
 		v.key, v.err = key, err
 	}
 }

@@ -17,14 +17,9 @@
 //     benchmark by median across -count repetitions, and flag any benchmark
 //     whose ns/op or allocs/op regressed past its threshold.
 //
-// The gated workloads mirror the benchmarks named in the CI workflow —
-// BenchmarkEngineStream (the E12 streaming engine workload),
-// BenchmarkEngineFork (the fork-and-suffix unit of prefix-cached search),
-// BenchmarkEngineForkGradient (the fork-only unit on a wide gradient line,
-// gating the copy-on-write clone discipline), BenchmarkAdaptiveRun (the E14
-// adaptive-adversary path), and BenchmarkSearchPrefixCached /
-// BenchmarkSearchEndToEnd (the E13 search workload) — so a local `gcsbench
-// -perf` and the CI gate watch the same hot paths.
+// The gated workloads mirror the benchmarks `make bench-gated` runs for the
+// CI gate (the Makefile's GATED_BENCH list), so a local `gcsbench -perf`
+// and the CI gate watch the same hot paths.
 package perf
 
 import (

@@ -68,12 +68,12 @@ func BenchmarkSearch(b *testing.B) {
 // cell's search configuration (certified-bound horizon, tail-biased delay
 // mutations), shared by the end-to-end and prefix-cached benchmarks so the
 // steps-per-candidate comparison is apples to apples.
-func longE13Opts(b *testing.B) Options {
-	b.Helper()
+func longE13Opts(tb testing.TB) Options {
+	tb.Helper()
 	d := rat.FromInt(16)
 	net, err := network.TwoNode(d)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return Options{
 		Net:            net,

@@ -24,7 +24,6 @@ package search
 
 import (
 	"fmt"
-	"sort"
 
 	"gcs/internal/clock"
 	"gcs/internal/core"
@@ -48,19 +47,11 @@ func EncodeScript(script map[trace.MsgKey]rat.Rat) []ScriptEntry {
 	if len(script) == 0 {
 		return nil
 	}
-	out := make([]ScriptEntry, 0, len(script))
-	for k, v := range script {
-		out = append(out, ScriptEntry{From: k.From, To: k.To, Seq: k.Seq, Delay: v})
+	keys := scriptKeys(script)
+	out := make([]ScriptEntry, len(keys))
+	for i, k := range keys {
+		out[i] = ScriptEntry{From: k.From, To: k.To, Seq: k.Seq, Delay: script[k]}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].From != out[b].From {
-			return out[a].From < out[b].From
-		}
-		if out[a].To != out[b].To {
-			return out[a].To < out[b].To
-		}
-		return out[a].Seq < out[b].Seq
-	})
 	return out
 }
 
@@ -240,7 +231,7 @@ func NewCampaign(opt Options) (*Campaign, error) {
 	}
 	seen := make(map[string]bool, len(initial))
 	for _, c := range initial {
-		seen[key(c)] = true
+		seen[string(key(nil, c, nil))] = true
 	}
 	return &Campaign{
 		opt:     opt,
@@ -561,13 +552,15 @@ func (c *Campaign) advance() {
 		return
 	}
 	var cands []candidate
+	var buf []byte
 	for _, parent := range c.beam {
+		order := scriptKeys(parent.log.Script())
 		for _, m := range mutations(c.opt, parent) {
-			k := key(m)
-			if c.seen[k] {
+			buf = key(buf[:0], m, order)
+			if c.seen[string(buf)] {
 				continue
 			}
-			c.seen[k] = true
+			c.seen[string(buf)] = true
 			m.id = c.nextID
 			c.nextID++
 			cands = append(cands, m)

@@ -73,15 +73,18 @@ func NewDecisionLog(net *network.Network) *DecisionLog {
 	return &DecisionLog{net: net}
 }
 
-// Clone returns an independent copy of the log. Attach the clone to a forked
-// engine to keep capturing a branched run's decisions: the clone carries the
-// shared prefix (including the event counter, so Decision.Event stays
-// aligned with Engine.Steps across the fork), and the original continues
-// logging its own branch untouched.
+// Clone returns a log that continues from l's decisions. Attach the clone to
+// a forked engine to keep capturing a branched run's decisions: the clone
+// carries the shared prefix (including the event counter, so Decision.Event
+// stays aligned with Engine.Steps across the fork), and the original
+// continues logging its own branch untouched. The prefix is shared, not
+// copied: decisions are append-only, and the clone's view is capped at the
+// current length, so whichever branch appends first moves to storage of its
+// own. A clone costs the same at any log length.
 func (l *DecisionLog) Clone() *DecisionLog {
 	return &DecisionLog{
 		net:       l.net,
-		decisions: append([]Decision(nil), l.decisions...),
+		decisions: l.decisions[:len(l.decisions):len(l.decisions)],
 		events:    l.events,
 	}
 }

@@ -6,12 +6,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
 	"gcs/internal/engine"
 	"gcs/internal/network"
+	"gcs/internal/rat"
+	"gcs/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -131,5 +134,86 @@ func TestDecisionLogGolden(t *testing.T) {
 	}
 	if adv := back.Scripted(engine.Midpoint()); len(adv.Delays) != len(log.Script()) {
 		t.Fatalf("decoded log scripts %d delays, want %d", len(adv.Delays), len(log.Script()))
+	}
+}
+
+// sendRec is a delivered send from node 0 to node 1 with the given sequence
+// number.
+func sendRec(seq uint64) trace.MsgRecord {
+	return trace.MsgRecord{Key: trace.MsgKey{From: 0, To: 1, Seq: seq}, Delay: rat.FromInt(1)}
+}
+
+// logSeqs lists a log's decision sequence numbers in send order.
+func logSeqs(l *DecisionLog) []uint64 {
+	out := make([]uint64, l.Len())
+	for i, d := range l.Decisions() {
+		out[i] = d.Key.Seq
+	}
+	return out
+}
+
+// TestDecisionLogCloneIsolatesBranches: a clone shares its parent's prefix,
+// yet each branch sees only its own appends — whether the original or the
+// clone appends first, and with spare capacity in the original's storage
+// (the case a shared, uncapped view would get wrong).
+func TestDecisionLogCloneIsolatesBranches(t *testing.T) {
+	net, err := network.Line(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, originalFirst := range []bool{true, false} {
+		orig := NewDecisionLog(net)
+		for seq := uint64(0); seq < 5; seq++ { // 5 appends leave spare capacity
+			orig.OnSend(sendRec(seq))
+		}
+		orig.OnAction(trace.Action{Kind: trace.KindRecv})
+		clone := orig.Clone()
+		if originalFirst {
+			orig.OnSend(sendRec(100))
+			clone.OnSend(sendRec(200))
+		} else {
+			clone.OnSend(sendRec(200))
+			orig.OnSend(sendRec(100))
+		}
+		orig.OnSend(sendRec(101))
+		clone.OnSend(sendRec(201))
+		want := map[*DecisionLog][]uint64{
+			orig:  {0, 1, 2, 3, 4, 100, 101},
+			clone: {0, 1, 2, 3, 4, 200, 201},
+		}
+		for l, w := range want {
+			if got := logSeqs(l); !slices.Equal(got, w) {
+				t.Fatalf("originalFirst=%v: %s decisions %v, want %v", originalFirst, l, got, w)
+			}
+		}
+		if d := clone.Decisions()[5]; d.Event != 1 {
+			t.Fatalf("originalFirst=%v: clone's first own decision at event %d, want 1 (the event count carries over)", originalFirst, d.Event)
+		}
+	}
+}
+
+// TestDecisionLogCloneCostIndependentOfLength: a fork's log clone shares the
+// trunk's decisions instead of copying them, so it costs the same at 10 and
+// at 10,000 decisions — the log header and nothing else.
+func TestDecisionLogCloneCostIndependentOfLength(t *testing.T) {
+	net, err := network.Line(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		l := NewDecisionLog(net)
+		for seq := 0; seq < n; seq++ {
+			l.OnSend(sendRec(uint64(seq)))
+		}
+		var sink *DecisionLog
+		a := testing.AllocsPerRun(20, func() { sink = l.Clone() })
+		if sink.Len() != n {
+			t.Fatalf("clone of %d decisions has %d", n, sink.Len())
+		}
+		return a
+	}
+	small, large := allocs(10), allocs(10000)
+	if small != large || large > 1 {
+		t.Fatalf("Clone allocs: %v at 10 decisions, %v at 10,000; want equal and at most 1 (the header)", small, large)
 	}
 }

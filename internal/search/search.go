@@ -2,8 +2,11 @@ package search
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"gcs/internal/clock"
@@ -486,10 +489,10 @@ func mutations(opt Options, parent evaluation) []candidate {
 	var out []candidate
 
 	// Rate-change candidates never edit their script, so they can share one
-	// copy of the parent's realized decisions (read-only during replay).
-	var shared map[trace.MsgKey]rat.Rat
+	// copy of the parent's realized decisions (read-only during replay); each
+	// delay mutant edits a clone of it.
+	shared := parent.log.Script()
 	if !opt.DisableRateMutations {
-		shared = parent.log.Script()
 		one := rat.FromInt(1)
 		rateChoices := []rat.Rat{one.Sub(opt.Rho), one, one.Add(opt.Rho)}
 		for node := 0; node < opt.Net.N(); node++ {
@@ -514,7 +517,7 @@ func mutations(opt Options, parent evaluation) []candidate {
 			if v.Equal(d.Delay) {
 				continue
 			}
-			script := parent.log.Script()
+			script := maps.Clone(shared)
 			script[d.Key] = v
 			out = append(out, candidate{
 				script: script,
@@ -658,28 +661,93 @@ func sampleIndices(n, k int) []int {
 	return out
 }
 
-// key canonicalizes a candidate for deduplication: rates plus sorted script
-// entries, plus the full schedule override when one is present.
-func key(c candidate) string {
-	var b strings.Builder
+// key appends a candidate's dedup key to b: its rates, its script entries in
+// MsgKey.Compare order, and its full schedule override when one is present.
+// Two candidates get equal keys exactly when all three are equal. order is
+// the script's keys in that order, when the caller has them: every mutant of
+// one parent scripts exactly the parent's decision keys, so Campaign.advance
+// sorts them once per parent instead of once per mutant. When the script
+// does not hold exactly order's keys — a seed, or a nil order — key sorts
+// the script's own keys.
+func key(b []byte, c candidate, order []trace.MsgKey) []byte {
 	for i, r := range c.rates {
-		fmt.Fprintf(&b, "r%d=%s;", i, r.Key())
+		b = append(b, 'r')
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, '=')
+		b = appendRat(b, r)
+		b = append(b, ';')
 	}
-	entries := make([]string, 0, len(c.script))
-	for k, v := range c.script {
-		entries = append(entries, fmt.Sprintf("%d>%d#%d=%s", k.From, k.To, k.Seq, v.Key()))
+	start := len(b)
+	b, ok := appendScript(b, c.script, order)
+	if !ok {
+		b, _ = appendScript(b[:start], c.script, scriptKeys(c.script))
 	}
-	sort.Strings(entries)
-	b.WriteString(strings.Join(entries, ";"))
 	if scheds := schedOverride(c); scheds != nil {
 		for i, s := range scheds {
-			fmt.Fprintf(&b, ";S%d=", i)
-			for _, seg := range s.Rates() {
-				fmt.Fprintf(&b, "%s@%s,", seg.Rate.Key(), seg.At.Key())
+			b = append(b, ";S"...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, '=')
+			for _, seg := range s.RatesView() {
+				b = appendRat(b, seg.Rate)
+				b = append(b, '@')
+				b = appendRat(b, seg.At)
+				b = append(b, ',')
 			}
 		}
 	}
-	return b.String()
+	return b
+}
+
+// appendScript appends script's entries in the given key order, separated by
+// ';'. It reports false, leaving a partial rendering, when order does not
+// list exactly the script's keys.
+func appendScript(b []byte, script map[trace.MsgKey]rat.Rat, order []trace.MsgKey) ([]byte, bool) {
+	if len(order) != len(script) {
+		return b, false
+	}
+	for i, k := range order {
+		v, ok := script[k]
+		if !ok {
+			return b, false
+		}
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = strconv.AppendInt(b, int64(k.From), 10)
+		b = append(b, '>')
+		b = strconv.AppendInt(b, int64(k.To), 10)
+		b = append(b, '#')
+		b = strconv.AppendUint(b, k.Seq, 10)
+		b = append(b, '=')
+		b = appendRat(b, v)
+	}
+	return b, true
+}
+
+// appendRat appends r.Key() to b, without building the string when the
+// numerator and denominator fit in int64.
+func appendRat(b []byte, r rat.Rat) []byte {
+	n, okN := r.Num()
+	d, okD := r.Den()
+	if !okN || !okD {
+		return append(b, r.Key()...)
+	}
+	b = strconv.AppendInt(b, n, 10)
+	if d != 1 {
+		b = append(b, '/')
+		b = strconv.AppendInt(b, d, 10)
+	}
+	return b
+}
+
+// scriptKeys returns a script's message keys in MsgKey.Compare order.
+func scriptKeys(script map[trace.MsgKey]rat.Rat) []trace.MsgKey {
+	keys := make([]trace.MsgKey, 0, len(script))
+	for k := range script {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, trace.MsgKey.Compare)
+	return keys
 }
 
 // objectiveValue reads the configured objective off a flushed tracker.

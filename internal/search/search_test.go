@@ -1,7 +1,9 @@
 package search
 
 import (
+	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -691,4 +693,200 @@ func TestSearchLaneEquivalence(t *testing.T) {
 		t.Fatalf("engine steps differ across lanes: %d vs %d", auto.EngineSteps, ratCached.EngineSteps)
 	}
 	resultsEqual(t, auto, run("rat from scratch", engine.LaneRat, true))
+}
+
+// refKey is the dedup key as first written: every script entry rendered with
+// fmt and the entries sorted as strings. key must induce exactly the same
+// duplicate relation.
+func refKey(c candidate) string {
+	var b strings.Builder
+	for i, r := range c.rates {
+		fmt.Fprintf(&b, "r%d=%s;", i, r.Key())
+	}
+	entries := make([]string, 0, len(c.script))
+	for k, v := range c.script {
+		entries = append(entries, fmt.Sprintf("%d>%d#%d=%s", k.From, k.To, k.Seq, v.Key()))
+	}
+	sort.Strings(entries)
+	b.WriteString(strings.Join(entries, ";"))
+	if scheds := schedOverride(c); scheds != nil {
+		for i, s := range scheds {
+			fmt.Fprintf(&b, ";S%d=", i)
+			for _, seg := range s.Rates() {
+				fmt.Fprintf(&b, "%s@%s,", seg.Rate.Key(), seg.At.Key())
+			}
+		}
+	}
+	return b.String()
+}
+
+// checkSameDuplicates asserts that keys and refs, computed for the same
+// candidates, induce the same equivalence: keys[a] == keys[b] exactly when
+// refs[a] == refs[b], for every pair. Mapping each side onto the other and
+// requiring both maps to be consistent checks all pairs at once.
+func checkSameDuplicates(t *testing.T, keys, refs []string) {
+	t.Helper()
+	toRef := make(map[string]string, len(keys))
+	toKey := make(map[string]string, len(refs))
+	for i := range keys {
+		if r, ok := toRef[keys[i]]; ok && r != refs[i] {
+			t.Fatalf("candidate %d: key collides with a candidate the reference tells apart:\n%q\n%q", i, r, refs[i])
+		}
+		if k, ok := toKey[refs[i]]; ok && k != keys[i] {
+			t.Fatalf("candidate %d: key splits a reference duplicate:\n%q\n%q", i, k, keys[i])
+		}
+		toRef[keys[i]], toKey[refs[i]] = refs[i], keys[i]
+	}
+}
+
+// TestKeyMatchesReferenceOnMutants: over every mutant the campaign enumerates
+// in its generations — duplicates included, across parents and rounds — the
+// per-parent key order produces the reference's duplicate relation, and every
+// mutant scripts exactly its parent's decision keys (the order the key is
+// built from). The 12-node line has node ids >= 10, where string order and
+// numeric order disagree.
+func TestKeyMatchesReferenceOnMutants(t *testing.T) {
+	windows := longE13Opts(t)
+	windows.RateWindows = 4
+	cases := []struct {
+		name string
+		opt  Options
+	}{
+		{"e13-twonode-d16-windows", windows},
+		{"gradient-line-12", lineOpts(t, 12, 2)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCampaign(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys, refs []string
+			dups := 0
+			for !c.Done() {
+				sr, err := c.EvaluateRange(0, c.NumPending())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Absorb([]*ShardResult{sr}); err != nil {
+					t.Fatal(err)
+				}
+				for _, parent := range c.beam {
+					order := scriptKeys(parent.log.Script())
+					for i, m := range mutations(c.opt, parent) {
+						if len(m.script) != len(order) {
+							t.Fatalf("mutant %d scripts %d keys, parent has %d", i, len(m.script), len(order))
+						}
+						for _, k := range order {
+							if _, ok := m.script[k]; !ok {
+								t.Fatalf("mutant %d lacks parent key %v", i, k)
+							}
+						}
+						k := string(key(nil, m, order))
+						if fallback := string(key(nil, m, nil)); fallback != k {
+							t.Fatalf("mutant %d: key depends on the supplied order:\n%q\n%q", i, k, fallback)
+						}
+						keys, refs = append(keys, k), append(refs, refKey(m))
+					}
+				}
+			}
+			distinct := make(map[string]bool, len(refs))
+			for _, r := range refs {
+				if distinct[r] {
+					dups++
+				}
+				distinct[r] = true
+			}
+			if c.Evaluated() < 50 || len(keys) < 100 || dups == 0 {
+				t.Fatalf("weak fixture: %d evaluated, %d mutants, %d duplicates", c.Evaluated(), len(keys), dups)
+			}
+			checkSameDuplicates(t, keys, refs)
+		})
+	}
+}
+
+// TestKeyMatchesReferenceOnEdgeCases: hand-built candidates the mutation
+// stream rarely produces — fractional and big delays, nil vs empty scripts,
+// nil vs set schedule overrides, a window swap against its materialized
+// override, zero rate entries, and scripts that do not match the supplied
+// order (the sorting fallback) — keep the reference's duplicate relation,
+// and a candidate's key never depends on the order it was built from.
+func TestKeyMatchesReferenceOnEdgeCases(t *testing.T) {
+	huge, err := rat.Parse("123456789012345678901234567890/7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := rf(1<<40+1, 3) // int64 parts beyond the fast-arithmetic range
+	k := func(from, to int, seq uint64) trace.MsgKey { return trace.MsgKey{From: from, To: to, Seq: seq} }
+	base := map[trace.MsgKey]rat.Rat{k(0, 1, 0): rf(1, 2), k(1, 0, 0): ri(1), k(10, 2, 3): ri(2)}
+	edit := func(key trace.MsgKey, v rat.Rat) map[trace.MsgKey]rat.Rat {
+		s := make(map[trace.MsgKey]rat.Rat, len(base))
+		for kk, vv := range base {
+			s[kk] = vv
+		}
+		s[key] = v
+		return s
+	}
+	order := scriptKeys(base)
+	one, fast, slow := clock.Constant(ri(1)), clock.Constant(rf(3, 2)), clock.Constant(rf(1, 2))
+	window, err := one.ModifyWindow(ri(2), ri(4), func(rat.Rat) rat.Rat { return rf(3, 2) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := []rat.Rat{{}, {}}
+	cands := []candidate{
+		{rates: zero, script: base},
+		{rates: zero, script: edit(k(0, 1, 0), rf(1, 2))},                                                            // same script, rebuilt
+		{rates: zero, script: edit(k(0, 1, 0), rf(2, 4))},                                                            // same value, unreduced input
+		{rates: zero, script: edit(k(0, 1, 0), rf(1, 3))},                                                            // fractional edit
+		{rates: zero, script: edit(k(10, 2, 3), huge)},                                                               // big-Rat delay
+		{rates: zero, script: edit(k(10, 2, 3), wide)},                                                               // wide int64 delay
+		{rates: zero, script: edit(k(1, 0, 0), ri(0))},                                                               // zero delay
+		{rates: zero, script: edit(k(2, 10, 3), ri(2))},                                                              // extra key: length mismatch
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 1, 0): rf(1, 2), k(1, 0, 0): ri(1), k(2, 10, 3): ri(2)}}, // same length, other key
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 1, 0): rf(1, 2), k(1, 0, 0): ri(1), k(2, 10, 3): ri(2)}}, // its duplicate
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(1, 0, 1): ri(1)}},
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(1, 0, 1): ri(1), k(0, 1, 0): ri(0)}},
+		{rates: zero}, // nil script
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{}}, // empty script: same key as nil
+		{rates: []rat.Rat{{}, ri(1)}},                     // a rate entry set to 1 differs from zero
+		{rates: []rat.Rat{ri(1), {}}},
+		{rates: []rat.Rat{rat.FromInt(0), {}}},             // zero built two ways
+		{rates: zero, scheds: []*clock.Schedule{one, one}}, // set override differs from nil
+		{rates: zero, scheds: []*clock.Schedule{one, clock.Constant(ri(1))}},
+		{rates: zero, scheds: []*clock.Schedule{one, fast}},
+		{rates: zero, scheds: []*clock.Schedule{one, slow}, script: base},
+		{rates: zero, scheds: []*clock.Schedule{one, one}, swapNode: 1, swapSched: window}, // window swap
+		{rates: zero, scheds: []*clock.Schedule{one, window}},                              // its materialized form
+		{rates: zero, scheds: []*clock.Schedule{one, one}, swapNode: 0, swapSched: window},
+		{rates: zero, scheds: []*clock.Schedule{one, fast}, swapNode: 1, swapSched: slow, script: base},
+		{rates: zero, scheds: []*clock.Schedule{one, slow}, script: edit(k(0, 1, 0), rf(1, 2))},
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 1, 5): ri(1)}}, // one key field differs: From,
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(2, 1, 5): ri(1)}},
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 2, 5): ri(1)}}, // To,
+		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 1, 6): ri(1)}}, // Seq
+	}
+	keys := make([]string, len(cands))
+	refs := make([]string, len(cands))
+	for i, c := range cands {
+		keys[i] = string(key(nil, c, order))
+		refs[i] = refKey(c)
+		if own := string(key(nil, c, scriptKeys(c.script))); own != keys[i] {
+			t.Fatalf("candidate %d: key depends on the supplied order:\n%q\n%q", i, keys[i], own)
+		}
+		if none := string(key(nil, c, nil)); none != keys[i] {
+			t.Fatalf("candidate %d: nil order changes the key:\n%q\n%q", i, keys[i], none)
+		}
+	}
+	checkSameDuplicates(t, keys, refs)
+	for _, pair := range [][2]int{{0, 1}, {0, 2}, {8, 9}, {12, 13}, {12, 16}, {17, 18}, {21, 22}, {20, 24}, {20, 25}} {
+		if keys[pair[0]] != keys[pair[1]] {
+			t.Errorf("candidates %d and %d should be duplicates:\n%q\n%q", pair[0], pair[1], keys[pair[0]], keys[pair[1]])
+		}
+	}
+	for _, pair := range [][2]int{{0, 3}, {0, 4}, {4, 5}, {0, 6}, {7, 8}, {0, 8}, {10, 11}, {12, 14}, {12, 17}, {14, 15}, {19, 20}, {21, 23}, {0, 20}, {26, 27}, {26, 28}, {26, 29}} {
+		if keys[pair[0]] == keys[pair[1]] {
+			t.Errorf("candidates %d and %d should differ, both key %q", pair[0], pair[1], keys[pair[0]])
+		}
+	}
 }

@@ -17,6 +17,7 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -114,6 +115,20 @@ type Decl struct {
 type MsgKey struct {
 	From, To int
 	Seq      uint64
+}
+
+// Compare orders message keys by (From, To, Seq), returning -1, 0 or +1 as
+// k sorts before, equal to or after o. It is the one canonical key order:
+// wire scripts, dedup keys and smallest-violation reports all use it, for
+// example slices.SortFunc(keys, MsgKey.Compare).
+func (k MsgKey) Compare(o MsgKey) int {
+	if c := cmp.Compare(k.From, o.From); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.To, o.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Seq, o.Seq)
 }
 
 // MsgRecord is a ledger entry for one message.
@@ -229,7 +244,7 @@ func CheckDelayBounds(e *Execution, from, to, lo, hi rat.Rat) error {
 		}
 		d := e.Net.Dist(key.From, key.To)
 		if rec.Delay.Less(lo.Mul(d)) || rec.Delay.Greater(hi.Mul(d)) {
-			if err == nil || keyLess(key, bad) {
+			if err == nil || key.Compare(bad) < 0 {
 				bad = key
 				err = fmt.Errorf("trace: message %v delay %s outside [%s, %s]·%s",
 					key, rec.Delay, lo, hi, d)
@@ -237,17 +252,6 @@ func CheckDelayBounds(e *Execution, from, to, lo, hi rat.Rat) error {
 		}
 	}
 	return err
-}
-
-// keyLess orders message keys by (From, To, Seq).
-func keyLess(a, b MsgKey) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	if a.To != b.To {
-		return a.To < b.To
-	}
-	return a.Seq < b.Seq
 }
 
 // CheckRateBounds verifies every node's hardware rate lies within [lo, hi]
