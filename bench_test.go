@@ -397,15 +397,15 @@ func BenchmarkAdaptiveRun(b *testing.B) {
 // BenchmarkEngineStream measures the same runs through the streaming engine
 // with online trackers: no trace is retained, so memory per run is bounded
 // by the O(nodes²) tracker state however long the run — the trajectory to
-// watch is allocs/op against events/run between the dur=32 and dur=96 runs,
-// versus BenchmarkRunRecorded's.
+// watch is allocs/op against steps/op (dispatched events) between the dur=32
+// and dur=96 runs, versus BenchmarkRunRecorded's.
 func BenchmarkEngineStream(b *testing.B) {
 	for _, dur := range []int64{32, 96} {
 		dur := dur
 		b.Run(fmt.Sprintf("dur=%d", dur), func(b *testing.B) {
 			net, scheds, adv, proto, d, rho := streamBenchConfig(b, 64, dur)
 			b.ReportAllocs()
-			var events uint64
+			var steps uint64
 			var skew float64
 			for i := 0; i < b.N; i++ {
 				tracker, err := NewSkewTracker(net, scheds)
@@ -420,10 +420,10 @@ func BenchmarkEngineStream(b *testing.B) {
 				if err := eng.RunUntil(d); err != nil {
 					b.Fatal(err)
 				}
-				events = eng.Steps()
+				steps = eng.Steps()
 				skew = tracker.Global().Skew.Float64()
 			}
-			b.ReportMetric(float64(events), "events/run")
+			b.ReportMetric(float64(steps), "steps/op")
 			b.ReportMetric(skew, "globalSkew")
 		})
 	}

@@ -1,8 +1,8 @@
 // Command gcsbench regenerates every experiment table of the reproduction
 // (E1–E11 plus the Figure 1 rendering, the E12 streaming scale sweep, the
 // E13 worst-case adversary search, and the E14 adaptive-adversary
-// comparison). See DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for the paper-vs-measured record.
+// comparison) and the scenario matrix. README.md holds the experiment
+// index.
 //
 // Usage:
 //
@@ -11,8 +11,6 @@
 //	gcsbench -only E4   # one experiment (E1..E14)
 //	gcsbench -stream    # E12 only: online skew metrics on large lines
 //	gcsbench -json      # machine-readable tables (BENCH_*.json trend tracking)
-//	gcsbench -perf      # timing snapshot of the gated perf workloads
-//	                    # (BENCH_perf.json; machine-dependent, JSON only)
 //	gcsbench -matrix    # the scenario matrix: generated topologies ×
 //	                    # fault models × drift profiles vs certified bounds
 //	gcsbench -matrix -smoke -json
@@ -35,7 +33,6 @@ import (
 	"gcs/internal/algorithms"
 	"gcs/internal/engine"
 	"gcs/internal/experiments"
-	"gcs/internal/perf"
 	"gcs/internal/rat"
 	"gcs/internal/scenario"
 )
@@ -45,19 +42,12 @@ func main() {
 	only := flag.String("only", "", "run a single experiment (E1..E13)")
 	stream := flag.Bool("stream", false, "run only the E12 streaming scale sweep")
 	jsonOut := flag.Bool("json", false, "emit experiment tables as machine-readable JSON")
-	perfOut := flag.Bool("perf", false, "measure the gated perf workloads and emit BENCH_perf.json content (timing; machine-dependent)")
 	matrix := flag.Bool("matrix", false, "run the scenario matrix (generated topologies × fault models × drift profiles vs certified bounds)")
 	smoke := flag.Bool("smoke", false, "with -matrix: run only the committed CI smoke subset (BENCH_matrix.json)")
 	flag.Parse()
 	var out string
 	var err error
 	switch {
-	case *perfOut:
-		if *long || *only != "" || *stream || *jsonOut || *matrix || *smoke {
-			err = fmt.Errorf("-perf measures a fixed workload set and combines with no other flag")
-		} else {
-			out, err = perf.SnapshotJSON()
-		}
 	case *matrix:
 		if *long || *only != "" || *stream {
 			err = fmt.Errorf("-matrix combines only with -smoke and -json")

@@ -1,13 +1,13 @@
 // Command gcssearch plans and runs distributed worst-case adversary search
 // campaigns (internal/dist): a campaign spec — cells × move sets ×
-// generations, a JSON file — is priced without executing a single engine
+// generations, a JSON file — is bounded without executing a single engine
 // step, served by any number of stateless workers, and driven by a
 // coordinator whose merged result is byte-identical to single-process
 // search.Search whatever the fleet does.
 //
 // Usage:
 //
-//	gcssearch plan -spec campaign.json [-bench BENCH_perf.json] [-workers 4]
+//	gcssearch plan -spec campaign.json [-json]
 //	gcssearch worker -listen :9131 [-threads 4]
 //	gcssearch run -spec campaign.json [-workers http://h1:9131,http://h2:9131]
 //	gcssearch run -spec campaign.json -json     # JSON-lines progress + result
@@ -21,13 +21,13 @@
 //	  "rounds": 3, "beam": 2, "delay_mutations": 8, "mutate_tail": "1/2"
 //	}
 //
-// (Rationals are exact strings: "16", "1/2".) `plan` prices the campaign
-// from the move-set arithmetic and a measured ns/step; `worker` serves shard
-// evaluations over the versioned JSON/HTTP protocol; `run` executes against
-// the fleet (or in-process when -workers is empty), streaming one progress
-// line per merged generation. Worker failures degrade, never corrupt: shards
-// are reassigned to survivors, then evaluated locally, with the reasons in
-// the result's notes.
+// (Rationals are exact strings: "16", "1/2".) `plan` bounds each cell's
+// generations and per-generation candidates from the move-set arithmetic
+// alone; `worker` serves shard evaluations over the versioned JSON/HTTP
+// protocol; `run` executes against the fleet (or in-process when -workers
+// is empty), streaming one progress line per merged generation. Worker
+// failures degrade, never corrupt: shards are reassigned to survivors, then
+// evaluated locally, with the reasons in the result's notes.
 package main
 
 import (
@@ -46,7 +46,6 @@ import (
 
 	"gcs/internal/dist"
 	"gcs/internal/obs"
-	"gcs/internal/perf"
 	"gcs/internal/rat"
 	"gcs/internal/search"
 )
@@ -78,7 +77,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  gcssearch plan   -spec campaign.json [-bench BENCH_perf.json] [-workers N] [-json]
+  gcssearch plan   -spec campaign.json [-json]
   gcssearch worker -listen :9131 [-threads N] [-debug]
   gcssearch run    -spec campaign.json [-workers url,url,...] [-shards N]
                    [-timeout 120s] [-json] [-serve :9130] [-debug]`)
@@ -103,13 +102,11 @@ func loadSpec(path string) (dist.CampaignSpec, error) {
 	return spec, nil
 }
 
-// cmdPlan prices a campaign: candidate-count bounds and an ns/step-based
-// wall-clock estimate, without executing any engine step.
+// cmdPlan bounds a campaign's generations and candidates without executing
+// any engine step.
 func cmdPlan(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gcssearch plan", flag.ExitOnError)
 	specPath := fs.String("spec", "", "campaign spec file (required)")
-	bench := fs.String("bench", "BENCH_perf.json", "perf snapshot supplying the ns/step cost model")
-	workers := fs.Int("workers", 1, "planned evaluator count (for the parallel estimate)")
 	jsonOut := fs.Bool("json", false, "emit the plan as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -118,7 +115,7 @@ func cmdPlan(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	plan, err := dist.PlanCampaign(spec, perf.LoadCostModel(*bench), *workers)
+	plan, err := dist.PlanCampaign(spec)
 	if err != nil {
 		return err
 	}

@@ -3,80 +3,62 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"gcs/internal/dist"
 )
 
 const exampleSpec = "../../examples/campaign_e13_long.json"
 
-// writeSnapshot writes a one-measurement perf snapshot pricing the cached
-// search at 1000 ns/step.
-func writeSnapshot(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "BENCH_perf.json")
-	if err := os.WriteFile(path, []byte(`[{"name":"SearchPrefixCached/E13","ns_per_step":1000}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestPlanExample: `plan` prices the committed example campaign from the
-// snapshot's one ns/step, in text and as JSON that decodes into dist.Plan.
+// TestPlanExample: `plan` bounds the committed example campaign with exact
+// counts only, in text and as JSON that decodes into dist.Plan.
 func TestPlanExample(t *testing.T) {
-	bench := writeSnapshot(t)
 	var text bytes.Buffer
-	if err := cmdPlan([]string{"-spec", exampleSpec, "-bench", bench, "-workers", "4"}, &text); err != nil {
+	if err := cmdPlan([]string{"-spec", exampleSpec}, &text); err != nil {
 		t.Fatal(err)
 	}
 	out := text.String()
-	cells := 0
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "cell ") {
-			cells++
-		}
-	}
-	if cells != 2 {
-		t.Fatalf("got %d cell lines, want 2:\n%s", cells, out)
-	}
-	for _, want := range []string{
-		"total: ≤ 338 candidates, ~108836 engine steps\n",
-		"cost model: 1000 ns/step (SearchPrefixCached/E13)\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("plan report lacks %q:\n%s", want, out)
-		}
+	want := "cell 0 two-node d=16        2 nodes, 4 generations, ≤ 169 candidates\n" +
+		"cell 1 two-node d=64        2 nodes, 4 generations, ≤ 169 candidates\n" +
+		"total: ≤ 338 candidates\n"
+	if out != want {
+		t.Fatalf("plan report:\n%s\nwant:\n%s", out, want)
 	}
 
 	var js bytes.Buffer
-	if err := cmdPlan([]string{"-spec", exampleSpec, "-bench", bench, "-json"}, &js); err != nil {
+	if err := cmdPlan([]string{"-spec", exampleSpec, "-json"}, &js); err != nil {
 		t.Fatal(err)
 	}
-	for name, b := range map[string][]byte{"text": text.Bytes(), "json": js.Bytes()} {
-		if bytes.Contains(b, []byte("lane")) {
-			t.Fatalf("%s plan mentions a lane:\n%s", name, b)
-		}
-	}
 	var plan dist.Plan
-	if err := json.Unmarshal(js.Bytes(), &plan); err != nil {
+	dec := json.NewDecoder(&js)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&plan); err != nil {
 		t.Fatalf("-json output does not decode into dist.Plan: %v", err)
 	}
-	if len(plan.Cells) != 2 || plan.MaxCandidates != 338 || plan.EstSteps != 108836 || plan.NsPerStep != 1000 {
+	if len(plan.Cells) != 2 || plan.MaxCandidates != 338 {
 		t.Fatalf("decoded plan = %+v", plan)
+	}
+	for i, cp := range plan.Cells {
+		if got := fmt.Sprint(cp.CandidatesPerGen); got != "[1 56 56 56]" || cp.MaxCandidates != 169 {
+			t.Fatalf("cell %d: candidates per generation %s, max %d", i, got, cp.MaxCandidates)
+		}
 	}
 }
 
 // TestPlanErrors: a missing -spec and an unreadable spec file are errors,
 // not panics.
 func TestPlanErrors(t *testing.T) {
-	bench := writeSnapshot(t)
 	for name, args := range map[string][]string{
-		"missing spec":    {"-bench", bench},
-		"unreadable spec": {"-spec", filepath.Join(t.TempDir(), "missing.json"), "-bench", bench},
+		"missing spec":    nil,
+		"unreadable spec": {"-spec", filepath.Join(t.TempDir(), "missing.json")},
 	} {
 		var out bytes.Buffer
 		if err := cmdPlan(args, &out); err == nil {
@@ -158,5 +140,70 @@ func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := cmdRun(nil, &out); err == nil {
 		t.Fatalf("want an error, got report:\n%s", out.String())
+	}
+}
+
+// TestWorkerServesAndDrains: `worker` serves the example campaign on a
+// loopback port with the outcome TestRunExample pins, and SIGINT drains it:
+// cmdWorker returns nil and the port stops accepting connections.
+func TestWorkerServesAndDrains(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- cmdWorker([]string{"-listen", addr}) }()
+	// cmdWorker installs its signal handler before it listens, so once the
+	// ping answers, SIGINT drains the worker instead of killing the test.
+	url := "http://" + addr
+	for start := time.Now(); dist.Ping(nil, url) != nil; time.Sleep(10 * time.Millisecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("worker on %s exited before serving: %v", addr, err)
+		default:
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("worker on %s never answered a ping", addr)
+		}
+	}
+
+	// The checks below report with t.Error, so the worker is drained
+	// whatever they find.
+	var text bytes.Buffer
+	if err := cmdRun([]string{"-spec", exampleSpec, "-workers", url}, &text); err != nil {
+		t.Error(err)
+	}
+	out := text.String()
+	for _, want := range []string{
+		"cell 0 two-node d=16:\n  baseline 0, searched worst case 43/3 (candidate 65)\n",
+		"cell 1 two-node d=64:\n  baseline 0, searched worst case 151/3 (candidate 65)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run report lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "  3 rounds, 100 candidates, "); n != 2 {
+		t.Errorf("%d cells report 3 rounds and 100 candidates, want 2:\n%s", n, out)
+	}
+	if n := strings.Count(out, "(1 remote, 0 local)"); n != 8 {
+		t.Errorf("%d of 8 generations ran on the worker:\n%s", n, out)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("cmdWorker after SIGINT: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cmdWorker did not return after SIGINT")
+	}
+	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		conn.Close()
+		t.Fatalf("%s still accepts connections after the drain", addr)
 	}
 }

@@ -363,9 +363,6 @@ func runSearch(protoName, topology string, n int, durStr, rhoStr, advName string
 		fmt.Printf("  rate overrides: none\n")
 	}
 	fmt.Printf("  script: %d scripted delays (replayable via ScriptedAdversary)\n", len(res.Script))
-	for _, note := range res.Notes {
-		fmt.Printf("  note: %s\n", note)
-	}
 	return nil
 }
 

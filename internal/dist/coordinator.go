@@ -100,14 +100,10 @@ func (c *Coordinator) runCell(cell int) (*search.Result, error) {
 		return nil, err
 	}
 	var notes []string
-	sharded := campaign.Shardable() && len(c.Workers) > 0
-	if !campaign.Shardable() && len(c.Workers) > 0 {
-		notes = append(notes, "campaign is not shardable (serial-only base adversary): evaluated entirely on the coordinator")
-	}
 	for !campaign.Done() {
 		start := time.Now()
 		var ev ProgressEvent
-		if sharded {
+		if len(c.Workers) > 0 {
 			ev, err = c.runGenerationSharded(cell, campaign, &notes)
 		} else {
 			ev, err = c.runGenerationLocal(campaign)

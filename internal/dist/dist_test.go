@@ -7,12 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"gcs/internal/obs"
-	"gcs/internal/perf"
 	"gcs/internal/rat"
 	"gcs/internal/search"
 )
@@ -334,12 +335,11 @@ func TestWorkerValidatesSpec(t *testing.T) {
 	}
 }
 
-// TestPlanCampaign: `gcssearch plan` pricing — exact candidate bounds and a
-// ns/step-based wall-clock estimate, no engine constructed.
+// TestPlanCampaign: `gcssearch plan` bounds — exact candidate counts from
+// the move-set arithmetic, no engine constructed.
 func TestPlanCampaign(t *testing.T) {
 	spec := e13LongSpec()
-	model := perf.CostModel{NsPerStep: 2000, Source: "test"}
-	plan, err := PlanCampaign(spec, model, 4)
+	plan, err := PlanCampaign(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,51 +362,61 @@ func TestPlanCampaign(t *testing.T) {
 	if cp.MaxCandidates != 1+spec.Rounds*wantPerGen {
 		t.Fatalf("planned %d max candidates, want %d", cp.MaxCandidates, 1+spec.Rounds*wantPerGen)
 	}
+	if plan.MaxCandidates != cp.MaxCandidates {
+		t.Fatalf("plan total %d, want the one cell's %d", plan.MaxCandidates, cp.MaxCandidates)
+	}
 	// The bound must actually bound: the real run evaluates fewer (dedup,
 	// early convergence).
 	real := singleProcess(t, spec)
 	if real.Evaluated > cp.MaxCandidates {
 		t.Fatalf("plan bound %d below real evaluation count %d", cp.MaxCandidates, real.Evaluated)
 	}
-	if plan.EstSteps == 0 || plan.EstSerialNs <= 0 {
-		t.Fatalf("plan has empty cost estimate: %+v", plan)
-	}
-	if plan.EstParallelNs*4 != plan.EstSerialNs {
-		t.Fatalf("parallel estimate %f not serial/4 (%f)", plan.EstParallelNs, plan.EstSerialNs)
-	}
-	if !strings.Contains(plan.Render(), "ns/step") {
-		t.Fatal("plan report does not mention the cost model")
-	}
 }
 
-// TestPlanCampaignLanePricing: the planner has no per-lane prices. Every
-// cell — the two-node midpoint cell the engine runs in the fixed lane and a
-// line cell alike — is priced at the model's one ns/step, and the serial
-// estimate is EstSteps × ns/step.
-func TestPlanCampaignLanePricing(t *testing.T) {
-	spec := e13LongSpec()
-	spec.Cells = append(spec.Cells, CellSpec{Topology: "line", N: 3, Duration: rat.FromInt(4)})
-	model := perf.CostModel{NsPerStep: 500, Source: "SearchPrefixCached/E13"}
-	plan, err := PlanCampaign(spec, model, 1)
+// TestPlanBoundsHoldOnRun drives specs through the Coordinator and holds
+// the plan to every generation it merged: per cell, at most Generations
+// rounds, and round r evaluating at most CandidatesPerGen[r] candidates.
+// The specs are the committed example campaign and an E13 cell with
+// windowed rate surgery, so every term of the per-parent bound is live.
+func TestPlanBoundsHoldOnRun(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "campaign_e13_long.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Cells) != 2 {
-		t.Fatalf("got %d cell plans, want 2", len(plan.Cells))
+	var example CampaignSpec
+	if err := json.Unmarshal(data, &example); err != nil {
+		t.Fatal(err)
 	}
-	for i, cp := range plan.Cells {
-		if cp.NsPerStep != model.NsPerStep || cp.CostSource != model.Source {
-			t.Fatalf("cell %d priced %v ns/step (%s), want the model's %v (%s)", i, cp.NsPerStep, cp.CostSource, model.NsPerStep, model.Source)
+	windows := e13LongSpec()
+	windows.RateWindows = 4
+	for name, spec := range map[string]CampaignSpec{"example": example, "rate-windows": windows} {
+		plan, err := PlanCampaign(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want := float64(plan.EstSteps) * model.NsPerStep; plan.EstSerialNs != want {
-		t.Fatalf("serial estimate %f, want EstSteps × ns/step = %f", plan.EstSerialNs, want)
-	}
-	if plan.EstParallelNs != plan.EstSerialNs {
-		t.Fatalf("one-worker parallel estimate %f differs from serial %f", plan.EstParallelNs, plan.EstSerialNs)
-	}
-	if strings.Contains(plan.Render(), "lane") {
-		t.Fatal("plan report still shows a per-cell lane")
+		var events []ProgressEvent
+		coord := &Coordinator{Spec: spec, Progress: func(ev ProgressEvent) { events = append(events, ev) }}
+		if _, err := coord.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rounds := make([]int, len(plan.Cells))
+		for _, ev := range events {
+			cp := plan.Cells[ev.Cell]
+			rounds[ev.Cell]++
+			if ev.Round >= cp.Generations {
+				t.Errorf("%s cell %d: round %d beyond the planned %d generations", name, ev.Cell, ev.Round, cp.Generations)
+				continue
+			}
+			if ev.Candidates > cp.CandidatesPerGen[ev.Round] {
+				t.Errorf("%s cell %d round %d: %d candidates, plan bound %d",
+					name, ev.Cell, ev.Round, ev.Candidates, cp.CandidatesPerGen[ev.Round])
+			}
+		}
+		for i, cp := range plan.Cells {
+			if rounds[i] == 0 || rounds[i] > cp.Generations {
+				t.Errorf("%s cell %d: %d rounds merged, plan bound %d", name, i, rounds[i], cp.Generations)
+			}
+		}
 	}
 }
 

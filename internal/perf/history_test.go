@@ -1,48 +1,10 @@
 package perf
 
 import (
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
-
-func TestNewCostModelPrefersSearchWorkload(t *testing.T) {
-	ms := []Measurement{
-		{Name: "EngineStream/dur=32", NsPerStep: 4000},
-		{Name: "SearchEndToEnd/E13", NsPerStep: 1700},
-		{Name: "SearchPrefixCached/E13", NsPerStep: 1500},
-	}
-	m := NewCostModel(ms)
-	if m.NsPerStep != 1500 || m.Source != "SearchPrefixCached/E13" {
-		t.Fatalf("got %+v, want the prefix-cached search measurement", m)
-	}
-	// Zero ns/step measurements are skipped, falling through the preference
-	// order.
-	ms[2].NsPerStep = 0
-	if m = NewCostModel(ms); m.Source != "SearchEndToEnd/E13" {
-		t.Fatalf("got %+v, want fallthrough to SearchEndToEnd", m)
-	}
-	if m = NewCostModel(nil); m.NsPerStep != DefaultNsPerStep || m.Source != "default" {
-		t.Fatalf("empty snapshot must yield the default model, got %+v", m)
-	}
-}
-
-func TestLoadCostModelDegradesGracefully(t *testing.T) {
-	m := LoadCostModel(filepath.Join(t.TempDir(), "missing.json"))
-	if m.NsPerStep != DefaultNsPerStep || m.Source != "default" {
-		t.Fatalf("missing snapshot must price with the default model, got %+v", m)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_perf.json")
-	snapshot := `[{"name": "EngineStream/dur=32", "ns_per_step": 4200.5}]`
-	if err := os.WriteFile(path, []byte(snapshot), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if m = LoadCostModel(path); m.NsPerStep != 4200.5 || m.Source != "EngineStream/dur=32" {
-		t.Fatalf("got %+v, want the snapshot's EngineStream figure", m)
-	}
-}
 
 func TestHistoryRoundTrip(t *testing.T) {
 	h, err := ParseHistory(nil)

@@ -2,6 +2,8 @@ package perf
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -141,26 +143,52 @@ func TestGateCompareMedian(t *testing.T) {
 	}
 }
 
-// TestMeasureEngineStream smoke-tests the in-process snapshot path on the
-// cheapest gated workload: per-step figures must derive consistently from
-// the per-op ones.
-func TestMeasureEngineStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing workload")
-	}
-	w, err := engineStreamWorkload(32)
+// TestCommittedSnapshotReportsSteps: BENCH_perf.txt, the committed raw
+// `make bench-perf` run, holds every benchmark the Makefile's GATED_BENCH
+// names and nothing else, and every line carries the ns/op, allocs/op and
+// steps/op a reader divides to get ns/step and allocs/step.
+func TestCommittedSnapshotReportsSteps(t *testing.T) {
+	makefile, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Measure(w)
-	if m.Name != "EngineStream/dur=32" {
-		t.Fatalf("name = %q", m.Name)
+	m := regexp.MustCompile(`(?m)^GATED_BENCH = (.+)$`).FindSubmatch(makefile)
+	if m == nil {
+		t.Fatal("Makefile defines no GATED_BENCH")
 	}
-	if m.StepsPerOp <= 0 || m.NsPerOp <= 0 {
-		t.Fatalf("non-positive measurement: %+v", m)
+	gated := strings.Split(string(m[1]), "|")
+	f, err := os.Open(filepath.Join("..", "..", "BENCH_perf.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := m.NsPerStep, m.NsPerOp/m.StepsPerOp; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("ns/step %v inconsistent with ns/op %v / steps/op %v", got, m.NsPerOp, m.StepsPerOp)
+	defer f.Close()
+	got, err := ParseBench(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	for name, lines := range got {
+		matched := false
+		for _, g := range gated {
+			if regexp.MustCompile(`^Benchmark` + g + `(/|$)`).MatchString(name) {
+				seen[g], matched = true, true
+			}
+		}
+		if !matched {
+			t.Errorf("%s is not a gated benchmark", name)
+		}
+		for _, l := range lines {
+			for _, unit := range []string{"ns/op", "allocs/op", "steps/op"} {
+				if l.Values[unit] <= 0 {
+					t.Errorf("%s: %s = %v, want > 0", name, unit, l.Values[unit])
+				}
+			}
+		}
+	}
+	for _, g := range gated {
+		if !seen[g] {
+			t.Errorf("gated benchmark %s is missing", g)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // per-round workload of the search loop.
 func benchCandidates(b *testing.B, opt Options) []candidate {
 	b.Helper()
-	if _, err := normalize(&opt); err != nil {
+	if err := normalize(&opt); err != nil {
 		b.Fatal(err)
 	}
 	seedEval := evaluate(opt, candidate{rates: make([]rat.Rat, opt.Net.N())})
@@ -41,7 +41,7 @@ func BenchmarkSearch(b *testing.B) {
 		Rho:            rat.MustFrac(1, 2),
 		DelayMutations: 12,
 	}
-	if _, err := normalize(&opt); err != nil {
+	if err := normalize(&opt); err != nil {
 		b.Fatal(err)
 	}
 	cands := benchCandidates(b, opt)
@@ -126,6 +126,7 @@ func benchSearch(b *testing.B, opt Options) {
 			b.Fatal(err)
 		}
 		sink = res.Script
+		b.ReportMetric(float64(res.EngineSteps), "steps/op")
 		b.ReportMetric(float64(res.EngineSteps)/float64(res.Evaluated), "steps/cand")
 		b.ReportMetric(float64(res.CandidateSteps)/float64(res.Evaluated), "resim-steps/cand")
 	}

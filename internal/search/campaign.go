@@ -191,8 +191,7 @@ func (sr *ShardResult) shardErr() error {
 // worker), Absorb the shard results, and read the merged outcome off
 // Result once Done. Search is exactly this loop with one shard.
 type Campaign struct {
-	opt   Options
-	notes []string
+	opt Options
 
 	pending []candidate
 	round   int // 0 = initial generation (base + seeds)
@@ -215,8 +214,7 @@ type Campaign struct {
 // NewCampaign validates opt, fills defaults, and stages the initial
 // generation: the unmutated base (candidate 0) plus every seed.
 func NewCampaign(opt Options) (*Campaign, error) {
-	notes, err := normalize(&opt)
-	if err != nil {
+	if err := normalize(&opt); err != nil {
 		return nil, err
 	}
 	n := opt.Net.N()
@@ -235,7 +233,6 @@ func NewCampaign(opt Options) (*Campaign, error) {
 	}
 	return &Campaign{
 		opt:     opt,
-		notes:   notes,
 		pending: initial,
 		seen:    seen,
 		nextID:  len(initial),
@@ -258,12 +255,6 @@ func (c *Campaign) Evaluated() int { return c.evaluated }
 // BestValue returns the best objective value merged so far (zero before the
 // first Absorb).
 func (c *Campaign) BestValue() rat.Rat { return c.best.value }
-
-// Shardable reports whether the pending work may be partitioned across
-// evaluators. A stateful, non-cloneable Base forces the serial fallback —
-// one shared adversary instance seeing every run in candidate order — which
-// no shard layout but the trivial one preserves.
-func (c *Campaign) Shardable() bool { return !c.opt.serialEval }
 
 // Generation exports the pending generation in wire form. The export is
 // deterministic: parents are listed in first-reference order and candidates
@@ -320,11 +311,8 @@ func (c *Campaign) EvaluateRange(lo, hi int) (*ShardResult, error) {
 // holds (internal/dist reconstructs it from the campaign spec); Seeds are
 // ignored — the coordinator materialized them into round-zero candidates.
 func EvaluateShard(opt Options, gen *Generation, lo, hi int) (*ShardResult, error) {
-	if _, err := normalize(&opt); err != nil {
+	if err := normalize(&opt); err != nil {
 		return nil, err
-	}
-	if opt.serialEval {
-		return nil, fmt.Errorf("search: base adversary %T is stateful but not cloneable; the serial fallback cannot be sharded", opt.Base)
 	}
 	if gen == nil {
 		return nil, fmt.Errorf("search: nil generation")
@@ -599,6 +587,5 @@ func (c *Campaign) Result() (*Result, error) {
 		Evaluated:      c.evaluated,
 		EngineSteps:    c.engineSteps,
 		CandidateSteps: c.candidateSteps,
-		Notes:          c.notes,
 	}, nil
 }

@@ -34,11 +34,8 @@
 // of the Base's initial state, and a fork inherits Engine.Fork's clone of
 // the trunk tail's state at the fork point — exactly the state a full
 // re-simulation of that candidate would have reached there, preserving the
-// byte-identical-to-resim guarantee. A stateful Base that cannot be cloned
-// is never forked or shared across workers: normalize degrades the whole
-// search to serial full re-simulation on the one shared instance — state
-// carrying across evaluations in candidate order — and says exactly that in
-// Result.Notes.
+// byte-identical-to-resim guarantee. normalize refuses a stateful Base that
+// cannot be cloned.
 package search
 
 import (
@@ -55,20 +52,6 @@ import (
 // events actually dispatched — trunk replays included.
 func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 	results := make([]evaluation, len(cands))
-
-	// Serial fallback (stateful, non-cloneable Base): the single shared tail
-	// instance must see one run at a time, in candidate-index order, so the
-	// outcome is at least deterministic in Options. Its state carries from
-	// each run into the next — see the Options.Base doc and the note
-	// normalize records.
-	if opt.serialEval {
-		var dispatched uint64
-		for i := range cands {
-			results[i] = evaluate(opt, cands[i])
-			dispatched += results[i].cost
-		}
-		return results, dispatched
-	}
 
 	// Partition: delay mutants group by parent log, everything else is
 	// from-scratch work.

@@ -92,18 +92,12 @@ type Options struct {
 	// beyond every candidate script. Default: Midpoint().
 	//
 	// A stateful Base (an adaptive adversary observing the run it schedules)
-	// is supported when it implements engine.StatefulAdversary: every
-	// evaluation then runs against an independent clone of its initial
-	// state, and prefix-cached forks clone the trunk tail's state at the
-	// fork point, so results stay byte-identical to full re-simulation. A
-	// Base that observes the run without being cloneable cannot be forked
-	// or replicated: the search degrades to serial full re-simulation
-	// (DisablePrefixCache, Workers = 1) with the single Base instance
-	// carried through every evaluation in candidate order — deterministic
-	// in Options, but candidate values then depend on the evaluations
-	// before them and Result.Script is not independently replayable
-	// against a fresh adversary. Result.Notes says so; prefer a cloneable
-	// Base.
+	// must implement engine.StatefulAdversary: every evaluation then runs
+	// against an independent clone of its initial state, and prefix-cached
+	// forks clone the trunk tail's state at the fork point, so results stay
+	// byte-identical to full re-simulation. A Base that observes the run
+	// without being cloneable is an error: its candidates could not be
+	// replayed independently.
 	Base engine.Adversary
 
 	// Seeds are additional initial candidates (certified constructions,
@@ -162,11 +156,6 @@ type Options struct {
 	Metrics       *Metrics
 	EngineMetrics *engine.Metrics
 
-	// serialEval forces in-order, single-threaded from-scratch evaluation.
-	// normalize sets it when Base is stateful but not cloneable: the one
-	// shared Base instance must then see candidate runs one at a time, in a
-	// deterministic order.
-	serialEval bool
 	// lane is every engine's lane; cross-lane tests force the LaneRat reference.
 	lane engine.Lane
 }
@@ -215,10 +204,10 @@ type Result struct {
 	// EngineSteps is the prefix-cache speedup.
 	EngineSteps    uint64
 	CandidateSteps uint64
-	// Notes records evaluation-strategy degradations the search applied —
-	// currently the serial from-scratch fallback for a stateful,
-	// non-cloneable Base — so a caller (or a log reader) can see why a run
-	// evaluated slower than configured.
+	// Notes records evaluation-strategy degradations a driver applied — the
+	// distributed coordinator's worker failures and local fallbacks — so a
+	// caller (or a log reader) can see why a run evaluated slower than
+	// configured. Search itself never degrades and leaves it empty.
 	Notes []string
 }
 
@@ -341,20 +330,19 @@ func fullSteps(evals []evaluation) uint64 {
 	return total
 }
 
-// normalize validates opt, fills defaults, and returns notes describing any
-// evaluation-strategy degradation it had to apply.
-func normalize(opt *Options) ([]string, error) {
+// normalize validates opt and fills defaults.
+func normalize(opt *Options) error {
 	if opt.Net == nil {
-		return nil, fmt.Errorf("search: nil network")
+		return fmt.Errorf("search: nil network")
 	}
 	if opt.Protocol == nil {
-		return nil, fmt.Errorf("search: nil protocol")
+		return fmt.Errorf("search: nil protocol")
 	}
 	if opt.Duration.Sign() <= 0 {
-		return nil, fmt.Errorf("search: non-positive duration %s", opt.Duration)
+		return fmt.Errorf("search: non-positive duration %s", opt.Duration)
 	}
 	if opt.Objective == ObjectiveGradientMargin && opt.Gradient == nil {
-		return nil, fmt.Errorf("search: ObjectiveGradientMargin needs a Gradient func")
+		return fmt.Errorf("search: ObjectiveGradientMargin needs a Gradient func")
 	}
 	n := opt.Net.N()
 	if opt.Schedules == nil {
@@ -364,24 +352,27 @@ func normalize(opt *Options) ([]string, error) {
 		}
 	}
 	if len(opt.Schedules) != n {
-		return nil, fmt.Errorf("search: %d schedules for %d nodes", len(opt.Schedules), n)
+		return fmt.Errorf("search: %d schedules for %d nodes", len(opt.Schedules), n)
 	}
 	for _, s := range opt.Seeds {
 		if s.Schedules != nil && len(s.Schedules) != n {
-			return nil, fmt.Errorf("search: seed %q has %d schedules for %d nodes", s.Name, len(s.Schedules), n)
+			return fmt.Errorf("search: seed %q has %d schedules for %d nodes", s.Name, len(s.Schedules), n)
 		}
 	}
 	if opt.MutateTail.Sign() < 0 || opt.MutateTail.Greater(rat.FromInt(1)) {
-		return nil, fmt.Errorf("search: MutateTail %s outside [0, 1]", opt.MutateTail)
+		return fmt.Errorf("search: MutateTail %s outside [0, 1]", opt.MutateTail)
 	}
 	if opt.RateWindows < 0 {
-		return nil, fmt.Errorf("search: negative RateWindows %d", opt.RateWindows)
+		return fmt.Errorf("search: negative RateWindows %d", opt.RateWindows)
 	}
 	if opt.RateWindows > 0 && !opt.DisableRateMutations && opt.Rho.Sign() <= 0 {
-		return nil, fmt.Errorf("search: RateWindows %d with drift bound ρ=%s: windowed rate surgery pins rates to 1−ρ and 1+ρ, which under ρ <= 0 never changes a schedule, so the windows would silently produce no mutants; set Rho > 0, or RateWindows = 0 to disable windowed surgery", opt.RateWindows, opt.Rho)
+		return fmt.Errorf("search: RateWindows %d with drift bound ρ=%s: windowed rate surgery pins rates to 1−ρ and 1+ρ, which under ρ <= 0 never changes a schedule, so the windows would silently produce no mutants; set Rho > 0, or RateWindows = 0 to disable windowed surgery", opt.RateWindows, opt.Rho)
 	}
 	if opt.Base == nil {
 		opt.Base = engine.Midpoint()
+	}
+	if _, ok := engine.CloneAdversaryState(opt.Base); !ok {
+		return fmt.Errorf("search: base adversary %T is stateful but not cloneable (it observes the run without implementing engine.StatefulAdversary), so its candidates could not be forked, evaluated in parallel or replayed independently; implement CloneAdversary", opt.Base)
 	}
 	if opt.Rounds <= 0 {
 		opt.Rounds = 4
@@ -395,35 +386,16 @@ func normalize(opt *Options) ([]string, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	var notes []string
-	if _, ok := engine.CloneAdversaryState(opt.Base); !ok {
-		// The one Base instance cannot be forked or replicated: evaluating
-		// candidates concurrently would race on its state, and forking a
-		// trunk would silently share it across branches. Degrade to serial
-		// full re-simulation. This is deterministic in Options but weaker
-		// than the cloneable path: the shared instance's state carries from
-		// one candidate run into the next, so candidate values depend on
-		// evaluation order and the winning script does not replay
-		// independently — which the note states outright.
-		opt.DisablePrefixCache = true
-		opt.Workers = 1
-		opt.serialEval = true
-		notes = append(notes, fmt.Sprintf(
-			"base adversary %T is stateful but not cloneable (observes the run without implementing engine.StatefulAdversary): prefix caching and parallel evaluation disabled; candidates re-simulated serially with the one shared adversary instance, whose state carries across evaluations in candidate order — deterministic, but Script/Best are not independently replayable; implement CloneAdversary for exact semantics", opt.Base))
-	}
-	return notes, nil
+	return nil
 }
 
 // baseTail returns the tail adversary one evaluation should run against: an
 // independent clone of the Base's initial state when the Base is stateful,
-// the Base itself when stateless. On the serial fallback path (stateful,
-// not cloneable) the shared instance is returned — evaluations are then
-// strictly sequential.
+// the Base itself when stateless. normalize has refused any Base that cannot
+// be cloned.
 func baseTail(opt Options) engine.Adversary {
-	if tail, ok := engine.CloneAdversaryState(opt.Base); ok {
-		return tail
-	}
-	return opt.Base
+	tail, _ := engine.CloneAdversaryState(opt.Base)
+	return tail
 }
 
 // effectiveScheds materializes the hardware schedules a candidate runs

@@ -3,6 +3,7 @@ package search
 import (
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -16,9 +17,6 @@ func runSharded(t *testing.T, opt Options, shards int) *Result {
 	c, err := NewCampaign(opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.Shardable() {
-		t.Fatal("campaign unexpectedly not shardable")
 	}
 	for !c.Done() {
 		data, err := json.Marshal(c.Generation())
@@ -142,38 +140,20 @@ func TestShardCandidateStepsInvariant(t *testing.T) {
 }
 
 // TestEvaluateShardRejectsSerialBase: a stateful, non-cloneable Base cannot
-// be sharded — the serial fallback needs the one shared instance to see
-// every run — and EvaluateShard must refuse rather than silently diverge.
+// be forked, replicated or replayed, so neither the coordinator's Campaign
+// nor a worker's EvaluateShard accepts it.
 func TestEvaluateShardRejectsSerialBase(t *testing.T) {
 	opt := lineOpts(t, 3, 0)
-	opt.Base = &pollingAdversary{}
 	c, err := NewCampaign(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Shardable() {
-		t.Fatal("non-cloneable stateful base reported shardable")
+	opt.Base = &pollingAdversary{}
+	if _, err := NewCampaign(opt); err == nil || !strings.Contains(err.Error(), "not cloneable") {
+		t.Fatalf("NewCampaign with a non-cloneable base: err = %v", err)
 	}
-	if _, err := EvaluateShard(opt, c.Generation(), 0, c.NumPending()); err == nil {
-		t.Fatal("EvaluateShard accepted a serial-only campaign")
-	}
-	// The local whole-pool path still works — that is the coordinator's
-	// degradation for unshardable campaigns.
-	for !c.Done() {
-		sr, err := c.EvaluateRange(0, c.NumPending())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Absorb([]*ShardResult{sr}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := c.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Notes) == 0 {
-		t.Fatal("serial fallback left no note")
+	if _, err := EvaluateShard(opt, c.Generation(), 0, c.NumPending()); err == nil || !strings.Contains(err.Error(), "not cloneable") {
+		t.Fatalf("EvaluateShard with a non-cloneable base: err = %v", err)
 	}
 }
 
