@@ -22,10 +22,12 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 
-# One pass over every benchmark: regenerates each experiment's headline
-# metric plus the streaming-vs-recorded engine comparison.
+# One iteration of every benchmark in every package, gated or not: each
+# experiment's headline metric, the engine and search benchmarks, and the rat
+# microbenchmarks. The CI test job runs it, so a benchmark that stops
+# building or starts to b.Fatal fails there instead of going unseen.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Machine-readable experiment snapshots for trend tracking: the standard
 # suite (which already embeds the E14 smoke table), the E13 -long scale

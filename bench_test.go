@@ -1,6 +1,6 @@
 package gcs
 
-// One benchmark per experiment in the reproduction index (DESIGN.md §4).
+// One benchmark per experiment in the README's "Experiment index".
 // The paper has no measurement tables — its evaluation is its constructions —
 // so each benchmark executes the corresponding construction/scenario and
 // reports the headline quantity via b.ReportMetric, making `go test -bench`
@@ -199,8 +199,8 @@ func BenchmarkSimThroughput(b *testing.B) {
 }
 
 // BenchmarkGradientAblation sweeps the gradient protocol's threshold — the
-// design choice DESIGN.md §5 flags — and reports the local skew each value
-// yields on the standard drifting line.
+// design knob E9 ablates (README "Experiment index") — and reports the local
+// skew each value yields on the standard drifting line.
 func BenchmarkGradientAblation(b *testing.B) {
 	for _, th := range []int64{1, 2, 4} {
 		th := th

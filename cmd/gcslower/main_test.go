@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestConstructions(t *testing.T) {
 	cases := []struct {
@@ -35,5 +38,25 @@ func TestConstructionErrors(t *testing.T) {
 	}
 	if err := run("theorem", "null", 0, 0, 1, 1); err == nil {
 		t.Error("branch 1 should error")
+	}
+}
+
+// TestOversizedNetworkRejected: constructions whose network is past the
+// node cap fail with an error naming the cap instead of running out of
+// memory. Branch 2 over 20 rounds passes MainTheorem's own 2²⁰ guard.
+func TestOversizedNetworkRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name, construction string
+		n                  int
+		branch             int64
+		rounds             int
+	}{
+		{"addskew", "addskew", 100000, 0, 0},
+		{"theorem", "theorem", 0, 2, 20},
+	} {
+		err := run(tc.construction, "max-gossip", 8, tc.n, tc.branch, tc.rounds)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+			t.Errorf("%s: error %v, want the network node cap", tc.name, err)
+		}
 	}
 }

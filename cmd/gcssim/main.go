@@ -98,11 +98,7 @@ func buildNetwork(topology string, n int, seed uint64) (*network.Network, error)
 	case "ring":
 		return network.Ring(n)
 	case "grid":
-		side := 1
-		for (side+1)*(side+1) <= n {
-			side++
-		}
-		return network.Grid2D(side, side)
+		return network.SquareGrid(n)
 	case "star":
 		return network.Star(n, rat.FromInt(1))
 	case "complete":

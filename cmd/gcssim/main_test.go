@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunHappyPaths(t *testing.T) {
 	cases := []struct {
@@ -54,6 +57,17 @@ func TestRunErrors(t *testing.T) {
 				t.Fatal("expected error")
 			}
 		})
+	}
+}
+
+// TestRunRejectsOversizedNetwork: a node count past the network cap is an
+// error naming the cap, recorded or streamed, not an out-of-memory crash.
+func TestRunRejectsOversizedNetwork(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		err := run("gradient", "line", 100000, "1", "1/2", "midpoint", 1, true, false, false, stream, false, "0")
+		if err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+			t.Errorf("stream=%v: error %v, want the network node cap", stream, err)
+		}
 	}
 }
 

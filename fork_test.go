@@ -60,12 +60,12 @@ func execEqual(t *testing.T, label string, a, b *gcs.Execution) {
 	if len(a.Ledger) != len(b.Ledger) {
 		t.Fatalf("%s: %d ledger entries vs %d", label, len(a.Ledger), len(b.Ledger))
 	}
-	for k, x := range a.Ledger {
-		y, ok := b.Ledger[k]
-		if !ok || x.Delivered != y.Delivered || x.Dropped != y.Dropped || x.Payload != y.Payload ||
+	for i := range a.Ledger {
+		x, y := &a.Ledger[i], &b.Ledger[i]
+		if x.Key != y.Key || x.Delivered != y.Delivered || x.Dropped != y.Dropped ||
 			!x.SendReal.Equal(y.SendReal) || !x.Delay.Equal(y.Delay) ||
 			(x.Delivered && !x.RecvReal.Equal(y.RecvReal)) {
-			t.Fatalf("%s: ledger %v differs: %+v vs %+v (present=%v)", label, k, x, y, ok)
+			t.Fatalf("%s: ledger entry %d differs: %+v vs %+v", label, i, *x, *y)
 		}
 	}
 }

@@ -72,10 +72,10 @@ func TestIntegrationSweep(t *testing.T) {
 					}
 					// Ledger/action cross-consistency.
 					delivered := 0
-					for key, rec := range exec.Ledger {
-						d := net.Dist(key.From, key.To)
+					for _, rec := range exec.Ledger {
+						d := net.Dist(rec.Key.From, rec.Key.To)
 						if rec.Delay.Sign() < 0 || rec.Delay.Greater(d) {
-							t.Fatalf("message %v delay %s outside [0, %s]", key, rec.Delay, d)
+							t.Fatalf("message %v delay %s outside [0, %s]", rec.Key, rec.Delay, d)
 						}
 						if rec.Delivered {
 							delivered++

@@ -174,9 +174,9 @@ func TestRBSOnStar(t *testing.T) {
 		t.Errorf("RBS worst skew %s too large", worst.Skew)
 	}
 	// Only the beacon sends pulses.
-	for key := range exec.Ledger {
-		if key.From != 0 {
-			t.Errorf("non-beacon node %d sent a message", key.From)
+	for _, rec := range exec.Ledger {
+		if rec.Key.From != 0 {
+			t.Errorf("non-beacon node %d sent a message", rec.Key.From)
 		}
 	}
 }

@@ -32,7 +32,6 @@ func synthExec(t *testing.T, logical []*piecewise.PLF, dur rat.Rat) *trace.Execu
 		Duration:  dur,
 		Logical:   logical,
 		Hardware:  hw,
-		Ledger:    map[trace.MsgKey]trace.MsgRecord{},
 		PerNode:   make([][]int, len(logical)),
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gcs/internal/network"
 	"gcs/internal/obs"
 	"gcs/internal/rat"
 	"gcs/internal/search"
@@ -433,7 +434,7 @@ func invalidSpecs() []CampaignSpec {
 		{Protocol: "gradient", Objective: "nope", Cells: []CellSpec{{Topology: "line", N: 3, Duration: rat.FromInt(4)}}},
 		{Protocol: "gradient", Cells: []CellSpec{{Topology: "two-node", Duration: rat.FromInt(4)}}},
 		{Protocol: "gradient", Cells: []CellSpec{{Topology: "line", N: 1000000, Duration: rat.FromInt(4)}}},
-		{Protocol: "gradient", Cells: []CellSpec{{Topology: "complete", N: maxCellNodes + 1, Duration: rat.FromInt(4)}}},
+		{Protocol: "gradient", Cells: []CellSpec{{Topology: "complete", N: network.MaxNodes + 1, Duration: rat.FromInt(4)}}},
 		{Protocol: "gradient", Rounds: maxRounds + 1, Cells: []CellSpec{{Topology: "line", N: 3, Duration: rat.FromInt(4)}}},
 	}
 }

@@ -58,30 +58,20 @@ func (c CellSpec) Label() string {
 	return fmt.Sprintf("%s n=%d", c.Topology, c.N)
 }
 
-// Input caps for remote specs. A network holds a dense n×n distance matrix,
-// so 1,024 nodes is about 25 MB; the planner keeps one bound per round.
-const (
-	maxCellNodes = 1024
-	maxRounds    = 1024
-)
+// maxRounds caps a remote spec's round budget: the planner keeps one bound
+// per round. The node count is capped by network.MaxNodes.
+const maxRounds = 1024
 
 // Network rebuilds the cell's network. Deterministic in the spec alone:
 // coordinator and workers agree on the topology by construction.
 func (c CellSpec) Network() (*network.Network, error) {
-	if c.N > maxCellNodes {
-		return nil, fmt.Errorf("dist: %d nodes exceeds the cap of %d", c.N, maxCellNodes)
-	}
 	switch c.Topology {
 	case "line":
 		return network.Line(c.N)
 	case "ring":
 		return network.Ring(c.N)
 	case "grid":
-		side := 1
-		for (side+1)*(side+1) <= c.N {
-			side++
-		}
-		return network.Grid2D(side, side)
+		return network.SquareGrid(c.N)
 	case "star":
 		return network.Star(c.N, c.edge())
 	case "complete":

@@ -136,8 +136,8 @@ func TestQuickLedgerConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for key, rec := range exec.Ledger {
-			d := net.Dist(key.From, key.To)
+		for _, rec := range exec.Ledger {
+			d := net.Dist(rec.Key.From, rec.Key.To)
 			if rec.Delay.Sign() < 0 || rec.Delay.Greater(d) {
 				return false
 			}
@@ -151,7 +151,7 @@ func TestQuickLedgerConsistent(t *testing.T) {
 				continue
 			}
 			recvs++
-			rec, ok := exec.Ledger[trace.MsgKey{From: a.Peer, To: a.Node, Seq: a.MsgSeq}]
+			rec, ok := ledgerRecord(exec, trace.MsgKey{From: a.Peer, To: a.Node, Seq: a.MsgSeq})
 			if !ok || !rec.Delivered || !rec.RecvReal.Equal(a.Real) {
 				return false
 			}

@@ -154,6 +154,10 @@ type Config struct {
 	Protocol  Protocol
 	Duration  rat.Rat
 	Rho       rat.Rat // drift bound ρ; exposed to algorithms, validates schedules
+	// SizeHint sizes Run's recorder up front, typically from the Size of
+	// the execution this run replays. It sets capacities only: results
+	// never depend on it, and the zero Size means no hint.
+	SizeHint trace.Size
 }
 
 // Engine is an incremental simulation: an event queue over a fixed network,
@@ -504,7 +508,6 @@ func (e *Engine) dispatch(ev *event) {
 				SendReal:  ev.sendReal,
 				RecvReal:  ev.time,
 				Delay:     ev.delay,
-				Payload:   payload,
 				Delivered: true,
 			}
 			if e.advObs != nil {
@@ -545,8 +548,8 @@ func (e *Engine) Execution(rec *trace.Recorder) (*trace.Execution, error) {
 }
 
 // Run executes a batch configuration and returns its recorded trace: it
-// builds an Engine, attaches a trace.Recorder, drives the run to
-// cfg.Duration, and compiles the Execution.
+// builds an Engine, attaches a trace.Recorder sized by cfg.SizeHint, drives
+// the run to cfg.Duration, and compiles the Execution.
 func Run(cfg Config) (*trace.Execution, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("engine: nil network")
@@ -569,7 +572,7 @@ func Run(cfg Config) (*trace.Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := trace.NewRecorder(cfg.Net.N())
+	rec := trace.NewSizedRecorder(cfg.Net.N(), cfg.SizeHint)
 	eng.Observe(rec)
 	if err := eng.RunUntil(cfg.Duration); err != nil {
 		return nil, err

@@ -10,6 +10,16 @@ import (
 	"gcs/internal/trace"
 )
 
+// ledgerRecord returns the ledger record of the message with the given key.
+func ledgerRecord(exec *trace.Execution, key trace.MsgKey) (trace.MsgRecord, bool) {
+	for _, rec := range exec.Ledger {
+		if rec.Key == key {
+			return rec, true
+		}
+	}
+	return trace.MsgRecord{}, false
+}
+
 func twoNodeConfig(t *testing.T, sched0, sched1 *clock.Schedule, adv Adversary, dur rat.Rat) Config {
 	t.Helper()
 	net, err := network.TwoNode(ri(2))
@@ -233,11 +243,11 @@ func TestScriptedAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := exec.Ledger[trace.MsgKey{From: 0, To: 1, Seq: 0}]
+	rec, _ := ledgerRecord(exec, trace.MsgKey{From: 0, To: 1, Seq: 0})
 	if !rec.Delay.Equal(rf(3, 2)) {
 		t.Errorf("scripted delay = %s, want 3/2", rec.Delay)
 	}
-	rec = exec.Ledger[trace.MsgKey{From: 0, To: 1, Seq: 1}]
+	rec, _ = ledgerRecord(exec, trace.MsgKey{From: 0, To: 1, Seq: 1})
 	if !rec.Delay.Equal(ri(1)) {
 		t.Errorf("fallback delay = %s, want 1", rec.Delay)
 	}
@@ -378,7 +388,7 @@ func TestLongDistanceSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := exec.Ledger[trace.MsgKey{From: 0, To: 4, Seq: 0}]
+	rec, ok := ledgerRecord(exec, trace.MsgKey{From: 0, To: 4, Seq: 0})
 	if !ok {
 		t.Fatal("long-distance message missing from ledger")
 	}

@@ -95,11 +95,9 @@ func (rt *Runtime) Send(to int, msg Message) {
 			e.met.Dropped.Inc()
 		}
 		if e.observed() {
-			payload := msg.MsgString()
 			rec := trace.MsgRecord{
 				Key:      trace.MsgKey{From: rt.id, To: to, Seq: seq},
 				SendReal: e.now,
-				Payload:  payload,
 				Dropped:  true,
 			}
 			if e.advObs != nil {
@@ -109,7 +107,7 @@ func (rt *Runtime) Send(to int, msg Message) {
 				o.OnSend(rec)
 			}
 			e.emitAction(trace.Action{Node: rt.id, Kind: trace.KindSend, Real: e.now,
-				HW: rt.hwNow, Peer: to, MsgSeq: seq, Payload: payload})
+				HW: rt.hwNow, Peer: to, MsgSeq: seq, Payload: msg.MsgString()})
 		}
 		return
 	}
@@ -160,14 +158,13 @@ func (rt *Runtime) Send(to int, msg Message) {
 	var payload string
 	hasStr := e.observed()
 	if hasStr {
-		// Canonicalize once: the delivery record at dispatch reuses this
-		// string instead of calling MsgString a second time.
+		// Canonicalize once: the Recv action at dispatch reuses this string
+		// instead of calling MsgString a second time.
 		payload = msg.MsgString()
 		rec := trace.MsgRecord{
 			Key:      trace.MsgKey{From: rt.id, To: to, Seq: seq},
 			SendReal: e.now,
 			Delay:    delay,
-			Payload:  payload,
 		}
 		if e.advObs != nil {
 			e.advObs.OnSend(rec)

@@ -12,7 +12,8 @@ import (
 	"gcs/internal/rat"
 )
 
-// E9Options configures the design-choice ablations (DESIGN.md §5).
+// E9Options configures the design-choice ablations (E9 in the README's
+// "Experiment index").
 type E9Options struct {
 	N        int
 	Duration rat.Rat
@@ -65,7 +66,7 @@ type E9CapRow struct {
 	Global  rat.Rat
 }
 
-// E9Ablations sweeps the two design knobs DESIGN.md calls out:
+// E9Ablations sweeps the two design knobs E9 covers:
 //
 //  1. the gradient protocol's (threshold, fast-multiplier): lower thresholds
 //     buy tighter local skew at the cost of more mode switches; the fast

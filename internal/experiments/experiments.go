@@ -4,7 +4,7 @@
 // reports the certified quantities, or measures the behavior the paper
 // describes qualitatively (gradient profiles, application-level effects).
 //
-// Experiment index (see DESIGN.md §4 and EXPERIMENTS.md):
+// Experiment index (the README's "Experiment index" has the same table):
 //
 //	E1  §5 claim 1      Ω(d) shift bound, per algorithm and distance
 //	E2  Lemma 6.1       Add Skew gain vs the guaranteed (x_J−x_I)/12

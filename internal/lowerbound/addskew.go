@@ -157,7 +157,9 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 	script := make(map[trace.MsgKey]rat.Rat, len(in.Alpha.Ledger))
 	inFlight := make(map[trace.MsgKey]bool)
 	var bad firstViolation
-	for key, rec := range in.Alpha.Ledger {
+	for i := range in.Alpha.Ledger {
+		rec := &in.Alpha.Ledger[i]
+		key := rec.Key
 		sendB := remap(rec.SendReal, tk[key.From], gamma)
 		if !rec.Delivered {
 			// In flight at ℓ(α): keep it in flight in β by assigning the
@@ -183,6 +185,7 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 	betaCfg.Schedules = scheds
 	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}
 	betaCfg.Duration = tPrime
+	betaCfg.SizeHint = in.Alpha.Size()
 
 	beta, err := engine.Run(betaCfg)
 	if err != nil {
@@ -235,9 +238,9 @@ func (failingAdversary) Delay(int, int, uint64, rat.Rat, rat.Rat) rat.Rat {
 	return rat.FromInt(-1)
 }
 
-// firstViolation keeps, of the violations noted while ranging over a ledger
-// map, the one with the smallest (From, To, Seq) key. The reported error then
-// does not depend on the map's iteration order. The zero value holds none.
+// firstViolation keeps, of the violations noted while ranging over a ledger,
+// the one with the smallest (From, To, Seq) key. The reported error then
+// does not depend on the ledger's order. The zero value holds none.
 type firstViolation struct {
 	key trace.MsgKey
 	err error

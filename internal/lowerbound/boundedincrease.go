@@ -85,7 +85,9 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 	// Precondition 2: node I's delivered message delays within [d/4, 3d/4].
 	quarter, threeQ := rat.MustFrac(1, 4), rat.MustFrac(3, 4)
 	var bad firstViolation
-	for key, rec := range alpha.Ledger {
+	for i := range alpha.Ledger {
+		rec := &alpha.Ledger[i]
+		key := rec.Key
 		if (key.From != in.I && key.To != in.I) || !rec.Delivered {
 			continue
 		}
@@ -142,7 +144,9 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 	// Scripted delays: identical for messages not involving I; remapped send
 	// (From = I) or receive (To = I) times otherwise.
 	script := make(map[trace.MsgKey]rat.Rat, len(alpha.Ledger))
-	for key, rec := range alpha.Ledger {
+	for i := range alpha.Ledger {
+		rec := &alpha.Ledger[i]
+		key := rec.Key
 		switch {
 		case !rec.Delivered:
 			// In flight at ℓ(α): keep it in flight.
@@ -173,6 +177,7 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 	betaCfg.Schedules = scheds
 	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}
 	betaCfg.Duration = horizon
+	betaCfg.SizeHint = alpha.Size()
 
 	beta, err := engine.Run(betaCfg)
 	if err != nil {

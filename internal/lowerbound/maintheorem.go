@@ -170,7 +170,9 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 		// delivered in α but pushed past T' by the remap (they land inside
 		// the slack); fresh messages get midpoint delays.
 		script := make(map[trace.MsgKey]rat.Rat, len(as.Beta.Ledger))
-		for key, rec := range as.Beta.Ledger {
+		for i := range as.Beta.Ledger {
+			rec := &as.Beta.Ledger[i]
+			key := rec.Key
 			switch {
 			case rec.Delivered:
 				script[key] = rec.Delay
@@ -187,6 +189,7 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 			Protocol:  in.Protocol,
 			Duration:  extDur,
 			Rho:       p.Rho,
+			SizeHint:  as.Beta.Size(),
 		}
 		next, err := engine.Run(nextCfg)
 		if err != nil {

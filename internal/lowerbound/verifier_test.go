@@ -1,6 +1,7 @@
 package lowerbound
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -40,18 +41,14 @@ func TestVerifierCatchesCorruptedScript(t *testing.T) {
 	if !ok {
 		t.Fatal("β adversary is not scripted")
 	}
-	corrupted := make(map[trace.MsgKey]rat.Rat, len(scripted.Delays))
+	corrupted := maps.Clone(scripted.Delays)
 	var victim trace.MsgKey
 	found := false
-	for key, d := range scripted.Delays {
-		corrupted[key] = d
-		// Pick a delivered mid-run message between adjacent nodes.
-		if !found {
-			if rec, ok := alpha.Ledger[key]; ok && rec.Delivered &&
-				rec.RecvReal.Greater(ri(2)) && rec.RecvReal.Less(res.TPrime) {
-				victim = key
-				found = true
-			}
+	// Pick the first delivered mid-run message, in send order.
+	for _, rec := range alpha.Ledger {
+		if rec.Delivered && rec.RecvReal.Greater(ri(2)) && rec.RecvReal.Less(res.TPrime) {
+			victim, found = rec.Key, true
+			break
 		}
 	}
 	if !found {
@@ -111,7 +108,7 @@ func TestVerifierCatchesWrongSchedule(t *testing.T) {
 // TestLedgerViolationsReportSmallestKey plants several violating messages in
 // α's ledger: Add Skew's negative-remapped-delay check and Bounded
 // Increase's delay precondition must name the smallest (From, To, Seq) key
-// on every call, whatever order the ledger map yields.
+// on every call, not the first one in the ledger's send order.
 func TestLedgerViolationsReportSmallestKey(t *testing.T) {
 	p := DefaultParams()
 	proto := algorithms.MaxGossip(ri(1))
@@ -123,7 +120,7 @@ func TestLedgerViolationsReportSmallestKey(t *testing.T) {
 	// and before they were sent: each sender speeds up no earlier than its
 	// receiver, so every remapped delay is negative.
 	for _, key := range []trace.MsgKey{mk(2, 1, 1000), mk(2, 0, 1003), mk(1, 0, 1002), mk(1, 0, 1001), mk(3, 0, 1000)} {
-		alpha.Ledger[key] = trace.MsgRecord{Key: key, SendReal: T.Add(ri(2)), RecvReal: T.Add(ri(1)), Delivered: true}
+		alpha.Ledger = append(alpha.Ledger, trace.MsgRecord{Key: key, SendReal: T.Add(ri(2)), RecvReal: T.Add(ri(1)), Delivered: true})
 	}
 	positions := make([]rat.Rat, n)
 	for k := range positions {
@@ -145,7 +142,7 @@ func TestLedgerViolationsReportSmallestKey(t *testing.T) {
 
 	cfg, alpha = lineAlpha(t, proto, n, ri(20), p)
 	for _, key := range []trace.MsgKey{mk(2, 3, 1000), mk(1, 2, 1001), mk(2, 1, 1000), mk(3, 2, 999)} {
-		alpha.Ledger[key] = trace.MsgRecord{Key: key, SendReal: ri(5), RecvReal: ri(5), Delivered: true}
+		alpha.Ledger = append(alpha.Ledger, trace.MsgRecord{Key: key, SendReal: ri(5), RecvReal: ri(5), Delivered: true})
 	}
 	want := "lowerbound: bounded-increase precondition (delays): message {1 2 1001} delay 0 outside [d/4, 3d/4]"
 	for run := 0; run < 20; run++ {

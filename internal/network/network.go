@@ -20,6 +20,28 @@ import (
 	"gcs/internal/rat"
 )
 
+// MaxNodes caps the size of every network. A network holds a dense n×n
+// distance matrix, so 1,024 nodes is about 25 MB; New and every generator
+// refuse a larger network before allocating it.
+const MaxNodes = 1024
+
+// checkNodes rejects a node count above MaxNodes.
+func checkNodes(n int) error {
+	if n > MaxNodes {
+		return fmt.Errorf("network: %d nodes exceeds the cap of %d", n, MaxNodes)
+	}
+	return nil
+}
+
+// checkGrid rejects a w×h grid-like network (kind names it) with more than
+// MaxNodes nodes, without overflowing w·h. w and h must be positive.
+func checkGrid(kind string, w, h int) error {
+	if w > MaxNodes/h {
+		return fmt.Errorf("network: %dx%d %s exceeds the cap of %d nodes", w, h, kind, MaxNodes)
+	}
+	return nil
+}
+
 // Network is an immutable set of nodes with pairwise distances (message
 // delay uncertainties) and a gossip adjacency.
 type Network struct {
@@ -31,11 +53,15 @@ type Network struct {
 
 // New builds a network from an explicit distance matrix and adjacency.
 // The matrix must be square, symmetric, zero on the diagonal, and >= 1 off
-// the diagonal (the paper's unit-distance normalization).
+// the diagonal (the paper's unit-distance normalization), with at most
+// MaxNodes rows.
 func New(name string, dist [][]rat.Rat, neighbors [][]int) (*Network, error) {
 	n := len(dist)
 	if n < 2 {
 		return nil, fmt.Errorf("network: need at least 2 nodes, got %d", n)
+	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
 	if len(neighbors) != n {
 		return nil, fmt.Errorf("network: adjacency size %d != %d nodes", len(neighbors), n)
@@ -110,6 +136,9 @@ func Line(n int) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("network: line needs >= 2 nodes, got %d", n)
 	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
+	}
 	dist := make([][]rat.Rat, n)
 	neighbors := make([][]int, n)
 	for i := range dist {
@@ -151,6 +180,9 @@ func Complete(n int, d rat.Rat) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("network: complete needs >= 2 nodes, got %d", n)
 	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
+	}
 	if d.Less(rat.FromInt(1)) {
 		return nil, fmt.Errorf("network: complete distance %s < 1", d)
 	}
@@ -173,6 +205,9 @@ func Complete(n int, d rat.Rat) (*Network, error) {
 func Ring(n int) (*Network, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("network: ring needs >= 3 nodes, got %d", n)
+	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
 	dist := make([][]rat.Rat, n)
 	neighbors := make([][]int, n)
@@ -201,6 +236,9 @@ func Grid2D(w, h int) (*Network, error) {
 	// instead of silently collapsing.
 	if w < 2 || h < 2 {
 		return nil, fmt.Errorf("network: grid needs width and height >= 2, got %dx%d", w, h)
+	}
+	if err := checkGrid("grid", w, h); err != nil {
+		return nil, err
 	}
 	n := w * h
 	dist := make([][]rat.Rat, n)
@@ -235,12 +273,28 @@ func Grid2D(w, h int) (*Network, error) {
 	return New(fmt.Sprintf("grid-%dx%d", w, h), dist, neighbors)
 }
 
+// SquareGrid returns the largest square grid with at most n nodes, of side
+// ⌊√n⌋: n = 10 gives the 3×3 grid, and n < 4 or n > MaxNodes is an error.
+func SquareGrid(n int) (*Network, error) {
+	if err := checkNodes(n); err != nil {
+		return nil, err
+	}
+	side := 1
+	for (side+1)*(side+1) <= n {
+		side++
+	}
+	return Grid2D(side, side)
+}
+
 // Star returns a star network: node 0 is the hub at distance d from every
 // leaf; leaves are at distance 2d from each other. Used to model RBS-style
 // beacon topologies (hub = beacon).
 func Star(n int, d rat.Rat) (*Network, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("network: star needs >= 3 nodes, got %d", n)
+	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
 	if d.Less(rat.FromInt(1)) {
 		return nil, fmt.Errorf("network: star distance %s < 1", d)
@@ -278,6 +332,9 @@ func Star(n int, d rat.Rat) (*Network, error) {
 func RandomGeometric(n int, side int64, connectRadius float64, seed int64) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("network: random geometric needs >= 2 nodes, got %d", n)
+	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	xs := make([]float64, n)

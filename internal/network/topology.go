@@ -87,6 +87,9 @@ func Torus(w, h int) (*Network, error) {
 	if w < 3 || h < 3 {
 		return nil, fmt.Errorf("network: torus needs width and height >= 3, got %dx%d", w, h)
 	}
+	if err := checkGrid("torus", w, h); err != nil {
+		return nil, err
+	}
 	n := w * h
 	neighbors := make([][]int, n)
 	for i := 0; i < n; i++ {
@@ -111,6 +114,9 @@ func Torus(w, h int) (*Network, error) {
 func DRegular(n, d int, seed int64) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("network: d-regular needs >= 2 nodes, got %d", n)
+	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
 	if d < 2 || d >= n {
 		return nil, fmt.Errorf("network: d-regular degree %d outside [2, %d]", d, n-1)
@@ -159,6 +165,9 @@ func BarabasiAlbert(n, m int, seed int64) (*Network, error) {
 	if n < m+2 {
 		return nil, fmt.Errorf("network: barabasi-albert needs >= %d nodes for m=%d, got %d", m+2, m, n)
 	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
 	neighbors := make([][]int, n)
 	// endpoints holds every edge endpoint once; uniform draws from it are
@@ -203,6 +212,9 @@ func BarabasiAlbert(n, m int, seed int64) (*Network, error) {
 func BoundedDegreeRandom(n, maxDeg int, seed int64) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("network: bounded-degree needs >= 2 nodes, got %d", n)
+	}
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
 	if maxDeg < 2 {
 		return nil, fmt.Errorf("network: bounded-degree needs max degree >= 2, got %d", maxDeg)

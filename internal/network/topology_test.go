@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"gcs/internal/rat"
@@ -185,5 +186,58 @@ func TestDegenerateSizesRejected(t *testing.T) {
 		if _, err := tc.build(); err == nil {
 			t.Errorf("%s: degenerate size accepted, want error", tc.name)
 		}
+	}
+}
+
+// TestOversizedNetworksRejected: New and every generator refuse more than
+// MaxNodes nodes with an error, before allocating the distance matrix —
+// a huge count must neither run out of memory nor overflow.
+func TestOversizedNetworksRejected(t *testing.T) {
+	one := rat.FromInt(1)
+	for _, n := range []int{MaxNodes + 1, 1 << 40} {
+		cases := []struct {
+			name  string
+			build func() (*Network, error)
+		}{
+			{"new", func() (*Network, error) {
+				return New("x", make([][]rat.Rat, min(n, MaxNodes+1)), make([][]int, min(n, MaxNodes+1)))
+			}},
+			{"line", func() (*Network, error) { return Line(n) }},
+			{"ring", func() (*Network, error) { return Ring(n) }},
+			{"complete", func() (*Network, error) { return Complete(n, one) }},
+			{"star", func() (*Network, error) { return Star(n, one) }},
+			{"grid", func() (*Network, error) { return Grid2D(2, n/2+1) }},
+			{"square grid", func() (*Network, error) { return SquareGrid(n) }},
+			{"torus", func() (*Network, error) { return Torus(n/3+1, 3) }},
+			{"rgg", func() (*Network, error) { return RandomGeometric(n, 10, 4, 1) }},
+			{"dreg", func() (*Network, error) { return DRegular(n+1, 3, 1) }},
+			{"ba", func() (*Network, error) { return BarabasiAlbert(n, 2, 1) }},
+			{"bdr", func() (*Network, error) { return BoundedDegreeRandom(n, 3, 1) }},
+		}
+		for _, tc := range cases {
+			if _, err := tc.build(); err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+				t.Errorf("%s, %d nodes: error %v, want the node cap", tc.name, n, err)
+			}
+		}
+	}
+	if _, err := Grid2D(1<<62, 1<<62); err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+		t.Errorf("grid whose node count overflows: error %v, want the node cap", err)
+	}
+}
+
+// TestSquareGrid: the largest square grid with at most n nodes, up to the
+// cap exactly.
+func TestSquareGrid(t *testing.T) {
+	for _, tc := range []struct{ n, side int }{{4, 2}, {10, 3}, {16, 4}, {MaxNodes, 32}} {
+		w, err := SquareGrid(tc.n)
+		if err != nil {
+			t.Fatalf("SquareGrid(%d): %v", tc.n, err)
+		}
+		if w.N() != tc.side*tc.side {
+			t.Errorf("SquareGrid(%d) has %d nodes, want %d", tc.n, w.N(), tc.side*tc.side)
+		}
+	}
+	if _, err := SquareGrid(3); err == nil {
+		t.Error("SquareGrid(3) accepted: a 1×1 grid is not a grid")
 	}
 }

@@ -227,9 +227,9 @@ func TestDecisionLogSkipsDropped(t *testing.T) {
 	}
 	dropped := make(map[trace.MsgKey]bool)
 	deliveredCount := 0
-	for k, r := range exec.Ledger {
+	for _, r := range exec.Ledger {
 		if r.Dropped {
-			dropped[k] = true
+			dropped[r.Key] = true
 		} else {
 			deliveredCount++
 		}

@@ -5,7 +5,6 @@ package trace_test
 // engine keeps running, and allocation-free checking.
 
 import (
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -118,7 +117,7 @@ func deepCopy(e *trace.Execution) *trace.Execution {
 	for i, idxs := range e.PerNode {
 		c.PerNode[i] = slices.Clone(idxs)
 	}
-	c.Ledger = maps.Clone(e.Ledger)
+	c.Ledger = slices.Clone(e.Ledger)
 	return &c
 }
 
@@ -136,7 +135,7 @@ func TestExecutionSnapshotStable(t *testing.T) {
 		}
 	}
 	if inFlight == 0 {
-		t.Fatal("no message in flight at the snapshot; the ledger copy is untested")
+		t.Fatal("no message in flight at the snapshot; the ledger's copy-on-write is untested")
 	}
 	want := deepCopy(mid)
 	full := runTo(t, eng, rec, rat.FromInt(12))

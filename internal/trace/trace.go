@@ -6,7 +6,14 @@
 // observed (init, timer firings, message receipts, sends), each stamped with
 // both the real time and the node's hardware-clock reading, plus the
 // compiled hardware and logical clocks as exact piecewise-linear functions
-// of real time, and a ledger of every message with its realized delay.
+// of real time, and a ledger of every message with its realized delay, in
+// send order.
+//
+// A Recorder builds Executions from an engine's event stream. Its snapshots
+// share the recorded storage instead of copying it: the action log is
+// append-only, and the ledger, whose records deliveries close in place, is
+// copied on the first write into a prefix a snapshot or clone still reads.
+// Recorded traces are therefore read-only.
 //
 // The paper's indistinguishability principle (§3): if the same actions occur
 // in the same per-node order at the same hardware-clock readings in two
@@ -131,29 +138,29 @@ func (k MsgKey) Compare(o MsgKey) int {
 	return cmp.Compare(k.Seq, o.Seq)
 }
 
-// MsgRecord is a ledger entry for one message.
+// MsgRecord is a ledger entry for one message. Its payload is on the Send
+// and Recv actions, which is where indistinguishability compares it.
 type MsgRecord struct {
 	Key       MsgKey
 	SendReal  rat.Rat
 	RecvReal  rat.Rat // meaningful only when Delivered
 	Delay     rat.Rat
-	Payload   string
 	Delivered bool // received within the execution horizon
 	Dropped   bool // removed by the adversary's fault model at send; never delivered
 }
 
 // Execution is a completed run.
 //
-// An Execution from Recorder.Execution is a read-only snapshot: Actions and
-// PerNode share the recorder's append-only storage (and that of any other
+// An Execution from Recorder.Execution is a read-only snapshot: Actions,
+// PerNode and Ledger share the recorder's storage (and that of any other
 // snapshot or clone of it), so writing an element would change them all.
 type Execution struct {
 	Net       *network.Network
 	Schedules []*clock.Schedule
 	Duration  rat.Rat
-	Actions   []Action // in processing order
-	PerNode   [][]int  // indices into Actions, per node
-	Ledger    map[MsgKey]MsgRecord
+	Actions   []Action         // in processing order
+	PerNode   [][]int          // indices into Actions, per node
+	Ledger    []MsgRecord      // one record per message, in send order
 	Logical   []*piecewise.PLF // per-node logical clock over real time
 	Hardware  []*piecewise.PLF // per-node hardware clock over real time
 }
@@ -175,6 +182,16 @@ func (e *Execution) FinalSkew(i, j int) rat.Rat {
 // MaxAbsSkew returns the maximum of |L_i − L_j| over [from, to].
 func (e *Execution) MaxAbsSkew(i, j int, from, to rat.Rat) piecewise.Extremum {
 	return piecewise.MaxAbsDiff(e.Logical[i], e.Logical[j], from, to)
+}
+
+// Size returns the execution's action, message and per-node action counts:
+// the hint that sizes a Recorder replaying a run like this one.
+func (e *Execution) Size() Size {
+	perNode := make([]int, len(e.PerNode))
+	for i, idxs := range e.PerNode {
+		perNode[i] = len(idxs)
+	}
+	return Size{Actions: len(e.Actions), Messages: len(e.Ledger), PerNode: perNode}
 }
 
 // NodeActions returns node i's actions in order.
@@ -231,17 +248,19 @@ func CheckIndistinguishable(alpha, beta *Execution) error {
 // (from, to]. The Add Skew lemma both assumes such bounds on α's suffix
 // (lo = hi = 1/2) and guarantees them on β ([1/4, 3/4]). Of several
 // violations it reports the one with the smallest key, so the error does not
-// depend on the ledger's iteration order.
+// depend on the ledger's order.
 func CheckDelayBounds(e *Execution, from, to, lo, hi rat.Rat) error {
 	var bad MsgKey
 	var err error
-	for key, rec := range e.Ledger {
+	for i := range e.Ledger {
+		rec := &e.Ledger[i]
 		if !rec.Delivered {
 			continue
 		}
 		if rec.RecvReal.LessEq(from) || rec.RecvReal.Greater(to) {
 			continue
 		}
+		key := rec.Key
 		d := e.Net.Dist(key.From, key.To)
 		if rec.Delay.Less(lo.Mul(d)) || rec.Delay.Greater(hi.Mul(d)) {
 			if err == nil || key.Compare(bad) < 0 {

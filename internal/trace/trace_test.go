@@ -38,7 +38,6 @@ func buildExec(t *testing.T, dur rat.Rat, rates []rat.Rat, actions []Action) *Ex
 		Duration:  dur,
 		Actions:   actions,
 		PerNode:   perNode,
-		Ledger:    map[MsgKey]MsgRecord{},
 		Logical:   logical,
 		Hardware:  hardware,
 	}
@@ -165,9 +164,9 @@ func TestCheckIndistinguishablePayload(t *testing.T) {
 func TestCheckDelayBounds(t *testing.T) {
 	e := buildExec(t, ri(10), []rat.Rat{ri(1), ri(1)}, nil)
 	key := MsgKey{From: 0, To: 1, Seq: 0}
-	e.Ledger[key] = MsgRecord{
+	e.Ledger = []MsgRecord{{
 		Key: key, SendReal: ri(1), RecvReal: ri(2), Delay: ri(1), Delivered: true,
-	}
+	}}
 	// d(0,1) = 2; delay 1 = d/2 within [1/4, 3/4]·d.
 	if err := CheckDelayBounds(e, rat.Rat{}, ri(10), rf(1, 4), rf(3, 4)); err != nil {
 		t.Fatal(err)
@@ -181,7 +180,7 @@ func TestCheckDelayBounds(t *testing.T) {
 		t.Errorf("message outside window should be ignored: %v", err)
 	}
 	// Undelivered: ignored.
-	e.Ledger[key] = MsgRecord{Key: key, SendReal: ri(1), Delay: ri(2), Delivered: false}
+	e.Ledger[0] = MsgRecord{Key: key, SendReal: ri(1), Delay: ri(2), Delivered: false}
 	if err := CheckDelayBounds(e, rat.Rat{}, ri(10), rf(1, 2), rf(1, 2)); err != nil {
 		t.Errorf("undelivered message should be ignored: %v", err)
 	}
@@ -189,12 +188,12 @@ func TestCheckDelayBounds(t *testing.T) {
 
 // TestCheckDelayBoundsReportsSmallestKey: with several violating messages,
 // the error names the one with the smallest (From, To, Seq) key on every
-// call, whatever order the ledger map yields.
+// call, not the first one in the ledger's send order.
 func TestCheckDelayBoundsReportsSmallestKey(t *testing.T) {
 	e := buildExec(t, ri(10), []rat.Rat{ri(1), ri(1)}, nil)
 	for _, key := range []MsgKey{{1, 0, 0}, {0, 1, 3}, {1, 0, 2}, {0, 1, 2}, {0, 1, 5}} {
 		// d(0,1) = 2; delay 0 is below the lower bound 2/4.
-		e.Ledger[key] = MsgRecord{Key: key, SendReal: ri(2), RecvReal: ri(2), Delivered: true}
+		e.Ledger = append(e.Ledger, MsgRecord{Key: key, SendReal: ri(2), RecvReal: ri(2), Delivered: true})
 	}
 	want := "trace: message {0 1 2} delay 0 outside [1/4, 3/4]·2"
 	for run := 0; run < 20; run++ {

@@ -211,8 +211,9 @@ func TestRunUntilEarlyStop(t *testing.T) {
 	}
 
 	// The mid-run snapshot is stable: resuming the engine must not have
-	// mutated it (Execution shares the recorder's append-only buffers with
-	// capacity capped at length, and copies the ledger).
+	// mutated it (Execution shares the recorder's buffers with capacity
+	// capped at length, and the recorder copies the shared ledger before a
+	// delivery overwrites one of its records).
 	if len(part.Actions) != len(pre.Actions) || !reflect.DeepEqual(part.Ledger, pre.Ledger) {
 		t.Fatal("mid-run snapshot mutated by resuming the engine")
 	}
