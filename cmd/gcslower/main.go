@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
@@ -26,7 +27,7 @@ import (
 func main() {
 	var (
 		construction = flag.String("construction", "theorem", "shift | addskew | increase | theorem | counter")
-		protoName    = flag.String("proto", "max-gossip", "null | max-gossip | max-flood | gradient")
+		protoName    = flag.String("proto", "max-gossip", strings.Join(algorithms.Names(), " | "))
 		d            = flag.Int64("d", 8, "distance (shift) or Dc (counter)")
 		n            = flag.Int("n", 17, "line size (addskew, increase)")
 		branch       = flag.Int64("branch", 4, "main theorem branching factor")
@@ -39,23 +40,8 @@ func main() {
 	}
 }
 
-func protocol(name string) (engine.Protocol, error) {
-	switch name {
-	case "null":
-		return algorithms.Null(), nil
-	case "max-gossip":
-		return algorithms.MaxGossip(rat.FromInt(1)), nil
-	case "max-flood":
-		return algorithms.MaxFlood(rat.FromInt(1)), nil
-	case "gradient":
-		return algorithms.Gradient(algorithms.DefaultGradientParams()), nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", name)
-	}
-}
-
 func run(construction, protoName string, d int64, n int, branch int64, rounds int) error {
-	proto, err := protocol(protoName)
+	proto, err := algorithms.ByName(protoName)
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,7 @@ func TestConstructions(t *testing.T) {
 		{"theorem", "theorem", "max-gossip", 0, 0, 3, 2},
 		{"counter", "counter", "max-gossip", 16, 0, 0, 0},
 		{"null shift", "shift", "null", 2, 0, 0, 0},
+		{"llw shift", "shift", "llw", 4, 0, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

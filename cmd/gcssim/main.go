@@ -51,7 +51,7 @@ import (
 
 func main() {
 	var (
-		protoName = flag.String("proto", "gradient", "null | max-gossip | max-flood | bounded-max | gradient | llw | root-sync | rbs")
+		protoName = flag.String("proto", "gradient", strings.Join(algorithms.Names(), " | "))
 		topology  = flag.String("topology", "line", "line | ring | grid | star | complete | rgg")
 		n         = flag.Int("n", 9, "node count (grid uses the nearest square)")
 		durStr    = flag.String("dur", "50", "duration (rational, e.g. 50 or 101/2)")
@@ -69,7 +69,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "search worker pool size (0 = GOMAXPROCS)")
 		windows   = flag.Int("windows", 0, "windowed rate-mutation count (0 = disabled; with -search)")
 		tailStr   = flag.String("tail", "0", "restrict delay mutations to the final fraction of the decision log, e.g. 1/2 (0 = whole log; with -search)")
-		noPrefix  = flag.Bool("noprefix", false, "disable prefix-cached evaluation: re-simulate every candidate from scratch (with -search)")
 		adaptive  = flag.Bool("adaptive", false, "schedule with the online §2 adversary (adaptive scheduler) instead of -adversary")
 		threshStr = flag.String("threshold", "0", "adaptive release threshold: observed source-front hardware gap (0 = ρ·dur/3; with -adaptive)")
 	)
@@ -79,7 +78,7 @@ func main() {
 		err = searchFlagConflicts(*stream, *profile, *adaptive)
 		if err == nil {
 			err = runSearch(*protoName, *topology, *n, *durStr, *rhoStr, *advName, *seed,
-				*objective, *rounds, *beam, *workers, *windows, *tailStr, *noPrefix, *chart)
+				*objective, *rounds, *beam, *workers, *windows, *tailStr, *chart)
 		}
 	} else {
 		err = run(*protoName, *topology, *n, *durStr, *rhoStr, *advName, *seed, *fastEnd,
@@ -107,44 +106,6 @@ func buildNetwork(topology string, n int, seed uint64) (*network.Network, error)
 		return network.RandomGeometric(n, 10, 4.5, int64(seed))
 	default:
 		return nil, fmt.Errorf("unknown topology %q", topology)
-	}
-}
-
-func buildProtocol(protoName string) (engine.Protocol, error) {
-	switch protoName {
-	case "null":
-		return algorithms.Null(), nil
-	case "max-gossip":
-		return algorithms.MaxGossip(rat.FromInt(1)), nil
-	case "max-flood":
-		return algorithms.MaxFlood(rat.FromInt(1)), nil
-	case "bounded-max":
-		return algorithms.BoundedMax(rat.FromInt(1), rat.FromInt(1)), nil
-	case "gradient":
-		return algorithms.Gradient(algorithms.DefaultGradientParams()), nil
-	case "llw":
-		return algorithms.LLW(algorithms.DefaultLLWParams()), nil
-	case "root-sync":
-		return algorithms.RootSync(rat.FromInt(1), 0), nil
-	case "rbs":
-		return algorithms.RBS(rat.FromInt(2), 0), nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", protoName)
-	}
-}
-
-func buildAdversary(advName string, seed uint64) (engine.Adversary, error) {
-	switch advName {
-	case "midpoint":
-		return engine.Midpoint(), nil
-	case "zero":
-		return engine.FractionAdversary{Frac: rat.Rat{}}, nil
-	case "max":
-		return engine.FractionAdversary{Frac: rat.FromInt(1)}, nil
-	case "random":
-		return engine.HashAdversary{Seed: seed, Denom: 8}, nil
-	default:
-		return nil, fmt.Errorf("unknown adversary %q", advName)
 	}
 }
 
@@ -181,11 +142,11 @@ func run(protoName, topology string, n int, durStr, rhoStr, advName string, seed
 	}
 	n = net.N()
 
-	proto, err := buildProtocol(protoName)
+	proto, err := algorithms.ByName(protoName)
 	if err != nil {
 		return err
 	}
-	adv, err := buildAdversary(advName, seed)
+	adv, err := engine.AdversaryByName(advName, seed)
 	if err != nil {
 		return err
 	}
@@ -272,7 +233,7 @@ func searchFlagConflicts(stream, profile, adaptive bool) error {
 // runSearch hunts a skew-maximizing execution: the -adversary selection
 // seeds the search and serves as the tail for unscripted decisions.
 func runSearch(protoName, topology string, n int, durStr, rhoStr, advName string, seed uint64,
-	objectiveName string, rounds, beam, workers, windows int, tailStr string, noPrefix, chart bool) error {
+	objectiveName string, rounds, beam, workers, windows int, tailStr string, chart bool) error {
 	if chart {
 		return fmt.Errorf("-chart needs a recorded run; drop -chart or run without -search")
 	}
@@ -299,27 +260,26 @@ func runSearch(protoName, topology string, n int, durStr, rhoStr, advName string
 	if err != nil {
 		return err
 	}
-	proto, err := buildProtocol(protoName)
+	proto, err := algorithms.ByName(protoName)
 	if err != nil {
 		return err
 	}
-	base, err := buildAdversary(advName, seed)
+	base, err := engine.AdversaryByName(advName, seed)
 	if err != nil {
 		return err
 	}
 	opt := search.Options{
-		Net:                net,
-		Protocol:           proto,
-		Duration:           dur,
-		Rho:                rho,
-		Base:               base,
-		Objective:          obj,
-		Rounds:             rounds,
-		Beam:               beam,
-		Workers:            workers,
-		RateWindows:        windows,
-		MutateTail:         tail,
-		DisablePrefixCache: noPrefix,
+		Net:         net,
+		Protocol:    proto,
+		Duration:    dur,
+		Rho:         rho,
+		Base:        base,
+		Objective:   obj,
+		Rounds:      rounds,
+		Beam:        beam,
+		Workers:     workers,
+		RateWindows: windows,
+		MutateTail:  tail,
 	}
 	if obj == search.ObjectiveGradientMargin {
 		// Compare against the linear envelope f(d) = 1 + d: a margin > 0

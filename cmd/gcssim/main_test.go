@@ -138,7 +138,7 @@ func TestSearchMode(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := runSearch(tc.proto, tc.topology, tc.n, "6", "1/2", tc.adv, 3,
-				tc.objective, 2, 1, 2, 2, "1/2", false, false); err != nil {
+				tc.objective, 2, 1, 2, 2, "1/2", false); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -164,7 +164,7 @@ func TestSearchModeErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := runSearch(tc.proto, tc.topology, 4, tc.dur, tc.rho, tc.adv, 1,
-				tc.objective, 1, 1, 1, 0, "0", false, tc.chart); err == nil {
+				tc.objective, 1, 1, 1, 0, "0", tc.chart); err == nil {
 				t.Fatal("expected error")
 			}
 		})

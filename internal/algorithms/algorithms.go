@@ -28,7 +28,9 @@
 package algorithms
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 
 	"gcs/internal/engine"
 	"gcs/internal/rat"
@@ -351,3 +353,26 @@ func All() []engine.Protocol {
 		RootSync(one, 0),
 	}
 }
+
+// ByName returns the protocol whose Name is name, drawn from All() plus RBS
+// (period 2, beacon 0): the one protocol vocabulary of the CLIs and the
+// campaign spec. An unknown name is an error listing Names.
+func ByName(name string) (engine.Protocol, error) {
+	for _, p := range named() {
+		if p.Name() == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown protocol %q (want %s)", name, strings.Join(Names(), " | "))
+}
+
+// Names lists the names ByName accepts, in All() order with rbs last.
+func Names() []string {
+	var names []string
+	for _, p := range named() {
+		names = append(names, p.Name())
+	}
+	return names
+}
+
+func named() []engine.Protocol { return append(All(), RBS(rat.FromInt(2), 0)) }

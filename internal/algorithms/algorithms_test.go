@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"strings"
 	"testing"
 
 	"gcs/internal/clock"
@@ -196,6 +197,35 @@ func TestAllPortfolio(t *testing.T) {
 	for _, want := range []string{"null", "max-gossip", "max-flood", "bounded-max", "gradient", "llw", "root-sync"} {
 		if !names[want] {
 			t.Errorf("missing protocol %s", want)
+		}
+	}
+}
+
+// TestByName: every listed name builds a protocol reporting that name, the
+// names are distinct and cover All() plus rbs, and an unknown name's error
+// lists every valid one.
+func TestByName(t *testing.T) {
+	names := Names()
+	want := []string{"null", "max-gossip", "max-flood", "bounded-max", "gradient", "llw", "root-sync", "rbs"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("Names() = %v, want %v", names, want)
+	}
+	for _, name := range names {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name() != name {
+			t.Errorf("ByName(%q) built %q", name, p.Name())
+		}
+	}
+	_, err := ByName("nope")
+	if err == nil {
+		t.Fatal("unknown protocol built")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
 		}
 	}
 }

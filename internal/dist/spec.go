@@ -99,15 +99,17 @@ func (c CellSpec) edge() rat.Rat {
 // need to rebuild identical search.Options. It is the unit the wire protocol
 // ships (inside every ShardRequest) and the unit `gcssearch plan` bounds.
 type CampaignSpec struct {
-	// Protocol is one of the gcssim names: null | max-gossip | max-flood |
-	// bounded-max | gradient | llw | root-sync | rbs.
+	// Protocol is a name algorithms.ByName accepts (algorithms.Names).
 	Protocol string `json:"protocol"`
 	// Cells are searched one after another; each is its own Campaign.
 	Cells []CellSpec `json:"cells"`
 	// Rho is the drift bound ρ (default 1/2).
 	Rho rat.Rat `json:"rho,omitempty"`
 	// Adversary seeds the search and serves as the tail for unscripted
-	// decisions: midpoint | zero | max | random (default midpoint).
+	// decisions: a name engine.AdversaryByName accepts (default midpoint).
+	// All of them are stateless, hence shard-safe; stateful bases enter
+	// campaigns only through the programmatic API, where search refuses any
+	// it cannot clone.
 	Adversary string `json:"adversary,omitempty"`
 	// Seed feeds the random adversary.
 	Seed uint64 `json:"seed,omitempty"`
@@ -121,8 +123,6 @@ type CampaignSpec struct {
 	DelayMutations int     `json:"delay_mutations,omitempty"`
 	RateWindows    int     `json:"rate_windows,omitempty"`
 	MutateTail     rat.Rat `json:"mutate_tail,omitempty"`
-	// DisablePrefixCache re-simulates every candidate from scratch.
-	DisablePrefixCache bool `json:"disable_prefix_cache,omitempty"`
 	// Threads bounds each evaluator's local worker pool (0 = GOMAXPROCS).
 	// A worker process may override it with its own capacity.
 	Threads int `json:"threads,omitempty"`
@@ -145,11 +145,11 @@ func (s *CampaignSpec) Validate() error {
 			return fmt.Errorf("dist: cell %d (%s): non-positive duration %s", i, s.Cells[i].Label(), s.Cells[i].Duration)
 		}
 	}
-	if _, err := buildProtocol(s.Protocol); err != nil {
-		return err
+	if _, err := algorithms.ByName(s.Protocol); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
-	if _, err := buildAdversary(s.adversaryName(), s.Seed); err != nil {
-		return err
+	if _, err := engine.AdversaryByName(s.adversaryName(), s.Seed); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
 	if _, err := search.ParseObjective(s.objectiveName()); err != nil {
 		return err
@@ -194,78 +194,35 @@ func (s *CampaignSpec) CellOptions(i int) (search.Options, error) {
 	if err != nil {
 		return search.Options{}, err
 	}
-	proto, err := buildProtocol(s.Protocol)
+	proto, err := algorithms.ByName(s.Protocol)
 	if err != nil {
-		return search.Options{}, err
+		return search.Options{}, fmt.Errorf("dist: %w", err)
 	}
-	base, err := buildAdversary(s.adversaryName(), s.Seed)
+	base, err := engine.AdversaryByName(s.adversaryName(), s.Seed)
 	if err != nil {
-		return search.Options{}, err
+		return search.Options{}, fmt.Errorf("dist: %w", err)
 	}
 	obj, err := search.ParseObjective(s.objectiveName())
 	if err != nil {
 		return search.Options{}, err
 	}
 	opt := search.Options{
-		Net:                net,
-		Protocol:           proto,
-		Duration:           cell.Duration,
-		Rho:                s.rho(),
-		Base:               base,
-		Objective:          obj,
-		Rounds:             s.Rounds,
-		Beam:               s.Beam,
-		DelayMutations:     s.DelayMutations,
-		RateWindows:        s.RateWindows,
-		MutateTail:         s.MutateTail,
-		DisablePrefixCache: s.DisablePrefixCache,
-		Workers:            s.Threads,
+		Net:            net,
+		Protocol:       proto,
+		Duration:       cell.Duration,
+		Rho:            s.rho(),
+		Base:           base,
+		Objective:      obj,
+		Rounds:         s.Rounds,
+		Beam:           s.Beam,
+		DelayMutations: s.DelayMutations,
+		RateWindows:    s.RateWindows,
+		MutateTail:     s.MutateTail,
+		Workers:        s.Threads,
 	}
 	if obj == search.ObjectiveGradientMargin {
 		// The same envelope gcssim -search compares against: f(d) = 1 + d.
 		opt.Gradient = core.LinearGradient(rat.FromInt(1), rat.FromInt(1))
 	}
 	return opt, nil
-}
-
-// buildProtocol maps the gcssim protocol vocabulary onto constructors.
-func buildProtocol(name string) (engine.Protocol, error) {
-	switch name {
-	case "null":
-		return algorithms.Null(), nil
-	case "max-gossip":
-		return algorithms.MaxGossip(rat.FromInt(1)), nil
-	case "max-flood":
-		return algorithms.MaxFlood(rat.FromInt(1)), nil
-	case "bounded-max":
-		return algorithms.BoundedMax(rat.FromInt(1), rat.FromInt(1)), nil
-	case "gradient":
-		return algorithms.Gradient(algorithms.DefaultGradientParams()), nil
-	case "llw":
-		return algorithms.LLW(algorithms.DefaultLLWParams()), nil
-	case "root-sync":
-		return algorithms.RootSync(rat.FromInt(1), 0), nil
-	case "rbs":
-		return algorithms.RBS(rat.FromInt(2), 0), nil
-	default:
-		return nil, fmt.Errorf("dist: unknown protocol %q", name)
-	}
-}
-
-// buildAdversary maps the gcssim adversary vocabulary onto constructors. All
-// four are stateless, hence shard-safe; stateful bases enter campaigns only
-// through the programmatic API, where search refuses any it cannot clone.
-func buildAdversary(name string, seed uint64) (engine.Adversary, error) {
-	switch name {
-	case "midpoint":
-		return engine.Midpoint(), nil
-	case "zero":
-		return engine.FractionAdversary{Frac: rat.Rat{}}, nil
-	case "max":
-		return engine.FractionAdversary{Frac: rat.FromInt(1)}, nil
-	case "random":
-		return engine.HashAdversary{Seed: seed, Denom: 8}, nil
-	default:
-		return nil, fmt.Errorf("dist: unknown adversary %q", name)
-	}
 }

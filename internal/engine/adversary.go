@@ -172,3 +172,21 @@ func (a HashAdversary) Delay(from, to int, seq uint64, _ rat.Rat, bound rat.Rat)
 
 // String returns a debugging label.
 func (a HashAdversary) String() string { return "hash-" + strconv.FormatUint(a.Seed, 10) }
+
+// AdversaryByName builds one of the named stateless adversaries: midpoint
+// (delay d/2), zero (0), max (d) or random (a HashAdversary over eighths of
+// d keyed by seed). An unknown name is an error listing the valid ones.
+func AdversaryByName(name string, seed uint64) (Adversary, error) {
+	switch name {
+	case "midpoint":
+		return Midpoint(), nil
+	case "zero":
+		return FractionAdversary{Frac: rat.Rat{}}, nil
+	case "max":
+		return FractionAdversary{Frac: rat.FromInt(1)}, nil
+	case "random":
+		return HashAdversary{Seed: seed, Denom: 8}, nil
+	default:
+		return nil, fmt.Errorf("unknown adversary %q (want midpoint | zero | max | random)", name)
+	}
+}

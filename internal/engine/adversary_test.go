@@ -67,6 +67,37 @@ func TestHashAdversaryDelayRange(t *testing.T) {
 	}
 }
 
+// TestAdversaryByName: each name builds its adversary (random keyed by the
+// seed), and an unknown name's error lists every valid one.
+func TestAdversaryByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Adversary
+	}{
+		{"midpoint", Midpoint()},
+		{"zero", FractionAdversary{Frac: rat.Rat{}}},
+		{"max", FractionAdversary{Frac: rat.FromInt(1)}},
+		{"random", HashAdversary{Seed: 7, Denom: 8}},
+	} {
+		adv, err := AdversaryByName(tc.name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adv != tc.want {
+			t.Errorf("%s: built %#v, want %#v", tc.name, adv, tc.want)
+		}
+	}
+	_, err := AdversaryByName("chaos", 1)
+	if err == nil {
+		t.Fatal("unknown adversary built")
+	}
+	for _, name := range []string{"midpoint", "zero", "max", "random"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
+	}
+}
+
 // TestScriptedAdversaryChecked: scripted keys replay, unscripted keys
 // delegate to the tail, and a missing tail is an explicit error (and a
 // panic on the unchecked path, which has no error channel).

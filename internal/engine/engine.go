@@ -83,9 +83,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
 
 	"gcs/internal/clock"
 	"gcs/internal/network"
@@ -308,7 +305,7 @@ func New(net *network.Network, opts ...Option) (*Engine, error) {
 		// Init events carry their hardware reading: H(0) = 0 by the Schedule
 		// contract. Their tick key is exact whenever the lane is on.
 		e.queue.slab[idx] = event{kind: trace.KindInit, node: i, from: -1, seq: e.nextSeq(),
-			tickOK: e.nowTickOK, hw: rat.Rat{}, hasHW: true}
+			tickOK: e.nowTickOK, hw: rat.Rat{}}
 		e.queue.push(idx)
 	}
 	return e, nil
@@ -388,9 +385,6 @@ func (e *Engine) Step() (bool, error) {
 	idx := e.queue.pop()
 	ev := e.queue.slab[idx] // copy out: the slot is reusable during dispatch
 	e.queue.release(idx)
-	if e.met != nil {
-		e.met.Recycled.Inc()
-	}
 	e.dispatch(&ev)
 	if ev.time.Greater(e.horizon) {
 		e.horizon = ev.time
@@ -418,9 +412,6 @@ func (e *Engine) RunUntil(t rat.Rat) error {
 		idx := e.queue.pop()
 		ev := e.queue.slab[idx] // copy out: the slot is reusable during dispatch
 		e.queue.release(idx)
-		if e.met != nil {
-			e.met.Recycled.Inc()
-		}
 		e.dispatch(&ev)
 		if e.err != nil {
 			return e.err
@@ -480,12 +471,8 @@ func (e *Engine) dispatch(ev *event) {
 	rt := &e.runtimes[ev.node]
 	// Every event carries the destination's hardware reading, computed once
 	// at scheduling time and carried across forks — branches sharing a
-	// prefix never re-derive a queued event's reading. The recompute branch
-	// is defense in depth; all alloc sites populate the cache.
+	// prefix never re-derive a queued event's reading.
 	hw := ev.hw
-	if !ev.hasHW {
-		hw = e.scheds[ev.node].HW(ev.time)
-	}
 	rt.hwNow = hw
 	switch ev.kind {
 	case trace.KindInit:
@@ -538,7 +525,7 @@ func (e *Engine) Execution(rec *trace.Recorder) (*trace.Execution, error) {
 	hardware := make([]*piecewise.PLF, n)
 	for i := 0; i < n; i++ {
 		hardware[i] = e.scheds[i].HWFunc()
-		plf, err := compileLogicalCached(e.scheds[i], e.runtimes[i].decls, e.horizon, e.met)
+		plf, err := compileLogical(e.scheds[i], e.runtimes[i].decls, e.horizon)
 		if err != nil {
 			return nil, fmt.Errorf("engine: node %d logical clock: %w", i, err)
 		}
@@ -578,87 +565,6 @@ func Run(cfg Config) (*trace.Execution, error) {
 		return nil, err
 	}
 	return eng.Execution(rec)
-}
-
-// logicalCacheCap bounds the compiled-schedule memo. 512 entries cover the
-// working set of a candidate fleet (nodes × live horizons) with room to
-// spare; eviction is FIFO, so a scan over many distinct keys degrades to
-// plain compilation rather than unbounded growth.
-const logicalCacheCap = 512
-
-// logicalCache memoizes compileLogical across engines, keyed by the exact
-// inputs that determine its output: the schedule (pointer identity — a
-// Schedule is immutable, and forks share their parent's schedule pointers),
-// a fingerprint of the node's declaration history, and the horizon. Forked
-// runs that end at the same horizon with the same declarations — e.g. a
-// candidate fleet branched off one trunk whose mutations leave some nodes'
-// behavior untouched — compile each distinct logical clock once.
-var logicalCache = struct {
-	sync.Mutex
-	m     map[logicalKey]*piecewise.PLF
-	order []logicalKey // insertion order for FIFO eviction
-}{m: make(map[logicalKey]*piecewise.PLF)}
-
-type logicalKey struct {
-	sched   *clock.Schedule
-	decls   string
-	horizon string
-}
-
-// declsFingerprint canonically encodes a declaration history. Every field
-// that compileLogical reads is included, so equal fingerprints (with equal
-// schedule and horizon) imply equal compiled clocks.
-func declsFingerprint(decls []trace.Decl) string {
-	var b strings.Builder
-	for _, d := range decls {
-		b.WriteString(strconv.Itoa(d.Node))
-		b.WriteByte('@')
-		b.WriteString(d.Real.String())
-		b.WriteByte(',')
-		b.WriteString(d.HW0.String())
-		b.WriteByte(',')
-		b.WriteString(d.Value.String())
-		b.WriteByte(',')
-		b.WriteString(d.Mult.String())
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// compileLogicalCached is compileLogical behind the memo: hits return a
-// clone of the cached PLF (callers own their result and may mutate it),
-// misses compile, store a private clone, and return the original. met, when
-// non-nil, has its clock-cache hit/miss counters advanced.
-func compileLogicalCached(sched *clock.Schedule, decls []trace.Decl, horizon rat.Rat, met *Metrics) (*piecewise.PLF, error) {
-	key := logicalKey{sched: sched, decls: declsFingerprint(decls), horizon: horizon.String()}
-	logicalCache.Lock()
-	if plf, ok := logicalCache.m[key]; ok {
-		logicalCache.Unlock()
-		if met != nil {
-			met.ClockCacheHits.Inc()
-		}
-		return plf.Clone(), nil
-	}
-	logicalCache.Unlock()
-	if met != nil {
-		met.ClockCacheMisses.Inc()
-	}
-	plf, err := compileLogical(sched, decls, horizon)
-	if err != nil {
-		return nil, err
-	}
-	logicalCache.Lock()
-	if _, ok := logicalCache.m[key]; !ok {
-		if len(logicalCache.order) >= logicalCacheCap {
-			oldest := logicalCache.order[0]
-			logicalCache.order = logicalCache.order[1:]
-			delete(logicalCache.m, oldest)
-		}
-		logicalCache.m[key] = plf.Clone()
-		logicalCache.order = append(logicalCache.order, key)
-	}
-	logicalCache.Unlock()
-	return plf, nil
 }
 
 // compileLogical merges a node's logical-clock declarations with its

@@ -32,8 +32,7 @@ type event struct {
 	// Cached hardware reading of the destination node at `time`, computed
 	// when the event was scheduled: dispatch never re-evaluates the clock,
 	// and forks inherit queued readings instead of re-deriving them.
-	hw    rat.Rat
-	hasHW bool
+	hw rat.Rat
 	// hwTarget marks hw as the event's source of truth rather than a cache:
 	// a timer fires when the node's hardware clock reads hw, and time/tick
 	// are merely that target pushed through the node's current rate

@@ -11,17 +11,14 @@ import "gcs/internal/obs"
 type Metrics struct {
 	// Steps counts dispatched events (one per Step/RunUntil dispatch).
 	Steps *obs.Counter
-	// Recycled counts event slab slots returned to the free list — in steady
-	// state it tracks Steps exactly; a divergence means events are being
-	// dropped without dispatch or the slab is growing.
-	Recycled *obs.Counter
 	// Forks counts Engine.Fork calls.
 	Forks *obs.Counter
 	// ScheduleSwaps counts Engine.SwapSchedule calls — mid-run schedule
 	// replacements that re-derived queued events onto a new rate schedule.
 	ScheduleSwaps *obs.Counter
-	// ClockCacheHits / ClockCacheMisses count compiled-logical-clock memo
-	// outcomes during Execution.
+	// ClockCacheHits / ClockCacheMisses are never advanced: Execution
+	// compiles every logical clock directly, with no memo. They stay
+	// registered only because gcsperf still reads them.
 	ClockCacheHits   *obs.Counter
 	ClockCacheMisses *obs.Counter
 	// FixedLaneRuns counts engines whose scale detection engaged the
@@ -46,7 +43,6 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		Steps:            r.Counter("gcs_engine_steps_total", "engine events dispatched"),
-		Recycled:         r.Counter("gcs_engine_events_recycled_total", "event slab slots recycled through the free list"),
 		Forks:            r.Counter("gcs_engine_forks_total", "engine forks taken"),
 		ScheduleSwaps:    r.Counter("gcs_engine_schedule_swaps_total", "mid-run schedule swaps re-deriving queued events"),
 		ClockCacheHits:   r.Counter("gcs_engine_clock_cache_hits_total", "compiled logical-clock cache hits"),

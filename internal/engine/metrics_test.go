@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"gcs/internal/obs"
-	"gcs/internal/trace"
 )
 
 // TestMetricsCountSteps pins the instrument semantics: Steps mirrors
-// Engine.Steps across both driving APIs, Recycled tracks it in steady state,
-// and a fork keeps aggregating into the same instruments.
+// Engine.Steps across both driving APIs, and a fork keeps aggregating into
+// the same instruments.
 func TestMetricsCountSteps(t *testing.T) {
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg)
@@ -22,9 +21,6 @@ func TestMetricsCountSteps(t *testing.T) {
 	}
 	if met.Steps.Value() != eng.Steps() {
 		t.Fatalf("Steps counter %d != engine steps %d", met.Steps.Value(), eng.Steps())
-	}
-	if met.Recycled.Value() != met.Steps.Value() {
-		t.Fatalf("Recycled %d != Steps %d in steady state", met.Recycled.Value(), met.Steps.Value())
 	}
 	if err := eng.RunUntil(ri(4)); err != nil {
 		t.Fatal(err)
@@ -46,34 +42,5 @@ func TestMetricsCountSteps(t *testing.T) {
 	}
 	if met.Steps.Value() != before+(fork.Steps()-eng.Steps()) {
 		t.Fatalf("fork steps did not aggregate into the shared counter")
-	}
-}
-
-// TestMetricsClockCache drives Execution twice with identical inputs: the
-// second compile of every node's logical clock must be a cache hit.
-func TestMetricsClockCache(t *testing.T) {
-	reg := obs.NewRegistry()
-	met := NewMetrics(reg)
-	eng := newTestEngine(t, 3, tickProtocol{period: ri(1)}, WithMetrics(met))
-	rec := trace.NewRecorder(eng.N())
-	eng.Observe(rec)
-	if err := eng.RunUntil(ri(4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Execution(rec); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := met.ClockCacheHits.Value(), met.ClockCacheMisses.Value()
-	if hits+misses != uint64(eng.N()) {
-		t.Fatalf("first Execution compiled %d clocks, want %d", hits+misses, eng.N())
-	}
-	if _, err := eng.Execution(rec); err != nil {
-		t.Fatal(err)
-	}
-	if got := met.ClockCacheHits.Value(); got != hits+uint64(eng.N()) {
-		t.Fatalf("second Execution: %d hits, want %d (every clock cached)", got, hits+uint64(eng.N()))
-	}
-	if got := met.ClockCacheMisses.Value(); got != misses {
-		t.Fatalf("second Execution missed %d times, want 0 new misses", got-misses)
 	}
 }

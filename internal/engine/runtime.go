@@ -191,7 +191,6 @@ func (rt *Runtime) Send(to int, msg Message) {
 		tick:     recvTick,
 		tickOK:   recvTickOK,
 		hw:       hwRecv,
-		hasHW:    true,
 	}
 	e.queue.push(idx)
 }
@@ -242,7 +241,6 @@ func (rt *Runtime) SetTimerAtHW(hw rat.Rat, timerID int) {
 		tick:    realTick,
 		tickOK:  tickOK,
 		hw:      hw,
-		hasHW:   true,
 		// The target reading, not a cache: SwapSchedule re-derives time and
 		// tick from hw when the node's schedule changes under a queued timer.
 		hwTarget: true,

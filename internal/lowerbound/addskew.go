@@ -181,9 +181,12 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 		return nil, bad.err
 	}
 
+	// No Fallback: the script covers every send a faithful re-simulation
+	// performs, so a send it misses means the construction diverged, and
+	// the engine fails the run naming that message.
 	betaCfg := in.Cfg
 	betaCfg.Schedules = scheds
-	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}
+	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script}
 	betaCfg.Duration = tPrime
 	betaCfg.SizeHint = in.Alpha.Size()
 
@@ -223,19 +226,6 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 			res.Gain, res.GuaranteedGain)
 	}
 	return res, nil
-}
-
-// failingAdversary fails the run when consulted: the scripted delays must
-// cover every send a faithful re-simulation performs, so reaching the
-// fallback means the construction diverged.
-type failingAdversary struct{}
-
-var _ engine.Adversary = failingAdversary{}
-
-// Delay returns an out-of-bounds value, failing the simulation with a
-// diagnosable error.
-func (failingAdversary) Delay(int, int, uint64, rat.Rat, rat.Rat) rat.Rat {
-	return rat.FromInt(-1)
 }
 
 // firstViolation keeps, of the violations noted while ranging over a ledger,

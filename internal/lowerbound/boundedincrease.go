@@ -173,9 +173,10 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 		return nil, bad.err
 	}
 
+	// No Fallback, as in AddSkew: a send the script misses fails the run.
 	betaCfg := in.Cfg
 	betaCfg.Schedules = scheds
-	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}
+	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script}
 	betaCfg.Duration = horizon
 	betaCfg.SizeHint = alpha.Size()
 

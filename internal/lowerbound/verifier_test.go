@@ -1,6 +1,7 @@
 package lowerbound
 
 import (
+	"fmt"
 	"maps"
 	"strings"
 	"testing"
@@ -64,6 +65,46 @@ func TestVerifierCatchesCorruptedScript(t *testing.T) {
 	}
 	if err := trace.CheckIndistinguishable(alpha, bad); err == nil {
 		t.Fatal("verifier accepted a corrupted β: the certificate machinery is broken")
+	}
+}
+
+// TestScriptMissRejected re-simulates a correct Add Skew β with one scripted
+// delay removed, keeping the Fallback that AddSkew set: the β script must
+// cover every send, so the run fails naming the unscripted message instead
+// of falling back to any delay.
+func TestScriptMissRejected(t *testing.T) {
+	p := DefaultParams()
+	n := 7
+	cfg, alpha := lineAlpha(t, algorithms.MaxGossip(ri(1)), n, p.Tau().Mul(ri(int64(n-1))), p)
+	positions := make([]rat.Rat, n)
+	for k := range positions {
+		positions[k] = ri(int64(k))
+	}
+	res, err := AddSkew(AddSkewInput{
+		Cfg: cfg, Alpha: alpha, Positions: positions,
+		I: 0, J: n - 1, S: rat.Rat{}, Params: p,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripted := res.BetaCfg.Adversary.(engine.ScriptedAdversary)
+	missing := maps.Clone(scripted.Delays)
+	// The first scripted message in send order: β is faithful up to it.
+	var victim trace.MsgKey
+	for _, rec := range alpha.Ledger {
+		if _, ok := missing[rec.Key]; ok {
+			victim = rec.Key
+			break
+		}
+	}
+	delete(missing, victim)
+
+	badCfg := res.BetaCfg
+	badCfg.Adversary = engine.ScriptedAdversary{Delays: missing, Fallback: scripted.Fallback}
+	_, err = engine.Run(badCfg)
+	want := fmt.Sprintf("no delay for message %d→%d seq %d and no Fallback tail", victim.From, victim.To, victim.Seq)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("β missing %v: error %v, want %q", victim, err, want)
 	}
 }
 

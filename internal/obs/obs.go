@@ -1,14 +1,13 @@
 // Package obs is the repository's dependency-free observability substrate:
-// a metrics registry of atomic counters, gauges, and fixed-bucket
-// histograms, with snapshot, Prometheus-text, and JSON renderers, plus a
-// structured run-trace event API (see trace.go) and an HTTP exposure layer
-// (see http.go).
+// a metrics registry of atomic counters and fixed-bucket histograms, with
+// snapshot, Prometheus-text, and JSON renderers, plus a structured run-trace
+// event API (see trace.go) and an HTTP exposure layer (see http.go).
 //
 // Design constraints, in priority order:
 //
-//   - Hot-path safety. Counter.Add/Inc, Gauge.Set, and Histogram.Observe are
-//     single atomic operations on pre-registered instruments — no allocation,
-//     no lock, no map lookup — so the engine's per-step instrumentation can
+//   - Hot-path safety. Counter.Add/Inc and Histogram.Observe are single
+//     atomic operations on pre-registered instruments — no allocation, no
+//     lock, no map lookup — so the engine's per-step instrumentation can
 //     stay inside the zero-alloc budgets pinned in engine/alloc_test.go.
 //   - Concurrent scraping. Snapshot reads every instrument atomically while
 //     writers keep writing: a /v1/metrics scrape mid-campaign observes
@@ -46,20 +45,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous int64 value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add shifts the value by d (negative d decrements).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket distribution: observations land in the first
 // bucket whose upper bound is >= the value, Prometheus-style (cumulative on
@@ -126,7 +111,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // Instrument kinds.
 const (
 	KindCounter   = "counter"
-	KindGauge     = "gauge"
 	KindHistogram = "histogram"
 )
 
@@ -137,7 +121,6 @@ type instrument struct {
 	kind string
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 }
 
@@ -180,13 +163,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}).counter
 }
 
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.lookup(name, help, KindGauge, func() *instrument {
-		return &instrument{gauge: &Gauge{}}
-	}).gauge
-}
-
 // Histogram returns the histogram registered under name, creating it with
 // the given bucket upper bounds if needed (an existing histogram keeps its
 // original layout).
@@ -210,7 +186,7 @@ type MetricSnapshot struct {
 	Name string `json:"name"`
 	Help string `json:"help,omitempty"`
 	Kind string `json:"kind"`
-	// Value carries counter and gauge readings.
+	// Value carries a counter reading.
 	Value float64 `json:"value,omitempty"`
 	// Count, Sum, and Buckets carry histogram readings.
 	Count   uint64   `json:"count,omitempty"`
@@ -239,8 +215,6 @@ func (r *Registry) Snapshot() Snapshot {
 		switch in.kind {
 		case KindCounter:
 			ms.Value = float64(in.counter.Value())
-		case KindGauge:
-			ms.Value = float64(in.gauge.Value())
 		case KindHistogram:
 			h := in.hist
 			ms.Count = h.Count()
@@ -282,7 +256,7 @@ func (s Snapshot) Prometheus() string {
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", m.Name, m.Kind)
 		switch m.Kind {
-		case KindCounter, KindGauge:
+		case KindCounter:
 			fmt.Fprintf(&b, "%s %s\n", m.Name, formatFloat(m.Value))
 		case KindHistogram:
 			for _, bk := range m.Buckets {

@@ -19,12 +19,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("g", "a gauge")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
 	// Idempotent registration returns the same instrument.
 	if r.Counter("c_total", "a counter") != c {
 		t.Fatal("re-registration returned a different counter")
@@ -64,14 +58,11 @@ func TestHistogramBuckets(t *testing.T) {
 func TestPrometheusRendering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("steps_total", "engine steps").Add(42)
-	r.Gauge("inflight", "in-flight shards").Set(3)
 	r.Histogram("lat_seconds", "latency", []float64{1}).Observe(0.5)
 	text := r.Snapshot().Prometheus()
 	for _, want := range []string{
 		"# TYPE steps_total counter",
 		"steps_total 42",
-		"# TYPE inflight gauge",
-		"inflight 3",
 		"# TYPE lat_seconds histogram",
 		`lat_seconds_bucket{le="1"} 1`,
 		`lat_seconds_bucket{le="+Inf"} 1`,
@@ -135,11 +126,9 @@ func TestRegistryConcurrency(t *testing.T) {
 			// Registration races with registration and with use: every worker
 			// asks for the same names.
 			c := r.Counter("c_total", "shared counter")
-			g := r.Gauge("g", "shared gauge")
 			h := r.Histogram("h_seconds", "shared histogram", LatencyBuckets())
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i%7) * 0.01)
 			}
 		}()

@@ -93,7 +93,7 @@ func longE13Opts(tb testing.TB) Options {
 // metric with BenchmarkSearchPrefixCached to quantify the prefix-cache win.
 func BenchmarkSearchEndToEnd(b *testing.B) {
 	opt := longE13Opts(b)
-	opt.DisablePrefixCache = true
+	opt.fromScratch = true
 	benchSearch(b, opt)
 }
 

@@ -26,7 +26,7 @@
 // decision, and evaluates only the suffix. Rate mutants change hardware
 // schedules from time zero, so they — and injected Seeds — are evaluated
 // from scratch. The fork-based evaluation is byte-identical to full
-// re-simulation (asserted by tests; DisablePrefixCache switches it off).
+// re-simulation (asserted by tests).
 // Candidates are evaluated concurrently by a bounded worker pool and reduced
 // by deterministic argmax with ties broken on candidate index, so the result
 // is byte-identical regardless of worker count or GOMAXPROCS.

@@ -16,7 +16,8 @@
 // strictly before the first diverging decision, the forked state equals what
 // the mutant's own run would have reached (the executions are identical up
 // to there), and the cloned trackers carry the prefix metrics. Tests assert
-// byte-identical Results against DisablePrefixCache for every worker count.
+// byte-identical Results against from-scratch evaluation for every worker
+// count.
 //
 // Window mutants (rate surgery over [from, to)) share the same trunk: their
 // schedule agrees with the parent's on [0, from), so everything before the
@@ -59,7 +60,7 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 	groups := make(map[*DecisionLog][]int)
 	var order []*DecisionLog
 	for i, c := range cands {
-		if opt.DisablePrefixCache || c.parent == nil {
+		if opt.fromScratch || c.parent == nil {
 			scratch = append(scratch, i)
 			continue
 		}

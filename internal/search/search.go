@@ -139,13 +139,6 @@ type Options struct {
 	RateWindows int
 	// Workers bounds the evaluation pool. Default GOMAXPROCS.
 	Workers int
-	// DisableRateMutations restricts the search to delay choices only
-	// (whole-run flips and windowed surgery alike).
-	DisableRateMutations bool
-	// DisablePrefixCache evaluates every candidate from scratch instead of
-	// forking shared script prefixes. Results are byte-identical either way;
-	// the flag exists for benchmarking and for the equivalence tests.
-	DisablePrefixCache bool
 
 	// Metrics, when non-nil, receives campaign-level accounting (generations
 	// merged, candidates evaluated, engine steps, prefix-cache savings) as
@@ -158,6 +151,10 @@ type Options struct {
 
 	// lane is every engine's lane; cross-lane tests force the LaneRat reference.
 	lane engine.Lane
+	// fromScratch evaluates every candidate from scratch instead of forking
+	// shared script prefixes. Results are byte-identical either way; the
+	// equivalence tests and BenchmarkSearchEndToEnd set it.
+	fromScratch bool
 }
 
 // Result is the outcome of a search: the best adversary found, as a
@@ -365,7 +362,7 @@ func normalize(opt *Options) error {
 	if opt.RateWindows < 0 {
 		return fmt.Errorf("search: negative RateWindows %d", opt.RateWindows)
 	}
-	if opt.RateWindows > 0 && !opt.DisableRateMutations && opt.Rho.Sign() <= 0 {
+	if opt.RateWindows > 0 && opt.Rho.Sign() <= 0 {
 		return fmt.Errorf("search: RateWindows %d with drift bound ρ=%s: windowed rate surgery pins rates to 1−ρ and 1+ρ, which under ρ <= 0 never changes a schedule, so the windows would silently produce no mutants; set Rho > 0, or RateWindows = 0 to disable windowed surgery", opt.RateWindows, opt.Rho)
 	}
 	if opt.Base == nil {
@@ -464,22 +461,20 @@ func mutations(opt Options, parent evaluation) []candidate {
 	// copy of the parent's realized decisions (read-only during replay); each
 	// delay mutant edits a clone of it.
 	shared := parent.log.Script()
-	if !opt.DisableRateMutations {
-		one := rat.FromInt(1)
-		rateChoices := []rat.Rat{one.Sub(opt.Rho), one, one.Add(opt.Rho)}
-		for node := 0; node < opt.Net.N(); node++ {
-			cur := effectiveRate(opt, parent.cand, node)
-			for _, r := range rateChoices {
-				if r.Sign() <= 0 || (cur != nil && cur.Equal(r)) {
-					continue
-				}
-				rates := append([]rat.Rat(nil), parent.cand.rates...)
-				rates[node] = r
-				out = append(out, candidate{script: shared, rates: rates, scheds: parent.cand.scheds})
+	one := rat.FromInt(1)
+	rateChoices := []rat.Rat{one.Sub(opt.Rho), one, one.Add(opt.Rho)}
+	for node := 0; node < opt.Net.N(); node++ {
+		cur := effectiveRate(opt, parent.cand, node)
+		for _, r := range rateChoices {
+			if r.Sign() <= 0 || (cur != nil && cur.Equal(r)) {
+				continue
 			}
+			rates := append([]rat.Rat(nil), parent.cand.rates...)
+			rates[node] = r
+			out = append(out, candidate{script: shared, rates: rates, scheds: parent.cand.scheds})
 		}
-		out = append(out, windowMutations(opt, parent, shared)...)
 	}
+	out = append(out, windowMutations(opt, parent, shared)...)
 
 	decs := parent.log.Decisions()
 	for _, idx := range sampleTail(len(decs), opt.DelayMutations, opt.MutateTail) {

@@ -167,7 +167,7 @@ func TestPrefixCacheMatchesFullResim(t *testing.T) {
 				t.Fatal(err)
 			}
 			full := tc.opt
-			full.DisablePrefixCache = true
+			full.fromScratch = true
 			scratch, err := Search(full)
 			if err != nil {
 				t.Fatal(err)
@@ -222,7 +222,7 @@ func TestRateMutantPrefixCacheMatchesFullResim(t *testing.T) {
 					t.Fatal(err)
 				}
 				full := mk(ln.lane, bs.stateful)
-				full.DisablePrefixCache = true
+				full.fromScratch = true
 				scratch, err := Search(full)
 				if err != nil {
 					t.Fatal(err)
@@ -677,7 +677,7 @@ func TestSearchLaneEquivalence(t *testing.T) {
 		t.Helper()
 		opt := lineOpts(t, 5, 4)
 		opt.lane = lane
-		opt.DisablePrefixCache = scratch
+		opt.fromScratch = scratch
 		opt.EngineMetrics = engine.NewMetrics(obs.NewRegistry())
 		res, err := Search(opt)
 		if err != nil {

@@ -37,7 +37,7 @@ func TestStatefulBasePrefixCacheMatchesFullResim(t *testing.T) {
 		}
 		full := lineOpts(t, 4, workers)
 		full.Base = adaptiveBase(t, full.Net, full.Duration)
-		full.DisablePrefixCache = true
+		full.fromScratch = true
 		scratch, err := Search(full)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func TestPrefixSchedulerEdgeCases(t *testing.T) {
 	}
 	forked, _ := evalAll(opt, cands)
 	scratchOpt := opt
-	scratchOpt.DisablePrefixCache = true
+	scratchOpt.fromScratch = true
 	scratch, _ := evalAll(scratchOpt, cands)
 	for i := range cands {
 		f, s := forked[i], scratch[i]
