@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated plan-smoke bench-history matrix matrix-smoke
+.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated plan-smoke bench-history matrix matrix-smoke fuzz-smoke
 
 all: vet build test
 
@@ -28,6 +28,25 @@ lint:
 # building or starts to b.Fatal fails there instead of going unseen.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Fuzz every fuzz target beyond its seed corpus (plain `go test` only
+# replays the seeds): one `go test -fuzz` run per target, in its own
+# package, FUZZTIME long with one worker. A failing input is written to that
+# package's testdata/fuzz/, where it becomes a seed; the CI test job runs
+# this on stable Go and uploads those directories when it fails.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = .:FuzzLaneRun \
+	./internal/clock:FuzzScheduleInversion \
+	./internal/dist:FuzzCampaignSpec ./internal/dist:FuzzShardRequest \
+	./internal/fixed:FuzzLane \
+	./internal/rat:FuzzArith ./internal/rat:FuzzParse
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$name in $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) -parallel 1 $$pkg; \
+	done
 
 # Machine-readable experiment snapshots for trend tracking: the standard
 # suite (which already embeds the E14 smoke table), the E13 -long scale

@@ -327,6 +327,163 @@ func TestScheduleSwapForkMatrix(t *testing.T) {
 	}
 }
 
+// TestSiblingTrackerClonesShareNoState: two clones of one skew tracker,
+// taken between two same-instant declarations while the first declarer's
+// right limit is still pending, follow two forks whose runs diverge — one of
+// them through a schedule swap on the engine and the tracker — stepped
+// alternately with the trunk. Each clone, and the trunk's own tracker, must
+// end exactly where a tracker that watched a fresh run of its branch ends:
+// any mutable state shared between them would leak one branch into another.
+// The cases cover the tick lane, the rat lane, and a swap that leaves the
+// tick grid (engine and tracker drop to the rat lane mid-run, the tracker's
+// tick-held maxima turning into rationals).
+func TestSiblingTrackerClonesShareNoState(t *testing.T) {
+	net, err := gcs.Line(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur := gcs.R(12)
+	base, err := gcs.DiverseSchedules(net.N(), gcs.Frac(3, 4), gcs.Frac(5, 4), 4, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		lane     gcs.Lane
+		rate     gcs.Rat
+		swapLane string // the swapped fork's lane after the swap
+	}{
+		{"fixed", gcs.LaneAuto, gcs.Frac(3, 2), "fixed"},
+		{"rat", gcs.LaneRat, gcs.Frac(3, 2), "rat"},
+		{"off-grid swap", gcs.LaneAuto, gcs.Frac(13, 11), "rat"},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(scheds []*gcs.Schedule, obs ...gcs.Observer) *gcs.Engine {
+				t.Helper()
+				eng, err := gcs.NewEngine(net,
+					gcs.WithProtocol(gcs.MaxGossip(gcs.R(1))),
+					gcs.WithAdversary(gcs.HashAdversary{Seed: 7, Denom: 8}),
+					gcs.WithSchedules(scheds),
+					gcs.WithRho(gcs.Frac(1, 2)),
+					gcs.WithObservers(obs...),
+					gcs.WithLane(tc.lane),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng
+			}
+			fresh := func(scheds []*gcs.Schedule) *gcs.SkewTracker {
+				t.Helper()
+				skew, err := gcs.NewSkewTracker(net, scheds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := build(scheds, skew).RunUntil(dur); err != nil {
+					t.Fatal(err)
+				}
+				return skew
+			}
+
+			// A dry run finds the first step that declares at the instant of
+			// the previous step's last declaration: the clone point follows
+			// that step.
+			var (
+				declared    bool
+				first, last gcs.Rat
+			)
+			dry := build(base, gcs.ObserverFuncs{Declare: func(d gcs.Decl) {
+				if !declared {
+					first = d.Real
+				}
+				declared, last = true, d.Real
+			}})
+			split, prev, prevOK := 0, gcs.Rat{}, false
+			for steps := 1; split == 0; steps++ {
+				declared = false
+				if ok, err := dry.Step(); err != nil {
+					t.Fatal(err)
+				} else if !ok {
+					t.Fatal("no two consecutive steps declare at one instant")
+				}
+				if declared && prevOK && first.Equal(prev) {
+					split = steps - 1
+				}
+				prev, prevOK = last, declared
+			}
+
+			skew, err := gcs.NewSkewTracker(net, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trunk := build(base, skew)
+			for i := 0; i < split; i++ {
+				if _, err := trunk.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			node := net.N() - 1
+			from := gcs.R(trunk.Now().Floor() + 1)
+			swapped, err := base[node].ModifyWindow(from, from.Add(gcs.R(4)), func(gcs.Rat) gcs.Rat { return tc.rate })
+			if err != nil {
+				t.Fatal(err)
+			}
+			swappedSet := append([]*gcs.Schedule(nil), base...)
+			swappedSet[node] = swapped
+
+			plainSkew, swapSkew := skew.Clone(), skew.Clone()
+			plain, err := trunk.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			swap, err := trunk.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := swap.SwapSchedule(node, swapped); err != nil {
+				t.Fatal(err)
+			}
+			if err := swapSkew.SwapSchedule(node, swapped); err != nil {
+				t.Fatal(err)
+			}
+			if swap.TimeLane() != tc.swapLane {
+				t.Fatalf("swapped fork on the %s lane, want %s", swap.TimeLane(), tc.swapLane)
+			}
+			plain.Observe(plainSkew)
+			swap.Observe(swapSkew)
+			engines := []*gcs.Engine{trunk, plain, swap}
+			for progressed := true; progressed; {
+				progressed = false
+				for _, eng := range engines {
+					if nt, ok := eng.NextEventTime(); ok && nt.LessEq(dur) {
+						if _, err := eng.Step(); err != nil {
+							t.Fatal(err)
+						}
+						progressed = true
+					}
+				}
+			}
+			for _, eng := range engines {
+				if err := eng.RunUntil(dur); err != nil {
+					t.Fatal(err)
+				}
+			}
+			baseRef, swapRef := fresh(base), fresh(swappedSet)
+			diverged := false
+			net.Pairs(func(i, j int) {
+				diverged = diverged || baseRef.Pair(i, j).Skew.Key() != swapRef.Pair(i, j).Skew.Key()
+			})
+			if !diverged {
+				t.Fatal("the swapped branch's skew never departs from the base branch's")
+			}
+			trackerEqual(t, "trunk tracker vs fresh base run", net, baseRef, skew)
+			trackerEqual(t, "clone on the plain fork vs fresh base run", net, baseRef, plainSkew)
+			trackerEqual(t, "clone on the swapped fork vs fresh swapped run", net, swapRef, swapSkew)
+		})
+	}
+}
+
 // TestStatefulAdversaryForkMatrix: the fork-determinism matrix for stateful
 // adversaries — an adaptive adversary (the online §2 scheduler) driven on a
 // fork, and on the trunk after forking, must be byte-identical to two

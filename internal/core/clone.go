@@ -13,42 +13,27 @@ import (
 )
 
 // Clone returns an independent tracker with identical state: same running
-// maxima, same pending time, same deferred right-limit evaluations. The
-// immutable environment (network, schedules, merged rate breakpoints) is
-// shared; everything mutable is deep-copied. The onPair hook is deliberately
-// not carried over — it belongs to the wrapper that installed it
-// (GradientTracker.Clone rewires its own).
+// maxima, same pending time, same deferred right-limit evaluations, same
+// per-instant clock values. The immutable environment (network, schedules,
+// merged rate breakpoints, compiled schedule mirrors) is shared; everything
+// mutable is deep-copied. The onPair hook is deliberately not carried over —
+// it belongs to the wrapper that installed it (GradientTracker.Clone rewires
+// its own).
 func (st *SkewTracker) Clone() *SkewTracker {
-	return &SkewTracker{
-		net:       st.net,
-		scheds:    st.scheds,
-		n:         st.n,
-		cur:       append([]trace.Decl(nil), st.cur...),
-		left:      append([]trace.Decl(nil), st.left...),
-		breaks:    st.breaks,
-		nextBreak: st.nextBreak,
-		pending:   st.pending,
-		dirty:     append([]int(nil), st.dirty...),
-		isDirty:   append([]bool(nil), st.isDirty...),
-		pairSkew:  append([]rat.Rat(nil), st.pairSkew...),
-		pairAt:    append([]rat.Rat(nil), st.pairAt...),
-		pairSet:   append([]bool(nil), st.pairSet...),
-		global:    st.global,
-		local:     st.local,
-		err:       st.err,
-
-		// Fixed lane: compiled schedule mirrors are immutable and shared;
-		// tick mirrors deep-copy (all nil when the lane was never adopted).
-		// Flush scratch is per-tracker and reallocates on first use.
-		scale:      st.scale,
-		fscheds:    st.fscheds,
-		curT:       append([]declTicks(nil), st.curT...),
-		leftT:      append([]declTicks(nil), st.leftT...),
-		pendingT:   st.pendingT,
-		pendingOK:  st.pendingOK,
-		pairSkewT:  append([]int64(nil), st.pairSkewT...),
-		pairTickOK: append([]bool(nil), st.pairTickOK...),
-	}
+	c := *st
+	c.cur = append([]trace.Decl(nil), st.cur...)
+	c.left = append([]trace.Decl(nil), st.left...)
+	c.dirty = append([]int(nil), st.dirty...)
+	c.isDirty = append([]bool(nil), st.isDirty...)
+	c.pairT = append([]int64(nil), st.pairT...)
+	c.pairAtT = append([]int64(nil), st.pairAtT...)
+	c.pairR = append([]ratMax(nil), st.pairR...)
+	c.vals = append([]int64(nil), st.vals...)
+	c.ratVals = append([]ratVal(nil), st.ratVals...)
+	c.curT = append([]declTicks(nil), st.curT...)
+	c.leftT = append([]declTicks(nil), st.leftT...)
+	c.onPair = nil
+	return &c
 }
 
 // Clone returns an independent gradient tracker: the embedded SkewTracker is

@@ -19,6 +19,14 @@
 // not counted here either), and right-limit evaluations are deferred until
 // time advances so that all nodes' same-instant declarations are seen
 // together.
+//
+// Cost. The SkewTracker evaluates pairs in sweeps: one node against every
+// other at one instant. Sweeps read clock values from per-instant vectors,
+// so each node's clock is evaluated once per instant for the left limits,
+// which hold for the whole instant, and once more for the right limits only
+// if the node declared there (a flush, clone-and-swap or lane change
+// mid-instant re-reads the vectors). On the tick lane (online_fixed.go) a
+// sweep is then one integer subtraction and compare per pair.
 package core
 
 import (
@@ -43,7 +51,7 @@ type rateBreak struct {
 func mergedBreaks(scheds []*clock.Schedule) []rateBreak {
 	var out []rateBreak
 	for i, s := range scheds {
-		for _, seg := range s.Rates()[1:] {
+		for _, seg := range s.RatesView()[1:] {
 			out = append(out, rateBreak{at: seg.At, nodes: []int{i}})
 		}
 	}
@@ -64,6 +72,27 @@ func mergedBreaks(scheds []*clock.Schedule) []rateBreak {
 	return merged
 }
 
+// Value-vector states (SkewTracker.prepare): which limits at the current
+// instant vals and ratVals hold.
+const (
+	valsStale = iota
+	valsLeft  // just before the instant, under the declarations then in effect
+	valsRight // at the instant, under the current declarations
+)
+
+// ratMax is a pair maximum held as rationals: one that left the tick grid,
+// or any maximum on the rat lane.
+type ratMax struct {
+	skew, at rat.Rat
+	set      bool
+}
+
+// ratVal is one node's clock value at the current instant on the rat lane.
+type ratVal struct {
+	v  rat.Rat
+	ok bool
+}
+
 // SkewTracker is an engine observer maintaining the running global skew,
 // local (distance-1) skew, and per-pair worst skew of a streaming run. State
 // is O(nodes²) and independent of event count. Attach it with
@@ -80,38 +109,40 @@ type SkewTracker struct {
 	breaks    []rateBreak
 	nextBreak int
 
-	pending rat.Rat // time of the last processed notification
+	pending rat.Rat // the current instant: time of the last processed notification
 	dirty   []int   // nodes whose post-state at pending awaits right-limit eval
 	isDirty []bool
 
-	pairSkew []rat.Rat // upper-triangle running max |L_i − L_j|
-	pairAt   []rat.Rat // time attaining it
-	pairSet  []bool
+	// Running maxima. pairT is symmetric n×n: pair (i, j)'s worst
+	// |L_i − L_j| in ticks, or noTick while the pair is unset or held in
+	// pairR (allocated when a maximum first leaves the grid). pairAtT[i*n+j],
+	// i < j, is the witness time in ticks. global and local index the entry
+	// of the first pair to reach the current extreme (-1: unset), so their
+	// values are read from that pair.
+	pairT   []int64
+	pairAtT []int64
+	pairR   []ratMax
+	global  int
+	local   int
 
-	global PairSkew
-	local  PairSkew
+	// onPair, when set, fires whenever pair (i, j)'s running maximum
+	// increases (i < j). GradientTracker uses it for first-violation
+	// detection.
+	onPair func(i, j int)
 
-	// onPair, when set, fires whenever a pair's running maximum increases.
-	// GradientTracker uses it for first-violation detection.
-	onPair func(i, j int, val, at rat.Rat)
+	// Clock values at the current instant (see prepare): vals in ticks
+	// (noTick off the grid), ratVals on demand for pairs off the grid.
+	vstate  int
+	vals    []int64
+	ratVals []ratVal
 
-	// Fixed-point lane (see online_fixed.go): scale > 0 after AdoptFixedLane
-	// mirrors declarations, pending time, and pair maxima in int64 ticks so
-	// the per-declaration pair sweep runs on integer arithmetic,
-	// value-by-value falling back to rat.
-	scale      int64
-	fscheds    []*clock.FixedSchedule
-	curT       []declTicks
-	leftT      []declTicks
-	pendingT   int64
-	pendingOK  bool
-	pairSkewT  []int64
-	pairTickOK []bool
-	// Flush scratch: per-node logical values at the flush instant.
-	flushT   []int64
-	flushTOK []bool
-	flushR   []rat.Rat
-	flushROK []bool
+	// Tick lane (online_fixed.go): scale > 0 after AdoptFixedLane.
+	scale     int64
+	fscheds   []*clock.FixedSchedule
+	curT      []declTicks
+	leftT     []declTicks
+	pendingT  int64
+	pendingOK bool
 
 	err error
 }
@@ -127,16 +158,20 @@ func NewSkewTracker(net *network.Network, scheds []*clock.Schedule) (*SkewTracke
 		return nil, fmt.Errorf("core: %d schedules for %d nodes", len(scheds), n)
 	}
 	st := &SkewTracker{
-		net:      net,
-		scheds:   scheds,
-		n:        n,
-		cur:      make([]trace.Decl, n),
-		left:     make([]trace.Decl, n),
-		isDirty:  make([]bool, n),
-		breaks:   mergedBreaks(scheds),
-		pairSkew: make([]rat.Rat, n*n),
-		pairAt:   make([]rat.Rat, n*n),
-		pairSet:  make([]bool, n*n),
+		net:     net,
+		scheds:  scheds,
+		n:       n,
+		cur:     make([]trace.Decl, n),
+		left:    make([]trace.Decl, n),
+		isDirty: make([]bool, n),
+		breaks:  mergedBreaks(scheds),
+		pairT:   make([]int64, n*n),
+		pairAtT: make([]int64, n*n),
+		global:  -1,
+		local:   -1,
+	}
+	for i := range st.pairT {
+		st.pairT[i] = noTick
 	}
 	one := rat.FromInt(1)
 	for i := 0; i < n; i++ {
@@ -157,89 +192,190 @@ func (st *SkewTracker) OnSend(trace.MsgRecord) {}
 // OnDeliver implements the engine Observer interface (no-op).
 func (st *SkewTracker) OnDeliver(trace.MsgRecord) {}
 
-// logicalAt evaluates node i's logical clock at real time t under
-// declaration d.
-func (st *SkewTracker) logicalAt(d trace.Decl, i int, t rat.Rat) rat.Rat {
-	return d.Value.Add(d.Mult.Mul(st.scheds[i].HW(t).Sub(d.HW0)))
+// setInstant makes t, past every processed notification, the current
+// instant.
+func (st *SkewTracker) setInstant(t rat.Rat) {
+	st.pending = t
+	st.pendingT, st.pendingOK = fixed.FromRat(t, st.scale)
+	st.vstate = valsStale
 }
 
-// declBefore returns node k's declaration in effect just before time t
-// (== pending).
-func (st *SkewTracker) declBefore(k int, t rat.Rat) trace.Decl {
-	if st.cur[k].Real.Equal(t) {
-		return st.left[k]
+// declaredNow reports whether node j's current declaration was made at the
+// current instant: a tick compare whenever the instant is on the grid.
+func (st *SkewTracker) declaredNow(j int) bool {
+	if st.pendingOK {
+		return st.curT[j].at == st.pendingT
 	}
-	return st.cur[k]
+	return st.cur[j].Real.Equal(st.pending)
 }
 
-// updatePair folds one pair evaluation into the running maxima, reporting
-// whether it became the pair's new maximum. Storing through the rat lane
-// invalidates the pair's tick mirror; updatePairT refreshes it.
-func (st *SkewTracker) updatePair(i, j int, val, at rat.Rat) bool {
+// prepare readies the value vectors for a sweep at the current instant,
+// from the left or the right. The left limits hold for the whole instant;
+// the right limits differ from them only at nodes that declared at it, so
+// turning left into right re-evaluates just those nodes.
+func (st *SkewTracker) prepare(left bool) {
+	want := valsRight
+	if left {
+		want = valsLeft
+	}
+	if st.vstate == want {
+		return
+	}
+	declaredOnly := st.vstate == valsLeft
+	st.vstate = want
+	for j := 0; j < st.n; j++ {
+		now := st.declaredNow(j)
+		if declaredOnly && !now {
+			continue
+		}
+		if st.ratVals != nil {
+			st.ratVals[j].ok = false
+		}
+		if st.pendingOK {
+			dt := st.curT[j]
+			if left && now {
+				dt = st.leftT[j]
+			}
+			st.vals[j] = st.logicalAtT(dt, j)
+		}
+	}
+}
+
+// ratValue returns node j's clock value at the current instant on the rat
+// lane, evaluated at most once per prepare.
+func (st *SkewTracker) ratValue(j int, left bool) rat.Rat {
+	if st.ratVals == nil {
+		st.ratVals = make([]ratVal, st.n)
+	}
+	if rv := &st.ratVals[j]; !rv.ok {
+		d := st.cur[j]
+		if left && st.declaredNow(j) {
+			d = st.left[j]
+		}
+		rv.v = d.Value.Add(d.Mult.Mul(st.scheds[j].HW(st.pending).Sub(d.HW0)))
+		rv.ok = true
+	}
+	return st.ratVals[j].v
+}
+
+// sweep folds |L_k − L_j| at the current instant into the running maxima
+// for every j ≠ k from `from` on, with limits from the left or the right.
+// Pairs whose clocks both read on the tick grid compare in ticks against row
+// k of pairT; the rest take the rat lane.
+func (st *SkewTracker) sweep(k, from int, left bool) {
+	st.prepare(left)
+	n := st.n
+	if !st.pendingOK || st.vals[k] == noTick {
+		for j := from; j < n; j++ {
+			if j != k {
+				st.ratPair(k, j, left)
+			}
+		}
+		return
+	}
+	vk, vals, row := st.vals[k], st.vals[:n], st.pairT[k*n:k*n+n]
+	for j := from; j < n; j++ {
+		switch vj := vals[j]; {
+		case j == k:
+		case vj == noTick:
+			st.ratPair(k, j, left)
+		default:
+			d := vk - vj // no overflow: logicalAtT bounds values by tickLimit
+			if d < 0 {
+				d = -d
+			}
+			if d > row[j] {
+				st.raiseT(k, j, d)
+			}
+		}
+	}
+}
+
+// ratPair evaluates pair (k, j) at the current instant on the rat lane.
+func (st *SkewTracker) ratPair(k, j int, left bool) {
+	st.updatePair(k, j, st.ratValue(k, left).Sub(st.ratValue(j, left)).Abs())
+}
+
+// updatePair folds a rat-lane evaluation of pair (i, j) at the current
+// instant into its running maximum, held in ticks whenever it fits the grid.
+func (st *SkewTracker) updatePair(i, j int, val rat.Rat) {
 	if j < i {
 		i, j = j, i
 	}
 	idx := i*st.n + j
-	if st.pairSet[idx] && !val.Greater(st.pairSkew[idx]) {
-		return false
-	}
-	st.pairSet[idx] = true
-	st.pairSkew[idx] = val
-	st.pairAt[idx] = at
-	if st.pairTickOK != nil {
-		st.pairTickOK[idx] = false
-	}
-	if st.onPair != nil {
-		st.onPair(i, j, val, at)
-	}
-	if val.Greater(st.global.Skew) {
-		st.global = PairSkew{I: i, J: j, Dist: st.net.Dist(i, j), Skew: val, At: at}
-	}
-	if val.Greater(st.local.Skew) && st.net.Dist(i, j).Equal(rat.FromInt(1)) {
-		st.local = PairSkew{I: i, J: j, Dist: rat.FromInt(1), Skew: val, At: at}
-	}
-	return true
-}
-
-// evalNode evaluates every pair involving k at time t under the current
-// declarations. tT/tOK carry t on the tick grid when the fixed lane is on;
-// pairs whose clocks evaluate in ticks compare in ticks, the rest go
-// through the rat lane.
-func (st *SkewTracker) evalNode(k int, t rat.Rat, tT int64, tOK bool) {
-	if tOK && st.scale > 0 {
-		if lkT, ok := st.logicalAtT(st.curT[k], k, tT); ok {
-			var lk rat.Rat
-			lkOK := false
-			for j := 0; j < st.n; j++ {
-				if j == k {
-					continue
-				}
-				if ljT, ok := st.logicalAtT(st.curT[j], j, tT); ok {
-					if d, ok := fixed.Sub(lkT, ljT); ok {
-						if d < 0 {
-							d = -d
-						}
-						st.updatePairT(k, j, d, t)
-						continue
-					}
-				}
-				if !lkOK {
-					lk = st.logicalAt(st.cur[k], k, t)
-					lkOK = true
-				}
-				lj := st.logicalAt(st.cur[j], j, t)
-				st.updatePair(k, j, lk.Sub(lj).Abs(), t)
+	if st.pendingOK {
+		if d, ok := fixed.FromRat(val, st.scale); ok {
+			if d > st.pairT[idx] {
+				st.raiseT(i, j, d)
 			}
 			return
 		}
 	}
-	lk := st.logicalAt(st.cur[k], k, t)
-	for j := 0; j < st.n; j++ {
-		if j == k {
-			continue
-		}
-		lj := st.logicalAt(st.cur[j], j, t)
-		st.updatePair(k, j, lk.Sub(lj).Abs(), t)
+	if (st.pairT[idx] != noTick || st.pairR != nil && st.pairR[idx].set) && !val.Greater(st.skewR(idx)) {
+		return
+	}
+	if st.pairR == nil {
+		st.pairR = make([]ratMax, st.n*st.n)
+	}
+	st.pairR[idx] = ratMax{skew: val, at: st.pending, set: true}
+	st.pairT[idx], st.pairT[j*st.n+i] = noTick, noTick
+	st.raised(i, j)
+}
+
+// raised folds pair (i, j)'s increased maximum into the global and local
+// extremes and reports it to onPair.
+func (st *SkewTracker) raised(i, j int) {
+	idx := i*st.n + j
+	if st.outranks(idx, st.global) {
+		st.global = idx
+	}
+	if st.outranks(idx, st.local) && st.net.Dist(i, j).Equal(rat.FromInt(1)) {
+		st.local = idx
+	}
+	if st.onPair != nil {
+		st.onPair(i, j)
+	}
+}
+
+// outranks reports whether pair entry a's running maximum strictly exceeds
+// entry b's (b < 0: an unset extreme, worth zero).
+func (st *SkewTracker) outranks(a, b int) bool {
+	if b < 0 {
+		return st.skewR(a).Sign() > 0
+	}
+	if va, vb := st.pairT[a], st.pairT[b]; va != noTick && vb != noTick {
+		return va > vb
+	}
+	return st.skewR(a).Greater(st.skewR(b))
+}
+
+// skewR and atR build pair entry idx's running maximum and its witness time
+// as rationals (zero while unset).
+func (st *SkewTracker) skewR(idx int) rat.Rat {
+	if v := st.pairT[idx]; v != noTick {
+		return fixed.ToRat(v, st.scale)
+	}
+	if st.pairR != nil {
+		return st.pairR[idx].skew
+	}
+	return rat.Rat{}
+}
+
+func (st *SkewTracker) atR(idx int) rat.Rat {
+	if st.pairT[idx] != noTick {
+		return fixed.ToRat(st.pairAtT[idx], st.scale)
+	}
+	if st.pairR != nil {
+		return st.pairR[idx].at
+	}
+	return rat.Rat{}
+}
+
+// markDirty defers node k's right-limit evaluation until time advances.
+func (st *SkewTracker) markDirty(k int) {
+	if !st.isDirty[k] {
+		st.isDirty[k] = true
+		st.dirty = append(st.dirty, k)
 	}
 }
 
@@ -249,28 +385,33 @@ func (st *SkewTracker) evalNode(k int, t rat.Rat, tT int64, tOK bool) {
 func (st *SkewTracker) advance(t rat.Rat) {
 	for _, k := range st.dirty {
 		st.isDirty[k] = false
-		st.evalNode(k, st.pending, st.pendingT, st.pendingOK)
+		st.sweep(k, 0, false)
 	}
 	st.dirty = st.dirty[:0]
+	reached := false
 	for st.nextBreak < len(st.breaks) && st.breaks[st.nextBreak].at.LessEq(t) {
 		br := st.breaks[st.nextBreak]
 		st.nextBreak++
 		if !br.at.Greater(st.pending) {
 			continue
 		}
-		atT, atOK := fixed.FromRat(br.at, st.scale)
+		// No declaration has landed at br.at yet, so left limits are the
+		// values under the current declarations — and at br.at == t they are
+		// exactly the left limits that t's declarations will read.
+		st.setInstant(br.at)
+		reached = br.at.Equal(t)
 		for _, k := range br.nodes {
-			st.evalNode(k, br.at, atT, atOK)
+			st.sweep(k, 0, true)
 			// A declaration may still land at exactly this time; re-check the
 			// post-state once time moves past it.
-			if br.at.Equal(t) && !st.isDirty[k] {
-				st.isDirty[k] = true
-				st.dirty = append(st.dirty, k)
+			if reached {
+				st.markDirty(k)
 			}
 		}
 	}
-	st.pending = t
-	st.pendingT, st.pendingOK = fixed.FromRat(t, st.scale)
+	if !reached {
+		st.setInstant(t)
+	}
 }
 
 // OnDeclare implements the engine ClockObserver interface: it evaluates the
@@ -281,19 +422,16 @@ func (st *SkewTracker) OnDeclare(d trace.Decl) {
 	if st.err != nil {
 		return
 	}
-	t := d.Real
-	if t.Less(st.pending) {
-		st.err = fmt.Errorf("core: declaration at %s behind tracker time %s (observer attached mid-run or flushed ahead?)", t, st.pending)
+	switch c := d.Real.Cmp(st.pending); {
+	case c < 0:
+		st.err = fmt.Errorf("core: declaration at %s behind tracker time %s (observer attached mid-run or flushed ahead?)", d.Real, st.pending)
 		return
-	}
-	if t.Greater(st.pending) {
-		st.advance(t)
+	case c > 0:
+		st.advance(d.Real)
 	}
 	i := d.Node
-	// Left limits at t for every pair involving i. After advance, pending == t,
-	// so pendingT carries t on the tick grid.
-	st.evalLeftLimits(i, t, st.pendingT, st.pendingOK)
-	if st.cur[i].Real.Less(t) {
+	st.sweep(i, 0, true)
+	if !st.declaredNow(i) {
 		st.left[i] = st.cur[i]
 		if st.scale > 0 {
 			st.leftT[i] = st.curT[i]
@@ -303,50 +441,7 @@ func (st *SkewTracker) OnDeclare(d trace.Decl) {
 	if st.scale > 0 {
 		st.curT[i] = st.declTicksOf(d)
 	}
-	if !st.isDirty[i] {
-		st.isDirty[i] = true
-		st.dirty = append(st.dirty, i)
-	}
-}
-
-// evalLeftLimits evaluates every pair involving i at t under the
-// declarations in effect just before t, mirroring evalNode's lane split.
-func (st *SkewTracker) evalLeftLimits(i int, t rat.Rat, tT int64, tOK bool) {
-	if tOK && st.scale > 0 {
-		if liT, ok := st.logicalAtT(st.declBeforeT(i, t), i, tT); ok {
-			var li rat.Rat
-			liOK := false
-			for j := 0; j < st.n; j++ {
-				if j == i {
-					continue
-				}
-				if ljT, ok := st.logicalAtT(st.declBeforeT(j, t), j, tT); ok {
-					if d, ok := fixed.Sub(liT, ljT); ok {
-						if d < 0 {
-							d = -d
-						}
-						st.updatePairT(i, j, d, t)
-						continue
-					}
-				}
-				if !liOK {
-					li = st.logicalAt(st.declBefore(i, t), i, t)
-					liOK = true
-				}
-				lj := st.logicalAt(st.declBefore(j, t), j, t)
-				st.updatePair(i, j, li.Sub(lj).Abs(), t)
-			}
-			return
-		}
-	}
-	li := st.logicalAt(st.declBefore(i, t), i, t)
-	for j := 0; j < st.n; j++ {
-		if j == i {
-			continue
-		}
-		lj := st.logicalAt(st.declBefore(j, t), j, t)
-		st.updatePair(i, j, li.Sub(lj).Abs(), t)
-	}
+	st.markDirty(i)
 }
 
 // Flush advances the tracker through time t and evaluates every pair at t,
@@ -364,43 +459,9 @@ func (st *SkewTracker) Flush(t rat.Rat) {
 	if t.Greater(st.pending) {
 		st.advance(t)
 	}
-	// Precompute each node's logical value at t once — in ticks when exact,
-	// through the rat lane lazily otherwise — so the all-pairs sweep repeats
-	// no clock evaluations.
-	if st.flushR == nil {
-		st.flushR = make([]rat.Rat, st.n)
-		st.flushROK = make([]bool, st.n)
-		st.flushT = make([]int64, st.n)
-		st.flushTOK = make([]bool, st.n)
+	for k := 0; k < st.n; k++ {
+		st.sweep(k, k+1, false)
 	}
-	tT, tOK := st.pendingT, st.pendingOK // pending == t after advance
-	for i := 0; i < st.n; i++ {
-		st.flushROK[i] = false
-		st.flushTOK[i] = false
-		if tOK && st.scale > 0 {
-			st.flushT[i], st.flushTOK[i] = st.logicalAtT(st.curT[i], i, tT)
-		}
-	}
-	st.net.Pairs(func(i, j int) {
-		if st.flushTOK[i] && st.flushTOK[j] {
-			if d, ok := fixed.Sub(st.flushT[i], st.flushT[j]); ok {
-				if d < 0 {
-					d = -d
-				}
-				st.updatePairT(i, j, d, t)
-				return
-			}
-		}
-		if !st.flushROK[i] {
-			st.flushR[i] = st.logicalAt(st.cur[i], i, t)
-			st.flushROK[i] = true
-		}
-		if !st.flushROK[j] {
-			st.flushR[j] = st.logicalAt(st.cur[j], j, t)
-			st.flushROK[j] = true
-		}
-		st.updatePair(i, j, st.flushR[i].Sub(st.flushR[j]).Abs(), t)
-	})
 	// The all-pairs evaluation covers every deferred right-limit at t.
 	for _, k := range st.dirty {
 		st.isDirty[k] = false
@@ -422,11 +483,21 @@ func (st *SkewTracker) Time() rat.Rat { return st.pending }
 
 // Global returns the running global skew: the worst |L_i − L_j| over all
 // pairs and all processed times, with one witness pair and time.
-func (st *SkewTracker) Global() PairSkew { return st.global }
+func (st *SkewTracker) Global() PairSkew {
+	if st.global < 0 {
+		return PairSkew{}
+	}
+	return st.Pair(st.global/st.n, st.global%st.n)
+}
 
 // Local returns the running local skew: the worst |L_i − L_j| over
 // distance-1 pairs.
-func (st *SkewTracker) Local() PairSkew { return st.local }
+func (st *SkewTracker) Local() PairSkew {
+	if st.local < 0 {
+		return PairSkew{}
+	}
+	return st.Pair(st.local/st.n, st.local%st.n)
+}
 
 // Pair returns the running worst skew for one pair.
 func (st *SkewTracker) Pair(i, j int) PairSkew {
@@ -434,7 +505,7 @@ func (st *SkewTracker) Pair(i, j int) PairSkew {
 		i, j = j, i
 	}
 	idx := i*st.n + j
-	return PairSkew{I: i, J: j, Dist: st.net.Dist(i, j), Skew: st.pairSkew[idx], At: st.pairAt[idx]}
+	return PairSkew{I: i, J: j, Dist: st.net.Dist(i, j), Skew: st.skewR(idx), At: st.atR(idx)}
 }
 
 // Profile returns the running empirical gradient profile f̂(d) = max skew
@@ -453,7 +524,7 @@ func (st *SkewTracker) Profile() []ProfilePoint {
 			order = append(order, key)
 		}
 		p.Pairs++
-		if v := st.pairSkew[i*st.n+j]; v.Greater(p.MaxSkew) {
+		if v := st.skewR(i*st.n + j); v.Greater(p.MaxSkew) {
 			p.MaxSkew = v
 		}
 	})
@@ -495,12 +566,22 @@ func NewGradientTracker(net *network.Network, scheds []*clock.Schedule, f Gradie
 	return gt, nil
 }
 
-func (gt *GradientTracker) observePair(i, j int, val, at rat.Rat) {
+// observePair checks a pair's increased maximum against f, in ticks when
+// both sides are on the grid.
+func (gt *GradientTracker) observePair(i, j int) {
 	if gt.violation != nil {
 		return
 	}
-	if val.Greater(gt.allowed[i*gt.n+j]) {
-		v := PairSkew{I: i, J: j, Dist: gt.net.Dist(i, j), Skew: val, At: at, Allowed: gt.allowed[i*gt.n+j]}
+	idx := i*gt.n + j
+	allowed := gt.allowed[idx]
+	if v := gt.pairT[idx]; v != noTick {
+		if a, ok := fixed.FromRat(allowed, gt.scale); ok && v <= a {
+			return
+		}
+	}
+	if gt.skewR(idx).Greater(allowed) {
+		v := gt.Pair(i, j)
+		v.Allowed = allowed
 		gt.violation = &v
 	}
 }
@@ -527,14 +608,14 @@ func (gt *GradientTracker) Report() GradientReport {
 		rep.Checked++
 		idx := i*gt.n + j
 		allowed := gt.allowed[idx]
-		val := gt.pairSkew[idx]
+		val := gt.skewR(idx)
 		ratio := val.Float64() / allowed.Float64()
 		if val.Greater(allowed) {
 			rep.OK = false
 		}
 		if ratio > worstRatio {
 			worstRatio = ratio
-			rep.Worst = PairSkew{I: i, J: j, Dist: gt.net.Dist(i, j), Skew: val, At: gt.pairAt[idx], Allowed: allowed}
+			rep.Worst = PairSkew{I: i, J: j, Dist: gt.net.Dist(i, j), Skew: val, At: gt.atR(idx), Allowed: allowed}
 		}
 	})
 	return rep
@@ -579,7 +660,7 @@ func (vt *ValidityTracker) OnDeliver(trace.MsgRecord) {}
 // half-open window [from, to) — exactly the rates that multiply a
 // declaration closed out at `to` in the compiled clock.
 func minRateIn(s *clock.Schedule, from, to rat.Rat) rat.Rat {
-	rates := s.Rates()
+	rates := s.RatesView()
 	var mn rat.Rat
 	first := true
 	for i, seg := range rates {

@@ -365,3 +365,64 @@ func TestTrackerMisuseSurfacesError(t *testing.T) {
 		t.Error("schedule count mismatch accepted")
 	}
 }
+
+// nopObserver implements every observer interface the trackers implement,
+// and does nothing.
+type nopObserver struct{}
+
+func (nopObserver) OnAction(trace.Action)     {}
+func (nopObserver) OnSend(trace.MsgRecord)    {}
+func (nopObserver) OnDeliver(trace.MsgRecord) {}
+func (nopObserver) OnDeclare(trace.Decl)      {}
+func (nopObserver) OnHorizon(rat.Rat)         {}
+func (nopObserver) AdoptFixedLane(int64)      {}
+
+// TestTrackersAddNoStepAllocations: once warm, the skew and validity
+// trackers allocate nothing per engine step — a drifting 9-node line steps
+// with them attached at no more allocations than with do-nothing observers
+// behind the same interfaces.
+func TestTrackersAddNoStepAllocations(t *testing.T) {
+	net, err := network.Line(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheds, err := clock.Diverse(9, rat.MustFrac(3, 4), rat.MustFrac(5, 4), 4, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := func(obs ...engine.Observer) float64 {
+		eng, err := engine.New(net,
+			engine.WithProtocol(gossipProtocol{period: rat.FromInt(1)}),
+			engine.WithAdversary(engine.HashAdversary{Seed: 5, Denom: 8}),
+			engine.WithSchedules(scheds),
+			engine.WithRho(rat.MustFrac(1, 2)),
+			engine.WithObservers(obs...),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := func() {
+			for i := 0; i < 20; i++ {
+				if _, err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 10; i++ {
+			steps()
+		}
+		return testing.AllocsPerRun(20, steps)
+	}
+	st, err := NewSkewTracker(net, scheds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracked := perRun(st, NewValidityTracker(scheds))
+	bare := perRun(nopObserver{}, nopObserver{})
+	if tracked > bare {
+		t.Errorf("trackers allocate: %v allocations per 20 steps, %v with no-op observers", tracked, bare)
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

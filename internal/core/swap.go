@@ -22,8 +22,8 @@ import (
 // before the processed time count as consumed, exactly as a tracker that
 // watched the whole run under the new schedule would have consumed them —
 // and recompiles the node's fixed-lane mirror; a replacement that does not
-// fit the adopted tick grid drops the tracker to the rat lane (arithmetic
-// changes, results do not).
+// fit the adopted tick grid drops the tracker to the rat lane, its tick-held
+// maxima re-expressed as rationals (arithmetic changes, results do not).
 func (st *SkewTracker) SwapSchedule(node int, s *clock.Schedule) error {
 	if node < 0 || node >= st.n {
 		return fmt.Errorf("core: SwapSchedule of invalid node %d", node)
@@ -48,10 +48,12 @@ func (st *SkewTracker) SwapSchedule(node int, s *clock.Schedule) error {
 			fs[node] = f
 			st.fscheds = fs
 		} else {
-			st.scale = 0
-			st.fscheds = nil
+			st.rescale(0, nil)
 		}
 	}
+	// The node's clock values at the current instant are re-read under the
+	// replacement.
+	st.vstate = valsStale
 	return nil
 }
 

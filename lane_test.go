@@ -45,16 +45,49 @@ func laneRun(t *testing.T, net *gcs.Network, proto gcs.Protocol, scheds []*gcs.S
 	return exec, skew, eng
 }
 
+// trackerEqual requires two skew trackers over net to hold exactly the same
+// results, compared on canonical rational keys: every pair's maximum and
+// witness time, the global and local extremes with their witness pairs and
+// times, and the gradient profile.
+func trackerEqual(t *testing.T, label string, net *gcs.Network, want, got *gcs.SkewTracker) {
+	t.Helper()
+	same := func(a, b gcs.PairSkew) bool {
+		return a.I == b.I && a.J == b.J && a.Skew.Key() == b.Skew.Key() && a.At.Key() == b.At.Key()
+	}
+	if w, g := want.Global(), got.Global(); !same(w, g) {
+		t.Fatalf("%s: global skew %+v vs %+v", label, w, g)
+	}
+	if w, g := want.Local(), got.Local(); !same(w, g) {
+		t.Fatalf("%s: local skew %+v vs %+v", label, w, g)
+	}
+	net.Pairs(func(i, j int) {
+		if w, g := want.Pair(i, j), got.Pair(i, j); !same(w, g) {
+			t.Fatalf("%s: pair (%d,%d) skew %+v vs %+v", label, i, j, w, g)
+		}
+	})
+	wp, gp := want.Profile(), got.Profile()
+	if len(wp) != len(gp) {
+		t.Fatalf("%s: profile of %d distances vs %d", label, len(wp), len(gp))
+	}
+	for k := range wp {
+		if wp[k].Dist.Key() != gp[k].Dist.Key() || wp[k].Pairs != gp[k].Pairs || wp[k].MaxSkew.Key() != gp[k].MaxSkew.Key() {
+			t.Fatalf("%s: profile point %d %+v vs %+v", label, k, wp[k], gp[k])
+		}
+	}
+}
+
 // TestLaneDeterminismMatrix: fresh runs across topologies × protocols are
 // byte-identical between the auto-detected fixed lane and the forced rat
-// lane, and the online trackers agree to the bit. Also asserts the fixed
-// lane actually engages on these workloads — a detection regression would
-// otherwise turn the whole matrix into rat-vs-rat.
+// lane, and the online trackers agree to the bit, witnesses included. The
+// protocols are the portfolio plus offGridProtocol, whose declarations send
+// the fixed lane's tracker through its rational fallback. Also asserts the
+// fixed lane actually engages on these workloads — a detection regression
+// would otherwise turn the whole matrix into rat-vs-rat.
 func TestLaneDeterminismMatrix(t *testing.T) {
 	dur := gcs.R(12)
 	fixedRuns := 0
 	for _, net := range forkTopologies(t) {
-		for _, proto := range gcs.AllProtocols() {
+		for _, proto := range append(gcs.AllProtocols(), offGridProtocol{}) {
 			net, proto := net, proto
 			t.Run(fmt.Sprintf("%s/%s", net.Name(), proto.Name()), func(t *testing.T) {
 				scheds, err := gcs.DiverseSchedules(net.N(), gcs.Frac(3, 4), gcs.Frac(5, 4), 4, 17)
@@ -70,15 +103,7 @@ func TestLaneDeterminismMatrix(t *testing.T) {
 					fixedRuns++
 				}
 				execEqual(t, "auto lane vs rat lane", ratExec, autoExec)
-				if !autoSkew.Global().Skew.Equal(ratSkew.Global().Skew) ||
-					autoSkew.Global().Skew.Key() != ratSkew.Global().Skew.Key() {
-					t.Fatalf("tracker global skew differs across lanes: %s vs %s",
-						autoSkew.Global().Skew, ratSkew.Global().Skew)
-				}
-				if !autoSkew.Local().Skew.Equal(ratSkew.Local().Skew) {
-					t.Fatalf("tracker local skew differs across lanes: %s vs %s",
-						autoSkew.Local().Skew, ratSkew.Local().Skew)
-				}
+				trackerEqual(t, "auto lane vs rat lane", net, ratSkew, autoSkew)
 			})
 		}
 	}
@@ -88,9 +113,10 @@ func TestLaneDeterminismMatrix(t *testing.T) {
 }
 
 // TestLaneForkMatrix: a run forked mid-way on the fixed lane — inheriting
-// queued tick keys, cached hardware readings, and tracker tick mirrors —
-// must finish byte-identical to a fresh rat-lane run, across topologies for
-// the protocols with the heaviest per-node state.
+// queued tick keys, cached hardware readings, and the tracker's tick-held
+// maxima and per-instant clock values — must finish byte-identical to a
+// fresh rat-lane run, across topologies for the protocols with the heaviest
+// per-node state.
 func TestLaneForkMatrix(t *testing.T) {
 	dur := gcs.R(12)
 	protos := []gcs.Protocol{
@@ -145,10 +171,7 @@ func TestLaneForkMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				execEqual(t, "fixed-lane fork vs rat-lane fresh", refExec, forkExec)
-				if !fskew.Global().Skew.Equal(refSkew.Global().Skew) {
-					t.Fatalf("forked tracker global skew %s vs rat-lane %s",
-						fskew.Global().Skew, refSkew.Global().Skew)
-				}
+				trackerEqual(t, "fixed-lane fork vs rat-lane fresh", net, refSkew, fskew)
 			})
 		}
 	}
@@ -207,9 +230,89 @@ func FuzzLaneRun(f *testing.F) {
 		autoExec, autoSkew := run(gcs.LaneAuto)
 		ratExec, ratSkew := run(gcs.LaneRat)
 		execEqual(t, "fuzzed auto vs rat", ratExec, autoExec)
-		if autoSkew.Global().Skew.Key() != ratSkew.Global().Skew.Key() {
-			t.Fatalf("tracker global skew differs: %s vs %s",
-				autoSkew.Global().Skew, ratSkew.Global().Skew)
-		}
+		trackerEqual(t, "fuzzed auto vs rat", net, ratSkew, autoSkew)
 	})
+}
+
+// scaleProbe records the tick scale the engine hands its observers.
+type scaleProbe struct {
+	gcs.ObserverFuncs
+	scale int64
+}
+
+func (p *scaleProbe) AdoptFixedLane(scale int64) { p.scale = scale }
+
+// TestTrackerRescaleMidRun: a tracker moved between grids mid-run — onto the
+// rat lane, back onto the engine's grid, then onto a finer one — carries its
+// maxima across each move (ticks to rationals, rationals to ticks, ticks to
+// finer ticks) and ends exactly where a rat-lane tracker ends.
+func TestTrackerRescaleMidRun(t *testing.T) {
+	net, err := gcs.Line(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheds, err := gcs.DiverseSchedules(net.N(), gcs.Frac(3, 4), gcs.Frac(5, 4), 4, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto := gcs.Gradient(gcs.DefaultGradientParams())
+	_, ref, _ := laneRun(t, net, proto, scheds, gcs.R(12), gcs.LaneRat)
+	skew, err := gcs.NewSkewTracker(net, scheds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &scaleProbe{}
+	eng, err := gcs.NewEngine(net,
+		gcs.WithProtocol(proto),
+		gcs.WithAdversary(gcs.HashAdversary{Seed: 7, Denom: 8}),
+		gcs.WithSchedules(scheds),
+		gcs.WithRho(gcs.Frac(1, 2)),
+		gcs.WithObservers(skew, probe),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.scale <= 0 {
+		t.Fatal("fixed lane never engaged")
+	}
+	for i, scale := range []int64{0, probe.scale, 3 * probe.scale} {
+		if err := eng.RunUntil(gcs.R(3 * int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		skew.AdoptFixedLane(scale)
+	}
+	if err := eng.RunUntil(gcs.R(12)); err != nil {
+		t.Fatal(err)
+	}
+	trackerEqual(t, "rescaled tracker vs rat lane", net, ref, skew)
+}
+
+// offGridNode advances its clock on a hardware timer: two ticks of three
+// step an eleventh of a unit — off any tick grid the engine detects from the
+// schedules and the adversary — and the third jumps to the next integer,
+// back on the grid. Nodes start the cycle at different phases, so pair
+// maxima leave the grid and are overtaken by on-grid values again.
+type offGridNode struct{ k int }
+
+func (n *offGridNode) Init(rt *gcs.Runtime) { rt.SetTimerAtHW(rt.HW().Add(gcs.R(1)), 1) }
+
+func (n *offGridNode) OnTimer(rt *gcs.Runtime, _ int) {
+	l := rt.Logical()
+	if n.k++; n.k%3 == 0 {
+		rt.SetLogical(gcs.R(l.Floor()+1), gcs.R(1))
+	} else {
+		rt.SetLogical(l.Add(gcs.Frac(1, 11)), gcs.R(1))
+	}
+	rt.SetTimerAtHW(rt.HW().Add(gcs.R(1)), 1)
+}
+
+func (n *offGridNode) OnMessage(*gcs.Runtime, int, gcs.Message) {}
+
+type offGridProtocol struct{}
+
+func (offGridProtocol) Name() string            { return "off-grid" }
+func (offGridProtocol) NewNode(id int) gcs.Node { return &offGridNode{k: id} }
+func (offGridProtocol) CloneState(n gcs.Node) gcs.Node {
+	c := *n.(*offGridNode)
+	return &c
 }
