@@ -30,22 +30,19 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Fuzz every fuzz target beyond its seed corpus (plain `go test` only
-# replays the seeds): one `go test -fuzz` run per target, in its own
-# package, FUZZTIME long with one worker. A failing input is written to that
-# package's testdata/fuzz/, where it becomes a seed; the CI test job runs
-# this on stable Go and uploads those directories when it fails.
-FUZZTIME ?= 10s
-FUZZ_TARGETS = .:FuzzLaneRun \
-	./internal/clock:FuzzScheduleInversion \
-	./internal/dist:FuzzCampaignSpec ./internal/dist:FuzzShardRequest \
-	./internal/fixed:FuzzLane \
-	./internal/rat:FuzzArith ./internal/rat:FuzzParse
-
+# replays the seeds). `go test -list` names each package's targets, so a new
+# target joins without an edit here; each then gets one `go test -fuzz` run,
+# in its own package, 10 s long with one worker. A failing input is written
+# to that package's testdata/fuzz/, where it becomes a seed; the CI test job
+# runs this on stable Go and uploads those directories when it fails.
 fuzz-smoke:
-	@set -e; for t in $(FUZZ_TARGETS); do \
+	@set -e; list="$$($(GO) test -list '^Fuzz' ./...)"; \
+	targets="$$(echo "$$list" | awk '/^Fuzz/ {f[++k] = $$1} /^ok/ {for (i = 1; i <= k; i++) print $$2 ":" f[i]; k = 0}')"; \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found" >&2; exit 1; }; \
+	for t in $$targets; do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz $$name in $$pkg"; \
-		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) -parallel 1 $$pkg; \
+		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s -parallel 1 $$pkg; \
 	done
 
 # Machine-readable experiment snapshots for trend tracking: the standard

@@ -336,8 +336,69 @@ func TestScheduleSwapForkMatrix(t *testing.T) {
 // any mutable state shared between them would leak one branch into another.
 // The cases cover the tick lane, the rat lane, and a swap that leaves the
 // tick grid (engine and tracker drop to the rat lane mid-run, the tracker's
-// tick-held maxima turning into rationals).
+// tick-held maxima turning into rationals). The "flushed instant" cases
+// clone at a flush that later declarations land on, on both lanes.
 func TestSiblingTrackerClonesShareNoState(t *testing.T) {
+	// A declaration at a flushed instant rebuilds the instant's left limits
+	// from the declarations the tracker saved for the nodes that already
+	// declared there: state that the engine-driven cases below rarely read,
+	// as an engine flushes only at horizons, after every event up to them.
+	// Branch 0 re-declares node 0 at the instant and then moves on, saving a
+	// new left declaration for node 0; branch 1 then declares node 1 at the
+	// instant and must still read node 0's left limit as L = H.
+	for _, scale := range []int64{8, 0} {
+		scale := scale
+		name := "flushed instant/fixed"
+		if scale == 0 {
+			name = "flushed instant/rat"
+		}
+		t.Run(name, func(t *testing.T) {
+			net, err := gcs.Line(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheds := gcs.ConstantSchedules(net.N(), gcs.R(1))
+			// Under rate-1 clocks a declaration makes L(t) = value + t − at.
+			decl := func(node int, at, value int64) gcs.Decl {
+				return gcs.Decl{Node: node, Real: gcs.R(at), HW0: gcs.R(at), Value: gcs.R(value), Mult: gcs.R(1)}
+			}
+			branches := [][]gcs.Decl{
+				{decl(0, 1, 50), decl(0, 2, 60)},
+				{decl(1, 1, 1)},
+			}
+			trunk := func() *gcs.SkewTracker {
+				skew, err := gcs.NewSkewTracker(net, scheds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				skew.AdoptFixedLane(scale)
+				skew.OnDeclare(decl(0, 1, 5))
+				skew.Flush(gcs.R(1))
+				return skew
+			}
+			shared := trunk()
+			clones := []*gcs.SkewTracker{shared.Clone(), shared.Clone()}
+			for k, decls := range branches {
+				for _, d := range decls {
+					clones[k].OnDeclare(d)
+				}
+			}
+			for k, decls := range branches {
+				ref := trunk()
+				for _, d := range decls {
+					ref.OnDeclare(d)
+				}
+				for _, skew := range []*gcs.SkewTracker{ref, clones[k]} {
+					skew.Flush(gcs.R(3))
+					if err := skew.Err(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				trackerEqual(t, fmt.Sprintf("clone on branch %d vs fresh run", k), net, ref, clones[k])
+			}
+		})
+	}
+
 	net, err := gcs.Line(5)
 	if err != nil {
 		t.Fatal(err)
