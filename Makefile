@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated plan-smoke bench-history matrix matrix-smoke fuzz-smoke
+.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated plan-smoke bench-history matrix matrix-smoke fuzz-smoke perf-smoke
 
 all: vet build test
 
@@ -43,6 +43,23 @@ fuzz-smoke:
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz $$name in $$pkg"; \
 		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s -parallel 1 $$pkg; \
+	done
+
+# The benchmark's own correctness checks on every workload: one short traced
+# run each of `bash gcsperf/run.sh` (the stream references, the goldens, and
+# the traced-vs-untraced count comparison). gcsperf exits 0 whatever it finds,
+# so the target reads the verdict off the last line of the output: it must
+# say "correct":true and "failed":0. The CI test job runs this on stable Go.
+perf-smoke:
+	@set -e; for w in stream search matrix construct; do \
+		echo "perf-smoke $$w"; \
+		out="$$(bash gcsperf/run.sh --workload $$w --seconds 1 --trace 1)"; \
+		last="$$(printf '%s\n' "$$out" | tail -n 1)"; \
+		if ! printf '%s' "$$last" | grep -q '"correct":true' || \
+			! printf '%s' "$$last" | grep -Eq '"failed":0[,}]'; then \
+			printf '%s\n' "$$out" >&2; \
+			echo "perf-smoke: workload $$w is not correct:true with failed 0" >&2; exit 1; \
+		fi; \
 	done
 
 # Machine-readable experiment snapshots for trend tracking: the standard

@@ -62,9 +62,9 @@ func TestForkAllocBudgetGradient(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			// Measured: 9 allocs/op (queue slabs, runtime slab, decl slab,
-			// pair counters, node slab, engine header). Budget leaves slack
-			// for layout drift while staying an order of magnitude under the
+			// Measured: 8 allocs/op (queue slabs, runtime slab, pair
+			// counters, node slab, engine header). Budget leaves slack for
+			// layout drift while staying an order of magnitude under the
 			// per-node regime.
 			const budget = 16
 			if allocs > budget {

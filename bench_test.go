@@ -395,13 +395,14 @@ func BenchmarkAdaptiveRun(b *testing.B) {
 }
 
 // BenchmarkEngineStream measures the same runs through the streaming engine
-// with online trackers: no action trace or message ledger is retained, and
-// the tracker's state is O(nodes²) however long the run. Memory still grows
-// with the run, though: the engine keeps every logical-clock declaration
-// (one 104-byte trace.Decl per SetLogical, in each node's Runtime) so that
-// Engine.Execution can compile the clocks and Fork can copy them. The
-// trajectory to watch is allocs/op against steps/op (dispatched events)
-// between the dur=32 and dur=96 runs, versus BenchmarkRunRecorded's.
+// with online trackers: no action trace, message ledger or declaration
+// history is retained (the engine keeps each node's current declaration
+// only; a trace.Recorder, absent here, would keep the history), and the
+// tracker's state is O(nodes²) however long the run. What a run allocates
+// still grows with its events — protocol payloads and handler arithmetic —
+// but what it holds does not. The trajectory to watch is allocs/op against
+// steps/op (dispatched events) between the dur=32 and dur=96 runs, versus
+// BenchmarkRunRecorded's.
 func BenchmarkEngineStream(b *testing.B) {
 	for _, dur := range []int64{32, 96} {
 		dur := dur

@@ -44,8 +44,31 @@ type forkRun struct {
 	valid *gcs.ValidityTracker
 }
 
+// execEqual fails unless a and b hold the same actions, the same ledger
+// and the same compiled clocks: every node's logical and hardware clock,
+// segment by segment.
 func execEqual(t *testing.T, label string, a, b *gcs.Execution) {
 	t.Helper()
+	for _, clock := range []string{"logical", "hardware"} {
+		xs, ys := a.Logical, b.Logical
+		if clock == "hardware" {
+			xs, ys = a.Hardware, b.Hardware
+		}
+		if len(xs) != len(ys) {
+			t.Fatalf("%s: %d %s clocks vs %d", label, len(xs), clock, len(ys))
+		}
+		for i := range xs {
+			x, y := xs[i].Segs(), ys[i].Segs()
+			if len(x) != len(y) {
+				t.Fatalf("%s: node %d %s clock has %d segments vs %d", label, i, clock, len(x), len(y))
+			}
+			for k := range x {
+				if !x[k].From.Equal(y[k].From) || !x[k].V0.Equal(y[k].V0) || !x[k].Slope.Equal(y[k].Slope) {
+					t.Fatalf("%s: node %d %s clock segment %d differs: %+v vs %+v", label, i, clock, k, x[k], y[k])
+				}
+			}
+		}
+	}
 	if len(a.Actions) != len(b.Actions) {
 		t.Fatalf("%s: %d actions vs %d", label, len(a.Actions), len(b.Actions))
 	}

@@ -173,10 +173,8 @@ func NewSkewTracker(net *network.Network, scheds []*clock.Schedule) (*SkewTracke
 	for i := range st.pairT {
 		st.pairT[i] = noTick
 	}
-	one := rat.FromInt(1)
 	for i := 0; i < n; i++ {
-		// The implicit starting declaration: L = H.
-		st.cur[i] = trace.Decl{Node: i, Mult: one}
+		st.cur[i] = trace.StartDecl(i)
 		st.left[i] = st.cur[i]
 	}
 	return st, nil
@@ -252,7 +250,7 @@ func (st *SkewTracker) ratValue(j int, left bool) rat.Rat {
 		if left && st.declaredNow(j) {
 			d = st.left[j]
 		}
-		rv.v = d.Value.Add(d.Mult.Mul(st.scheds[j].HW(st.pending).Sub(d.HW0)))
+		rv.v = d.ValueAt(st.scheds[j].HW(st.pending))
 		rv.ok = true
 	}
 	return st.ratVals[j].v
@@ -640,9 +638,8 @@ func NewValidityTracker(scheds []*clock.Schedule) *ValidityTracker {
 		cur:     make([]trace.Decl, n),
 		leftVal: make([]rat.Rat, n),
 	}
-	one := rat.FromInt(1)
 	for i := range vt.cur {
-		vt.cur[i] = trace.Decl{Node: i, Mult: one}
+		vt.cur[i] = trace.StartDecl(i)
 	}
 	return vt
 }
@@ -717,8 +714,7 @@ func (vt *ValidityTracker) OnDeclare(d trace.Decl) {
 	i := d.Node
 	if d.Real.Greater(vt.cur[i].Real) {
 		vt.closeOut(i, d.Real, false)
-		cur := vt.cur[i]
-		vt.leftVal[i] = cur.Value.Add(cur.Mult.Mul(vt.scheds[i].HW(d.Real).Sub(cur.HW0)))
+		vt.leftVal[i] = vt.cur[i].ValueAt(vt.scheds[i].HW(d.Real))
 	}
 	// Same-instant re-declaration replaces the current one; the left limit
 	// is unchanged and intermediate values never exist in the compiled

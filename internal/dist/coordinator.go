@@ -41,7 +41,8 @@ type CellResult struct {
 
 // Coordinator drives a campaign spec against a worker fleet. Correctness
 // does not depend on the fleet: any shard any worker fails to return — dead
-// process, timeout, version mismatch, garbage response — is reassigned to
+// process, timeout, version mismatch, garbage or oversized response, a
+// result that fails search.Campaign.CheckShard — is reassigned to
 // surviving workers and, when none survive, evaluated locally, with the
 // degradation reason appended to the cell's Result.Notes. The merged bytes
 // equal single-process search.Search on every cell regardless (EngineSteps
@@ -245,6 +246,10 @@ func (c *Coordinator) evaluateShard(cell int, campaign *search.Campaign, gen *se
 			c.Metrics.DispatchSeconds.ObserveDuration(time.Since(start))
 		}
 		if err == nil {
+			// A malformed result is a worker failure like a lost connection.
+			err = campaign.CheckShard(lo, hi, sr)
+		}
+		if err == nil {
 			return sr, true, ""
 		}
 		if c.Metrics != nil {
@@ -303,7 +308,7 @@ func (c *Coordinator) callShard(url string, cell int, gen *search.Generation, lo
 	}
 	defer httpRes.Body.Close()
 	var res ShardResponse
-	if err := json.NewDecoder(httpRes.Body).Decode(&res); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(nil, httpRes.Body, maxShardBytes)).Decode(&res); err != nil {
 		return nil, fmt.Errorf("decode response (HTTP %d): %w", httpRes.StatusCode, err)
 	}
 	if res.Error != "" {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gcs/internal/clock"
 	"gcs/internal/network"
 	"gcs/internal/obs"
 	"gcs/internal/rat"
@@ -232,6 +233,97 @@ func TestDistributedSurvivesWorkerKill(t *testing.T) {
 	})
 }
 
+// shardDefect breaks a real worker result into a shape a campaign must not
+// merge.
+type shardDefect struct {
+	name  string
+	apply func(sr *search.ShardResult) *search.ShardResult
+}
+
+// shardDefects are the malformed results the coordinator must survive;
+// several used to panic it.
+func shardDefects() []shardDefect {
+	return []shardDefect{
+		{"no result", func(*search.ShardResult) *search.ShardResult { return nil }},
+		{"short rates", func(sr *search.ShardResult) *search.ShardResult {
+			sr.Top[0].Rates = nil
+			return sr
+		}},
+		{"one schedule for two nodes", func(sr *search.ShardResult) *search.ShardResult {
+			sr.Top[0].Schedules = [][]clock.RateSeg{{{Rate: rat.FromInt(1)}}}
+			return sr
+		}},
+		{"no log", func(sr *search.ShardResult) *search.ShardResult {
+			sr.Top[0].Log = nil
+			return sr
+		}},
+		{"miscounted", func(sr *search.ShardResult) *search.ShardResult {
+			sr.Evaluated++
+			return sr
+		}},
+		{"duplicate ID", func(sr *search.ShardResult) *search.ShardResult {
+			sr.Top = append(sr.Top, sr.Top[0])
+			return sr
+		}},
+		{"foreign ID", func(sr *search.ShardResult) *search.ShardResult {
+			sr.Top[0].ID += 1000
+			return sr
+		}},
+		{"foreign failure", func(sr *search.ShardResult) *search.ShardResult {
+			sr.ErrID, sr.ErrMsg = 1000, "made up"
+			return sr
+		}},
+	}
+}
+
+// defectiveWorker serves shards through a real Worker and applies defect to
+// every result before answering.
+func defectiveWorker(t *testing.T, defect func(*search.ShardResult) *search.ShardResult) string {
+	t.Helper()
+	inner := (&Worker{}).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var res ShardResponse
+		if err := json.NewDecoder(rec.Body).Decode(&res); err != nil || res.Result == nil {
+			t.Errorf("inner worker answered HTTP %d without a result: %v", rec.Code, err)
+			return
+		}
+		res.Result = defect(res.Result)
+		writeJSON(rw, http.StatusOK, res)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestDistributedSurvivesMalformedResults: a worker whose results are
+// malformed is treated as dead, like one that stopped answering: its shard
+// is evaluated locally, the cell ends byte-identical to Search, and the
+// result says it degraded.
+func TestDistributedSurvivesMalformedResults(t *testing.T) {
+	spec := e13LongSpec()
+	want := singleProcess(t, spec)
+	for _, defect := range shardDefects() {
+		defect := defect
+		t.Run(defect.name, func(t *testing.T) {
+			coord := &Coordinator{
+				Spec:    spec,
+				Workers: []string{defectiveWorker(t, defect.apply)},
+				Timeout: 30 * time.Second,
+			}
+			cells, err := coord.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsMatch(t, want, cells[0].Result)
+			notes := cells[0].Result.Notes
+			if len(notes) == 0 || !strings.Contains(notes[0], "degraded to coordinator-local evaluation") {
+				t.Fatalf("malformed results left no degradation note: %v", notes)
+			}
+		})
+	}
+}
+
 // TestDistributedNoWorkersRunsLocally: an empty fleet is the in-process
 // pool, still byte-identical.
 func TestDistributedNoWorkersRunsLocally(t *testing.T) {
@@ -289,7 +381,7 @@ func TestWorkerRejectsOversizeBody(t *testing.T) {
 	w := &Worker{Registry: obs.NewRegistry()}
 	body := io.MultiReader(
 		strings.NewReader(`{"version":1,"spec":{"protocol":"`),
-		io.LimitReader(endlessByte('a'), maxShardRequestBytes))
+		io.LimitReader(endlessByte('a'), maxShardBytes))
 	rec := httptest.NewRecorder()
 	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathShard, body))
 	if rec.Code != http.StatusRequestEntityTooLarge {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gcs/internal/rat"
 	"gcs/internal/search"
 )
 
@@ -122,6 +123,68 @@ func FuzzShardRequest(f *testing.F) {
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("round trip not byte-stable:\n%s\n%s", first, second)
+		}
+	})
+}
+
+// FuzzShardResult drives arbitrary bytes through the path a worker's answer
+// takes on the coordinator: decode a ShardResult, CheckShard it against a
+// two-node campaign's pending generation, and Absorb it, which must never
+// panic. A result CheckShard rejects must be rejected by Absorb too, and a
+// campaign that absorbed one must export its next generation. The seeds are
+// the campaign's real round-zero result and the defects
+// TestDistributedSurvivesMalformedResults serves.
+func FuzzShardResult(f *testing.F) {
+	spec := CampaignSpec{
+		Protocol: "max-gossip",
+		Cells:    []CellSpec{{Topology: "two-node", Diameter: rat.FromInt(2), Duration: rat.FromInt(4)}},
+		Rho:      rat.MustFrac(1, 2),
+		Rounds:   1,
+		Beam:     1,
+	}
+	opt, err := spec.CellOptions(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	campaign := func(tb testing.TB) *search.Campaign {
+		c, err := search.NewCampaign(opt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return c
+	}
+	c := campaign(f)
+	result := func() *search.ShardResult {
+		sr, err := c.EvaluateRange(0, c.NumPending())
+		if err != nil {
+			f.Fatal(err)
+		}
+		return sr
+	}
+	seeds := []*search.ShardResult{result()}
+	for _, defect := range shardDefects() {
+		seeds = append(seeds, defect.apply(result()))
+	}
+	for _, sr := range seeds {
+		data, err := json.Marshal(sr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sr *search.ShardResult
+		if err := json.Unmarshal(data, &sr); err != nil {
+			return
+		}
+		c := campaign(t)
+		checkErr := c.CheckShard(0, c.NumPending(), sr)
+		absorbErr := c.Absorb([]*search.ShardResult{sr})
+		if checkErr != nil && absorbErr == nil {
+			t.Fatalf("Absorb merged a result CheckShard rejects: %v", checkErr)
+		}
+		if absorbErr == nil && !c.Done() {
+			c.Generation()
 		}
 	})
 }

@@ -12,9 +12,10 @@ import (
 	"gcs/internal/search"
 )
 
-// maxShardRequestBytes caps a shard request body; the example campaign's
-// largest, a 40-candidate generation of its d=64 cell, is 573 KB.
-const maxShardRequestBytes = 64 << 20
+// maxShardBytes caps a shard request body, and the response body the
+// coordinator reads back; the example campaign's largest request, a
+// 40-candidate generation of its d=64 cell, is 573 KB.
+const maxShardBytes = 64 << 20
 
 // Worker serves shard evaluations. It is stateless between requests: every
 // ShardRequest carries the full campaign spec and wire generation, so a
@@ -88,7 +89,7 @@ func (w *Worker) Handler() http.Handler {
 			return
 		}
 		var req ShardRequest
-		if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardRequestBytes)).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardBytes)).Decode(&req); err != nil {
 			status := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {

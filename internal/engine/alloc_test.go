@@ -8,6 +8,7 @@ package engine
 // per-event garbage fails them long before it shows up in a benchmark.
 
 import (
+	"runtime"
 	"testing"
 
 	"gcs/internal/network"
@@ -135,11 +136,62 @@ func TestStepSteadyStateBudgetObserved(t *testing.T) {
 	})
 }
 
+// declPulseNode is pulseNode re-declaring its logical clock at every
+// firing: a run whose declaration history grows by one entry per step.
+type declPulseNode struct{ pulseNode }
+
+func (n declPulseNode) OnTimer(rt *Runtime, id int) {
+	rt.SetLogical(rt.Logical(), rat.FromInt(1))
+	n.pulseNode.OnTimer(rt, id)
+}
+
+type declPulseProtocol struct{}
+
+func (declPulseProtocol) Name() string           { return "decl-pulse" }
+func (declPulseProtocol) NewNode(int) Node       { return declPulseNode{} }
+func (declPulseProtocol) CloneState(n Node) Node { return n }
+
+// TestForkCostIndependentOfHistory: the engine keeps only each node's
+// current declaration, so what Fork allocates — bytes, not just allocation
+// count — is the same after 256 steps and after 4,096 steps of a run whose
+// nodes declare at every step. An engine that kept the declaration history
+// would copy it into every fork.
+func TestForkCostIndependentOfHistory(t *testing.T) {
+	forkBytes := func(warmup int) uint64 {
+		eng := newTestEngine(t, 5, declPulseProtocol{})
+		warm(t, eng, warmup)
+		// One processor and a collection first keep the runtime's own
+		// allocations out of the count. Anything else that allocates
+		// meanwhile only adds bytes, so the least of a few measurements is
+		// Fork's own cost.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 16
+		least := uint64(1 << 63)
+		for k := 0; k < 5; k++ {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := eng.Fork(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return least
+	}
+	short, long := forkBytes(256), forkBytes(4096)
+	if short != long {
+		t.Fatalf("Fork allocates %d B after 256 declaring steps but %d B after 4096", short, long)
+	}
+}
+
 // TestForkAllocBudget pins Fork's bulk-copy cost: a fixed number of slab
 // copies plus one CloneState per node, independent of how many events are
 // pending. The budgets are generous against today's measured cost (engine
-// struct + 3 queue slices + pairSeq + runtimes + decl slab + nodes + n node
-// clones ≈ 8 + n) but far below the old element-wise clone, which paid one
+// struct + 3 queue slices + pairSeq + runtimes + nodes + n node clones ≈
+// 7 + n) but far below the old element-wise clone, which paid one
 // allocation per pending event.
 func TestForkAllocBudget(t *testing.T) {
 	cases := []struct {

@@ -55,6 +55,8 @@
 //   - ClockObserver and HorizonObserver (core.SkewTracker,
 //     core.ValidityTracker, Funcs): the declaration stream and the exact
 //     horizon close-out that make online metrics equal the post-hoc ones.
+//     trace.Recorder is a ClockObserver too: it keeps the declaration
+//     history, which the engine does not.
 //
 // An adversary implementing an observer interface is also fed the event
 // stream of every engine it is bound to (AdaptiveScheduler).
@@ -86,7 +88,6 @@ import (
 
 	"gcs/internal/clock"
 	"gcs/internal/network"
-	"gcs/internal/piecewise"
 	"gcs/internal/rat"
 	"gcs/internal/trace"
 )
@@ -280,10 +281,9 @@ func New(net *network.Network, opts ...Option) (*Engine, error) {
 	e.runtimes = make([]Runtime, n)
 	e.nodes = make([]Node, n)
 	for i := 0; i < n; i++ {
-		e.runtimes[i] = Runtime{eng: e, id: i}
-		e.nodes[i] = e.proto.NewNode(i)
 		// Default logical clock L = H until the node declares otherwise.
-		e.runtimes[i].decls = []trace.Decl{{Node: i, Mult: rat.FromInt(1)}}
+		e.runtimes[i] = Runtime{eng: e, id: i, decl: trace.StartDecl(i)}
+		e.nodes[i] = e.proto.NewNode(i)
 	}
 	e.detectLane()
 	if e.met != nil {
@@ -512,26 +512,21 @@ func (e *Engine) dispatch(ev *event) {
 	}
 }
 
-// Execution compiles the engine's clocks through the current horizon and
-// combines them with rec's buffered trace into a complete Execution. rec
-// must have been attached (via Observe or WithObservers) before the first
-// event was dispatched for the trace to be complete.
+// Execution returns the run through the current horizon as a complete
+// Execution, compiled by rec from what it recorded (see
+// trace.Recorder.Execution). rec must have seen every event the engine
+// dispatched: attached (via Observe or WithObservers) before the first Step,
+// or, on a fork, the Clone of such a recorder taken at the fork point.
+// Execution returns an error for any other recorder, whose clocks would be
+// silently incomplete.
 func (e *Engine) Execution(rec *trace.Recorder) (*trace.Execution, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	n := e.net.N()
-	logical := make([]*piecewise.PLF, n)
-	hardware := make([]*piecewise.PLF, n)
-	for i := 0; i < n; i++ {
-		hardware[i] = e.scheds[i].HWFunc()
-		plf, err := compileLogical(e.scheds[i], e.runtimes[i].decls, e.horizon)
-		if err != nil {
-			return nil, fmt.Errorf("engine: node %d logical clock: %w", i, err)
-		}
-		logical[i] = plf
+	if seen := rec.Dispatched(); seen != e.steps {
+		return nil, fmt.Errorf("engine: recorder saw %d of %d dispatched events (attach it before the first Step, and give a fork the Clone of the trunk's recorder)", seen, e.steps)
 	}
-	return rec.Execution(e.net, e.scheds, e.horizon, logical, hardware), nil
+	return rec.Execution(e.net, e.scheds, e.horizon)
 }
 
 // Run executes a batch configuration and returns its recorded trace: it
@@ -565,56 +560,4 @@ func Run(cfg Config) (*trace.Execution, error) {
 		return nil, err
 	}
 	return eng.Execution(rec)
-}
-
-// compileLogical merges a node's logical-clock declarations with its
-// hardware rate schedule into an exact piecewise-linear L(t) over real time,
-// truncated at the horizon.
-// Between declarations, L(t) = Value + Mult·(H(t) − HW0), so within one
-// hardware rate segment the real-time slope is Mult·rate.
-func compileLogical(sched *clock.Schedule, decls []trace.Decl, horizon rat.Rat) (*piecewise.PLF, error) {
-	if len(decls) == 0 {
-		return nil, errors.New("no logical declarations")
-	}
-	plf := piecewise.New(rat.Rat{}, decls[0].Value, decls[0].Mult.Mul(sched.RateAt(rat.Rat{})))
-	rateBreaks := sched.RatesView() // read-only walk; never modified
-	ri := 0                         // index of the rate segment in effect
-	advanceRate := func(t rat.Rat) {
-		for ri+1 < len(rateBreaks) && rateBreaks[ri+1].At.LessEq(t) {
-			ri++
-		}
-	}
-	cur := decls[0]
-	emit := func(at rat.Rat, d trace.Decl) error {
-		advanceRate(at)
-		v := d.Value.Add(d.Mult.Mul(sched.HW(at).Sub(d.HW0)))
-		return plf.Append(at, v, d.Mult.Mul(rateBreaks[ri].Rate))
-	}
-	for k := 1; k < len(decls); k++ {
-		d := decls[k]
-		// Rate breakpoints strictly between the previous declaration and this
-		// one change the real-time slope of the current declaration.
-		for _, rb := range rateBreaks {
-			if rb.At.Greater(cur.Real) && rb.At.Less(d.Real) && rb.At.LessEq(horizon) {
-				if err := emit(rb.At, cur); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if d.Real.Greater(horizon) {
-			return plf, nil
-		}
-		if err := emit(d.Real, d); err != nil {
-			return nil, err
-		}
-		cur = d
-	}
-	for _, rb := range rateBreaks {
-		if rb.At.Greater(cur.Real) && rb.At.LessEq(horizon) {
-			if err := emit(rb.At, cur); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return plf, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"gcs/internal/clock"
@@ -246,6 +247,72 @@ func TestErrorPoisonsEngine(t *testing.T) {
 	}
 	if eng.Err() != err {
 		t.Errorf("Err() = %v, want %v", eng.Err(), err)
+	}
+}
+
+// TestExecutionRejectsLateRecorder: a recorder attached after the first
+// Step holds only part of the run, declarations included, so Execution must
+// refuse it rather than compile clocks that silently miss the start. The
+// same run with the recorder attached first compiles.
+func TestExecutionRejectsLateRecorder(t *testing.T) {
+	eng := newTestEngine(t, 3, tickProtocol{period: ri(1)})
+	if _, err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	late := trace.NewRecorder(3)
+	eng.Observe(late)
+	if err := eng.RunUntil(ri(6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Execution(late); err == nil || !strings.Contains(err.Error(), "dispatched events") {
+		t.Fatalf("Execution with a recorder attached after the first Step: err = %v", err)
+	}
+
+	eng = newTestEngine(t, 3, tickProtocol{period: ri(1)})
+	early := trace.NewRecorder(3)
+	eng.Observe(early)
+	if err := eng.RunUntil(ri(6)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Execution(early); err != nil {
+		t.Fatalf("Execution with a recorder attached before the first Step: %v", err)
+	}
+}
+
+// TestExecutionRejectsFreshRecorderOnFork: a fork starts with no observers,
+// and a fresh recorder attached to it sees only the suffix, so Execution
+// must refuse it. The Clone of the trunk's recorder carries the prefix and
+// compiles.
+func TestExecutionRejectsFreshRecorderOnFork(t *testing.T) {
+	eng := newTestEngine(t, 3, tickProtocol{period: ri(1)})
+	rec := trace.NewRecorder(3)
+	eng.Observe(rec)
+	if err := eng.RunUntil(ri(3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		rec    *trace.Recorder
+		accept bool
+	}{
+		{"fresh recorder", trace.NewRecorder(3), false},
+		{"trunk's clone", rec.Clone(), true},
+	} {
+		fork, err := eng.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork.Observe(tc.rec)
+		if err := fork.RunUntil(ri(6)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = fork.Execution(tc.rec)
+		if tc.accept && err != nil {
+			t.Fatalf("%s on a fork: %v", tc.name, err)
+		}
+		if !tc.accept && (err == nil || !strings.Contains(err.Error(), "dispatched events")) {
+			t.Fatalf("%s on a fork: err = %v, want the missed-events error", tc.name, err)
+		}
 	}
 }
 

@@ -18,21 +18,20 @@ import (
 //
 // The fork clones everything mutable — the event queue, the per-pair
 // message sequence counters, the scheduling sequence, each node's Runtime
-// (hardware reading, logical-clock declarations), and each node automaton
-// via the Protocol's CloneState contract — as a handful of bulk slab copies
-// rather than element-wise deep clones: the queue's slab/heap/free arrays
-// copy in three memmoves, the runtimes copy as one contiguous slab, and
-// every node's declaration history lands in one shared backing array (each
-// node's slice is capped at its own length, so a post-fork append copies on
-// write instead of bleeding into a neighbor's history). The immutable
-// environment — the network, the hardware schedules, ρ — is shared. A
-// stateless adversary is inherited by reference; a StatefulAdversary is
-// cloned via CloneAdversary so trunk and fork decide from independent state,
-// and an adversary that observes the run without being cloneable fails the
-// fork with a precise error (sharing it would silently corrupt both
-// branches). Message payloads queued in flight are shared too: payloads must
-// be value-determined and never mutated after Send, which the Message
-// contract already demands.
+// (hardware reading, current logical-clock declaration), and each node
+// automaton via the Protocol's CloneState contract — as a handful of bulk
+// slab copies rather than element-wise deep clones: the queue's
+// slab/heap/free arrays copy in three memmoves and the runtimes, plain
+// values, in one. No history is copied — a Recorder keeps that, and its
+// Clone shares it — so a fork costs the same however long the run has
+// been. The immutable environment — the network, the hardware schedules,
+// ρ — is shared. A stateless adversary is inherited by reference; a
+// StatefulAdversary is cloned via CloneAdversary so trunk and fork decide
+// from independent state, and an adversary that observes the run without
+// being cloneable fails the fork with a precise error (sharing it would
+// silently corrupt both branches). Message payloads queued in flight are
+// shared too: payloads must be value-determined and never mutated after
+// Send, which the Message contract already demands.
 //
 // The fork starts with no observers (the cloned adversary's own feedback
 // hook rebinds automatically — it is not part of the observer lists). To
@@ -79,32 +78,10 @@ func (e *Engine) Fork() (*Engine, error) {
 	f.queue.cloneFrom(&e.queue)
 	f.pairSeq = append([]uint64(nil), e.pairSeq...)
 
-	// Runtimes copy as one slab; the declaration histories share one backing
-	// array, each node's slice capped at its own length so appends after the
-	// fork reallocate instead of clobbering the next node's prefix.
-	totalDecls := 0
-	for i := range e.runtimes {
-		totalDecls += len(e.runtimes[i].decls)
-	}
-	// Each node's slice gets declSlack spare capacity inside the shared slab,
-	// so the first post-fork declarations append in place instead of paying a
-	// reallocation per node; a node's cap ends where its neighbor's region
-	// starts, so overflowing the slack still copies on write.
-	const declSlack = 8
-	declSlab := make([]trace.Decl, 0, totalDecls+declSlack*n)
-	f.runtimes = make([]Runtime, n)
-	for i := 0; i < n; i++ {
-		rt := &e.runtimes[i]
-		start := len(declSlab)
-		declSlab = append(declSlab, rt.decls...)
-		end := len(declSlab)
-		f.runtimes[i] = Runtime{
-			eng:   f,
-			id:    i,
-			hwNow: rt.hwNow,
-			decls: declSlab[start : end : end+declSlack],
-		}
-		declSlab = declSlab[:end+declSlack]
+	// Runtimes are values: one slab copy, then each is rebound to the fork.
+	f.runtimes = append([]Runtime(nil), e.runtimes...)
+	for i := range f.runtimes {
+		f.runtimes[i].eng = f
 	}
 	if bc, ok := e.proto.(BulkCloneProtocol); ok {
 		f.nodes = bc.CloneStates(e.nodes)

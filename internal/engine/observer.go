@@ -32,8 +32,8 @@ type Observer interface {
 // ClockObserver is an optional Observer extension: observers that also
 // implement it are notified of every logical-clock declaration a node makes
 // (Runtime.SetLogical). Every node starts with the implicit identity
-// declaration L = H (Value 0, Mult 1 at hardware reading 0), which is not
-// announced. Online skew and validity trackers are ClockObservers.
+// declaration L = H (trace.StartDecl), which is not announced. Online skew
+// and validity trackers, and trace.Recorder, are ClockObservers.
 type ClockObserver interface {
 	OnDeclare(d trace.Decl)
 }

@@ -11,11 +11,15 @@ import (
 // Runtime is a node's interface to the simulated world during callbacks. It
 // deliberately exposes no real-time information: everything a node can learn
 // is its hardware clock, the static network parameters, and its messages.
+//
+// A Runtime holds only what the run needs next: the node's latest hardware
+// reading and its current logical-clock declaration. The declaration history
+// is streamed to ClockObservers; a trace.Recorder keeps it.
 type Runtime struct {
 	eng   *Engine
 	id    int
 	hwNow rat.Rat
-	decls []trace.Decl
+	decl  trace.Decl // the declaration in effect
 }
 
 // ID returns this node's index.
@@ -40,13 +44,10 @@ func (rt *Runtime) HW() rat.Rat { return rt.hwNow }
 
 // Logical returns the node's current logical-clock value per its latest
 // declaration.
-func (rt *Runtime) Logical() rat.Rat {
-	d := rt.decls[len(rt.decls)-1]
-	return d.Value.Add(d.Mult.Mul(rt.hwNow.Sub(d.HW0)))
-}
+func (rt *Runtime) Logical() rat.Rat { return rt.decl.ValueAt(rt.hwNow) }
 
 // LogicalMult returns the multiplier of the latest declaration.
-func (rt *Runtime) LogicalMult() rat.Rat { return rt.decls[len(rt.decls)-1].Mult }
+func (rt *Runtime) LogicalMult() rat.Rat { return rt.decl.Mult }
 
 // SetLogical declares the node's logical clock: from the current hardware
 // reading H₀ on, L(H) = value + mult·(H − H₀). mult must be >= 0.
@@ -61,7 +62,7 @@ func (rt *Runtime) SetLogical(value, mult rat.Rat) {
 		return
 	}
 	d := trace.Decl{Node: rt.id, Real: e.now, HW0: rt.hwNow, Value: value, Mult: mult}
-	rt.decls = append(rt.decls, d)
+	rt.decl = d
 	if e.advClockObs != nil {
 		e.advClockObs.OnDeclare(d)
 	}

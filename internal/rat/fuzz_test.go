@@ -2,6 +2,7 @@ package rat
 
 import (
 	"math/big"
+	"strings"
 	"testing"
 )
 
@@ -54,12 +55,13 @@ func FuzzArith(f *testing.F) {
 	})
 }
 
-// FuzzParse checks that any string Parse accepts round-trips through String
-// and agrees with math/big.
+// FuzzParse checks that any string Parse accepts agrees with math/big,
+// which reads base-10 text the same way once leading zeros are gone (it
+// reads them as an octal prefix in n/d form), and round-trips through String.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{"0", "1", "-1", "3/4", "-3/4", "1.25", "1e3",
-		"9223372036854775807", "-9223372036854775808/3",
-		"123456789123456789123456789/987654321987654321"} {
+		"9223372036854775807", "-9223372036854775808/3", "010/3", "+007.50",
+		"0x1p9999999", "123456789123456789123456789/987654321987654321"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -67,7 +69,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejected input: nothing to check
 		}
-		want, ok := new(big.Rat).SetString(s)
+		want, ok := new(big.Rat).SetString(stripLeadingZeros(s))
 		if !ok {
 			t.Fatalf("Parse accepted %q but big.Rat rejects it", s)
 		}
@@ -79,4 +81,20 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("String round trip failed for %q → %s", s, r)
 		}
 	})
+}
+
+// stripLeadingZeros drops the leading zeros of every digit run in s that
+// follows its start, a sign or a slash, keeping one digit of each run.
+func stripLeadingZeros(s string) string {
+	var b strings.Builder
+	start := true
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if start && c == '0' && i+1 < len(s) && s[i+1] >= '0' && s[i+1] <= '9' {
+			continue
+		}
+		start = c == '-' || c == '+' || c == '/'
+		b.WriteByte(c)
+	}
+	return b.String()
 }

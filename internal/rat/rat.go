@@ -19,6 +19,7 @@ import (
 	"math/big"
 	"math/bits"
 	"strconv"
+	"strings"
 )
 
 // Rat is an exact rational number. The zero value is 0.
@@ -72,14 +73,76 @@ func MustFrac(n, d int64) Rat {
 	return r
 }
 
-// Parse parses "n", "n/d", or a decimal such as "1.25" (the syntaxes accepted
-// by big.Rat.SetString).
+// maxDigits caps the digits of the numerator and of the denominator Parse
+// reads, a decimal i.f counting as the fraction (i f)/10^len(f). Values the
+// program writes have a dozen digits or so, and String of any accepted value
+// is itself accepted; what the cap rules out is a short string that expands
+// into a number whose printing or arithmetic takes seconds. It also keeps
+// the longest input worth fuzzing short (see FuzzParse).
+const maxDigits = 100
+
+// Parse parses a base-10 rational: "n", "n/d" or a decimal "i.f", each with
+// an optional sign ("-3/4", "+1.25"). Leading zeros are decimal ("010/3" is
+// 10/3). The numerator and the denominator may each have at most 100
+// digits (i.f counts as (i f)/10^len(f)). Anything else is an error:
+// exponents, base prefixes, underscores, spaces, a zero denominator.
 func Parse(s string) (Rat, error) {
-	b, ok := new(big.Rat).SetString(s)
-	if !ok {
-		return Rat{}, fmt.Errorf("rat: cannot parse %q", s)
+	if len(s) > 2*maxDigits+2 {
+		return Rat{}, parseError(s)
 	}
-	return fromBig(b), nil
+	body, neg := s, false
+	if body != "" && (body[0] == '-' || body[0] == '+') {
+		body, neg = body[1:], body[0] == '-'
+	}
+	num, den := body, "1"
+	if i := strings.IndexAny(body, "/."); i >= 0 {
+		num, den = body[:i], body[i+1:]
+		if body[i] == '.' {
+			if !isDigits(num) || !isDigits(den) {
+				return Rat{}, parseError(s)
+			}
+			num, den = num+den, "1"+strings.Repeat("0", len(den))
+		}
+	}
+	if !isDigits(num) || !isDigits(den) || strings.Trim(den, "0") == "" {
+		return Rat{}, parseError(s)
+	}
+	if len(num) <= 18 && len(den) <= 18 { // both below 10^18 < 2^63
+		n, _ := strconv.ParseInt(num, 10, 64)
+		d, _ := strconv.ParseInt(den, 10, 64)
+		if neg {
+			n = -n
+		}
+		return FromFrac(n, d)
+	}
+	n, _ := new(big.Int).SetString(num, 10)
+	d, _ := new(big.Int).SetString(den, 10)
+	if neg {
+		n.Neg(n)
+	}
+	return fromBig(new(big.Rat).SetFrac(n, d)), nil
+}
+
+// isDigits reports whether s is 1 to maxDigits decimal digits.
+func isDigits(s string) bool {
+	if s == "" || len(s) > maxDigits {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// parseError reports a string Parse rejects, quoting at most its first 40
+// bytes.
+func parseError(s string) error {
+	if len(s) > 40 {
+		return fmt.Errorf("rat: cannot parse %q… (%d bytes)", s[:40], len(s))
+	}
+	return fmt.Errorf("rat: cannot parse %q", s)
 }
 
 // MustParse is Parse for trusted constant inputs; it panics on a syntax

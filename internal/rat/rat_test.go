@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestFromInt(t *testing.T) {
@@ -49,7 +51,7 @@ func TestFromFrac(t *testing.T) {
 			t.Errorf("FromFrac(%d,%d) err = %v, wantErr %v", tt.n, tt.d, err, tt.wantErr)
 			continue
 		}
-		if err == nil && got.String() != tt.want {
+		if err == nil && tt.want != "" && got.String() != tt.want {
 			t.Errorf("FromFrac(%d,%d) = %s, want %s", tt.n, tt.d, got.String(), tt.want)
 		}
 	}
@@ -66,8 +68,31 @@ func TestParse(t *testing.T) {
 		{"10", "10", false},
 		{"1.25", "5/4", false},
 		{"0.5", "1/2", false},
+		{"+3/4", "3/4", false},
+		{"-0", "0", false},
+		{"010/3", "10/3", false},
+		{"007.50", "15/2", false},
+		{"-9223372036854775808/3", "-9223372036854775808/3", false},
+		{"123456789012345678901234567890/11", "123456789012345678901234567890/11", false},
 		{"", "", true},
 		{"x", "", true},
+		{"-", "", true},
+		{"3/0", "", true},
+		{"3/-4", "", true},
+		{"1/2/3", "", true},
+		{".5", "", true},
+		{"1.", "", true},
+		{"1.2.3", "", true},
+		{"1e3", "", true},
+		{"0x10", "", true},
+		{"1_000", "", true},
+		{" 1", "", true},
+		{strings.Repeat("9", 100), strings.Repeat("9", 100), false},
+		{strings.Repeat("9", 101), "", true},
+		{"1/" + strings.Repeat("9", 101), "", true},
+		{"0." + strings.Repeat("1", 99), "", false},
+		{"0." + strings.Repeat("1", 100), "", true},
+		{strings.Repeat("1", 1<<20), "", true},
 	}
 	for _, tt := range tests {
 		got, err := Parse(tt.in)
@@ -75,8 +100,21 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
 			continue
 		}
-		if err == nil && got.String() != tt.want {
+		if err == nil && tt.want != "" && got.String() != tt.want {
 			t.Errorf("Parse(%q) = %s, want %s", tt.in, got.String(), tt.want)
+		}
+	}
+}
+
+// TestParseRejectsExpandingInputs: inputs of a few bytes that math/big
+// reads as numbers of millions of digits (a binary exponent, a decimal one)
+// are outside Parse's syntax and must be refused at once, not expanded.
+func TestParseRejectsExpandingInputs(t *testing.T) {
+	for _, in := range []string{"0x1p9999999", "0b1p9999999", "1e-999999"} {
+		start := time.Now()
+		_, err := Parse(in)
+		if elapsed := time.Since(start); err == nil || elapsed > time.Millisecond {
+			t.Errorf("Parse(%q) = err %v after %v, want an error within 1 ms", in, err, elapsed)
 		}
 	}
 }

@@ -413,18 +413,84 @@ func buildShard(opt Options, evals []evaluation, dispatched uint64) *ShardResult
 	return sr
 }
 
+// CheckShard reports whether sr is a well-formed result for the pending
+// candidates [lo, hi): it must evaluate exactly hi − lo of them, every ID it
+// names (ErrID when set, each Top entry's, those unique) must be one of
+// theirs, and each Top entry must carry one rate per node, nil or one
+// schedule per node, and a decision log. The coordinator checks each
+// worker's result with it; Absorb applies the same checks, short of the
+// shard's place in the generation, to every result it merges.
+func (c *Campaign) CheckShard(lo, hi int, sr *ShardResult) error {
+	if lo < 0 || hi < lo || hi > len(c.pending) {
+		return fmt.Errorf("search: shard range [%d, %d) outside pending generation of %d", lo, hi, len(c.pending))
+	}
+	if err := c.checkShard(lo, hi, sr, make(map[int]bool)); err != nil {
+		return err
+	}
+	if sr.Evaluated != hi-lo {
+		return fmt.Errorf("search: shard [%d, %d) result evaluated %d candidates", lo, hi, sr.Evaluated)
+	}
+	return nil
+}
+
+// checkShard is CheckShard short of the exact count: sr evaluated at most
+// hi − lo candidates, and the Top IDs it names are not yet in seen, which
+// collects them across the shards of one generation.
+func (c *Campaign) checkShard(lo, hi int, sr *ShardResult, seen map[int]bool) error {
+	if sr == nil {
+		return fmt.Errorf("search: nil shard result")
+	}
+	if sr.Evaluated < 0 || sr.Evaluated > hi-lo {
+		return fmt.Errorf("search: shard result evaluated %d of %d candidates", sr.Evaluated, hi-lo)
+	}
+	// Pending IDs are consecutive: enumeration hands them out in order.
+	inShard := func(id int) bool {
+		if len(c.pending) == 0 {
+			return false
+		}
+		k := id - c.pending[0].id
+		return k >= lo && k < hi && c.pending[k].id == id
+	}
+	if sr.ErrID >= 0 && !inShard(sr.ErrID) {
+		return fmt.Errorf("search: shard result fails candidate %d, not one of its own", sr.ErrID)
+	}
+	n := c.opt.Net.N()
+	for _, ce := range sr.Top {
+		switch {
+		case !inShard(ce.ID):
+			return fmt.Errorf("search: shard result ranks candidate %d, not one of its own", ce.ID)
+		case seen[ce.ID]:
+			return fmt.Errorf("search: shard results rank candidate %d twice", ce.ID)
+		case len(ce.Rates) != n:
+			return fmt.Errorf("search: evaluated candidate %d has %d rates for %d nodes", ce.ID, len(ce.Rates), n)
+		case ce.Schedules != nil && len(ce.Schedules) != n:
+			return fmt.Errorf("search: evaluated candidate %d has %d schedules for %d nodes", ce.ID, len(ce.Schedules), n)
+		case ce.Log == nil:
+			return fmt.Errorf("search: evaluated candidate %d has no decision log", ce.ID)
+		}
+		seen[ce.ID] = true
+	}
+	return nil
+}
+
 // Absorb merges the pending generation's shard results — any partition, any
 // order — and advances the campaign: round zero fixes the baseline, every
 // round re-reduces the beam, and the greedy fixpoint or round budget ends
-// the campaign. The shards must cover the pending generation exactly; a
-// candidate evaluation failure surfaces as the same error single-pool
-// Search would return.
+// the campaign. The shards must cover the pending generation exactly, and
+// each must pass the checks of CheckShard that do not depend on where it
+// lies in the generation; otherwise Absorb changes nothing and returns the
+// error. A candidate evaluation failure surfaces as the same error
+// single-pool Search would return.
 func (c *Campaign) Absorb(results []*ShardResult) error {
 	if c.done {
 		return fmt.Errorf("search: campaign already finished")
 	}
 	covered := 0
+	seen := make(map[int]bool)
 	for _, sr := range results {
+		if err := c.checkShard(0, len(c.pending), sr, seen); err != nil {
+			return err
+		}
 		covered += sr.Evaluated
 	}
 	if covered != len(c.pending) {
@@ -513,14 +579,12 @@ func (c *Campaign) firstError(results []*ShardResult) error {
 	return fmt.Errorf("search: candidate %d: %w", errID, errCause)
 }
 
-// decodeEval rebuilds a beam entry from its wire form.
+// decodeEval rebuilds a beam entry from its wire form, which checkShard has
+// passed.
 func decodeEval(ce CandidateEval) (evaluation, error) {
 	scheds, err := DecodeSchedules(ce.Schedules)
 	if err != nil {
 		return evaluation{}, fmt.Errorf("search: evaluated candidate %d: %w", ce.ID, err)
-	}
-	if ce.Log == nil {
-		return evaluation{}, fmt.Errorf("search: evaluated candidate %d has no decision log", ce.ID)
 	}
 	return evaluation{
 		cand:    candidate{id: ce.ID, rates: ce.Rates, scheds: scheds},

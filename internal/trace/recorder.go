@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"errors"
+	"fmt"
 	"maps"
 
 	"gcs/internal/clock"
@@ -9,32 +11,41 @@ import (
 	"gcs/internal/rat"
 )
 
-// Recorder is the full-trace observer: it buffers every action and message
-// record streamed by an engine, exactly reproducing the ledger and action
-// log the batch simulator used to build in place. Recording is just one more
-// observer — attach a Recorder for post-hoc analysis, or leave it off and
-// run with online trackers in O(1) memory per event.
+// Recorder is the full-trace observer: it buffers every action, message
+// record and logical-clock declaration streamed by an engine, and it is the
+// only place a run's history is kept: the engine holds just what the run
+// needs next. Recording is just one more observer — attach a Recorder for
+// post-hoc analysis, or leave it off and run with online trackers in memory
+// independent of event count.
 //
 // A Recorder must be attached before the first event is dispatched to
-// capture a complete trace.
+// capture a complete trace; Engine.Execution refuses one that was not.
 //
-// The action log and the per-node index lists are append-only: no recorded
-// element is ever written again. The ledger holds one record per message in
-// send order; a delivery overwrites its message's record in place. Clone and
-// Execution share all three instead of copying them, and the recorder
-// remembers how much of the ledger it has shared: a delivery that would
-// write into that prefix first copies the ledger (copy-on-write), so a
-// shared view never changes.
+// The action log, the per-node index lists and the per-node declaration
+// histories are append-only: no recorded element is ever written again. The
+// ledger holds one record per message in send order; a delivery overwrites
+// its message's record in place. Clone shares all four instead of copying
+// them, and Execution all but the declarations, which it compiles into
+// clocks. The recorder remembers how much of the ledger it has shared: a
+// delivery that would write into that prefix first copies the ledger
+// (copy-on-write), so a shared view never changes.
 type Recorder struct {
 	actions []Action
 	perNode [][]int
-	ledger  []MsgRecord
+	// decls holds each node's declarations in order, starting with the
+	// implicit StartDecl.
+	decls  [][]Decl
+	ledger []MsgRecord
 	// inFlight maps each message sent but not yet delivered to its ledger
 	// index; a delivery removes its entry.
 	inFlight map[MsgKey]int32
 	// shared is the length of the ledger prefix that snapshots and clones
 	// may still read.
 	shared int
+	// events counts the Init, Timer and Recv actions recorded: one per
+	// engine event dispatched while the recorder (or the one it was cloned
+	// from) was attached.
+	events uint64
 }
 
 // Size counts what a recorded run holds: its actions, its messages, and the
@@ -48,8 +59,15 @@ type Size struct {
 
 // NewRecorder returns a Recorder for an n-node system.
 func NewRecorder(n int) *Recorder {
+	start := make([]Decl, n)
+	decls := make([][]Decl, n)
+	for i := range start {
+		start[i] = StartDecl(i)
+		decls[i] = start[i : i+1 : i+1]
+	}
 	return &Recorder{
 		perNode:  make([][]int, n),
+		decls:    decls,
 		inFlight: make(map[MsgKey]int32),
 	}
 }
@@ -77,7 +95,22 @@ func NewSizedRecorder(n int, hint Size) *Recorder {
 func (r *Recorder) OnAction(a Action) {
 	r.perNode[a.Node] = append(r.perNode[a.Node], len(r.actions))
 	r.actions = append(r.actions, a)
+	if a.Kind != KindSend {
+		r.events++
+	}
 }
+
+// OnDeclare implements the engine ClockObserver interface: it appends the
+// declaration to its node's history.
+func (r *Recorder) OnDeclare(d Decl) {
+	r.decls[d.Node] = append(r.decls[d.Node], d)
+}
+
+// Dispatched returns the number of engine events the recorded trace covers:
+// its Init, Timer and Recv actions, each of which one dispatched event
+// emits. It equals the engine's step count exactly when the recorder saw the
+// run from its first event.
+func (r *Recorder) Dispatched() uint64 { return r.events }
 
 // OnSend implements the engine Observer interface: it appends the message's
 // ledger record and, unless the message was dropped, remembers where it is
@@ -125,38 +158,110 @@ func (r *Recorder) share() ([]Action, [][]int, []MsgRecord) {
 // Clone returns a recorder that continues from r's trace. Attach the clone
 // to a forked engine to keep recording a branched run: the clone carries the
 // shared prefix, and the original keeps recording its own branch untouched.
-// The recorded actions and the ledger are shared, not copied; only the index
-// of messages in flight is.
+// The recorded actions, declarations and ledger are shared, not copied; only
+// the index of messages in flight is.
 func (r *Recorder) Clone() *Recorder {
 	actions, perNode, ledger := r.share()
+	decls := make([][]Decl, len(r.decls))
+	for i, ds := range r.decls {
+		decls[i] = ds[:len(ds):len(ds)]
+	}
 	return &Recorder{
 		actions:  actions,
 		perNode:  perNode,
+		decls:    decls,
 		ledger:   ledger,
 		inFlight: maps.Clone(r.inFlight),
 		shared:   len(ledger),
+		events:   r.events,
 	}
 }
 
-// Execution assembles the recorded trace with the environment and compiled
-// clocks into a complete Execution. The returned Execution is a stable,
+// Execution assembles the recorded trace with the environment into a
+// complete Execution through real time horizon: it compiles each node's
+// logical clock from its declarations and hardware schedule, and its
+// hardware clock from the schedule. The returned Execution is a stable,
 // read-only snapshot: its Actions, PerNode and Ledger share the recorder's
 // storage (see share). The engine can keep running (and the Recorder keep
 // recording) without changing it, and a later Execution call yields the
-// extended trace. A snapshot costs one slice header per node whatever the
-// trace's length; the first later delivery of a message sent before it
-// copies the ledger once.
-func (r *Recorder) Execution(net *network.Network, scheds []*clock.Schedule, duration rat.Rat,
-	logical, hardware []*piecewise.PLF) *Execution {
+// extended trace. Apart from the compiled clocks, a snapshot costs one slice
+// header per node whatever the trace's length; the first later delivery of
+// a message sent before it copies the ledger once.
+func (r *Recorder) Execution(net *network.Network, scheds []*clock.Schedule, horizon rat.Rat) (*Execution, error) {
+	n := len(r.decls)
+	if net.N() != n || len(scheds) != n {
+		return nil, fmt.Errorf("trace: %d-node network and %d schedules for a %d-node recording", net.N(), len(scheds), n)
+	}
+	logical := make([]*piecewise.PLF, n)
+	hardware := make([]*piecewise.PLF, n)
+	for i, s := range scheds {
+		hardware[i] = s.HWFunc()
+		plf, err := compileLogical(s, r.decls[i], horizon)
+		if err != nil {
+			return nil, fmt.Errorf("trace: node %d logical clock: %w", i, err)
+		}
+		logical[i] = plf
+	}
 	actions, perNode, ledger := r.share()
 	return &Execution{
 		Net:       net,
 		Schedules: scheds,
-		Duration:  duration,
+		Duration:  horizon,
 		Actions:   actions,
 		PerNode:   perNode,
 		Ledger:    ledger,
 		Logical:   logical,
 		Hardware:  hardware,
+	}, nil
+}
+
+// compileLogical merges a node's logical-clock declarations with its
+// hardware rate schedule into an exact piecewise-linear L(t) over real time,
+// truncated at the horizon. Between declarations L is the declaration's
+// ValueAt of the hardware clock, so within one hardware rate segment the
+// real-time slope is Mult·rate.
+func compileLogical(sched *clock.Schedule, decls []Decl, horizon rat.Rat) (*piecewise.PLF, error) {
+	if len(decls) == 0 {
+		return nil, errors.New("no logical declarations")
 	}
+	plf := piecewise.New(rat.Rat{}, decls[0].Value, decls[0].Mult.Mul(sched.RateAt(rat.Rat{})))
+	rateBreaks := sched.RatesView() // read-only walk; never modified
+	ri := 0                         // index of the rate segment in effect
+	advanceRate := func(t rat.Rat) {
+		for ri+1 < len(rateBreaks) && rateBreaks[ri+1].At.LessEq(t) {
+			ri++
+		}
+	}
+	cur := decls[0]
+	emit := func(at rat.Rat, d Decl) error {
+		advanceRate(at)
+		return plf.Append(at, d.ValueAt(sched.HW(at)), d.Mult.Mul(rateBreaks[ri].Rate))
+	}
+	for k := 1; k < len(decls); k++ {
+		d := decls[k]
+		// Rate breakpoints strictly between the previous declaration and this
+		// one change the real-time slope of the current declaration.
+		for _, rb := range rateBreaks {
+			if rb.At.Greater(cur.Real) && rb.At.Less(d.Real) && rb.At.LessEq(horizon) {
+				if err := emit(rb.At, cur); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if d.Real.Greater(horizon) {
+			return plf, nil
+		}
+		if err := emit(d.Real, d); err != nil {
+			return nil, err
+		}
+		cur = d
+	}
+	for _, rb := range rateBreaks {
+		if rb.At.Greater(cur.Real) && rb.At.LessEq(horizon) {
+			if err := emit(rb.At, cur); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return plf, nil
 }

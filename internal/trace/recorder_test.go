@@ -5,7 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"gcs/internal/rat"
+	"gcs/internal/clock"
+	"gcs/internal/network"
 )
 
 // record feeds k timer actions tagged with id, cycling over the nodes of r
@@ -47,27 +48,64 @@ func branchOf(t *testing.T, who string, r *Recorder, n, k, id int) {
 	}
 }
 
-// TestRecorderCloneBranchesDiverge: a clone shares the recorded actions and
-// ledger with its original, and each then records its own branch of actions
-// and sends without seeing the other's, whichever side records first. Each
-// branch is as long as the original's spare capacity at the clone point, so
-// that, through an uncapped shared view, both sides would append into the
-// same slots.
+// declare records k declarations of every node of r, at real times
+// 0 … k−1, each with value id: branches with different ids declare
+// different clocks.
+func declare(r *Recorder, k, id int) {
+	for i := range r.decls {
+		for j := 0; j < k; j++ {
+			r.OnDeclare(Decl{Node: i, Real: ri(int64(j)), HW0: ri(int64(j)), Value: ri(int64(id)), Mult: ri(1)})
+		}
+	}
+}
+
+// declsOf checks that every node of r holds the starting declaration, then
+// n declarations of value 0 and exactly k of its own branch id.
+func declsOf(t *testing.T, who string, r *Recorder, n, k, id int) {
+	t.Helper()
+	for i, ds := range r.decls {
+		if len(ds) != 1+n+k {
+			t.Fatalf("%s: node %d has %d declarations, want %d", who, i, len(ds), 1+n+k)
+		}
+		if ds[0] != StartDecl(i) {
+			t.Fatalf("%s: node %d starts with %+v, want L = H", who, i, ds[0])
+		}
+		for j, d := range ds[1:] {
+			want := ri(0)
+			if j >= n {
+				want = ri(int64(id))
+			}
+			if d.Node != i || !d.Value.Equal(want) {
+				t.Fatalf("%s: node %d declaration %d is %+v, want node %d value %s", who, i, j+1, d, i, want)
+			}
+		}
+	}
+}
+
+// TestRecorderCloneBranchesDiverge: a clone shares the recorded actions,
+// declarations and ledger with its original, and each then records its own
+// branch of actions, declarations and sends without seeing the other's,
+// whichever side records first. Each branch is as long as the original's
+// spare capacity at the clone point, so that, through an uncapped shared
+// view, both sides would append into the same slots.
 func TestRecorderCloneBranchesDiverge(t *testing.T) {
 	const prefix = 5
 	for _, originalFirst := range []bool{true, false} {
 		orig := NewRecorder(2)
 		record(orig, prefix, 0)
+		declare(orig, prefix, 0)
 		send(orig, 0, prefix, 1)
 		deliver(orig, 0, prefix, 1)
 		branch := cap(orig.actions) - len(orig.actions)
 		msgs := cap(orig.ledger) - len(orig.ledger)
-		if branch == 0 || msgs == 0 {
+		decls := cap(orig.decls[0]) - len(orig.decls[0])
+		if branch == 0 || msgs == 0 || decls == 0 {
 			t.Fatal("no spare capacity at the clone point; the test would not exercise sharing")
 		}
 		clone := orig.Clone()
 		grow := func(r *Recorder, id int) {
 			record(r, branch, id)
+			declare(r, decls, id)
 			send(r, prefix, msgs, int64(id)+1)
 		}
 		if originalFirst {
@@ -79,9 +117,38 @@ func TestRecorderCloneBranchesDiverge(t *testing.T) {
 		}
 		branchOf(t, "original", orig, prefix, branch, 1)
 		branchOf(t, "clone", clone, prefix, branch, 2)
+		declsOf(t, "original", orig, prefix, decls, 1)
+		declsOf(t, "clone", clone, prefix, decls, 2)
 		ledgerOf(t, "original", orig.ledger, prefix+msgs, prefix, 2, false)
 		ledgerOf(t, "clone", clone.ledger, prefix+msgs, prefix, 3, false)
 	}
+}
+
+// lineAtRate1 returns an n-node line whose hardware clocks all run at
+// rate 1: an environment to snapshot recorders in.
+func lineAtRate1(t *testing.T, n int) (*network.Network, []*clock.Schedule) {
+	t.Helper()
+	net, err := network.Line(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheds := make([]*clock.Schedule, n)
+	for i := range scheds {
+		scheds[i] = clock.Constant(ri(1))
+	}
+	return net, scheds
+}
+
+// snapshotOf returns r's Execution through real time 0 over a line of its
+// nodes at rate 1.
+func snapshotOf(t *testing.T, r *Recorder) *Execution {
+	t.Helper()
+	net, scheds := lineAtRate1(t, len(r.decls))
+	exec, err := r.Execution(net, scheds, ri(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exec
 }
 
 // TestRecorderExecutionCostFlat: a snapshot shares the recorded actions and
@@ -91,6 +158,7 @@ func TestRecorderCloneBranchesDiverge(t *testing.T) {
 // ledger records would cost over a megabyte.)
 func TestRecorderExecutionCostFlat(t *testing.T) {
 	const inFlight = 3
+	net, scheds := lineAtRate1(t, 4)
 	cost := func(k int, op func(*Recorder)) (allocs, bytes uint64) {
 		r := NewRecorder(4)
 		record(r, k, 0)
@@ -113,7 +181,7 @@ func TestRecorderExecutionCostFlat(t *testing.T) {
 		name string
 		f    func(*Recorder)
 	}{
-		{"Execution", func(r *Recorder) { snapshot = r.Execution(nil, nil, rat.Rat{}, nil, nil) }},
+		{"Execution", func(r *Recorder) { snapshot, _ = r.Execution(net, scheds, ri(0)) }},
 		{"Clone", func(r *Recorder) { cloned = r.Clone() }},
 	} {
 		smallAllocs, smallBytes := cost(10, op.f)
@@ -186,7 +254,7 @@ func TestRecorderLedgerCopyOnWrite(t *testing.T) {
 		orig := NewRecorder(2)
 		send(orig, 0, sent, 1)
 		deliver(orig, 0, delivered, 1)
-		snap := orig.Execution(nil, nil, rat.Rat{}, nil, nil)
+		snap := snapshotOf(t, orig)
 		fork := orig.Clone()
 		type branch struct {
 			who string

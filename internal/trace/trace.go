@@ -9,11 +9,12 @@
 // of real time, and a ledger of every message with its realized delay, in
 // send order.
 //
-// A Recorder builds Executions from an engine's event stream. Its snapshots
-// share the recorded storage instead of copying it: the action log is
-// append-only, and the ledger, whose records deliveries close in place, is
-// copied on the first write into a prefix a snapshot or clone still reads.
-// Recorded traces are therefore read-only.
+// A Recorder builds Executions from an engine's event stream, compiling each
+// logical clock from the declarations it recorded. Its snapshots share the
+// recorded storage instead of copying it: the action log is append-only,
+// and the ledger, whose records deliveries close in place, is copied on the
+// first write into a prefix a snapshot or clone still reads. Recorded traces
+// are therefore read-only.
 //
 // The paper's indistinguishability principle (§3): if the same actions occur
 // in the same per-node order at the same hardware-clock readings in two
@@ -117,6 +118,15 @@ type Decl struct {
 	Value rat.Rat
 	Mult  rat.Rat
 }
+
+// StartDecl returns the declaration every node starts with, L = H: value 0
+// and multiplier 1 from hardware reading 0 at real time 0. Nodes never
+// announce it.
+func StartDecl(node int) Decl { return Decl{Node: node, Mult: rat.FromInt(1)} }
+
+// ValueAt returns the logical clock the declaration defines at hardware
+// reading hw: Value + Mult·(hw − HW0).
+func (d Decl) ValueAt(hw rat.Rat) rat.Rat { return d.Value.Add(d.Mult.Mul(hw.Sub(d.HW0))) }
 
 // MsgKey identifies the seq-th message sent from From to To in an execution.
 type MsgKey struct {
