@@ -380,7 +380,11 @@ func (nopObserver) AdoptFixedLane(int64)      {}
 // TestTrackersAddNoStepAllocations: once warm, the skew and validity
 // trackers allocate nothing per engine step — a drifting 9-node line steps
 // with them attached at no more allocations than with do-nothing observers
-// behind the same interfaces.
+// behind the same interfaces. Each side is the least of five measurements
+// of the same steps, each on a fresh engine: an allocation made elsewhere
+// in the process lands in one measurement and, since AllocsPerRun truncates
+// its average, can tip it by one, while an allocation the trackers make
+// lands in all five.
 func TestTrackersAddNoStepAllocations(t *testing.T) {
 	net, err := network.Line(9)
 	if err != nil {
@@ -413,12 +417,22 @@ func TestTrackersAddNoStepAllocations(t *testing.T) {
 		}
 		return testing.AllocsPerRun(20, steps)
 	}
-	st, err := NewSkewTracker(net, scheds)
-	if err != nil {
-		t.Fatal(err)
+	least := func(observers func() []engine.Observer) float64 {
+		m := perRun(observers()...)
+		for i := 1; i < 5; i++ {
+			m = min(m, perRun(observers()...))
+		}
+		return m
 	}
-	tracked := perRun(st, NewValidityTracker(scheds))
-	bare := perRun(nopObserver{}, nopObserver{})
+	var st *SkewTracker
+	tracked := least(func() []engine.Observer {
+		st, err = NewSkewTracker(net, scheds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []engine.Observer{st, NewValidityTracker(scheds)}
+	})
+	bare := least(func() []engine.Observer { return []engine.Observer{nopObserver{}, nopObserver{}} })
 	if tracked > bare {
 		t.Errorf("trackers allocate: %v allocations per 20 steps, %v with no-op observers", tracked, bare)
 	}

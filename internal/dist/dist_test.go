@@ -253,6 +253,20 @@ func shardDefects() []shardDefect {
 			sr.Top[0].Schedules = [][]clock.RateSeg{{{Rate: rat.FromInt(1)}}}
 			return sr
 		}},
+		{"empty schedules", func(sr *search.ShardResult) *search.ShardResult {
+			sr.Top[0].Schedules = make([][]clock.RateSeg, len(sr.Top[0].Rates))
+			return sr
+		}},
+		{"dropped base", func(sr *search.ShardResult) *search.ShardResult {
+			top := sr.Top[:0]
+			for _, ce := range sr.Top {
+				if ce.ID != 0 {
+					top = append(top, ce)
+				}
+			}
+			sr.Top = top
+			return sr
+		}},
 		{"no log", func(sr *search.ShardResult) *search.ShardResult {
 			sr.Top[0].Log = nil
 			return sr

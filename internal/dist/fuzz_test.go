@@ -130,9 +130,10 @@ func FuzzShardRequest(f *testing.F) {
 // FuzzShardResult drives arbitrary bytes through the path a worker's answer
 // takes on the coordinator: decode a ShardResult, CheckShard it against a
 // two-node campaign's pending generation, and Absorb it, which must never
-// panic. A result CheckShard rejects must be rejected by Absorb too, and a
-// campaign that absorbed one must export its next generation. The seeds are
-// the campaign's real round-zero result and the defects
+// panic. Absorb must reject what CheckShard rejects and merge what it
+// accepts, unless the result reports a failed candidate; a campaign that
+// absorbed a result must export its next generation. The seeds are the
+// campaign's real round-zero result and the defects
 // TestDistributedSurvivesMalformedResults serves.
 func FuzzShardResult(f *testing.F) {
 	spec := CampaignSpec{
@@ -182,6 +183,9 @@ func FuzzShardResult(f *testing.F) {
 		absorbErr := c.Absorb([]*search.ShardResult{sr})
 		if checkErr != nil && absorbErr == nil {
 			t.Fatalf("Absorb merged a result CheckShard rejects: %v", checkErr)
+		}
+		if checkErr == nil && sr.ErrID < 0 && absorbErr != nil {
+			t.Fatalf("Absorb rejects a result CheckShard accepts: %v", absorbErr)
 		}
 		if absorbErr == nil && !c.Done() {
 			c.Generation()

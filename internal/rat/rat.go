@@ -107,14 +107,6 @@ func Parse(s string) (Rat, error) {
 	if !isDigits(num) || !isDigits(den) || strings.Trim(den, "0") == "" {
 		return Rat{}, parseError(s)
 	}
-	if len(num) <= 18 && len(den) <= 18 { // both below 10^18 < 2^63
-		n, _ := strconv.ParseInt(num, 10, 64)
-		d, _ := strconv.ParseInt(den, 10, 64)
-		if neg {
-			n = -n
-		}
-		return FromFrac(n, d)
-	}
 	n, _ := new(big.Int).SetString(num, 10)
 	d, _ := new(big.Int).SetString(den, 10)
 	if neg {

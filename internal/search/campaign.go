@@ -416,32 +416,45 @@ func buildShard(opt Options, evals []evaluation, dispatched uint64) *ShardResult
 // CheckShard reports whether sr is a well-formed result for the pending
 // candidates [lo, hi): it must evaluate exactly hi − lo of them, every ID it
 // names (ErrID when set, each Top entry's, those unique) must be one of
-// theirs, and each Top entry must carry one rate per node, nil or one
-// schedule per node, and a decision log. The coordinator checks each
-// worker's result with it; Absorb applies the same checks, short of the
-// shard's place in the generation, to every result it merges.
+// theirs, each Top entry must carry one rate per node, nil or one valid
+// schedule per node, and a decision log, and in round zero a shard that
+// holds the base candidate and reports no failure must rank it. The
+// coordinator checks each worker's result with it; Absorb applies the same
+// checks, short of the shard's place in the generation, to every result it
+// merges. A result for the whole generation that CheckShard accepts and
+// that reports no failure, Absorb merges.
 func (c *Campaign) CheckShard(lo, hi int, sr *ShardResult) error {
 	if lo < 0 || hi < lo || hi > len(c.pending) {
 		return fmt.Errorf("search: shard range [%d, %d) outside pending generation of %d", lo, hi, len(c.pending))
 	}
-	if err := c.checkShard(lo, hi, sr, make(map[int]bool)); err != nil {
+	top, err := c.checkShard(lo, hi, sr, make(map[int]bool))
+	if err != nil {
 		return err
 	}
 	if sr.Evaluated != hi-lo {
 		return fmt.Errorf("search: shard [%d, %d) result evaluated %d candidates", lo, hi, sr.Evaluated)
 	}
+	if c.round == 0 && lo == 0 && hi > 0 && sr.ErrID < 0 {
+		for _, ev := range top {
+			if ev.cand.id == 0 {
+				return nil
+			}
+		}
+		return fmt.Errorf("search: shard [%d, %d) result dropped the base candidate", lo, hi)
+	}
 	return nil
 }
 
-// checkShard is CheckShard short of the exact count: sr evaluated at most
-// hi − lo candidates, and the Top IDs it names are not yet in seen, which
-// collects them across the shards of one generation.
-func (c *Campaign) checkShard(lo, hi int, sr *ShardResult, seen map[int]bool) error {
+// checkShard is CheckShard short of the exact count and the base candidate:
+// sr evaluated at most hi − lo candidates, and the Top IDs it names are not
+// yet in seen, which collects them across the shards of one generation. It
+// returns the Top entries decoded into beam entries.
+func (c *Campaign) checkShard(lo, hi int, sr *ShardResult, seen map[int]bool) ([]evaluation, error) {
 	if sr == nil {
-		return fmt.Errorf("search: nil shard result")
+		return nil, fmt.Errorf("search: nil shard result")
 	}
 	if sr.Evaluated < 0 || sr.Evaluated > hi-lo {
-		return fmt.Errorf("search: shard result evaluated %d of %d candidates", sr.Evaluated, hi-lo)
+		return nil, fmt.Errorf("search: shard result evaluated %d of %d candidates", sr.Evaluated, hi-lo)
 	}
 	// Pending IDs are consecutive: enumeration hands them out in order.
 	inShard := func(id int) bool {
@@ -452,25 +465,36 @@ func (c *Campaign) checkShard(lo, hi int, sr *ShardResult, seen map[int]bool) er
 		return k >= lo && k < hi && c.pending[k].id == id
 	}
 	if sr.ErrID >= 0 && !inShard(sr.ErrID) {
-		return fmt.Errorf("search: shard result fails candidate %d, not one of its own", sr.ErrID)
+		return nil, fmt.Errorf("search: shard result fails candidate %d, not one of its own", sr.ErrID)
 	}
 	n := c.opt.Net.N()
+	top := make([]evaluation, 0, len(sr.Top))
 	for _, ce := range sr.Top {
 		switch {
 		case !inShard(ce.ID):
-			return fmt.Errorf("search: shard result ranks candidate %d, not one of its own", ce.ID)
+			return nil, fmt.Errorf("search: shard result ranks candidate %d, not one of its own", ce.ID)
 		case seen[ce.ID]:
-			return fmt.Errorf("search: shard results rank candidate %d twice", ce.ID)
+			return nil, fmt.Errorf("search: shard results rank candidate %d twice", ce.ID)
 		case len(ce.Rates) != n:
-			return fmt.Errorf("search: evaluated candidate %d has %d rates for %d nodes", ce.ID, len(ce.Rates), n)
+			return nil, fmt.Errorf("search: evaluated candidate %d has %d rates for %d nodes", ce.ID, len(ce.Rates), n)
 		case ce.Schedules != nil && len(ce.Schedules) != n:
-			return fmt.Errorf("search: evaluated candidate %d has %d schedules for %d nodes", ce.ID, len(ce.Schedules), n)
+			return nil, fmt.Errorf("search: evaluated candidate %d has %d schedules for %d nodes", ce.ID, len(ce.Schedules), n)
 		case ce.Log == nil:
-			return fmt.Errorf("search: evaluated candidate %d has no decision log", ce.ID)
+			return nil, fmt.Errorf("search: evaluated candidate %d has no decision log", ce.ID)
+		}
+		scheds, err := DecodeSchedules(ce.Schedules)
+		if err != nil {
+			return nil, fmt.Errorf("search: evaluated candidate %d: %w", ce.ID, err)
 		}
 		seen[ce.ID] = true
+		top = append(top, evaluation{
+			cand:    candidate{id: ce.ID, rates: ce.Rates, scheds: scheds},
+			value:   ce.Value,
+			witness: ce.Witness,
+			log:     ce.Log,
+		})
 	}
-	return nil
+	return top, nil
 }
 
 // Absorb merges the pending generation's shard results — any partition, any
@@ -487,11 +511,14 @@ func (c *Campaign) Absorb(results []*ShardResult) error {
 	}
 	covered := 0
 	seen := make(map[int]bool)
+	pool := append([]evaluation(nil), c.beam...)
 	for _, sr := range results {
-		if err := c.checkShard(0, len(c.pending), sr, seen); err != nil {
+		top, err := c.checkShard(0, len(c.pending), sr, seen)
+		if err != nil {
 			return err
 		}
 		covered += sr.Evaluated
+		pool = append(pool, top...)
 	}
 	if covered != len(c.pending) {
 		return fmt.Errorf("search: shard results cover %d of %d pending candidates", covered, len(c.pending))
@@ -512,18 +539,6 @@ func (c *Campaign) Absorb(results []*ShardResult) error {
 	if err := c.firstError(results); err != nil {
 		c.done = true
 		return err
-	}
-
-	pool := append([]evaluation(nil), c.beam...)
-	for _, sr := range results {
-		for _, ce := range sr.Top {
-			ev, err := decodeEval(ce)
-			if err != nil {
-				c.done = true
-				return err
-			}
-			pool = append(pool, ev)
-		}
 	}
 
 	if c.round == 0 {
@@ -577,21 +592,6 @@ func (c *Campaign) firstError(results []*ShardResult) error {
 		return fmt.Errorf("search: seed %q: %w", c.opt.Seeds[errID-1].Name, errCause)
 	}
 	return fmt.Errorf("search: candidate %d: %w", errID, errCause)
-}
-
-// decodeEval rebuilds a beam entry from its wire form, which checkShard has
-// passed.
-func decodeEval(ce CandidateEval) (evaluation, error) {
-	scheds, err := DecodeSchedules(ce.Schedules)
-	if err != nil {
-		return evaluation{}, fmt.Errorf("search: evaluated candidate %d: %w", ce.ID, err)
-	}
-	return evaluation{
-		cand:    candidate{id: ce.ID, rates: ce.Rates, scheds: scheds},
-		value:   ce.Value,
-		witness: ce.Witness,
-		log:     ce.Log,
-	}, nil
 }
 
 // advance enumerates the next mutation generation off the merged beam, or
