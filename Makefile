@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated plan-smoke bench-history matrix matrix-smoke fuzz-smoke perf-smoke
+.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated perf-trend plan-smoke matrix matrix-smoke fuzz-smoke perf-smoke
 
 all: vet build test
 
@@ -32,18 +32,28 @@ bench:
 # Fuzz every fuzz target beyond its seed corpus (plain `go test` only
 # replays the seeds). `go test -list` names each package's targets, so a new
 # target joins without an edit here; each then gets one `go test -fuzz` run,
-# in its own package, 10 s long with one worker. A failing input is written
-# to that package's testdata/fuzz/, where it becomes a seed; the CI test job
-# runs this on stable Go and uploads those directories when it fails.
+# in its own package, 10 s long with one worker. Minimizing an input that
+# reaches new coverage is capped at 20 executions: at Go's 60 s default a
+# target with a large seed spends its 10 s minimizing instead of fuzzing. A
+# target whose last count is below 1,000 executions fuzzed nothing worth the
+# name, so the run fails and names it. A failing input is written to that
+# package's testdata/fuzz/, where it becomes a seed; the CI test job runs
+# this on stable Go and uploads those directories when it fails.
 fuzz-smoke:
 	@set -e; list="$$($(GO) test -list '^Fuzz' ./...)"; \
 	targets="$$(echo "$$list" | awk '/^Fuzz/ {f[++k] = $$1} /^ok/ {for (i = 1; i <= k; i++) print $$2 ":" f[i]; k = 0}')"; \
 	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found" >&2; exit 1; }; \
+	slow=""; \
 	for t in $$targets; do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz $$name in $$pkg"; \
-		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s -parallel 1 $$pkg; \
-	done
+		out="$$($(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime 10s -fuzzminimizetime 20x -parallel 1 $$pkg 2>&1)" || \
+			{ printf '%s\n' "$$out"; exit 1; }; \
+		printf '%s\n' "$$out"; \
+		execs="$$(printf '%s\n' "$$out" | sed -n 's/.*execs: \([0-9]*\).*/\1/p' | tail -n 1)"; \
+		[ "$${execs:-0}" -ge 1000 ] || slow="$$slow $$name ($${execs:-0} execs)"; \
+	done; \
+	[ -z "$$slow" ] || { echo "fuzz-smoke: fewer than 1000 executions in 10 s:$$slow" >&2; exit 1; }
 
 # The benchmark's own correctness checks on every workload: one short traced
 # run each of `bash gcsperf/run.sh` (the stream references, the goldens, and
@@ -79,11 +89,28 @@ bench-snapshot:
 # events dispatched per op), so ns/step is ns/op ÷ steps/op; perfgate and
 # benchstat read the file as it is. Machine-dependent — it records the perf
 # trajectory per PR on the maintainer's machine and is NOT diff-checked in
-# CI (the CI perf-gate job compares head vs merge base instead).
+# CI (the CI perf-gate job compares head vs merge base instead). The run
+# goes to a temporary file that replaces the record only when every
+# benchmark passed: a failed or interrupted run leaves the record as it was.
 bench-perf:
-	$(MAKE) -s bench-gated > BENCH_perf.txt
+	@$(MAKE) -s bench-gated > BENCH_perf.txt.tmp || { rm -f BENCH_perf.txt.tmp; exit 1; }
+	@mv BENCH_perf.txt.tmp BENCH_perf.txt
 
-# The gated benchmarks: the one list the perf gate, the bench history, the
+# The perf history: every committed revision of BENCH_perf.txt, oldest
+# first, through `perfgate -trend`. It prints each gated figure's median in
+# every record and the drift of the newest window of records against the one
+# before. A local report, not a CI gate: each record is one run on whatever
+# host made it, so it exits 0 whatever it shows.
+perf-trend:
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	git log --reverse --format='%h %ad %s' --date=short -- BENCH_perf.txt; \
+	for rev in $$(git log --reverse --format=%H -- BENCH_perf.txt); do \
+		git show "$$rev:BENCH_perf.txt" > "$$dir/$$rev.txt"; \
+		set -- "$$@" "$$dir/$$rev.txt"; \
+	done; \
+	$(GO) run ./cmd/perfgate -trend "$$@"
+
+# The gated benchmarks: the one list the perf gate, the perf history, the
 # committed BENCH_perf.txt and the docs refer to. perfgate gates whatever the
 # bench files hold, so the list is written only here.
 GATED_BENCH = EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows
@@ -112,14 +139,3 @@ matrix-smoke:
 # proves the spec parses and the move-set arithmetic holds).
 plan-smoke:
 	$(GO) run ./cmd/gcssearch plan -spec examples/campaign_e13_long.json
-
-# Append this commit's gated-benchmark medians to the dev/bench/data.js
-# history (github-action-benchmark format). CI runs this on every push to
-# main; run it locally only to inspect the mechanism — local timings do not
-# belong in the shared curve.
-bench-history:
-	$(MAKE) -s bench-gated > bench-head.txt
-	$(GO) run ./cmd/perfgate -append -head bench-head.txt \
-		-history dev/bench/data.js \
-		-commit "$$(git rev-parse HEAD)" \
-		-message "$$(git log -1 --format=%s)"

@@ -48,6 +48,8 @@ func main() {
 	var out string
 	var err error
 	switch {
+	case flag.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", flag.Arg(0))
 	case *matrix:
 		if *long || *only != "" || *stream {
 			err = fmt.Errorf("-matrix combines only with -smoke and -json")

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -154,5 +156,28 @@ func TestJSONModeE14(t *testing.T) {
 	}
 	if len(tables) != 1 || tables[0].ID != "E14" || len(tables[0].Rows) == 0 {
 		t.Fatalf("expected a populated E14 table, got %+v", tables)
+	}
+}
+
+// TestMain runs the command itself instead of the tests when GCSBENCH_MAIN is
+// set, so a test can drive its flag parsing from a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("GCSBENCH_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsStrayArgument: flag parsing stops at the first argument that
+// is not a flag, so `-only E3 stray -json` would print E3 as text; the command refuses the stray word instead.
+func TestRejectsStrayArgument(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-only", "E3", "stray", "-json")
+	cmd.Env = append(os.Environ(), "GCSBENCH_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if err == nil || stdout.Len() != 0 || stderr.String() != "gcsbench: unexpected argument \"stray\"\n" {
+		t.Fatalf("exit %v, stdout %q, stderr %q; want a failure naming the stray argument", err, stdout.String(), stderr.String())
 	}
 }

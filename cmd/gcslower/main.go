@@ -34,7 +34,13 @@ func main() {
 		rounds       = flag.Int("rounds", 3, "main theorem rounds (network has branch^rounds+1 nodes)")
 	)
 	flag.Parse()
-	if err := run(*construction, *protoName, *d, *n, *branch, *rounds); err != nil {
+	var err error
+	if flag.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", flag.Arg(0))
+	} else {
+		err = run(*construction, *protoName, *d, *n, *branch, *rounds)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gcslower:", err)
 		os.Exit(1)
 	}

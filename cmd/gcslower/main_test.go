@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -59,5 +61,29 @@ func TestOversizedNetworkRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
 			t.Errorf("%s: error %v, want the network node cap", tc.name, err)
 		}
+	}
+}
+
+// TestMain runs the command itself instead of the tests when GCSLOWER_MAIN is
+// set, so a test can drive its flag parsing from a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("GCSLOWER_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsStrayArgument: flag parsing stops at the first argument that
+// is not a flag, so `-construction shift stray -d 3` would certify the
+// default d=8; the command refuses the stray word instead.
+func TestRejectsStrayArgument(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-construction", "shift", "stray", "-d", "3")
+	cmd.Env = append(os.Environ(), "GCSLOWER_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if err == nil || stdout.Len() != 0 || stderr.String() != "gcslower: unexpected argument \"stray\"\n" {
+		t.Fatalf("exit %v, stdout %q, stderr %q; want a failure naming the stray argument", err, stdout.String(), stderr.String())
 	}
 }

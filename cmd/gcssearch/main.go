@@ -83,6 +83,19 @@ func usage() {
                    [-timeout 120s] [-json] [-serve :9130] [-debug]`)
 }
 
+// parse parses a subcommand's flags and refuses anything left over: flag
+// parsing stops at the first argument that is not a flag, so a stray word
+// would otherwise end the flags in silence.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return nil
+}
+
 // loadSpec reads and validates a campaign spec file.
 func loadSpec(path string) (dist.CampaignSpec, error) {
 	var spec dist.CampaignSpec
@@ -108,7 +121,7 @@ func cmdPlan(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gcssearch plan", flag.ExitOnError)
 	specPath := fs.String("spec", "", "campaign spec file (required)")
 	jsonOut := fs.Bool("json", false, "emit the plan as JSON")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	spec, err := loadSpec(*specPath)
@@ -137,7 +150,7 @@ func cmdWorker(args []string) error {
 	listen := fs.String("listen", ":9131", "address to serve the shard protocol on")
 	threads := fs.Int("threads", 0, "local evaluation pool size (0: the spec's, or GOMAXPROCS)")
 	debug := fs.Bool("debug", false, "mount /debug/pprof profiling endpoints")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	reg := obs.NewRegistry()
@@ -214,7 +227,7 @@ func cmdRun(args []string, out io.Writer) error {
 	jsonOut := fs.Bool("json", false, "stream progress and results as JSON lines")
 	serve := fs.String("serve", "", "address to serve live /v1/metrics and /v1/events on during the run (empty: off)")
 	debug := fs.Bool("debug", false, "with -serve: mount /debug/pprof on the serve mux")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	spec, err := loadSpec(*specPath)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -205,5 +206,25 @@ func TestWorkerServesAndDrains(t *testing.T) {
 	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		conn.Close()
 		t.Fatalf("%s still accepts connections after the drain", addr)
+	}
+}
+
+// TestSubcommandsRejectStrayArgument: flag parsing stops at the first
+// argument that is not a flag, so each subcommand refuses a stray word
+// instead of running with the flags after it dropped. The worker's -listen
+// port is invalid, so a worker that let the word pass would fail on
+// listening, not on the word.
+func TestSubcommandsRejectStrayArgument(t *testing.T) {
+	for name, tc := range map[string]struct {
+		cmd  func([]string) error
+		args []string
+	}{
+		"plan":   {func(args []string) error { return cmdPlan(args, io.Discard) }, []string{"-spec", exampleSpec, "stray"}},
+		"worker": {cmdWorker, []string{"-listen", "127.0.0.1:-1", "stray"}},
+		"run":    {func(args []string) error { return cmdRun(args, io.Discard) }, []string{"-spec", exampleSpec, "stray", "-json"}},
+	} {
+		if err := tc.cmd(tc.args); err == nil || err.Error() != `unexpected argument "stray"` {
+			t.Errorf("%s %v: error %v, want one naming the stray argument", name, tc.args, err)
+		}
 	}
 }

@@ -74,13 +74,16 @@ func main() {
 	)
 	flag.Parse()
 	var err error
-	if *doSearch {
+	switch {
+	case flag.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", flag.Arg(0))
+	case *doSearch:
 		err = searchFlagConflicts(*stream, *profile, *adaptive)
 		if err == nil {
 			err = runSearch(*protoName, *topology, *n, *durStr, *rhoStr, *advName, *seed,
 				*objective, *rounds, *beam, *workers, *windows, *tailStr, *chart)
 		}
-	} else {
+	default:
 		err = run(*protoName, *topology, *n, *durStr, *rhoStr, *advName, *seed, *fastEnd,
 			*profile, *chart, *stream, *adaptive, *threshStr)
 	}

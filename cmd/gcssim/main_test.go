@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -168,5 +170,29 @@ func TestSearchModeErrors(t *testing.T) {
 				t.Fatal("expected error")
 			}
 		})
+	}
+}
+
+// TestMain runs the command itself instead of the tests when GCSSIM_MAIN is
+// set, so a test can drive its flag parsing from a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("GCSSIM_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsStrayArgument: flag parsing stops at the first argument that
+// is not a flag, so `-search global -dur 4 -n 3` would search line-9 at
+// the default duration; the command refuses the stray word instead.
+func TestRejectsStrayArgument(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-search", "global", "-dur", "4", "-n", "3")
+	cmd.Env = append(os.Environ(), "GCSSIM_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if err == nil || stdout.Len() != 0 || stderr.String() != "gcssim: unexpected argument \"global\"\n" {
+		t.Fatalf("exit %v, stdout %q, stderr %q; want a failure naming the stray argument", err, stdout.String(), stderr.String())
 	}
 }

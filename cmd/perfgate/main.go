@@ -11,72 +11,57 @@
 // `make bench-gated` runs the gated benchmarks (the Makefile's GATED_BENCH
 // list, the only place that list is written) with -benchmem -count 6, so
 // the bench files hold nothing else and perfgate gates every benchmark in
-// both by default; -match narrows that set.
+// both.
 //
 // Each gated benchmark is aggregated by the median of its -count
 // repetitions (one noisy repetition cannot fail or save a run), then head
-// vs base is checked per unit: ns/op may grow at most -max-ns (default 30%),
-// allocs/op at most -max-allocs (default 20%). Benchmarks present in only
-// one file are skipped — new benchmarks have no baseline, deleted ones
-// nothing to protect — so the gate works across revisions with different
-// benchmark sets. Exit status 1 means at least one gate was exceeded; the
-// report lists every gated comparison either way.
+// vs base is checked per unit: ns/op may grow at most 30%, allocs/op at
+// most 20%. Benchmarks present in only one file are skipped — new
+// benchmarks have no baseline, deleted ones nothing to protect — so the gate
+// works across revisions with different benchmark sets. Exit status 1 means
+// at least one gate was exceeded; the report lists every gated comparison
+// either way.
 //
-// With -append, perfgate instead records -head's measurements into a
-// bench-history file (github-action-benchmark data.js format):
+// With -trend, perfgate instead reports on the bench records given as
+// arguments, oldest first — `make perf-trend` passes every committed
+// revision of BENCH_perf.txt:
 //
-//	perfgate -append -head head.txt -history dev/bench/data.js \
-//	    -commit "$GITHUB_SHA" -message "$(git log -1 --format=%s)" \
-//	    -repo-url https://github.com/owner/repo
+//	perfgate -trend old.txt ... new.txt
 //
-// CI runs this on every main-branch push, so the same medians the PR gate
-// compares accumulate into a browsable trend curve under dev/bench/.
-//
-// With -trend, perfgate alerts on that curve: per benchmark figure, the
-// median of the last -window history entries is compared against the median
-// of the -window entries before them, and the run fails when any figure
-// regressed by more than -max-trend — the slow drift a sequence of
-// under-threshold PRs can smuggle past the pairwise gate:
-//
-//	perfgate -trend -history dev/bench/data.js -window 5 -max-trend 0.10
+// It prints each gated figure's median in every record, then the median of
+// the newest window of records (5, or half the records when there are fewer
+// than 10) against the window before it, flagged past +10%: the slow drift
+// a run of under-threshold PRs can walk past the pairwise gate. A figure
+// missing from a record in either window is listed as skipped. The report
+// is not a gate — each record is one run on a shared host — so it exits 0
+// whatever it shows, and fails only on no records or an unreadable or
+// malformed one.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"regexp"
-	"time"
 
 	"gcs/internal/perf"
 )
 
 func main() {
-	base := flag.String("base", "", "bench output of the comparison baseline (required unless -append)")
-	head := flag.String("head", "", "bench output of the candidate revision (required)")
-	match := flag.String("match", "", "regexp of benchmark names to gate (empty gates everything)")
-	maxNs := flag.Float64("max-ns", 0.30, "tolerated relative ns/op regression")
-	maxAllocs := flag.Float64("max-allocs", 0.20, "tolerated relative allocs/op regression")
-	appendMode := flag.Bool("append", false, "append -head's medians to -history instead of gating")
-	trendMode := flag.Bool("trend", false, "alert on -history's windowed trend instead of gating")
-	history := flag.String("history", "dev/bench/data.js", "bench-history file (with -append / -trend)")
-	commit := flag.String("commit", "", "commit id the -head measurements belong to (with -append)")
-	message := flag.String("message", "", "commit subject line (with -append)")
-	repoURL := flag.String("repo-url", "", "repository URL recorded in the history (with -append)")
-	window := flag.Int("window", 5, "history entries per trend window (with -trend)")
-	maxTrend := flag.Float64("max-trend", 0.10, "tolerated relative window-median regression (with -trend)")
+	base := flag.String("base", "", "bench output of the comparison baseline")
+	head := flag.String("head", "", "bench output of the candidate revision")
+	trend := flag.Bool("trend", false, "report the drift across the bench records given as arguments, oldest first")
 	flag.Parse()
 	var err error
 	switch {
-	case *appendMode && *trendMode:
-		err = fmt.Errorf("-append and -trend are mutually exclusive")
-	case *appendMode:
-		err = runAppend(*head, *history, *match, *commit, *message, *repoURL, time.Now(), os.Stdout)
-	case *trendMode:
-		err = runTrend(*history, *window, *maxTrend, os.Stdout)
+	case *trend && (*base != "" || *head != ""):
+		err = fmt.Errorf("-trend takes bench records as arguments, not -base or -head")
+	case *trend:
+		err = runTrend(flag.Args(), os.Stdout)
+	case flag.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", flag.Arg(0))
 	default:
-		err = run(*base, *head, *match, *maxNs, *maxAllocs, os.Stdout)
+		err = run(*base, *head, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfgate:", err)
@@ -90,10 +75,14 @@ func parseBenchFile(path string) (map[string][]perf.BenchLine, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return perf.ParseBench(f)
+	lines, err := perf.ParseBench(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return lines, nil
 }
 
-func run(basePath, headPath, match string, maxNs, maxAllocs float64, out *os.File) error {
+func run(basePath, headPath string, out io.Writer) error {
 	if basePath == "" || headPath == "" {
 		return fmt.Errorf("both -base and -head are required")
 	}
@@ -105,103 +94,35 @@ func run(basePath, headPath, match string, maxNs, maxAllocs float64, out *os.Fil
 	if err != nil {
 		return err
 	}
-	gate := perf.Gate{MaxNsRegress: maxNs, MaxAllocsRegress: maxAllocs}
-	if match != "" {
-		re, err := regexp.Compile(match)
-		if err != nil {
-			return fmt.Errorf("bad -match regexp: %w", err)
-		}
-		gate.Match = re
-	}
-	deltas := gate.Compare(baseBench, headBench)
+	deltas := perf.Compare(baseBench, headBench)
 	fmt.Fprint(out, perf.Render(deltas))
 	if fails := perf.Failures(deltas); len(fails) > 0 {
 		return fmt.Errorf("%d perf gate(s) exceeded (ns/op > +%.0f%% or allocs/op > +%.0f%%)",
-			len(fails), maxNs*100, maxAllocs*100)
+			len(fails), perf.MaxNsRegress*100, perf.MaxAllocsRegress*100)
 	}
 	if len(deltas) == 0 {
-		return fmt.Errorf("no gated benchmarks present in both inputs — wrong files or bad -match?")
+		return fmt.Errorf("no gated benchmarks present in both inputs — wrong files?")
 	}
 	return nil
 }
 
-// runTrend compares the last -window history entries against the window
-// before them and fails on any figure's windowed regression. A history too
-// short for two full windows passes: the alert only ever judges complete
-// windows.
-func runTrend(historyPath string, window int, maxTrend float64, out *os.File) error {
-	raw, err := os.ReadFile(historyPath)
-	if err != nil {
-		return err
+// runTrend reports the drift across the bench records at paths, oldest
+// first.
+func runTrend(paths []string, out io.Writer) error {
+	if len(paths) == 0 {
+		return fmt.Errorf("-trend needs bench records as arguments, oldest first")
 	}
-	h, err := perf.ParseHistory(raw)
-	if err != nil {
-		return err
-	}
-	alerts := perf.Trend(h, perf.HistorySeries, window, maxTrend)
-	fmt.Fprint(out, perf.RenderTrend(alerts, window))
-	if fails := perf.TrendFailures(alerts); len(fails) > 0 {
-		return fmt.Errorf("%d benchmark figure(s) trending past +%.0f%% over the last %d entries",
-			len(fails), maxTrend*100, window)
-	}
-	return nil
-}
-
-// runAppend records headPath's medians as one history entry for commit.
-func runAppend(headPath, historyPath, match, commit, message, repoURL string, now time.Time, out *os.File) error {
-	if headPath == "" {
-		return fmt.Errorf("-head is required")
-	}
-	if commit == "" {
-		return fmt.Errorf("-commit is required with -append")
-	}
-	headBench, err := parseBenchFile(headPath)
-	if err != nil {
-		return err
-	}
-	var re *regexp.Regexp
-	if match != "" {
-		if re, err = regexp.Compile(match); err != nil {
-			return fmt.Errorf("bad -match regexp: %w", err)
+	records := make([]map[string][]perf.BenchLine, len(paths))
+	for i, p := range paths {
+		r, err := parseBenchFile(p)
+		if err == nil && len(r) == 0 {
+			err = fmt.Errorf("%s: no benchmark results", p)
 		}
-	}
-	raw, err := os.ReadFile(historyPath)
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	h, err := perf.ParseHistory(raw)
-	if err != nil {
-		return err
-	}
-	if repoURL != "" {
-		h.RepoURL = repoURL
-	}
-	hc := perf.HistoryCommit{
-		ID:        commit,
-		Message:   message,
-		Timestamp: now.UTC().Format(time.RFC3339),
-	}
-	if h.RepoURL != "" {
-		hc.URL = h.RepoURL + "/commit/" + commit
-	}
-	entry := perf.EntryFromBench(headBench, hc, now.UnixMilli(), re)
-	if len(entry.Benches) == 0 {
-		return fmt.Errorf("no benchmarks in %s match %q — nothing to record", headPath, match)
-	}
-	h.Append(perf.HistorySeries, entry)
-	rendered, err := h.Render()
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(historyPath); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err != nil {
 			return err
 		}
+		records[i] = r
 	}
-	if err := os.WriteFile(historyPath, rendered, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "recorded %d benchmark figure(s) for %s in %s (%d entries total)\n",
-		len(entry.Benches), commit, historyPath, len(h.Entries[perf.HistorySeries]))
-	return nil
+	_, err := io.WriteString(out, perf.RenderTrend(perf.Trend(records)))
+	return err
 }

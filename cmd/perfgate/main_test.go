@@ -1,13 +1,12 @@
 package main
 
 import (
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"gcs/internal/perf"
 )
 
 const baseOut = `goos: linux
@@ -30,17 +29,14 @@ func writeTemp(t *testing.T, name, content string) string {
 
 func TestGatePasses(t *testing.T) {
 	head := strings.ReplaceAll(baseOut, "500000 ns/op", "600000 ns/op") // +20% < 30%
-	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head),
-		"EngineStream|SearchPrefixCached|SearchEndToEnd", 0.30, 0.20, os.Stdout)
-	if err != nil {
+	if err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head), io.Discard); err != nil {
 		t.Fatalf("gate must pass within thresholds: %v", err)
 	}
 }
 
 func TestGateFailsOnNsRegression(t *testing.T) {
 	head := strings.ReplaceAll(baseOut, "500000 ns/op", "700000 ns/op") // +40% > 30%
-	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head),
-		"EngineStream|SearchPrefixCached|SearchEndToEnd", 0.30, 0.20, os.Stdout)
+	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head), io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("want gate failure, got %v", err)
 	}
@@ -48,111 +44,92 @@ func TestGateFailsOnNsRegression(t *testing.T) {
 
 func TestGateFailsOnAllocRegression(t *testing.T) {
 	head := strings.ReplaceAll(baseOut, "2000 allocs/op", "2500 allocs/op") // +25% > 20%
-	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head),
-		"EngineStream|SearchPrefixCached|SearchEndToEnd", 0.30, 0.20, os.Stdout)
+	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head), io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("want gate failure, got %v", err)
 	}
 }
 
+// TestGateIgnoresUngatedBenchmarks: a benchmark the base did not run has no
+// baseline, so however slow it is in the head it is not gated.
 func TestGateIgnoresUngatedBenchmarks(t *testing.T) {
-	head := strings.ReplaceAll(baseOut, "100 ns/op", "9000 ns/op") // huge, but not gated
-	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head),
-		"EngineStream|SearchPrefixCached|SearchEndToEnd", 0.30, 0.20, os.Stdout)
-	if err != nil {
-		t.Fatalf("ungated benchmark must not fail the gate: %v", err)
+	base := strings.ReplaceAll(baseOut, "BenchmarkUngated-8              9  100 ns/op     10 allocs/op\n", "")
+	head := strings.ReplaceAll(baseOut, "100 ns/op", "9000 ns/op")
+	if err := run(writeTemp(t, "base.txt", base), writeTemp(t, "head.txt", head), io.Discard); err != nil {
+		t.Fatalf("a benchmark only the head holds must not fail the gate: %v", err)
 	}
 }
 
 func TestGateRejectsEmptyIntersection(t *testing.T) {
-	err := run(writeTemp(t, "base.txt", "PASS\n"), writeTemp(t, "head.txt", baseOut),
-		"EngineStream", 0.30, 0.20, os.Stdout)
+	err := run(writeTemp(t, "base.txt", "PASS\n"), writeTemp(t, "head.txt", baseOut), io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "no gated benchmarks") {
 		t.Fatalf("empty intersection must be an error, got %v", err)
 	}
 }
 
-func TestAppendBootstrapsAndExtendsHistory(t *testing.T) {
-	head := writeTemp(t, "head.txt", baseOut)
-	history := filepath.Join(t.TempDir(), "bench", "data.js")
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	gated := "EngineStream|SearchPrefixCached|SearchEndToEnd"
-
-	// First append bootstraps a fresh data.js under a fresh directory.
-	err := runAppend(head, history, gated, "abc123", "first commit",
-		"https://example.com/owner/repo", now, os.Stdout)
+// TestTrendReportsWithoutFailing: the trend report lists every figure with
+// its median in each record and exits cleanly even when a figure drifted
+// past the threshold — it is a report, not a gate.
+func TestTrendReportsWithoutFailing(t *testing.T) {
+	newer := strings.ReplaceAll(baseOut, "500000 ns/op", "700000 ns/op") // +40%
+	var out strings.Builder
+	err := runTrend([]string{writeTemp(t, "old.txt", baseOut), writeTemp(t, "new.txt", newer)}, &out)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a drifting figure must not fail the report: %v", err)
 	}
-	raw, err := os.ReadFile(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(raw), "window.BENCHMARK_DATA = ") {
-		t.Fatalf("history missing data.js assignment prefix: %q", raw[:40])
-	}
-	h, err := perf.ParseHistory(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := h.Entries[perf.HistorySeries]
-	if len(entries) != 1 {
-		t.Fatalf("bootstrap wrote %d entries, want 1", len(entries))
-	}
-	e := entries[0]
-	if e.Commit.ID != "abc123" || e.Commit.URL != "https://example.com/owner/repo/commit/abc123" {
-		t.Fatalf("bad commit record: %+v", e.Commit)
-	}
-	if e.Date != now.UnixMilli() || h.LastUpdate != now.UnixMilli() {
-		t.Fatalf("bad dates: entry %d, lastUpdate %d", e.Date, h.LastUpdate)
-	}
-	// Gated benches only (EngineStream + SearchPrefixCached, ns + allocs
-	// each), median of the three EngineStream repetitions.
-	if len(e.Benches) != 4 {
-		t.Fatalf("recorded %d figures, want 4: %+v", len(e.Benches), e.Benches)
-	}
-	for _, b := range e.Benches {
-		if strings.Contains(b.Name, "Ungated") {
-			t.Fatalf("ungated benchmark recorded: %+v", b)
-		}
-		if strings.HasPrefix(b.Name, "BenchmarkEngineStream") && b.Unit == "ns/op" && b.Value != 100000 {
-			t.Fatalf("EngineStream median = %v, want 100000", b.Value)
+	report := out.String()
+	for _, want := range []string{
+		"median of the newest 1 against the 1 before",
+		"BenchmarkSearchPrefixCached      ns/op         500000 →     700000   +40.0%  DRIFT\n",
+		"BenchmarkEngineStream/dur=32     ns/op         100000 →     100000    +0.0%  ok\n",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
 		}
 	}
-
-	// Second append extends, preserving the first entry.
-	later := now.Add(time.Hour)
-	err = runAppend(head, history, gated, "def456", "second commit", "", later, os.Stdout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err = os.ReadFile(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, err = perf.ParseHistory(raw); err != nil {
-		t.Fatal(err)
-	}
-	entries = h.Entries[perf.HistorySeries]
-	if len(entries) != 2 || entries[0].Commit.ID != "abc123" || entries[1].Commit.ID != "def456" {
-		t.Fatalf("append did not extend history: %+v", entries)
-	}
-	if h.RepoURL != "https://example.com/owner/repo" {
-		t.Fatalf("append without -repo-url dropped the recorded URL: %q", h.RepoURL)
-	}
-	if h.LastUpdate != later.UnixMilli() {
-		t.Fatalf("lastUpdate not advanced: %d", h.LastUpdate)
+	if n := strings.Count(report, "\n"); n != 7 { // header + 3 benchmarks × 2 units
+		t.Errorf("report has %d lines, want 7:\n%s", n, report)
 	}
 }
 
-func TestAppendRejectsEmptyMatch(t *testing.T) {
-	head := writeTemp(t, "head.txt", baseOut)
-	history := filepath.Join(t.TempDir(), "data.js")
-	err := runAppend(head, history, "NoSuchBenchmark", "abc", "", "", time.Now(), os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "nothing to record") {
-		t.Fatalf("want nothing-to-record error, got %v", err)
+// TestTrendRejectsBadRecords: the report fails on no records and on a
+// record it cannot read, cannot parse, or that holds no benchmark result.
+func TestTrendRejectsBadRecords(t *testing.T) {
+	good := writeTemp(t, "good.txt", baseOut)
+	for name, paths := range map[string][]string{
+		"no records": nil,
+		"missing":    {good, filepath.Join(t.TempDir(), "missing.txt")},
+		"malformed":  {good, writeTemp(t, "bad.txt", "BenchmarkX-8 3 notanumber ns/op\n")},
+		"empty":      {writeTemp(t, "empty.txt", "PASS\n"), good},
+	} {
+		var out strings.Builder
+		if err := runTrend(paths, &out); err == nil {
+			t.Errorf("%s: want an error, got report:\n%s", name, out.String())
+		}
 	}
-	if _, statErr := os.Stat(history); !os.IsNotExist(statErr) {
-		t.Fatal("failed append must not write the history file")
+}
+
+// TestMain runs the command itself instead of the tests when PERFGATE_MAIN
+// is set, so a test can drive its flag parsing from a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("PERFGATE_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsStrayArgument: flag parsing stops at the first argument that
+// is not a flag, so outside -trend a positional argument is an error rather
+// than the silent end of the flags.
+func TestRejectsStrayArgument(t *testing.T) {
+	bench := writeTemp(t, "bench.txt", baseOut)
+	cmd := exec.Command(os.Args[0], "-base", bench, "-head", bench, "stray")
+	cmd.Env = append(os.Environ(), "PERFGATE_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if err == nil || stdout.Len() != 0 || stderr.String() != "perfgate: unexpected argument \"stray\"\n" {
+		t.Fatalf("exit %v, stdout %q, stderr %q; want a failure naming the stray argument", err, stdout.String(), stderr.String())
 	}
 }

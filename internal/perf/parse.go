@@ -1,25 +1,27 @@
 // Package perf is the machinery behind the CI perf-regression gate and the
-// bench history. It reads `go test -bench` output and nothing else: the gated
-// benchmarks themselves are the Benchmark functions `make bench-gated` runs
-// (the Makefile's GATED_BENCH list), each defined once in a _test.go file.
+// local perf-trend report. It reads `go test -bench` output and nothing
+// else: the gated benchmarks themselves are the Benchmark functions `make
+// bench-gated` runs (the Makefile's GATED_BENCH list), each defined once in a
+// _test.go file.
 //
 // Exact-metric snapshots (BENCH_*.json experiment tables) are deterministic
 // and diff-checked in CI, but they cannot see a throughput regression: a
 // change that doubles ns/op still produces identical tables. This package
 // closes that gap:
 //
-//   - ParseBench + Gate implement the CI gate (cmd/perfgate): parse two
-//     `go test -bench` outputs (merge base vs head), aggregate each gated
+//   - ParseBench + Compare implement the CI gate (cmd/perfgate): parse two
+//     `go test -bench` outputs (merge base vs head), aggregate each
 //     benchmark by median across -count repetitions, and flag any benchmark
-//     whose ns/op or allocs/op regressed past its threshold.
+//     whose ns/op rose past MaxNsRegress or allocs/op past MaxAllocsRegress.
 //
-//   - History and Trend record the same medians per main-branch commit
-//     (dev/bench/data.js) and alert on a windowed drift.
+//   - Trend reads a sequence of such outputs, oldest first, as the perf
+//     history: each figure's median in every record and the drift of the
+//     newest window of records against the window before it.
 //
-// `make bench-perf` commits one raw gated run as BENCH_perf.txt. Every gated
-// benchmark reports steps/op, so ns/step is ns/op ÷ steps/op. Timing numbers
-// are machine-dependent: that file records the trajectory on the
-// maintainer's machine and is NOT diff-checked in CI.
+// `make bench-perf` commits one raw gated run as BENCH_perf.txt, and its
+// committed revisions are the history `make perf-trend` reports on. Every
+// gated benchmark reports steps/op, so ns/step is ns/op ÷ steps/op. Timing
+// numbers are machine-dependent: the record is NOT diff-checked in CI.
 package perf
 
 import (

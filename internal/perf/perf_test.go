@@ -76,10 +76,8 @@ func benchMap(name string, ns, allocs float64) map[string][]BenchLine {
 }
 
 func TestGateCompare(t *testing.T) {
-	g := Gate{MaxNsRegress: 0.30, MaxAllocsRegress: 0.20}
-
 	// Within thresholds: +29% ns, +19% allocs.
-	deltas := g.Compare(benchMap("BenchmarkX", 100, 100), benchMap("BenchmarkX", 129, 119))
+	deltas := Compare(benchMap("BenchmarkX", 100, 100), benchMap("BenchmarkX", 129, 119))
 	if len(deltas) != 2 {
 		t.Fatalf("want 2 deltas, got %d", len(deltas))
 	}
@@ -88,36 +86,29 @@ func TestGateCompare(t *testing.T) {
 	}
 
 	// ns/op over by a hair, allocs over its tighter gate.
-	deltas = g.Compare(benchMap("BenchmarkX", 100, 100), benchMap("BenchmarkX", 131, 121))
+	deltas = Compare(benchMap("BenchmarkX", 100, 100), benchMap("BenchmarkX", 131, 121))
 	fails := Failures(deltas)
 	if len(fails) != 2 {
 		t.Fatalf("want both units to fail, got %+v", fails)
 	}
 
 	// allocs at exactly +20% is tolerated (strictly-greater gate).
-	deltas = g.Compare(benchMap("BenchmarkX", 100, 100), benchMap("BenchmarkX", 100, 120))
+	deltas = Compare(benchMap("BenchmarkX", 100, 100), benchMap("BenchmarkX", 100, 120))
 	if len(Failures(deltas)) != 0 {
 		t.Fatalf("boundary +20%% must pass, got %+v", Failures(deltas))
 	}
 
 	// Growth from a zero-alloc baseline is an infinite-ratio regression.
-	deltas = g.Compare(benchMap("BenchmarkX", 100, 0), benchMap("BenchmarkX", 100, 1))
+	deltas = Compare(benchMap("BenchmarkX", 100, 0), benchMap("BenchmarkX", 100, 1))
 	fails = Failures(deltas)
 	if len(fails) != 1 || !math.IsInf(fails[0].Ratio, 1) {
 		t.Fatalf("zero-baseline alloc growth must fail with +Inf, got %+v", fails)
 	}
 
 	// Benchmarks present on only one side are skipped.
-	deltas = g.Compare(benchMap("BenchmarkOld", 1, 1), benchMap("BenchmarkNew", 1000, 1000))
+	deltas = Compare(benchMap("BenchmarkOld", 1, 1), benchMap("BenchmarkNew", 1000, 1000))
 	if len(deltas) != 0 {
 		t.Fatalf("disjoint benchmarks must not gate, got %+v", deltas)
-	}
-
-	// The name filter restricts gating.
-	g.Match = regexp.MustCompile(`EngineStream`)
-	deltas = g.Compare(benchMap("BenchmarkSomethingElse", 100, 100), benchMap("BenchmarkSomethingElse", 900, 900))
-	if len(deltas) != 0 {
-		t.Fatalf("filtered-out benchmark must not gate, got %+v", deltas)
 	}
 }
 
@@ -133,8 +124,7 @@ func TestGateCompareMedian(t *testing.T) {
 		{Values: map[string]float64{"ns/op": 99}},
 		{Values: map[string]float64{"ns/op": 900}}, // outlier
 	}}
-	g := Gate{MaxNsRegress: 0.30}
-	deltas := g.Compare(base, head)
+	deltas := Compare(base, head)
 	if len(deltas) != 1 || deltas[0].Exceeded {
 		t.Fatalf("median must discard the outlier, got %+v", deltas)
 	}

@@ -2,110 +2,137 @@ package perf
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Trend alerting over the bench history: the PR-time gate compares two
-// commits and so can be walked past by a sequence of under-threshold
-// regressions. The trend alert watches the curve instead — per benchmark
-// figure, the median of the last Window history entries against the median
-// of the Window entries before them — and fails when the recent window
-// regressed past the tolerance. Medians on both sides mean one noisy commit
-// can neither raise an alert nor mask one.
+// The trend report reads the perf history — bench records oldest first, in
+// practice the committed revisions of BENCH_perf.txt — and prints every
+// gated figure's median in each record, then the drift of the newest window
+// of records against the window before it. The pairwise gate compares two
+// commits and so can be walked past by a run of under-threshold rises; the
+// windowed drift shows such a run, and a median on both sides means one
+// noisy record can neither raise a flag nor hide one. It is a report, not a
+// gate: each record is one run on whatever host made it.
 
-// TrendAlert is one benchmark figure's windowed comparison.
-type TrendAlert struct {
-	// Name and Unit identify the figure ("BenchmarkEngineStream-8", "ns/op").
-	Name string
-	Unit string
-	// Prior and Recent are the window medians; Delta is the relative change
-	// (Recent/Prior − 1, positive = slower/more).
-	Prior  float64
-	Recent float64
-	Delta  float64
-	// Points is how many history entries carry this figure.
-	Points int
-	// Exceeded marks Delta > the tolerance the trend ran with.
-	Exceeded bool
+const (
+	// TrendWindow is the most records one window holds; N records give
+	// windows of min(TrendWindow, N/2).
+	TrendWindow = 5
+	// MaxTrendRegress is the window-median rise past which a figure is
+	// flagged (0.10 = +10%).
+	MaxTrendRegress = 0.10
+)
+
+// TrendRow is one figure — a benchmark in one gated unit — across the
+// records.
+type TrendRow struct {
+	Bench string
+	Unit  string
+	// Medians holds the figure's median in each record, oldest first, and
+	// NaN where a record lacks the figure.
+	Medians []float64
+	// Prior and Recent are the medians of the window before the newest and
+	// of the newest; Ratio is Recent/Prior − 1 and Exceeded marks Ratio >
+	// MaxTrendRegress.
+	Prior, Recent, Ratio float64
+	Exceeded             bool
+	// Skipped marks a figure missing from a record in either window: it has
+	// no drift.
+	Skipped bool
 }
 
-// Trend compares the last window entries of a history series against the
-// window before them, per benchmark figure. Figures appearing in fewer than
-// 2×window entries are skipped — no alert can be meaningful before both
-// windows are full. All gated units are lower-is-better, so only increases
-// regress.
-func Trend(h *History, series string, window int, maxRegress float64) []TrendAlert {
-	if window < 1 {
-		window = 1
-	}
-	entries := h.Entries[series]
-	points := make(map[string][]float64) // "name\x00unit" → values in entry order
-	var order []string
-	for _, e := range entries {
-		for _, b := range e.Benches {
-			key := b.Name + "\x00" + b.Unit
-			if _, ok := points[key]; !ok {
-				order = append(order, key)
+// TrendReport is the trend over a sequence of bench records.
+type TrendReport struct {
+	Records int
+	// Window is the records per window, 0 when fewer than two records leave
+	// nothing to compare.
+	Window int
+	// Rows holds one row per figure present in any record, by benchmark
+	// name, then ns/op before allocs/op.
+	Rows []TrendRow
+}
+
+// Trend reports every gated figure across records, oldest first.
+func Trend(records []map[string][]BenchLine) TrendReport {
+	rep := TrendReport{Records: len(records), Window: min(TrendWindow, len(records)/2)}
+	seen := make(map[string]bool)
+	var names []string
+	for _, r := range records {
+		for name := range r {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
 			}
-			points[key] = append(points[key], b.Value)
 		}
 	}
-	sort.Strings(order)
-	var out []TrendAlert
-	for _, key := range order {
-		vals := points[key]
-		if len(vals) < 2*window {
-			continue
+	sort.Strings(names)
+	first := len(records) - 2*rep.Window // the oldest record in the two windows
+	for _, name := range names {
+		for _, gate := range gatedUnits {
+			row := TrendRow{Bench: name, Unit: gate.unit, Medians: make([]float64, len(records))}
+			present := false
+			for i, r := range records {
+				m, ok := medianOf(r[name], gate.unit)
+				if !ok {
+					m = math.NaN()
+				}
+				row.Medians[i] = m
+				present = present || ok
+			}
+			if !present {
+				continue
+			}
+			switch {
+			case rep.Window == 0:
+			case slices.ContainsFunc(row.Medians[first:], math.IsNaN):
+				row.Skipped = true
+			default:
+				row.Prior = median(slices.Clone(row.Medians[first : first+rep.Window]))
+				row.Recent = median(slices.Clone(row.Medians[first+rep.Window:]))
+				row.Ratio = ratio(row.Prior, row.Recent)
+				row.Exceeded = row.Ratio > MaxTrendRegress
+			}
+			rep.Rows = append(rep.Rows, row)
 		}
-		name, unit, _ := strings.Cut(key, "\x00")
-		recent := medianFloat(vals[len(vals)-window:])
-		prior := medianFloat(vals[len(vals)-2*window : len(vals)-window])
-		a := TrendAlert{Name: name, Unit: unit, Prior: prior, Recent: recent, Points: len(vals)}
-		if prior > 0 {
-			a.Delta = recent/prior - 1
-			a.Exceeded = a.Delta > maxRegress
-		}
-		out = append(out, a)
 	}
-	return out
+	return rep
 }
 
-// TrendFailures filters the exceeded alerts.
-func TrendFailures(alerts []TrendAlert) []TrendAlert {
-	var out []TrendAlert
-	for _, a := range alerts {
-		if a.Exceeded {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// RenderTrend formats trend alerts as an aligned report.
-func RenderTrend(alerts []TrendAlert, window int) string {
-	if len(alerts) == 0 {
-		return fmt.Sprintf("perf trend: no figure has %d history entries yet — nothing to compare\n", 2*window)
-	}
+// RenderTrend formats a trend report: a header naming the windows, then
+// per figure its median in every record ("-" where the record lacks it) and
+// its drift.
+func RenderTrend(rep TrendReport) string {
 	var b strings.Builder
-	for _, a := range alerts {
-		flag := "ok"
-		if a.Exceeded {
-			flag = "TREND REGRESSION"
+	if rep.Window == 0 {
+		fmt.Fprintf(&b, "perf trend over %d record(s): nothing to compare\n", rep.Records)
+	} else {
+		fmt.Fprintf(&b, "perf trend over %d records, oldest first; drift: median of the newest %d against the %d before, flagged past %s\n",
+			rep.Records, rep.Window, rep.Window, percent(MaxTrendRegress))
+	}
+	for _, row := range rep.Rows {
+		meds := make([]string, len(row.Medians))
+		for i, m := range row.Medians {
+			meds[i] = "-"
+			if !math.IsNaN(m) {
+				meds[i] = strconv.FormatFloat(m, 'f', -1, 64)
+			}
+			meds[i] = fmt.Sprintf("%10s", meds[i])
 		}
-		fmt.Fprintf(&b, "%-44s %-10s last %d: %12.2f  prior %d: %12.2f  %+7.2f%%  %s\n",
-			a.Name, a.Unit, window, a.Recent, window, a.Prior, a.Delta*100, flag)
+		fmt.Fprintf(&b, "%-32s %-9s %s", row.Bench, row.Unit, strings.Join(meds, " → "))
+		switch {
+		case rep.Window == 0:
+		case row.Skipped:
+			b.WriteString("  skipped: missing from a windowed record")
+		case row.Exceeded:
+			fmt.Fprintf(&b, "  %7s  DRIFT", percent(row.Ratio))
+		default:
+			fmt.Fprintf(&b, "  %7s  ok", percent(row.Ratio))
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// medianFloat is medianOf for a bare value series.
-func medianFloat(vals []float64) float64 {
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
