@@ -7,15 +7,15 @@ all: vet build test
 build:
 	$(GO) build ./...
 
-# -race gates the parallel search worker pool (internal/search), the repo's
-# only goroutines.
+# -race gates the parallel search worker pool (internal/search) and the dist
+# coordinator's concurrent shard dispatch. The CI test job runs this target.
 test:
 	$(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...
 
-# Formatting + vet, exactly what the CI lint job runs: gofmt -l output is a
+# Formatting + vet; the CI lint job runs this target. gofmt -l output is a
 # failure with the offending files named.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -39,7 +39,7 @@ import (
 
 func main() {
 	long := flag.Bool("long", false, "extended sweeps (larger diameters; minutes)")
-	only := flag.String("only", "", "run a single experiment (E1..E13)")
+	only := flag.String("only", "", "run a single experiment (E1..E14)")
 	stream := flag.Bool("stream", false, "run only the E12 streaming scale sweep")
 	jsonOut := flag.Bool("json", false, "emit experiment tables as machine-readable JSON")
 	matrix := flag.Bool("matrix", false, "run the scenario matrix (generated topologies × fault models × drift profiles vs certified bounds)")

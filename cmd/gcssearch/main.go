@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -155,20 +156,26 @@ func cmdWorker(args []string) error {
 	}
 	reg := obs.NewRegistry()
 	w := &dist.Worker{Threads: *threads, Registry: reg, Debug: *debug}
-	srv := &http.Server{Addr: *listen, Handler: w.Handler()}
+	srv := &http.Server{Handler: w.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// Bind before announcing: the line names the address actually served
+	// (the real port for :0), and a bind failure announces nothing.
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return fmt.Errorf("-listen %s: %w", *listen, err)
+	}
 	serveErr := make(chan error, 1)
 	go func() {
-		err := srv.ListenAndServe()
+		err := srv.Serve(ln)
 		if errors.Is(err, http.ErrServerClosed) {
 			err = nil
 		}
 		serveErr <- err
 	}()
 	fmt.Fprintf(os.Stderr, "gcssearch worker: protocol v%d on %s (metrics on %s)\n",
-		dist.ProtocolVersion, *listen, obs.PathMetrics)
+		dist.ProtocolVersion, ln.Addr(), obs.PathMetrics)
 
 	select {
 	case err := <-serveErr:
@@ -179,7 +186,7 @@ func cmdWorker(args []string) error {
 	fmt.Fprintln(os.Stderr, "gcssearch worker: signal received, draining in-flight shards")
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	err := srv.Shutdown(drainCtx)
+	err = srv.Shutdown(drainCtx)
 	fmt.Fprintf(os.Stderr, "gcssearch worker: final metrics\n%s", reg.Snapshot().Prometheus())
 	return err
 }
@@ -234,6 +241,32 @@ func cmdRun(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+
+	reg := obs.NewRegistry()
+	var hub *obs.Hub
+	var srv *http.Server
+	if *serve != "" {
+		// Bind before anything runs or is announced, as the worker does.
+		ln, err := net.Listen("tcp", *serve)
+		if err != nil {
+			return fmt.Errorf("-serve %s: %w", *serve, err)
+		}
+		hub = obs.NewHub(64)
+		mux := http.NewServeMux()
+		mux.Handle(obs.PathMetrics, obs.Handler(reg))
+		mux.Handle(obs.PathEvents, obs.StreamHandler(hub))
+		if *debug {
+			obs.AttachPprof(mux)
+		}
+		srv = &http.Server{Handler: mux}
+		go func() {
+			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintf(os.Stderr, "gcssearch: -serve %s: %v\n", ln.Addr(), err)
+			}
+		}()
+		fmt.Fprintf(os.Stderr, "gcssearch run: serving %s and %s on %s\n", obs.PathMetrics, obs.PathEvents, ln.Addr())
+	}
+
 	var urls []string
 	for _, u := range strings.Split(*workers, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -246,26 +279,6 @@ func cmdRun(args []string, out io.Writer) error {
 			// mid-campaign; say so and let the coordinator route around it.
 			fmt.Fprintf(os.Stderr, "gcssearch: worker %s unreachable (will degrade): %v\n", u, err)
 		}
-	}
-
-	reg := obs.NewRegistry()
-	var hub *obs.Hub
-	var srv *http.Server
-	if *serve != "" {
-		hub = obs.NewHub(64)
-		mux := http.NewServeMux()
-		mux.Handle(obs.PathMetrics, obs.Handler(reg))
-		mux.Handle(obs.PathEvents, obs.StreamHandler(hub))
-		if *debug {
-			obs.AttachPprof(mux)
-		}
-		srv = &http.Server{Addr: *serve, Handler: mux}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintf(os.Stderr, "gcssearch: -serve %s: %v\n", *serve, err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "gcssearch run: serving %s and %s on %s\n", obs.PathMetrics, obs.PathEvents, *serve)
 	}
 
 	enc := json.NewEncoder(out)

@@ -228,3 +228,38 @@ func TestSubcommandsRejectStrayArgument(t *testing.T) {
 		}
 	}
 }
+
+// TestBindFailureAnnouncesNothing: an address that cannot be bound fails the
+// subcommand before it announces the address or runs anything: nothing on
+// stderr, no report on stdout.
+func TestBindFailureAnnouncesNothing(t *testing.T) {
+	for name, cmd := range map[string]func(out io.Writer) error{
+		"run -serve": func(out io.Writer) error {
+			return cmdRun([]string{"-spec", exampleSpec, "-serve", "127.0.0.1:-1"}, out)
+		},
+		"worker -listen": func(io.Writer) error { return cmdWorker([]string{"-listen", "127.0.0.1:-1"}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stderr.Close()
+			saved := os.Stderr
+			os.Stderr = stderr
+			var out bytes.Buffer
+			err = cmd(&out)
+			os.Stderr = saved
+			if err == nil || !strings.Contains(err.Error(), "127.0.0.1:-1") {
+				t.Errorf("error %v, want one naming the address", err)
+			}
+			logged, rerr := os.ReadFile(stderr.Name())
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if len(logged) > 0 || out.Len() > 0 {
+				t.Errorf("printed before failing:\nstderr: %s\nstdout: %s", logged, out.String())
+			}
+		})
+	}
+}

@@ -357,10 +357,11 @@ func TestScheduleSwapForkMatrix(t *testing.T) {
 // alternately with the trunk. Each clone, and the trunk's own tracker, must
 // end exactly where a tracker that watched a fresh run of its branch ends:
 // any mutable state shared between them would leak one branch into another.
-// The cases cover the tick lane, the rat lane, and a swap that leaves the
-// tick grid (engine and tracker drop to the rat lane mid-run, the tracker's
-// tick-held maxima turning into rationals). The "flushed instant" cases
-// clone at a flush that later declarations land on, on both lanes.
+// The cases cover the tick lane, the rat lane, and a swap onto a schedule
+// off the tick grid (engine and tracker keep the grid and every other node's
+// compiled schedule; the swapped node's values fall back to rationals one by
+// one). The "flushed instant" cases clone at a flush that later declarations
+// land on, on both lanes.
 func TestSiblingTrackerClonesShareNoState(t *testing.T) {
 	// A declaration at a flushed instant rebuilds the instant's left limits
 	// from the declarations the tracker saved for the nodes that already
@@ -439,7 +440,7 @@ func TestSiblingTrackerClonesShareNoState(t *testing.T) {
 	}{
 		{"fixed", gcs.LaneAuto, gcs.Frac(3, 2), "fixed"},
 		{"rat", gcs.LaneRat, gcs.Frac(3, 2), "rat"},
-		{"off-grid swap", gcs.LaneAuto, gcs.Frac(13, 11), "rat"},
+		{"off-grid swap", gcs.LaneAuto, gcs.Frac(13, 11), "fixed"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -65,7 +65,7 @@ func TestPublicSearchPath(t *testing.T) {
 		t.Fatalf("searched worst case %s below certified Shift bound %s", res.Best, shift.Implied)
 	}
 	// Replay the searched adversary through the public engine API.
-	scheds := res.ReplaySchedules(gcs.ConstantSchedules(2, gcs.R(1)))
+	scheds := res.Schedules
 	skew, err := gcs.NewSkewTracker(net, scheds)
 	if err != nil {
 		t.Fatal(err)

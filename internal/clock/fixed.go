@@ -19,9 +19,10 @@ type FixedSchedule struct {
 }
 
 // CompileFixed compiles the schedule onto the tick grid of 1/scale. It
-// returns ok=false when any segment start, rate, or accumulated hardware
-// reading does not land on the grid (or overflows) — the schedule then stays
-// on the rat lane.
+// returns nil and ok=false when any segment start, rate, or accumulated
+// hardware reading does not land on the grid (or overflows); the nil
+// schedule reports a miss on every evaluation, so the node's values fall
+// back to the rat lane one by one.
 func (s *Schedule) CompileFixed(scale int64) (*FixedSchedule, bool) {
 	if scale <= 0 {
 		return nil, false
@@ -75,10 +76,13 @@ func (f *FixedSchedule) locate(t int64) int {
 }
 
 // HWTicks returns H(t) in ticks for a real time t in ticks, or ok=false when
-// the reading is off-grid (the rate application does not divide exactly) or
-// t precedes the domain. An ok result equals Schedule.HW bit for bit after
-// fixed.ToRat.
+// the reading is off-grid (the rate application does not divide exactly), t
+// precedes the domain, or f is nil (a schedule that did not compile). An ok
+// result equals Schedule.HW bit for bit after fixed.ToRat.
 func (f *FixedSchedule) HWTicks(t int64) (int64, bool) {
+	if f == nil {
+		return 0, false
+	}
 	i := f.locate(t)
 	if i < 0 {
 		return 0, false
@@ -92,11 +96,11 @@ func (f *FixedSchedule) HWTicks(t int64) (int64, bool) {
 
 // RealAtTicks returns the real time in ticks at which the hardware clock
 // reads h ticks, or ok=false when the inversion is off-grid (dividing by the
-// rate's numerator does not come out exact) or h precedes H(0). An ok result
-// equals Schedule.RealAt bit for bit after fixed.ToRat; the rat lane also
-// owns every error case.
+// rate's numerator does not come out exact), h precedes H(0), or f is nil. An
+// ok result equals Schedule.RealAt bit for bit after fixed.ToRat; the rat
+// lane also owns every error case.
 func (f *FixedSchedule) RealAtTicks(h int64) (int64, bool) {
-	if h < f.hw0[0] {
+	if f == nil || h < f.hw0[0] {
 		return 0, false
 	}
 	// hw0 is strictly increasing (rates are positive): binary search the last

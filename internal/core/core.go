@@ -121,9 +121,6 @@ func LocalSkew(e *trace.Execution) PairSkew {
 	return worst
 }
 
-// FinalSkewAt returns L_i − L_j at the end of the execution.
-func FinalSkewAt(e *trace.Execution, i, j int) rat.Rat { return e.FinalSkew(i, j) }
-
 // ProfilePoint is one point of the empirical gradient profile.
 type ProfilePoint struct {
 	Dist  rat.Rat

@@ -24,9 +24,12 @@
 // other at one instant. Sweeps read clock values from per-instant vectors,
 // so each node's clock is evaluated once per instant for the left limits,
 // which hold for the whole instant, and once more for the right limits only
-// if the node declared there (a flush, clone-and-swap or lane change
+// if the node declared there (a flush, a schedule swap or a grid adoption
 // mid-instant re-reads the vectors). On the tick lane (online_fixed.go) a
-// sweep is then one integer subtraction and compare per pair.
+// sweep is then one integer subtraction and compare per pair. The lane has
+// one fallback rule: a value off the grid — any value of a node whose
+// schedule does not compile onto it, included — is computed in rationals
+// alone, and the tracker never leaves, or moves between, grids.
 package core
 
 import (
@@ -136,7 +139,8 @@ type SkewTracker struct {
 	vals    []int64
 	ratVals []ratVal
 
-	// Tick lane (online_fixed.go): scale > 0 after AdoptFixedLane.
+	// Tick lane (online_fixed.go): scale > 0 after AdoptFixedLane, and then
+	// fixed. fscheds[i] is nil where node i's schedule does not compile.
 	scale     int64
 	fscheds   []*clock.FixedSchedule
 	curT      []declTicks

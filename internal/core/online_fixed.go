@@ -10,7 +10,8 @@
 // GradientTracker.Report) or a value leaves the grid. Any value off the grid
 // falls back to exact rational arithmetic for that value alone (a maximum it
 // sets is held as a rational until a larger one overtakes it), so results
-// are byte-identical to the pure rat lane, witnesses included. On the
+// are byte-identical to the pure rat lane, witnesses included, on whatever
+// grid the tracker adopted first; it never changes grids. On the
 // gcsperf stream workload (drifting lines of 65-257 nodes, shared 2-core
 // Xeon host) this layout, against per-pair clock evaluation with rational
 // maxima, cut pass_s from 1.82 to 0.77 s (medians of 10 alternating pairs)
@@ -48,71 +49,28 @@ type declTicks struct {
 
 // AdoptFixedLane implements the engine's fixed-lane observer extension: the
 // engine calls it with its detected tick scale (0 when the run stays on the
-// rat lane) when the tracker is attached. The tracker compiles its own
-// schedule mirrors at that scale; a tracker that never adopts a scale — or
-// adopts 0 — runs entirely on the rat lane, byte-identical either way.
+// rat lane) when the tracker is attached. A tracker without a grid adopts a
+// positive scale: it compiles its schedule mirrors onto it (a schedule that
+// does not compile leaves its slot nil, and that node's values take the rat
+// lane) and builds the tick mirrors of its current declarations. Maxima
+// already held as rationals stay valid on any grid. A tracker keeps the first
+// grid it adopts and ignores later calls, since per-value fallback keeps its
+// results exact on any grid; one that never adopts runs on the rat lane,
+// byte-identical either way.
 func (st *SkewTracker) AdoptFixedLane(scale int64) {
-	if scale < 0 {
-		scale = 0
+	if scale <= 0 || st.scale > 0 {
+		return
 	}
-	if scale == st.scale {
-		return // already on this grid (e.g. a clone re-attached to a fork)
-	}
-	var fs []*clock.FixedSchedule
-	if scale > 0 {
-		fs = make([]*clock.FixedSchedule, st.n)
-		for i, s := range st.scheds {
-			f, ok := s.CompileFixed(scale)
-			if !ok {
-				fs, scale = nil, 0
-				break
-			}
-			fs[i] = f
-		}
-	}
-	st.rescale(scale, fs)
-}
-
-// rescale moves the tracker onto the grid of scale (0: the rat lane) with
-// the matching compiled schedules. Every maximum is re-expressed on the new
-// grid, or held as a rational where it does not fit; the declaration
-// mirrors are rebuilt and the value vectors go stale.
-func (st *SkewTracker) rescale(scale int64, fs []*clock.FixedSchedule) {
 	n := st.n
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			idx := i*n + j
-			if st.pairT[idx] == noTick && (st.pairR == nil || !st.pairR[idx].set) {
-				continue
-			}
-			skew, at := st.skewR(idx), st.atR(idx)
-			v, ok1 := fixed.FromRat(skew, scale)
-			a, ok2 := fixed.FromRat(at, scale)
-			if ok1 && ok2 {
-				st.pairT[idx], st.pairT[j*n+i], st.pairAtT[idx] = v, v, a
-				if st.pairR != nil {
-					st.pairR[idx] = ratMax{}
-				}
-				continue
-			}
-			if st.pairR == nil {
-				st.pairR = make([]ratMax, n*n)
-			}
-			st.pairR[idx] = ratMax{skew: skew, at: at, set: true}
-			st.pairT[idx], st.pairT[j*n+i] = noTick, noTick
-		}
-	}
-	st.scale, st.fscheds = scale, fs
-	if scale > 0 {
-		if st.curT == nil {
-			st.curT = make([]declTicks, n)
-			st.leftT = make([]declTicks, n)
-			st.vals = make([]int64, n)
-		}
-		for i := 0; i < n; i++ {
-			st.curT[i] = st.declTicksOf(st.cur[i])
-			st.leftT[i] = st.declTicksOf(st.left[i])
-		}
+	st.scale = scale
+	st.fscheds = make([]*clock.FixedSchedule, n)
+	st.curT = make([]declTicks, n)
+	st.leftT = make([]declTicks, n)
+	st.vals = make([]int64, n)
+	for i, s := range st.scheds {
+		st.fscheds[i], _ = s.CompileFixed(scale)
+		st.curT[i] = st.declTicksOf(st.cur[i])
+		st.leftT[i] = st.declTicksOf(st.left[i])
 	}
 	st.setInstant(st.pending)
 }

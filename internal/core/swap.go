@@ -21,9 +21,10 @@ import (
 // The tracker rebuilds its merged breakpoint cursor — breakpoints at or
 // before the processed time count as consumed, exactly as a tracker that
 // watched the whole run under the new schedule would have consumed them —
-// and recompiles the node's fixed-lane mirror; a replacement that does not
-// fit the adopted tick grid drops the tracker to the rat lane, its tick-held
-// maxima re-expressed as rationals (arithmetic changes, results do not).
+// and recompiles the node's fixed-lane mirror. A replacement that does not
+// fit the adopted tick grid leaves the node's mirror nil: its clock values
+// take the rat lane one by one, while the grid, the other nodes' mirrors and
+// every maximum stay as they are (arithmetic changes, results do not).
 func (st *SkewTracker) SwapSchedule(node int, s *clock.Schedule) error {
 	if node < 0 || node >= st.n {
 		return fmt.Errorf("core: SwapSchedule of invalid node %d", node)
@@ -43,13 +44,9 @@ func (st *SkewTracker) SwapSchedule(node int, s *clock.Schedule) error {
 	}
 	st.nextBreak = nb
 	if st.scale > 0 {
-		if f, ok := s.CompileFixed(st.scale); ok {
-			fs := append([]*clock.FixedSchedule(nil), st.fscheds...)
-			fs[node] = f
-			st.fscheds = fs
-		} else {
-			st.rescale(0, nil)
-		}
+		fs := append([]*clock.FixedSchedule(nil), st.fscheds...)
+		fs[node], _ = s.CompileFixed(st.scale)
+		st.fscheds = fs
 	}
 	// The node's clock values at the current instant are re-read under the
 	// replacement.

@@ -199,8 +199,9 @@ type Engine struct {
 	// Fixed-point lane (see lane.go): scale > 0 means the run landed on a
 	// common tick grid at construction and the hot path computes event keys,
 	// clock readings, and clock inversions on int64 ticks, value-by-value
-	// falling back to rat. fscheds (one compiled schedule per node) is
-	// immutable and shared with forks.
+	// falling back to rat. scale is set once, in New. fscheds (one compiled
+	// schedule per node, nil where it did not compile) is immutable and
+	// shared with forks.
 	lane      Lane
 	scale     int64
 	fscheds   []*clock.FixedSchedule

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gcs/internal/clock"
-	"gcs/internal/fixed"
 	"gcs/internal/rat"
 	"gcs/internal/trace"
 )
@@ -132,11 +131,13 @@ func (e *Engine) NextEventTime() (rat.Rat, bool) {
 // computed.
 //
 // On the fixed-point lane the swapped schedule is recompiled onto the tick
-// grid; if it does not fit (the detected scale saw only the old schedules),
-// the engine drops to the rat lane for the rest of the run — arithmetic
-// changes, results do not. Combined with Fork this is the paper's schedule
-// surgery made incremental: fork the shared prefix, swap in the mutated
-// schedule, and only the suffix re-simulates.
+// grid. If it does not fit (the detected scale saw only the old schedules),
+// the node's slot stays empty and its readings and timer times fall back to
+// rationals one by one, as any off-grid value does; every other node stays
+// on ticks, and TimeLane still reads "fixed". Arithmetic changes, results do
+// not. Combined with Fork this is the paper's schedule surgery made
+// incremental: fork the shared prefix, swap in the mutated schedule, and
+// only the suffix re-simulates.
 func (e *Engine) SwapSchedule(node int, s *clock.Schedule) error {
 	if e.err != nil {
 		return fmt.Errorf("engine: SwapSchedule on failed engine: %w", e.err)
@@ -159,19 +160,9 @@ func (e *Engine) SwapSchedule(node int, s *clock.Schedule) error {
 	scheds[node] = s
 	e.scheds = scheds
 	if e.scale > 0 {
-		if fs, ok := s.CompileFixed(e.scale); ok {
-			fscheds := append([]*clock.FixedSchedule(nil), e.fscheds...)
-			fscheds[node] = fs
-			e.fscheds = fscheds
-		} else {
-			// The swapped schedule is off the detected grid: the whole run
-			// drops to the rat lane. Queued tick keys stay valid for ordering
-			// (they are exact representations of their times under the old
-			// scale) but nothing derives new ticks from here on.
-			e.scale = 0
-			e.fscheds = nil
-			e.nowTickOK = false
-		}
+		fscheds := append([]*clock.FixedSchedule(nil), e.fscheds...)
+		fscheds[node], _ = s.CompileFixed(e.scale)
+		e.fscheds = fscheds
 	}
 	q := &e.queue
 	moved := false
@@ -182,47 +173,21 @@ func (e *Engine) SwapSchedule(node int, s *clock.Schedule) error {
 		}
 		switch {
 		case ev.hwTarget:
-			// Timer: the hardware target is authoritative. Re-derive the
-			// firing time through the new schedule, mirroring SetTimerAtHW's
-			// lane logic. Pending events are at/after the divergence window,
-			// so the re-derived time never lands before Now().
-			ev.tickOK = false
-			if e.scale > 0 {
-				if ht, ok := fixed.FromRat(ev.hw, e.scale); ok {
-					if tt, ok := e.fscheds[node].RealAtTicks(ht); ok {
-						ev.tick, ev.tickOK = tt, true
-						ev.time = fixed.ToRat(tt, e.scale)
-					}
-				}
-				if !ev.tickOK && e.met != nil {
-					e.met.FixedFallbacks.Inc()
-				}
+			// Timer: the hardware target is authoritative; re-derive the
+			// firing time through the new schedule. Pending events are
+			// at/after the divergence window, so it never lands before Now().
+			real, tick, tickOK, err := e.realAt(node, ev.hw)
+			if err != nil {
+				err = fmt.Errorf("engine: SwapSchedule node %d timer target %s: %w", node, ev.hw, err)
+				e.fail(err)
+				return err
 			}
-			if !ev.tickOK {
-				real, err := s.RealAt(ev.hw)
-				if err != nil {
-					err = fmt.Errorf("engine: SwapSchedule node %d timer target %s: %w", node, ev.hw, err)
-					e.fail(err)
-					return err
-				}
-				ev.time = real
-			}
+			ev.time, ev.tick, ev.tickOK = real, tick, tickOK
 			moved = true
 		case ev.kind == trace.KindRecv:
 			// Delivery: real time is authoritative and schedule-independent;
-			// only the cached hardware reading re-derives, mirroring Send.
-			hwOK := false
-			if ev.tickOK && e.scale > 0 {
-				if ht, ok := e.fscheds[node].HWTicks(ev.tick); ok {
-					ev.hw = fixed.ToRat(ht, e.scale)
-					hwOK = true
-				} else if e.met != nil {
-					e.met.FixedFallbacks.Inc()
-				}
-			}
-			if !hwOK {
-				ev.hw = s.HW(ev.time)
-			}
+			// only the cached hardware reading re-derives.
+			ev.hw = e.hwAt(node, ev.time, ev.tick, ev.tickOK)
 		}
 	}
 	if moved {

@@ -3,6 +3,7 @@ package engine
 import (
 	"gcs/internal/clock"
 	"gcs/internal/fixed"
+	"gcs/internal/rat"
 )
 
 // Lane selects the arithmetic lane for an engine's hot path.
@@ -41,9 +42,10 @@ func WithLane(l Lane) Option { return func(e *Engine) { e.lane = l } }
 // mirror its own state in scaled int64 ticks implements it, and Observe (or
 // New, for observers attached via WithObservers) hands it the engine's
 // detected scale — 0 when the run stays on the rat lane. Adoption is purely
-// an execution strategy; an adopting observer must produce byte-identical
-// results either way (SkewTracker.AdoptFixedLane is the canonical
-// implementation).
+// an execution strategy under the engine's one rule, a value off the grid
+// computed in rationals alone, so an adopting observer produces
+// byte-identical results on any grid and may keep the first one it adopts
+// (SkewTracker.AdoptFixedLane, the canonical implementation, does).
 type FixedLaneAdopter interface {
 	AdoptFixedLane(scale int64)
 }
@@ -114,7 +116,7 @@ func (a ScriptedAdversary) DelayDenom() int64 {
 // LCM over every schedule's grid requirements, every pairwise message-delay
 // bound, and the adversary's advertised delay quantization. On success the
 // engine compiles each schedule onto the grid and runs its hot path in
-// ticks; on any failure it silently stays on the rat lane.
+// ticks; when detection fails it silently stays on the rat lane.
 func (e *Engine) detectLane() {
 	if e.lane == LaneRat {
 		return
@@ -151,17 +153,51 @@ func (e *Engine) detectLane() {
 	if !ok {
 		return
 	}
-	fs := make([]*clock.FixedSchedule, n)
-	for i, s := range e.scheds {
-		f, ok := s.CompileFixed(scale)
-		if !ok {
-			return
-		}
-		fs[i] = f
-	}
 	e.scale = scale
-	e.fscheds = fs
+	e.fscheds = make([]*clock.FixedSchedule, n)
+	for i, s := range e.scheds {
+		// A schedule that does not compile leaves its slot nil (see hwAt).
+		e.fscheds[i], _ = s.CompileFixed(scale)
+	}
 	e.nowTickOK = true
+}
+
+// hwAt returns node's hardware reading at real time t, from its compiled
+// schedule when tickOK (tick is t on the grid). This and realAt are the
+// lane's one fallback rule: a value off the grid — or any value of a node
+// whose schedule did not compile — is computed in rationals alone, and
+// every other value stays on ticks.
+func (e *Engine) hwAt(node int, t rat.Rat, tick int64, tickOK bool) rat.Rat {
+	if tickOK {
+		if ht, ok := e.fscheds[node].HWTicks(tick); ok {
+			return fixed.ToRat(ht, e.scale)
+		}
+		e.fellBack()
+	}
+	return e.scheds[node].HW(t)
+}
+
+// realAt returns the real time at which node's hardware clock reads hw, with
+// its tick when the inversion lands on the grid. The rat lane owns every
+// miss and every error case.
+func (e *Engine) realAt(node int, hw rat.Rat) (t rat.Rat, tick int64, tickOK bool, err error) {
+	if e.scale > 0 {
+		if ht, ok := fixed.FromRat(hw, e.scale); ok {
+			if tt, ok := e.fscheds[node].RealAtTicks(ht); ok {
+				return fixed.ToRat(tt, e.scale), tt, true, nil
+			}
+		}
+		e.fellBack()
+	}
+	t, err = e.scheds[node].RealAt(hw)
+	return t, 0, false, err
+}
+
+// fellBack counts one value computed in rationals on a fixed-lane engine.
+func (e *Engine) fellBack() {
+	if e.met != nil {
+		e.met.FixedFallbacks.Inc()
+	}
 }
 
 // detOK reports whether the detector can still succeed, letting the
@@ -173,7 +209,9 @@ func detOK(d *fixed.Detector) bool {
 
 // TimeLane reports the arithmetic lane the engine runs on: "fixed" when
 // scale detection succeeded at construction, "rat" otherwise. Forks inherit
-// the parent's lane.
+// the parent's lane, and it never changes mid-run: after a SwapSchedule off
+// the grid the engine still reads "fixed", with that node's values on
+// rationals.
 func (e *Engine) TimeLane() string {
 	if e.scale > 0 {
 		return "fixed"

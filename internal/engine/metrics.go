@@ -29,8 +29,11 @@ type Metrics struct {
 	RatLaneRuns   *obs.Counter
 	// FixedFallbacks counts individual values a fixed-lane engine had to
 	// compute in rational arithmetic because they fell off the tick grid
-	// (an off-grid delay, reading, or timer inversion). A high rate relative
-	// to Steps means the detected scale misses the run's real grid.
+	// (an off-grid delay, reading, or timer inversion, including every
+	// reading and inversion of a node swapped onto a schedule that does not
+	// compile). It is the lane's only fallback: the engine never leaves the
+	// lane. A high rate relative to Steps means the detected scale misses the
+	// run's real grid.
 	FixedFallbacks *obs.Counter
 	// Dropped counts messages removed at send by the adversary chain's
 	// fault layer (DropAdversary): they consume their sequence number but

@@ -130,32 +130,18 @@ func (rt *Runtime) Send(to int, msg Message) {
 	}
 	recv := e.now.Add(delay)
 	// Fixed lane: the receive tick is now + delay in integers when the delay
-	// lands on the grid; the recipient's hardware reading at that tick comes
-	// from the compiled schedule. Every miss falls back to the rat lane for
-	// that value alone.
+	// lands on the grid, and the recipient's reading there comes from hwAt.
 	var recvTick int64
 	recvTickOK := false
 	if e.nowTickOK {
 		if dt, ok := fixed.FromRat(delay, e.scale); ok {
 			recvTick, recvTickOK = fixed.Add(e.nowTick, dt)
 		}
-		if !recvTickOK && e.met != nil {
-			e.met.FixedFallbacks.Inc()
+		if !recvTickOK {
+			e.fellBack()
 		}
 	}
-	var hwRecv rat.Rat
-	hwOK := false
-	if recvTickOK {
-		if ht, ok := e.fscheds[to].HWTicks(recvTick); ok {
-			hwRecv = fixed.ToRat(ht, e.scale)
-			hwOK = true
-		} else if e.met != nil {
-			e.met.FixedFallbacks.Inc()
-		}
-	}
-	if !hwOK {
-		hwRecv = e.scheds[to].HW(recv)
-	}
+	hwRecv := e.hwAt(to, recv, recvTick, recvTickOK)
 	var payload string
 	hasStr := e.observed()
 	if hasStr {
@@ -204,32 +190,13 @@ func (rt *Runtime) SetTimerAtHW(hw rat.Rat, timerID int) {
 		e.fail(fmt.Errorf("engine: node %d sets timer at hardware time %s < current %s", rt.id, hw, rt.hwNow))
 		return
 	}
-	// Fixed lane: invert the compiled schedule in ticks. The rat lane owns
-	// every miss and every error case (off-grid target, inexact division by
-	// the rate numerator). Either way the event caches the target reading —
-	// H(RealAt(hw)) = hw exactly, the clock being continuous and strictly
-	// increasing — so dispatch never inverts or re-evaluates.
-	var real rat.Rat
-	var realTick int64
-	tickOK := false
-	if e.scale > 0 {
-		if ht, ok := fixed.FromRat(hw, e.scale); ok {
-			if tt, ok := e.fscheds[rt.id].RealAtTicks(ht); ok {
-				realTick, tickOK = tt, true
-				real = fixed.ToRat(tt, e.scale)
-			}
-		}
-		if !tickOK && e.met != nil {
-			e.met.FixedFallbacks.Inc()
-		}
-	}
-	if !tickOK {
-		var err error
-		real, err = e.scheds[rt.id].RealAt(hw)
-		if err != nil {
-			e.fail(fmt.Errorf("engine: node %d timer: %w", rt.id, err))
-			return
-		}
+	// The event caches the target reading — H(RealAt(hw)) = hw exactly, the
+	// clock being continuous and strictly increasing — so dispatch never
+	// inverts or re-evaluates.
+	real, realTick, tickOK, err := e.realAt(rt.id, hw)
+	if err != nil {
+		e.fail(fmt.Errorf("engine: node %d timer: %w", rt.id, err))
+		return
 	}
 	idx := e.queue.alloc()
 	e.queue.slab[idx] = event{

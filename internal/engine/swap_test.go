@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"gcs/internal/clock"
 	"gcs/internal/obs"
 	"gcs/internal/rat"
+	"gcs/internal/trace"
 )
 
 // swapTestScheds builds n constant-rate-1 schedules plus a variant of node
@@ -157,10 +159,13 @@ func TestSwapScheduleCopiesOnWrite(t *testing.T) {
 	}
 }
 
-// TestSwapScheduleOffGridDropsLane: a swapped schedule whose rates do not fit
-// the detected tick grid drops the engine to the rat lane — and the run still
-// agrees with a fresh rat-lane engine on the swapped set.
-func TestSwapScheduleOffGridDropsLane(t *testing.T) {
+// TestSwapScheduleOffGridKeepsLane: a swapped schedule whose rates do not fit
+// the detected tick grid leaves only its node's compiled slot empty. The
+// engine keeps its grid, the node's readings and timer times fall back to
+// rationals one by one (counted in FixedFallbacks), and the run — actions,
+// ledger and compiled clocks — is the one a fresh rat-lane engine produces on
+// the swapped set.
+func TestSwapScheduleOffGridKeepsLane(t *testing.T) {
 	base, _ := swapTestScheds(t, 3, 1, ri(3), ri(6), rf(3, 2))
 	// An in-drift rate with a huge denominator: off any detected scale.
 	offGrid, err := base[1].ModifyWindow(ri(3), ri(6), func(rat.Rat) rat.Rat {
@@ -169,9 +174,26 @@ func TestSwapScheduleOffGridDropsLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newTestEngine(t, 3, tickProtocol{period: ri(1)}, WithSchedules(base))
-	if eng.scale == 0 {
-		t.Skip("fixed lane not engaged; lane-drop path unreachable")
+	swappedSet := append([]*clock.Schedule(nil), base...)
+	swappedSet[1] = offGrid
+	run := func(eng *Engine, rec *trace.Recorder) *trace.Execution {
+		t.Helper()
+		if err := eng.RunUntil(ri(8)); err != nil {
+			t.Fatal(err)
+		}
+		exec, err := eng.Execution(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exec
+	}
+
+	met := NewMetrics(obs.NewRegistry())
+	rec := trace.NewRecorder(3)
+	eng := newTestEngine(t, 3, tickProtocol{period: ri(1)}, WithSchedules(base), WithMetrics(met), WithObservers(rec))
+	scale := eng.FixedScale()
+	if scale == 0 {
+		t.Fatal("fixed lane not engaged on rate-1 schedules")
 	}
 	if err := eng.RunUntil(ri(2)); err != nil {
 		t.Fatal(err)
@@ -179,10 +201,50 @@ func TestSwapScheduleOffGridDropsLane(t *testing.T) {
 	if err := eng.SwapSchedule(1, offGrid); err != nil {
 		t.Fatal(err)
 	}
-	if eng.scale != 0 || eng.fscheds != nil || eng.nowTickOK {
-		t.Fatalf("off-grid swap kept the fixed lane: scale=%d", eng.scale)
+	if eng.FixedScale() != scale || eng.TimeLane() != "fixed" {
+		t.Fatalf("off-grid swap left the grid: %s lane, scale %d (was %d)", eng.TimeLane(), eng.FixedScale(), scale)
 	}
-	if err := eng.RunUntil(ri(8)); err != nil {
-		t.Fatal(err)
+	for i, f := range eng.fscheds {
+		if (f == nil) != (i == 1) {
+			t.Fatalf("compiled slot %d nil = %v after swapping node 1 off the grid", i, f == nil)
+		}
+	}
+	before := met.FixedFallbacks.Value()
+	got := run(eng, rec)
+	if met.FixedFallbacks.Value() <= before {
+		t.Fatalf("FixedFallbacks stayed at %d after the off-grid swap", before)
+	}
+
+	freshRec := trace.NewRecorder(3)
+	fresh := newTestEngine(t, 3, tickProtocol{period: ri(1)}, WithSchedules(swappedSet), WithLane(LaneRat), WithObservers(freshRec))
+	want := run(fresh, freshRec)
+	sameRun(t, want, got)
+}
+
+// sameRun fails unless a and b hold the same actions, the same ledger and
+// the same compiled clocks, compared on their canonical printed values.
+func sameRun(t *testing.T, a, b *trace.Execution) {
+	t.Helper()
+	lines := func(x *trace.Execution) []string {
+		var out []string
+		for _, act := range x.Actions {
+			out = append(out, fmt.Sprintf("action %+v", act))
+		}
+		for _, m := range x.Ledger {
+			out = append(out, fmt.Sprintf("message %+v", m))
+		}
+		for i := range x.Logical {
+			out = append(out, fmt.Sprintf("node %d: logical %v, hardware %v", i, x.Logical[i].Segs(), x.Hardware[i].Segs()))
+		}
+		return out
+	}
+	la, lb := lines(a), lines(b)
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			t.Fatalf("%s\nvs\n%s", la[i], lb[i])
+		}
+	}
+	if len(la) != len(lb) {
+		t.Fatalf("%d actions, messages and clocks vs %d", len(la), len(lb))
 	}
 }

@@ -103,10 +103,3 @@ func (h *Hub) Close() {
 
 // Dropped returns the number of events lost to slow subscribers.
 func (h *Hub) Dropped() uint64 { return h.dropped.Value() }
-
-// Subscribers returns the current subscriber count.
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}

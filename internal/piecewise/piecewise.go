@@ -66,12 +66,6 @@ func (f *PLF) Clone() *PLF {
 	return &PLF{segs: segs}
 }
 
-// Start returns the domain start.
-func (f *PLF) Start() rat.Rat { return f.segs[0].From }
-
-// End returns the start of the final segment (the last breakpoint).
-func (f *PLF) End() rat.Rat { return f.segs[len(f.segs)-1].From }
-
 // NumSegs returns the number of linear pieces.
 func (f *PLF) NumSegs() int { return len(f.segs) }
 

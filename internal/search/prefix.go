@@ -43,8 +43,11 @@ import (
 	"sort"
 	"sync"
 
+	"gcs/internal/clock"
 	"gcs/internal/core"
 	"gcs/internal/engine"
+	"gcs/internal/rat"
+	"gcs/internal/trace"
 )
 
 // evalAll evaluates every candidate on a bounded worker pool and returns the
@@ -89,14 +92,7 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 	trunkSteps := make([]uint64, len(order))
 	for gi, plog := range order {
 		gi, plog := gi, plog
-		idxs := append([]int(nil), groups[plog]...)
-		// Divergence order: the trunk only ever steps forward.
-		sort.Slice(idxs, func(a, b int) bool {
-			if cands[idxs[a]].divEvent != cands[idxs[b]].divEvent {
-				return cands[idxs[a]].divEvent < cands[idxs[b]].divEvent
-			}
-			return idxs[a] < idxs[b]
-		})
+		idxs := groups[plog]
 		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, idxs, plog, results, spawn) })
 	}
 	wg.Wait()
@@ -149,22 +145,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 			results[i] = evaluation{cand: cands[i], err: err}
 		}
 	}
-	scheds := trunkScheds(opt, cands[idxs[0]])
-	skew, err := core.NewSkewTracker(opt.Net, scheds)
-	if err != nil {
-		failRest(err)
-		return 0
-	}
-	log := NewDecisionLog(opt.Net)
-	trunk, err := engine.New(opt.Net,
-		engine.WithProtocol(opt.Protocol),
-		engine.WithAdversary(engine.ScriptedAdversary{Delays: plog.Script(), Fallback: baseTail(opt)}),
-		engine.WithSchedules(scheds),
-		engine.WithRho(opt.Rho),
-		engine.WithObservers(skew, log),
-		engine.WithMetrics(opt.EngineMetrics),
-		engine.WithLane(opt.lane),
-	)
+	trunk, skew, log, err := newEval(opt, trunkScheds(opt, cands[idxs[0]]), plog.Script())
 	if err != nil {
 		failRest(err)
 		return 0
@@ -281,24 +262,29 @@ func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTrac
 // evaluate re-simulates one candidate from scratch and reads the objective
 // off the online trackers.
 func evaluate(opt Options, cand candidate) evaluation {
-	scheds := effectiveScheds(opt, cand)
-	skew, err := core.NewSkewTracker(opt.Net, scheds)
+	eng, skew, log, err := newEval(opt, effectiveScheds(opt, cand), cand.script)
 	if err != nil {
 		return evaluation{cand: cand, err: err}
 	}
+	return finish(opt, cand, eng, skew, log, 0)
+}
+
+// newEval builds an evaluation engine from time zero: script over a fresh
+// Base tail on scheds, watched by a new skew tracker and decision log.
+func newEval(opt Options, scheds []*clock.Schedule, script map[trace.MsgKey]rat.Rat) (*engine.Engine, *core.SkewTracker, *DecisionLog, error) {
+	skew, err := core.NewSkewTracker(opt.Net, scheds)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	log := NewDecisionLog(opt.Net)
-	adv := engine.ScriptedAdversary{Delays: cand.script, Fallback: baseTail(opt)}
 	eng, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
-		engine.WithAdversary(adv),
+		engine.WithAdversary(engine.ScriptedAdversary{Delays: script, Fallback: baseTail(opt)}),
 		engine.WithSchedules(scheds),
 		engine.WithRho(opt.Rho),
 		engine.WithObservers(skew, log),
 		engine.WithMetrics(opt.EngineMetrics),
 		engine.WithLane(opt.lane),
 	)
-	if err != nil {
-		return evaluation{cand: cand, err: err}
-	}
-	return finish(opt, cand, eng, skew, log, 0)
+	return eng, skew, log, err
 }

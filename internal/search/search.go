@@ -232,22 +232,6 @@ func (r *Result) ReplayAdversary(base engine.Adversary) engine.ScriptedAdversary
 	return engine.ScriptedAdversary{Delays: r.Script, Fallback: base}
 }
 
-// ReplaySchedules returns the hardware schedules of the best execution:
-// base schedules with the searched constant-rate overrides applied. When the
-// winner carries windowed or seeded schedules, use the Schedules field
-// instead — it is always exact.
-func (r *Result) ReplaySchedules(base []*clock.Schedule) []*clock.Schedule {
-	out := make([]*clock.Schedule, len(base))
-	for i := range base {
-		if i < len(r.Rates) && !r.Rates[i].IsZero() {
-			out[i] = clock.Constant(r.Rates[i])
-		} else {
-			out[i] = base[i]
-		}
-	}
-	return out
-}
-
 // candidate is one point of the search space: a delay script layered over
 // the base tail adversary, plus per-node constant-rate overrides (zero Rat =
 // base schedule) and, for seeds and windowed mutants, a full schedule

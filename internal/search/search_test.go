@@ -383,7 +383,7 @@ func TestSearchRecoversShiftBound(t *testing.T) {
 }
 
 // TestSearchResultReplays: driving a fresh engine with the result's script
-// and rate overrides must reproduce exactly the objective value the search
+// and schedules must reproduce exactly the objective value the search
 // reported — the Result is a self-contained adversary, not just a number.
 func TestSearchResultReplays(t *testing.T) {
 	opt := lineOpts(t, 4, 4)
@@ -394,11 +394,7 @@ func TestSearchResultReplays(t *testing.T) {
 	if !res.Best.Greater(res.Baseline) {
 		t.Fatalf("expected improvement over baseline on a drift-free line, got best %s baseline %s", res.Best, res.Baseline)
 	}
-	base := make([]*clock.Schedule, opt.Net.N())
-	for i := range base {
-		base[i] = clock.Constant(ri(1))
-	}
-	scheds := res.ReplaySchedules(base)
+	scheds := res.Schedules
 	skew, err := core.NewSkewTracker(opt.Net, scheds)
 	if err != nil {
 		t.Fatal(err)

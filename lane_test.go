@@ -234,18 +234,10 @@ func FuzzLaneRun(f *testing.F) {
 	})
 }
 
-// scaleProbe records the tick scale the engine hands its observers.
-type scaleProbe struct {
-	gcs.ObserverFuncs
-	scale int64
-}
-
-func (p *scaleProbe) AdoptFixedLane(scale int64) { p.scale = scale }
-
-// TestTrackerRescaleMidRun: a tracker moved between grids mid-run — onto the
-// rat lane, back onto the engine's grid, then onto a finer one — carries its
-// maxima across each move (ticks to rationals, rationals to ticks, ticks to
-// finer ticks) and ends exactly where a rat-lane tracker ends.
+// TestTrackerRescaleMidRun: a tracker that starts on a rat-lane engine and
+// adopts a grid mid-run carries its rational maxima onto the grid as they
+// are; a second grid and a 0 handed to it later are ignored, the tracker
+// keeping the first. It ends exactly where a rat-lane tracker ends.
 func TestTrackerRescaleMidRun(t *testing.T) {
 	net, err := gcs.Line(5)
 	if err != nil {
@@ -257,34 +249,22 @@ func TestTrackerRescaleMidRun(t *testing.T) {
 	}
 	proto := gcs.Gradient(gcs.DefaultGradientParams())
 	_, ref, _ := laneRun(t, net, proto, scheds, gcs.R(12), gcs.LaneRat)
-	skew, err := gcs.NewSkewTracker(net, scheds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := &scaleProbe{}
-	eng, err := gcs.NewEngine(net,
-		gcs.WithProtocol(proto),
-		gcs.WithAdversary(gcs.HashAdversary{Seed: 7, Denom: 8}),
-		gcs.WithSchedules(scheds),
-		gcs.WithRho(gcs.Frac(1, 2)),
-		gcs.WithObservers(skew, probe),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.scale <= 0 {
+	_, _, auto := laneRun(t, net, proto, scheds, gcs.R(1), gcs.LaneAuto)
+	scale := auto.FixedScale()
+	if scale <= 0 {
 		t.Fatal("fixed lane never engaged")
 	}
-	for i, scale := range []int64{0, probe.scale, 3 * probe.scale} {
-		if err := eng.RunUntil(gcs.R(3 * int64(i+1))); err != nil {
+	_, skew, eng := laneRun(t, net, proto, scheds, gcs.R(3), gcs.LaneRat)
+	if skew.Global().Skew.Sign() <= 0 {
+		t.Fatal("no skew before the grid is adopted")
+	}
+	for i, s := range []int64{scale, 3 * scale, 0} {
+		skew.AdoptFixedLane(s)
+		if err := eng.RunUntil(gcs.R(3 * int64(i+2))); err != nil {
 			t.Fatal(err)
 		}
-		skew.AdoptFixedLane(scale)
 	}
-	if err := eng.RunUntil(gcs.R(12)); err != nil {
-		t.Fatal(err)
-	}
-	trackerEqual(t, "rescaled tracker vs rat lane", net, ref, skew)
+	trackerEqual(t, "tracker that adopted a grid mid-run vs rat lane", net, ref, skew)
 }
 
 // offGridNode advances its clock on a hardware timer: two ticks of three
