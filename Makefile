@@ -113,7 +113,7 @@ perf-trend:
 # The gated benchmarks: the one list the perf gate, the perf history, the
 # committed BENCH_perf.txt and the docs refer to. perfgate gates whatever the
 # bench files hold, so the list is written only here.
-GATED_BENCH = EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows
+GATED_BENCH = EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows|MainTheoremChain
 
 # The exact benchmark command the CI perf-gate job runs on the PR head and
 # on the merge base (`make -s bench-gated`); pipe each into a file and

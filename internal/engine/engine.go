@@ -17,11 +17,15 @@
 //
 // Engine state is forkable: Fork returns an independent engine at the exact
 // same point of the run (deep-cloned event queue and per-node state via the
-// Protocol.CloneState contract), and SetAdversary rebinds a fork's delay
-// adversary, so a shared execution prefix is simulated once and branched —
-// the structure of the paper's constructions (perturb a base execution,
-// keep the prefix indistinguishable) and the engine of the prefix-cached
-// worst-case search in internal/search.
+// Protocol.CloneState contract), SetAdversary rebinds a fork's delay
+// adversary, and SwapSchedule replaces a node's rate schedule from the
+// current instant on, so a shared execution prefix is simulated once and
+// branched. That is the structure of the paper's constructions (perturb a
+// base execution, keep the prefix indistinguishable): the Main Theorem
+// (internal/lowerbound) resumes each round from a fork of the round before,
+// swapping in the new round's schedules and delay script where they start
+// to differ. It is also the engine of the prefix-cached worst-case search
+// in internal/search.
 //
 // Determinism: events are ordered by (real time, kind, destination node,
 // peer, per-pair message sequence / timer id, scheduling sequence). Two runs

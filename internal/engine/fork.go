@@ -137,7 +137,8 @@ func (e *Engine) NextEventTime() (rat.Rat, bool) {
 // on ticks, and TimeLane still reads "fixed". Arithmetic changes, results do
 // not. Combined with Fork this is the paper's schedule surgery made
 // incremental: fork the shared prefix, swap in the mutated schedule, and
-// only the suffix re-simulates.
+// only the suffix re-simulates. lowerbound.MainTheorem resumes each round
+// this way.
 func (e *Engine) SwapSchedule(node int, s *clock.Schedule) error {
 	if e.err != nil {
 		return fmt.Errorf("engine: SwapSchedule on failed engine: %w", e.err)

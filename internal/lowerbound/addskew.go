@@ -16,6 +16,10 @@ import (
 // positions x_0 ≤ x_1 ≤ … and distances d(a,b) = |x_a − x_b| (the two-node
 // Ω(d) argument is the special case with positions {0, d}). All formulas
 // below substitute position differences for the paper's index differences.
+//
+// AddSkew plans β from the input, re-simulates it from time 0 and checks
+// it. MainTheorem makes the same plan and runs the same checks, but runs β
+// on the engine that goes on into its round's extension.
 type AddSkewInput struct {
 	// Cfg is the configuration that produced Alpha (protocol, network,
 	// schedules, adversary, ρ).
@@ -35,7 +39,8 @@ type AddSkewInput struct {
 	Params Params
 }
 
-// AddSkewResult is the verified certificate of one lemma application.
+// AddSkewResult is the verified certificate of one lemma application: the
+// constructed β, the plan it was built from, and the measured gain.
 type AddSkewResult struct {
 	// Beta is the constructed execution of duration TPrime.
 	Beta *trace.Execution
@@ -52,12 +57,27 @@ type AddSkewResult struct {
 	// Gain = SkewBeta − SkewAlpha; GuaranteedGain = (x_J − x_I)·(1/(8+4ρ))
 	// ≥ (x_J − x_I)/12, the lemma's claim.
 	Gain, GuaranteedGain rat.Rat
-	// InFlight marks messages that were sent but not received in α; their β
-	// delays were pinned to the maximum to keep them undelivered. When β is
-	// extended (main theorem), these are re-assigned midpoint delays, while
-	// messages delivered in α whose remapped receipt falls beyond T' must
-	// keep their remapped delays.
-	InFlight map[trace.MsgKey]bool
+}
+
+// skewPlan is Lemma 6.1's β planned from α without simulating anything:
+// what AddSkew re-simulates and MainTheorem runs on its round's engine.
+type skewPlan struct {
+	// span = x_J − x_I; T' = S + (τ/γ)·span is β's duration.
+	span, tPrime, gamma rat.Rat
+	// tk holds the per-node speed-up times, scheds the surgery schedules.
+	tk     []rat.Rat
+	scheds []*clock.Schedule
+	// delays holds β's delay for each of α's messages, in α's ledger order:
+	// the remapped delay of one α delivers, and the maximum for one still in
+	// flight at ℓ(α), which keeps it in flight in β.
+	delays []rat.Rat
+	// diverge is the earliest time at which β can differ from α: the
+	// earlier of S, where the surgery schedules begin, and the first α send
+	// whose delay β re-scripts. A message in flight at ℓ(α) counts as
+	// re-scripted whatever its new delay, since MainTheorem gives it the
+	// midpoint instead of the maximum. Everything α dispatches before
+	// diverge, β dispatches identically.
+	diverge rat.Rat
 }
 
 // checkAddSkewPre verifies the lemma's preconditions on α.
@@ -117,6 +137,39 @@ func remap(t, tk, gamma rat.Rat) rat.Rat {
 // verifies indistinguishability, the rate bounds, the delay bounds, and the
 // skew gain. Any violated side condition returns an error.
 func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
+	plan, err := planAddSkew(in)
+	if err != nil {
+		return nil, err
+	}
+	// No Fallback: the script covers every send a faithful re-simulation
+	// performs, so a send it misses means the construction diverged, and
+	// the engine fails the run naming that message.
+	script := make(map[trace.MsgKey]rat.Rat, len(plan.delays))
+	for i, delay := range plan.delays {
+		script[in.Alpha.Ledger[i].Key] = delay
+	}
+	betaCfg := in.Cfg
+	betaCfg.Schedules = plan.scheds
+	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script}
+	betaCfg.Duration = plan.tPrime
+	betaCfg.SizeHint = in.Alpha.Size()
+
+	beta, err := engine.Run(betaCfg)
+	if err != nil {
+		return nil, fmt.Errorf("lowerbound: β re-simulation: %w", err)
+	}
+	res, err := plan.check(in, beta)
+	if err != nil {
+		return nil, err
+	}
+	res.BetaCfg = betaCfg
+	return res, nil
+}
+
+// planAddSkew checks the lemma's preconditions on α and plans β: the
+// speed-up times, the surgery schedules, the remapped delay script and the
+// divergence time.
+func planAddSkew(in AddSkewInput) (*skewPlan, error) {
 	tau := in.Params.Tau()
 	gamma := in.Params.Gamma()
 	span := in.Positions[in.J].Sub(in.Positions[in.I])
@@ -154,70 +207,69 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 	}
 
 	// Scripted delays realizing the remapped receive times.
-	script := make(map[trace.MsgKey]rat.Rat, len(in.Alpha.Ledger))
-	inFlight := make(map[trace.MsgKey]bool)
+	delays := make([]rat.Rat, len(in.Alpha.Ledger))
+	diverge := in.S
 	var bad firstViolation
 	for i := range in.Alpha.Ledger {
 		rec := &in.Alpha.Ledger[i]
 		key := rec.Key
-		sendB := remap(rec.SendReal, tk[key.From], gamma)
 		if !rec.Delivered {
 			// In flight at ℓ(α): keep it in flight in β by assigning the
 			// maximum delay; the indistinguishability check would catch any
 			// early arrival this fails to prevent.
-			script[key] = in.Cfg.Net.Dist(key.From, key.To)
-			inFlight[key] = true
+			delays[i] = in.Cfg.Net.Dist(key.From, key.To)
+			diverge = rat.Min(diverge, rec.SendReal)
 			continue
 		}
+		sendB := remap(rec.SendReal, tk[key.From], gamma)
 		recvB := remap(rec.RecvReal, tk[key.To], gamma)
 		delay := recvB.Sub(sendB)
 		if delay.Sign() < 0 {
 			bad.note(key, fmt.Errorf("lowerbound: remapped delay for %v is negative (%s)", key, delay))
 			continue
 		}
-		script[key] = delay
+		delays[i] = delay
+		if !delay.Equal(rec.Delay) {
+			diverge = rat.Min(diverge, rec.SendReal)
+		}
 	}
 	if bad.err != nil {
 		return nil, bad.err
 	}
+	return &skewPlan{span: span, tPrime: tPrime, gamma: gamma, tk: tk, scheds: scheds,
+		delays: delays, diverge: diverge}, nil
+}
 
-	// No Fallback: the script covers every send a faithful re-simulation
-	// performs, so a send it misses means the construction diverged, and
-	// the engine fails the run naming that message.
-	betaCfg := in.Cfg
-	betaCfg.Schedules = scheds
-	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script}
-	betaCfg.Duration = tPrime
-	betaCfg.SizeHint = in.Alpha.Size()
+// sendsBy reports whether β sends rec, one of α's messages, by T': β
+// performs α's actions at the remapped times.
+func (p *skewPlan) sendsBy(rec *trace.MsgRecord) bool {
+	return remap(rec.SendReal, p.tk[rec.Key.From], p.gamma).LessEq(p.tPrime)
+}
 
-	beta, err := engine.Run(betaCfg)
-	if err != nil {
-		return nil, fmt.Errorf("lowerbound: β re-simulation: %w", err)
-	}
-
+// check verifies claims 6.2–6.5 on beta, an execution through T' of the
+// planned schedules and delays, and returns the certificate.
+func (p *skewPlan) check(in AddSkewInput, beta *trace.Execution) (*AddSkewResult, error) {
 	// Claim 6.2: indistinguishability.
 	if err := trace.CheckIndistinguishable(in.Alpha, beta); err != nil {
 		return nil, fmt.Errorf("lowerbound: add-skew claim 6.2: %w", err)
 	}
 	// Claim 6.3: β's rates within [1, γ] on (S, T'] and unchanged before.
-	if err := trace.CheckRateBounds(beta, in.S, tPrime, rat.FromInt(1), gamma); err != nil {
+	if err := trace.CheckRateBounds(beta, in.S, p.tPrime, rat.FromInt(1), p.gamma); err != nil {
 		return nil, fmt.Errorf("lowerbound: add-skew claim 6.3: %w", err)
 	}
 	// Claim 6.4: delays of messages received in (S, T'] within
 	// [d/4, 3d/4].
-	if err := trace.CheckDelayBounds(beta, in.S, tPrime, rat.MustFrac(1, 4), rat.MustFrac(3, 4)); err != nil {
+	if err := trace.CheckDelayBounds(beta, in.S, p.tPrime, rat.MustFrac(1, 4), rat.MustFrac(3, 4)); err != nil {
 		return nil, fmt.Errorf("lowerbound: add-skew claim 6.4: %w", err)
 	}
 
 	res := &AddSkewResult{
 		Beta:           beta,
-		BetaCfg:        betaCfg,
-		TPrime:         tPrime,
-		Tk:             tk,
+		TPrime:         p.tPrime,
+		Tk:             p.tk,
 		SkewAlpha:      in.Alpha.FinalSkew(in.I, in.J),
 		SkewBeta:       beta.FinalSkew(in.I, in.J),
-		GuaranteedGain: in.Params.GainFraction().Mul(span),
-		InFlight:       inFlight,
+		GuaranteedGain: in.Params.GainFraction().Mul(p.span),
 	}
 	res.Gain = res.SkewBeta.Sub(res.SkewAlpha)
 	// Claim 6.5: the skew gain.

@@ -33,6 +33,11 @@ type MainTheoremInput struct {
 	// Rounds is the number of Add Skew applications R; the network has
 	// Branch^Rounds + 1 nodes.
 	Rounds int
+
+	// fromScratch starts every round on a fresh engine instead of resuming
+	// the previous round's checkpoint. Results are identical either way;
+	// the equivalence tests set it.
+	fromScratch bool
 }
 
 // Round reports one iteration k → k+1.
@@ -65,9 +70,9 @@ type Round struct {
 type MainTheoremResult struct {
 	D      int // number of nodes
 	Rounds []Round
-	// Final is the last execution α_R, and FinalCfg the configuration that
-	// produced it (composed schedules plus the scripted delays); Seed
-	// exports FinalCfg to the worst-case search.
+	// Final is the last execution α_R, and FinalCfg a configuration whose
+	// run from time 0 is Final (composed schedules plus the scripted
+	// delays); Seed exports FinalCfg to the worst-case search.
 	Final    *trace.Execution
 	FinalCfg engine.Config
 	// AdjacentI and AdjacentSkew: the adjacent pair (i, i+1) with the
@@ -78,9 +83,30 @@ type MainTheoremResult struct {
 	// PaperTarget = R/24: the adjacent skew property 1.2 + claim 8.7 would
 	// guarantee after R rounds at the paper's branching factor.
 	PaperTarget rat.Rat
+	// Steps counts the engine events the whole construction dispatched:
+	// α₀, every round, and the events a resumed checkpoint replays.
+	Steps uint64
 }
 
 // MainTheorem runs the Theorem 8.1 construction against a protocol.
+//
+// Each round k is simulated once, on one engine run from the extension's
+// configuration: β_k's surgery schedules with rate 1 from T'_k, and β_k's
+// remapped delay for every message β_k sends by T'_k, except that a message
+// still in flight at the end of α_k gets the midpoint delay, as does every
+// later message. Up to T'_k that run is β_k (Lemma 6.1): its snapshot there
+// is checked against α_k for claims 6.2–6.5, and claim 6.2 also fails if a
+// message in flight at the end of α_k lands by T'_k. Run on through the
+// extension, the same engine gives α_{k+1}.
+//
+// Before its divergence time (see skewPlan), round k+1's run dispatches
+// exactly what round k's did. That time is the earlier of S_{k+1}, which
+// lies past T'_k, and the first send whose delay round k+1 re-scripts. So
+// just before round k dispatches anything at T'_k it forks a checkpoint;
+// round k+1 steps that checkpoint to its divergence time, swaps in its
+// schedules and adversary, and goes on from there. Round 0, whose
+// divergence time is S₀ = 0, and any round whose divergence time comes
+// before its checkpoint start a fresh engine instead.
 func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 	p := in.Params
 	if err := p.Validate(); err != nil {
@@ -111,7 +137,6 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 
 	tau := p.Tau()
 	one := rat.FromInt(1)
-	half := rat.MustFrac(1, 2)
 
 	// α₀: rate-1 clocks, midpoint delays, duration τ·n₀.
 	scheds := make([]*clock.Schedule, d)
@@ -126,79 +151,49 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 		Duration:  tau.Mul(rat.FromInt(n0)),
 		Rho:       p.Rho,
 	}
-	alpha, err := engine.Run(cfg)
+	run0, err := newBranch(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("lowerbound: α₀: %w", err)
+	}
+	alpha, err := run0.runTo(cfg.Duration)
 	if err != nil {
 		return nil, fmt.Errorf("lowerbound: α₀: %w", err)
 	}
 
 	res := &MainTheoremResult{D: d, PaperTarget: rat.FromInt(int64(in.Rounds)).Div(rat.FromInt(24))}
+	ch := chain{fromScratch: in.fromScratch, steps: run0.eng.Steps()}
 	ik, jk, nk := 0, int(n0), n0
 
 	for k := 0; k < in.Rounds; k++ {
 		round := Round{K: k, NK: nk, IK: ik, JK: jk, SkewStart: alpha.FinalSkew(ik, jk)}
 		s := cfg.Duration.Sub(tau.Mul(rat.FromInt(nk)))
-		as, err := AddSkew(AddSkewInput{
+		asIn := AddSkewInput{
 			Cfg: cfg, Alpha: alpha, Positions: positions,
 			I: ik, J: jk, S: s, Params: p,
-		})
+		}
+		plan, err := planAddSkew(asIn)
 		if err != nil {
 			return nil, fmt.Errorf("lowerbound: round %d add-skew: %w", k, err)
+		}
+
+		nk1 := nk / in.Branch
+
+		// Extension past T': a quiet slack segment up to T absorbing
+		// in-flight stragglers (slack = T − T' = n_k/(4+2ρ) covers the
+		// latest remapped receipt), then the clean window of length
+		// τ·n_{k+1} required by the next round's Add Skew preconditions.
+		extDur := cfg.Duration.Add(tau.Mul(rat.FromInt(nk1)))
+		nextCfg, err := roundConfig(asIn, plan, extDur)
+		if err != nil {
+			return nil, fmt.Errorf("lowerbound: round %d %w", k, err)
+		}
+		as, next, err := ch.round(k, asIn, plan, nextCfg, k+1 < in.Rounds)
+		if err != nil {
+			return nil, err
 		}
 		round.AddSkewGain = as.Gain
 		round.SkewAfterBeta = as.SkewBeta
 
-		nk1 := nk / in.Branch
-
-		// Extension: a quiet slack segment absorbing in-flight stragglers
-		// (slack = T − T' = n_k/(4+2ρ) covers the latest remapped receipt),
-		// then the clean window of length τ·n_{k+1} required by the next
-		// round's Add Skew preconditions.
-		slack := cfg.Duration.Sub(as.TPrime)
-		extDur := as.TPrime.Add(slack).Add(tau.Mul(rat.FromInt(nk1)))
-
-		nextScheds := make([]*clock.Schedule, d)
-		for i := range nextScheds {
-			ns, err := as.BetaCfg.Schedules[i].WithRateFrom(as.TPrime, one)
-			if err != nil {
-				return nil, fmt.Errorf("lowerbound: round %d extension schedule %d: %w", k, i, err)
-			}
-			nextScheds[i] = ns
-		}
-		// Extension delays: replay β_k verbatim for messages it delivered;
-		// give α-in-flight messages midpoint delays (they arrive after T' —
-		// verified by the prefix check); keep remapped delays for messages
-		// delivered in α but pushed past T' by the remap (they land inside
-		// the slack); fresh messages get midpoint delays.
-		script := make(map[trace.MsgKey]rat.Rat, len(as.Beta.Ledger))
-		for i := range as.Beta.Ledger {
-			rec := &as.Beta.Ledger[i]
-			key := rec.Key
-			switch {
-			case rec.Delivered:
-				script[key] = rec.Delay
-			case as.InFlight[key]:
-				script[key] = half.Mul(net.Dist(key.From, key.To))
-			default:
-				script[key] = rec.Delay
-			}
-		}
-		nextCfg := engine.Config{
-			Net:       net,
-			Schedules: nextScheds,
-			Adversary: engine.ScriptedAdversary{Delays: script, Fallback: engine.Midpoint()},
-			Protocol:  in.Protocol,
-			Duration:  extDur,
-			Rho:       p.Rho,
-			SizeHint:  as.Beta.Size(),
-		}
-		next, err := engine.Run(nextCfg)
-		if err != nil {
-			return nil, fmt.Errorf("lowerbound: round %d extension: %w", k, err)
-		}
-		// The extension must leave β_k's past untouched (claim 8.3 setup).
-		if err := trace.PrefixEqual(as.Beta, next, as.TPrime); err != nil {
-			return nil, fmt.Errorf("lowerbound: round %d extension prefix: %w", k, err)
-		}
 		// Property 1.4 (rates in [1, 1+ρ/2]) and 1.5 (delays in
 		// [d/4, 3d/4]) for the next iteration's preconditions.
 		if err := trace.CheckRateBounds(next, rat.Rat{}, extDur, one, p.RateBandHigh()); err != nil {
@@ -234,6 +229,7 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 
 	res.Final = alpha
 	res.FinalCfg = cfg
+	res.Steps = ch.steps
 	first := true
 	for i := 0; i+1 < d; i++ {
 		skew := alpha.FinalSkew(i, i+1)
@@ -244,4 +240,165 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// roundConfig is the configuration of a round, given its Add Skew input
+// and plan: β's surgery schedules with rate 1 from T', and roundScript's
+// delays with the Midpoint fallback, run through dur. Its run is β up to
+// T', and α_{k+1} through dur.
+func roundConfig(in AddSkewInput, plan *skewPlan, dur rat.Rat) (engine.Config, error) {
+	scheds := make([]*clock.Schedule, len(plan.scheds))
+	for i, s := range plan.scheds {
+		ns, err := s.WithRateFrom(plan.tPrime, rat.FromInt(1))
+		if err != nil {
+			return engine.Config{}, fmt.Errorf("extension schedule %d: %w", i, err)
+		}
+		scheds[i] = ns
+	}
+	cfg := in.Cfg
+	cfg.Schedules = scheds
+	cfg.Adversary = engine.ScriptedAdversary{Delays: roundScript(plan, in.Alpha), Fallback: engine.Midpoint()}
+	cfg.Duration = dur
+	cfg.SizeHint = in.Alpha.Size()
+	return cfg, nil
+}
+
+// roundScript is a round's delay script: β's remapped delay for every
+// message β sends by T', except the midpoint for a message still in flight
+// at the end of α, which β need only keep in flight through T' and which
+// the extension delivers. Every message sent later is the extension's own
+// and takes the Midpoint fallback.
+func roundScript(plan *skewPlan, alpha *trace.Execution) map[trace.MsgKey]rat.Rat {
+	half := rat.MustFrac(1, 2)
+	script := make(map[trace.MsgKey]rat.Rat, len(alpha.Ledger))
+	for i := range alpha.Ledger {
+		rec := &alpha.Ledger[i]
+		switch {
+		case !plan.sendsBy(rec):
+		case rec.Delivered:
+			script[rec.Key] = plan.delays[i]
+		default:
+			script[rec.Key] = half.Mul(alpha.Net.Dist(rec.Key.From, rec.Key.To))
+		}
+	}
+	return script
+}
+
+// chain carries the construction from round to round: the checkpoint the
+// last round forked, and the engine events dispatched so far.
+type chain struct {
+	fromScratch bool
+	ckpt        *branch
+	steps       uint64
+}
+
+// round simulates round k once on one engine (see MainTheorem) and returns
+// the Add Skew certificate of its snapshot at T' and its run through
+// cfg.Duration, α_{k+1}. With more set, it leaves a checkpoint for the next
+// round.
+func (c *chain) round(k int, in AddSkewInput, plan *skewPlan, cfg engine.Config, more bool) (*AddSkewResult, *trace.Execution, error) {
+	b, base, err := c.resume(plan.diverge, cfg)
+	if err == nil {
+		err = b.stepBefore(plan.tPrime)
+	}
+	if err == nil && more {
+		c.ckpt, err = b.fork()
+	}
+	var beta *trace.Execution
+	if err == nil {
+		beta, err = b.runTo(plan.tPrime)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("lowerbound: round %d add-skew: β simulation: %w", k, err)
+	}
+	as, err := plan.check(in, beta)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lowerbound: round %d add-skew: %w", k, err)
+	}
+	next, err := b.runTo(cfg.Duration)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lowerbound: round %d extension: %w", k, err)
+	}
+	c.steps += b.eng.Steps() - base
+	return as, next, nil
+}
+
+// resume returns the engine a round runs on and its step count so far. A
+// checkpoint that precedes the round's divergence time is stepped to just
+// before it and given cfg's schedules and adversary: from there on it runs
+// exactly as cfg would from time 0. Otherwise the round starts fresh.
+func (c *chain) resume(diverge rat.Rat, cfg engine.Config) (*branch, uint64, error) {
+	ck := c.ckpt
+	c.ckpt = nil
+	if c.fromScratch || ck == nil || !ck.eng.Now().Less(diverge) {
+		b, err := newBranch(cfg)
+		return b, 0, err
+	}
+	base := ck.eng.Steps()
+	if err := ck.stepBefore(diverge); err != nil {
+		return nil, 0, err
+	}
+	for i, s := range cfg.Schedules {
+		if err := ck.eng.SwapSchedule(i, s); err != nil {
+			return nil, 0, err
+		}
+	}
+	if err := ck.eng.SetAdversary(cfg.Adversary); err != nil {
+		return nil, 0, err
+	}
+	return ck, base, nil
+}
+
+// branch is an engine and the recorder that has seen its whole run.
+type branch struct {
+	eng *engine.Engine
+	rec *trace.Recorder
+}
+
+// newBranch starts an engine from cfg, its recorder sized by cfg.SizeHint.
+func newBranch(cfg engine.Config) (*branch, error) {
+	eng, err := engine.New(cfg.Net,
+		engine.WithProtocol(cfg.Protocol),
+		engine.WithAdversary(cfg.Adversary),
+		engine.WithSchedules(cfg.Schedules),
+		engine.WithRho(cfg.Rho),
+	)
+	if err != nil {
+		return nil, err
+	}
+	rec := trace.NewSizedRecorder(cfg.Net.N(), cfg.SizeHint)
+	eng.Observe(rec)
+	return &branch{eng: eng, rec: rec}, nil
+}
+
+// stepBefore dispatches every pending event earlier than t.
+func (b *branch) stepBefore(t rat.Rat) error {
+	for {
+		next, ok := b.eng.NextEventTime()
+		if !ok || !next.Less(t) {
+			return nil
+		}
+		if _, err := b.eng.Step(); err != nil {
+			return err
+		}
+	}
+}
+
+// fork returns an independent copy of b at its current point.
+func (b *branch) fork() (*branch, error) {
+	eng, err := b.eng.Fork()
+	if err != nil {
+		return nil, err
+	}
+	rec := b.rec.Clone()
+	eng.Observe(rec)
+	return &branch{eng: eng, rec: rec}, nil
+}
+
+// runTo runs b through real time t and returns its execution so far.
+func (b *branch) runTo(t rat.Rat) (*trace.Execution, error) {
+	if err := b.eng.RunUntil(t); err != nil {
+		return nil, err
+	}
+	return b.eng.Execution(b.rec)
 }

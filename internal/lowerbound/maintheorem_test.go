@@ -1,0 +1,226 @@
+package lowerbound
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"gcs/internal/algorithms"
+	"gcs/internal/engine"
+	"gcs/internal/rat"
+	"gcs/internal/trace"
+)
+
+// TestMainTheoremForkedEqualsFresh: rounds resumed from the previous round's
+// checkpoint give exactly the construction whose every round starts a fresh
+// engine — every round's figures, the final execution and the final
+// configuration — while dispatching fewer events. Replaying FinalCfg from
+// time 0 reproduces Final.
+func TestMainTheoremForkedEqualsFresh(t *testing.T) {
+	type cell struct {
+		proto  engine.Protocol
+		branch int64
+		rounds int
+	}
+	var cells []cell
+	for _, proto := range algorithms.All() {
+		cells = append(cells, cell{proto: proto, branch: 4, rounds: 2})
+	}
+	cells = append(cells, cell{proto: algorithms.MaxGossip(ri(1)), branch: 2, rounds: 3})
+	for _, c := range cells {
+		name := fmt.Sprintf("%s/branch=%d/rounds=%d", c.proto.Name(), c.branch, c.rounds)
+		t.Run(name, func(t *testing.T) {
+			in := MainTheoremInput{Protocol: c.proto, Params: DefaultParams(), Branch: c.branch, Rounds: c.rounds}
+			forked, err := MainTheorem(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.fromScratch = true
+			fresh, err := MainTheorem(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(forked.Rounds) != len(fresh.Rounds) {
+				t.Fatalf("%d rounds forked vs %d fresh", len(forked.Rounds), len(fresh.Rounds))
+			}
+			for k := range forked.Rounds {
+				if f, g := fmt.Sprintf("%+v", forked.Rounds[k]), fmt.Sprintf("%+v", fresh.Rounds[k]); f != g {
+					t.Fatalf("round %d:\nforked %s\nfresh  %s", k, f, g)
+				}
+			}
+			sameExecution(t, "Final", forked.Final, fresh.Final)
+			sameConfig(t, forked.FinalCfg, fresh.FinalCfg)
+			if forked.Steps >= fresh.Steps {
+				t.Errorf("forked rounds dispatched %d events, fresh ones %d: no round resumed a checkpoint", forked.Steps, fresh.Steps)
+			}
+			replay, err := engine.Run(forked.FinalCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameExecution(t, "Run(FinalCfg)", replay, forked.Final)
+		})
+	}
+}
+
+// TestMainTheoremStepBudget pins the events the construction dispatches on
+// max-gossip at branch 4, three rounds. Re-simulating every β and every
+// extension from time 0 took 212,723.
+func TestMainTheoremStepBudget(t *testing.T) {
+	res, err := MainTheorem(MainTheoremInput{Protocol: algorithms.MaxGossip(ri(1)), Params: DefaultParams(), Branch: 4, Rounds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps == 0 || res.Steps > 70_000 {
+		t.Fatalf("construction dispatched %d events, want at most 70,000", res.Steps)
+	}
+}
+
+// TestRoundCatchesEarlyInFlightDelivery: a round whose script delivers a
+// message still in flight at the end of α by T' fails claim 6.2. The
+// round's own run is β up to T', so this is the check that keeps α_{k+1}
+// an extension of β_k.
+func TestRoundCatchesEarlyInFlightDelivery(t *testing.T) {
+	p := DefaultParams()
+	n0 := int64(4)
+	cfg, alpha := lineAlpha(t, algorithms.MaxGossip(ri(1)), int(n0)+1, p.Tau().Mul(ri(n0)), p)
+	positions := make([]rat.Rat, n0+1)
+	for k := range positions {
+		positions[k] = ri(int64(k))
+	}
+	in := AddSkewInput{Cfg: cfg, Alpha: alpha, Positions: positions, I: 0, J: int(n0), S: rat.Rat{}, Params: p}
+	plan, err := planAddSkew(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur := cfg.Duration.Add(p.Tau())
+	round := func(t *testing.T, script func(map[trace.MsgKey]rat.Rat)) error {
+		t.Helper()
+		next, err := roundConfig(in, plan, dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		script(next.Adversary.(engine.ScriptedAdversary).Delays)
+		var ch chain
+		_, _, err = ch.round(0, in, plan, next, false)
+		return err
+	}
+	if err := round(t, func(map[trace.MsgKey]rat.Rat) {}); err != nil {
+		t.Fatalf("the unaltered round fails: %v", err)
+	}
+
+	// The last message in flight at ℓ(α) that β sends by T', delivered
+	// the instant it is sent.
+	var victim *trace.MsgRecord
+	for i := range alpha.Ledger {
+		if rec := &alpha.Ledger[i]; !rec.Delivered && plan.sendsBy(rec) {
+			victim = rec
+		}
+	}
+	if victim == nil {
+		t.Fatal("no message in flight at ℓ(α) that β sends by T'")
+	}
+	err = round(t, func(script map[trace.MsgKey]rat.Rat) { script[victim.Key] = rat.Rat{} })
+	if err == nil || !strings.Contains(err.Error(), "claim 6.2") {
+		t.Fatalf("in-flight message %v delivered by T': error %v, want claim 6.2", victim.Key, err)
+	}
+}
+
+// TestResumeOnlyBeforeDivergence: a round resumes its checkpoint only when
+// the checkpoint's last event precedes the round's divergence time, and
+// otherwise starts a fresh engine. The constructions never diverge that
+// early, so nothing else reaches the fresh branch.
+func TestResumeOnlyBeforeDivergence(t *testing.T) {
+	p := DefaultParams()
+	cfg, _ := lineAlpha(t, algorithms.MaxGossip(ri(1)), 3, p.Tau().Mul(ri(2)), p)
+	ckpt, err := newBranch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.stepBefore(ri(2)); err != nil {
+		t.Fatal(err)
+	}
+	now, steps := ckpt.eng.Now(), ckpt.eng.Steps()
+	for _, tc := range []struct {
+		diverge rat.Rat
+		resumed bool
+	}{
+		{now, false},
+		{now.Add(rf(1, 8)), true},
+	} {
+		c := chain{ckpt: ckpt}
+		b, base, err := c.resume(tc.diverge, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b == ckpt; got != tc.resumed || (got && base != steps) || (!got && (base != 0 || b.eng.Steps() != 0)) {
+			t.Errorf("divergence %s, checkpoint at %s: resumed %v from step %d, want resumed %v", tc.diverge, now, got, base, tc.resumed)
+		}
+	}
+}
+
+// sameExecution fails unless a and b hold the same actions, the same ledger
+// and the same compiled logical clocks, compared on their printed values.
+func sameExecution(t *testing.T, label string, a, b *trace.Execution) {
+	t.Helper()
+	lines := func(x *trace.Execution) []string {
+		var out []string
+		for _, act := range x.Actions {
+			out = append(out, fmt.Sprintf("action %+v", act))
+		}
+		for _, m := range x.Ledger {
+			out = append(out, fmt.Sprintf("message %+v", m))
+		}
+		for i, l := range x.Logical {
+			out = append(out, fmt.Sprintf("node %d logical %v", i, l.Segs()))
+		}
+		return out
+	}
+	la, lb := lines(a), lines(b)
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			t.Fatalf("%s: %s\nvs\n%s", label, la[i], lb[i])
+		}
+	}
+	if len(la) != len(lb) {
+		t.Fatalf("%s: %d actions, messages and clocks vs %d", label, len(la), len(lb))
+	}
+}
+
+// sameConfig fails unless a and b hold the same delay script and the same
+// hardware schedules.
+func sameConfig(t *testing.T, a, b engine.Config) {
+	t.Helper()
+	sa, sb := a.Adversary.(engine.ScriptedAdversary), b.Adversary.(engine.ScriptedAdversary)
+	if len(sa.Delays) != len(sb.Delays) {
+		t.Fatalf("FinalCfg: %d scripted delays vs %d", len(sa.Delays), len(sb.Delays))
+	}
+	for key, x := range sa.Delays {
+		if y, ok := sb.Delays[key]; !ok || !x.Equal(y) {
+			t.Fatalf("FinalCfg: delay of %v is %s vs %s (scripted: %v)", key, x, y, ok)
+		}
+	}
+	if len(a.Schedules) != len(b.Schedules) {
+		t.Fatalf("FinalCfg: %d schedules vs %d", len(a.Schedules), len(b.Schedules))
+	}
+	for i := range a.Schedules {
+		if x, y := fmt.Sprint(a.Schedules[i].RatesView()), fmt.Sprint(b.Schedules[i].RatesView()); x != y {
+			t.Fatalf("FinalCfg: node %d schedule %s vs %s", i, x, y)
+		}
+	}
+}
+
+// BenchmarkMainTheoremChain runs the whole construction on max-gossip at
+// branch 4, three rounds, and reports the engine events it dispatched.
+func BenchmarkMainTheoremChain(b *testing.B) {
+	in := MainTheoremInput{Protocol: algorithms.MaxGossip(ri(1)), Params: DefaultParams(), Branch: 4, Rounds: 3}
+	b.ReportAllocs()
+	var steps uint64
+	for i := 0; i < b.N; i++ {
+		res, err := MainTheorem(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = res.Steps
+	}
+	b.ReportMetric(float64(steps), "steps/op")
+}
