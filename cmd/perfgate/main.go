@@ -15,8 +15,8 @@
 //
 // Each gated benchmark is aggregated by the median of its -count
 // repetitions (one noisy repetition cannot fail or save a run), then head
-// vs base is checked per unit: ns/op may grow at most 30%, allocs/op at
-// most 20%. Benchmarks present in only one file are skipped — new
+// vs base is checked per unit: ns/op may grow at most 30%, allocs/op and
+// B/op at most 20%. Benchmarks present in only one file are skipped — new
 // benchmarks have no baseline, deleted ones nothing to protect — so the gate
 // works across revisions with different benchmark sets. Exit status 1 means
 // at least one gate was exceeded; the report lists every gated comparison
@@ -97,8 +97,8 @@ func run(basePath, headPath string, out io.Writer) error {
 	deltas := perf.Compare(baseBench, headBench)
 	fmt.Fprint(out, perf.Render(deltas))
 	if fails := perf.Failures(deltas); len(fails) > 0 {
-		return fmt.Errorf("%d perf gate(s) exceeded (ns/op > +%.0f%% or allocs/op > +%.0f%%)",
-			len(fails), perf.MaxNsRegress*100, perf.MaxAllocsRegress*100)
+		return fmt.Errorf("%d perf gate(s) exceeded (ns/op > +%.0f%%, allocs/op > +%.0f%% or B/op > +%.0f%%)",
+			len(fails), perf.MaxNsRegress*100, perf.MaxAllocsRegress*100, perf.MaxBytesRegress*100)
 	}
 	if len(deltas) == 0 {
 		return fmt.Errorf("no gated benchmarks present in both inputs — wrong files?")

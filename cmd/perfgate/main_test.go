@@ -10,11 +10,11 @@ import (
 )
 
 const baseOut = `goos: linux
-BenchmarkEngineStream/dur=32-8  3  100000 ns/op  1000 allocs/op
-BenchmarkEngineStream/dur=32-8  3  102000 ns/op  1000 allocs/op
-BenchmarkEngineStream/dur=32-8  3   98000 ns/op  1000 allocs/op
-BenchmarkSearchPrefixCached-8   2  500000 ns/op  2000 allocs/op
-BenchmarkUngated-8              9  100 ns/op     10 allocs/op
+BenchmarkEngineStream/dur=32-8  3  100000 ns/op  40000 B/op  1000 allocs/op
+BenchmarkEngineStream/dur=32-8  3  102000 ns/op  40000 B/op  1000 allocs/op
+BenchmarkEngineStream/dur=32-8  3   98000 ns/op  40000 B/op  1000 allocs/op
+BenchmarkSearchPrefixCached-8   2  500000 ns/op  80000 B/op  2000 allocs/op
+BenchmarkUngated-8              9  100 ns/op     800 B/op    10 allocs/op
 PASS
 `
 
@@ -50,10 +50,25 @@ func TestGateFailsOnAllocRegression(t *testing.T) {
 	}
 }
 
+// TestGateGatesBytes: B/op is gated at +20%, so +25% fails and +15%
+// passes.
+func TestGateGatesBytes(t *testing.T) {
+	base := writeTemp(t, "base.txt", baseOut)
+	over := strings.ReplaceAll(baseOut, "80000 B/op", "100000 B/op") // +25% > 20%
+	err := run(base, writeTemp(t, "over.txt", over), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "exceeded") {
+		t.Fatalf("+25%% B/op: want gate failure, got %v", err)
+	}
+	within := strings.ReplaceAll(baseOut, "80000 B/op", "92000 B/op") // +15% < 20%
+	if err := run(base, writeTemp(t, "within.txt", within), io.Discard); err != nil {
+		t.Fatalf("+15%% B/op must pass: %v", err)
+	}
+}
+
 // TestGateIgnoresUngatedBenchmarks: a benchmark the base did not run has no
 // baseline, so however slow it is in the head it is not gated.
 func TestGateIgnoresUngatedBenchmarks(t *testing.T) {
-	base := strings.ReplaceAll(baseOut, "BenchmarkUngated-8              9  100 ns/op     10 allocs/op\n", "")
+	base := strings.ReplaceAll(baseOut, "BenchmarkUngated-8              9  100 ns/op     800 B/op    10 allocs/op\n", "")
 	head := strings.ReplaceAll(baseOut, "100 ns/op", "9000 ns/op")
 	if err := run(writeTemp(t, "base.txt", base), writeTemp(t, "head.txt", head), io.Discard); err != nil {
 		t.Fatalf("a benchmark only the head holds must not fail the gate: %v", err)
@@ -87,8 +102,8 @@ func TestTrendReportsWithoutFailing(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", want, report)
 		}
 	}
-	if n := strings.Count(report, "\n"); n != 7 { // header + 3 benchmarks × 2 units
-		t.Errorf("report has %d lines, want 7:\n%s", n, report)
+	if n := strings.Count(report, "\n"); n != 10 { // header + 3 benchmarks × 3 units
+		t.Errorf("report has %d lines, want 10:\n%s", n, report)
 	}
 }
 

@@ -156,9 +156,10 @@ type Config struct {
 	Protocol  Protocol
 	Duration  rat.Rat
 	Rho       rat.Rat // drift bound ρ; exposed to algorithms, validates schedules
-	// SizeHint sizes Run's recorder up front, typically from the Size of
-	// the execution this run replays. It sets capacities only: results
-	// never depend on it, and the zero Size means no hint.
+	// SizeHint is the Size Run's recorder reserves up front (see
+	// trace.Recorder.Reserve), typically the Size of the execution this run
+	// replays. It sets capacities only: results never depend on it, and the
+	// zero Size means no hint.
 	SizeHint trace.Size
 }
 
@@ -535,8 +536,8 @@ func (e *Engine) Execution(rec *trace.Recorder) (*trace.Execution, error) {
 }
 
 // Run executes a batch configuration and returns its recorded trace: it
-// builds an Engine, attaches a trace.Recorder sized by cfg.SizeHint, drives
-// the run to cfg.Duration, and compiles the Execution.
+// builds an Engine, attaches a trace.Recorder that reserves cfg.SizeHint,
+// drives the run to cfg.Duration, and compiles the Execution.
 func Run(cfg Config) (*trace.Execution, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("engine: nil network")
@@ -559,7 +560,8 @@ func Run(cfg Config) (*trace.Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := trace.NewSizedRecorder(cfg.Net.N(), cfg.SizeHint)
+	rec := trace.NewRecorder(cfg.Net.N())
+	rec.Reserve(cfg.SizeHint)
 	eng.Observe(rec)
 	if err := eng.RunUntil(cfg.Duration); err != nil {
 		return nil, err

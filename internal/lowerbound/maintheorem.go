@@ -38,6 +38,9 @@ type MainTheoremInput struct {
 	// the previous round's checkpoint. Results are identical either way;
 	// the equivalence tests set it.
 	fromScratch bool
+	// sized, if set, is given each round's size hint and the Size of the
+	// α_{k+1} the round recorded; the hint tests set it.
+	sized func(k int, hint, got trace.Size)
 }
 
 // Round reports one iteration k → k+1.
@@ -191,6 +194,9 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		if in.sized != nil {
+			in.sized(k, nextCfg.SizeHint, next.Size())
+		}
 		round.AddSkewGain = as.Gain
 		round.SkewAfterBeta = as.SkewBeta
 
@@ -244,8 +250,8 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 
 // roundConfig is the configuration of a round, given its Add Skew input
 // and plan: β's surgery schedules with rate 1 from T', and roundScript's
-// delays with the Midpoint fallback, run through dur. Its run is β up to
-// T', and α_{k+1} through dur.
+// delays with the Midpoint fallback, run through dur, its recorder sized by
+// roundHint. Its run is β up to T', and α_{k+1} through dur.
 func roundConfig(in AddSkewInput, plan *skewPlan, dur rat.Rat) (engine.Config, error) {
 	scheds := make([]*clock.Schedule, len(plan.scheds))
 	for i, s := range plan.scheds {
@@ -259,8 +265,29 @@ func roundConfig(in AddSkewInput, plan *skewPlan, dur rat.Rat) (engine.Config, e
 	cfg.Schedules = scheds
 	cfg.Adversary = engine.ScriptedAdversary{Delays: roundScript(plan, in.Alpha), Fallback: engine.Midpoint()}
 	cfg.Duration = dur
-	cfg.SizeHint = in.Alpha.Size()
+	cfg.SizeHint = roundHint(in.Alpha, scheds, dur)
 	return cfg, nil
+}
+
+// roundHint estimates the Size of a round's run through dur, on schedules
+// scheds, from α_k. Timers fire on hardware time, so a node's action count
+// follows the hardware time it covers: each node's count in α_k is scaled by
+// its hardware reading at dur over its reading at ℓ(α_k), with 1/16 to
+// spare, and rounded up. The action total is the sum, and the message count
+// is scaled by the same factor as the total.
+func roundHint(alpha *trace.Execution, scheds []*clock.Schedule, dur rat.Rat) trace.Size {
+	size := alpha.Size()
+	spare := rat.MustFrac(17, 16)
+	hint := trace.Size{Messages: size.Messages, PerNode: make([]int, len(size.PerNode))}
+	for i, k := range size.PerNode {
+		grow := scheds[i].HW(dur).Div(alpha.HWAt(i, alpha.Duration)).Mul(spare)
+		hint.PerNode[i] = int(grow.Mul(rat.FromInt(int64(k))).Ceil())
+		hint.Actions += hint.PerNode[i]
+	}
+	if size.Actions > 0 {
+		hint.Messages = (size.Messages*hint.Actions + size.Actions - 1) / size.Actions
+	}
+	return hint
 }
 
 // roundScript is a round's delay script: β's remapped delay for every
@@ -324,9 +351,10 @@ func (c *chain) round(k int, in AddSkewInput, plan *skewPlan, cfg engine.Config,
 }
 
 // resume returns the engine a round runs on and its step count so far. A
-// checkpoint that precedes the round's divergence time is stepped to just
-// before it and given cfg's schedules and adversary: from there on it runs
-// exactly as cfg would from time 0. Otherwise the round starts fresh.
+// checkpoint that precedes the round's divergence time reserves
+// cfg.SizeHint, is stepped to just before that time and is given cfg's
+// schedules and adversary: from there on it runs exactly as cfg would from
+// time 0. Otherwise the round starts fresh.
 func (c *chain) resume(diverge rat.Rat, cfg engine.Config) (*branch, uint64, error) {
 	ck := c.ckpt
 	c.ckpt = nil
@@ -335,6 +363,7 @@ func (c *chain) resume(diverge rat.Rat, cfg engine.Config) (*branch, uint64, err
 		return b, 0, err
 	}
 	base := ck.eng.Steps()
+	ck.rec.Reserve(cfg.SizeHint)
 	if err := ck.stepBefore(diverge); err != nil {
 		return nil, 0, err
 	}
@@ -355,7 +384,7 @@ type branch struct {
 	rec *trace.Recorder
 }
 
-// newBranch starts an engine from cfg, its recorder sized by cfg.SizeHint.
+// newBranch starts an engine from cfg, its recorder reserving cfg.SizeHint.
 func newBranch(cfg engine.Config) (*branch, error) {
 	eng, err := engine.New(cfg.Net,
 		engine.WithProtocol(cfg.Protocol),
@@ -366,7 +395,8 @@ func newBranch(cfg engine.Config) (*branch, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := trace.NewSizedRecorder(cfg.Net.N(), cfg.SizeHint)
+	rec := trace.NewRecorder(cfg.Net.N())
+	rec.Reserve(cfg.SizeHint)
 	eng.Observe(rec)
 	return &branch{eng: eng, rec: rec}, nil
 }

@@ -2,6 +2,7 @@ package lowerbound
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -72,6 +73,67 @@ func TestMainTheoremStepBudget(t *testing.T) {
 	}
 	if res.Steps == 0 || res.Steps > 70_000 {
 		t.Fatalf("construction dispatched %d events, want at most 70,000", res.Steps)
+	}
+}
+
+// TestMainTheoremByteBudget pins the bytes the construction allocates on
+// max-gossip at branch 4, three rounds, where each recorder allocates its
+// storage about once per branch. Growing every recorder as it recorded, and
+// copying a resumed checkpoint's prefix on its first append, took 101.9 MB.
+func TestMainTheoremByteBudget(t *testing.T) {
+	in := MainTheoremInput{Protocol: algorithms.MaxGossip(ri(1)), Params: DefaultParams(), Branch: 4, Rounds: 3}
+	// One processor and a collection first keep the runtime's own
+	// allocations out of the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := MainTheorem(in); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 65_000_000 {
+		t.Fatalf("construction allocated %d bytes, want at most 65 MB", b)
+	}
+}
+
+// TestRoundHintCoversRound: each round's size hint, scaled from α_k by the
+// hardware time the round covers, is at least the Size of the α_{k+1} the
+// round records, in total and on every node, so no round's recorder grows
+// past what it reserved. Where the protocol sends, the hint's action and
+// message totals are at most 9/8 of that Size, so an estimate that drifts
+// towards reserving far too much fails too.
+func TestRoundHintCoversRound(t *testing.T) {
+	for _, proto := range algorithms.All() {
+		for _, rounds := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/rounds=%d", proto.Name(), rounds), func(t *testing.T) {
+				seen := 0
+				in := MainTheoremInput{Protocol: proto, Params: DefaultParams(), Branch: 4, Rounds: rounds}
+				in.sized = func(k int, hint, got trace.Size) {
+					seen++
+					if hint.Actions < got.Actions || hint.Messages < got.Messages {
+						t.Errorf("round %d: hint %d actions, %d messages for a run of %d, %d", k, hint.Actions, hint.Messages, got.Actions, got.Messages)
+					}
+					for i, n := range got.PerNode {
+						if hint.PerNode[i] < n {
+							t.Errorf("round %d: node %d hinted %d actions, recorded %d", k, i, hint.PerNode[i], n)
+						}
+					}
+					if got.Messages == 0 {
+						return
+					}
+					if 8*hint.Actions > 9*got.Actions || 8*hint.Messages > 9*got.Messages {
+						t.Errorf("round %d: hint %d actions, %d messages is over 9/8 of a run of %d, %d", k, hint.Actions, hint.Messages, got.Actions, got.Messages)
+					}
+				}
+				if _, err := MainTheorem(in); err != nil {
+					t.Fatal(err)
+				}
+				if seen != rounds {
+					t.Fatalf("%d rounds reported their hint, want %d", seen, rounds)
+				}
+			})
+		}
 	}
 }
 

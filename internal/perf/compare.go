@@ -12,6 +12,7 @@ import (
 const (
 	MaxNsRegress     = 0.30 // ns/op may grow by 30%
 	MaxAllocsRegress = 0.20 // allocs/op may grow by 20%
+	MaxBytesRegress  = 0.20 // B/op may grow by 20%
 )
 
 // gatedUnits are the units the gate and the trend report read, in report
@@ -22,6 +23,7 @@ var gatedUnits = [...]struct {
 }{
 	{"ns/op", MaxNsRegress},
 	{"allocs/op", MaxAllocsRegress},
+	{"B/op", MaxBytesRegress},
 }
 
 // Delta is one gated (benchmark, unit) comparison. Ratio is head/base − 1;
@@ -37,10 +39,10 @@ type Delta struct {
 }
 
 // Compare gates head against base: for every benchmark present in both
-// runs, the medians of ns/op and allocs/op are compared against
-// MaxNsRegress and MaxAllocsRegress. Benchmarks present on only one side are
-// skipped — a brand-new benchmark has no baseline to regress from, and a
-// deleted one has nothing to protect.
+// runs, the medians of ns/op, allocs/op and B/op are compared against
+// MaxNsRegress, MaxAllocsRegress and MaxBytesRegress. Benchmarks present on
+// only one side are skipped — a brand-new benchmark has no baseline to
+// regress from, and a deleted one has nothing to protect.
 func Compare(base, head map[string][]BenchLine) []Delta {
 	names := make([]string, 0, len(head))
 	for name := range head {

@@ -12,7 +12,8 @@
 //   - ParseBench + Compare implement the CI gate (cmd/perfgate): parse two
 //     `go test -bench` outputs (merge base vs head), aggregate each
 //     benchmark by median across -count repetitions, and flag any benchmark
-//     whose ns/op rose past MaxNsRegress or allocs/op past MaxAllocsRegress.
+//     whose ns/op rose past MaxNsRegress, allocs/op past MaxAllocsRegress or
+//     B/op past MaxBytesRegress.
 //
 //   - Trend reads a sequence of such outputs, oldest first, as the perf
 //     history: each figure's median in every record and the drift of the

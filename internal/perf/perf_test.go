@@ -135,8 +135,9 @@ func TestGateCompareMedian(t *testing.T) {
 
 // TestCommittedSnapshotReportsSteps: BENCH_perf.txt, the committed raw
 // `make bench-perf` run, holds every benchmark the Makefile's GATED_BENCH
-// names and nothing else, and every line carries the ns/op, allocs/op and
-// steps/op a reader divides to get ns/step and allocs/step.
+// names and nothing else, and every line carries the gated ns/op, allocs/op
+// and B/op and the steps/op a reader divides them by to get ns/step and
+// allocs/step.
 func TestCommittedSnapshotReportsSteps(t *testing.T) {
 	makefile, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
 	if err != nil {
@@ -168,7 +169,7 @@ func TestCommittedSnapshotReportsSteps(t *testing.T) {
 			t.Errorf("%s is not a gated benchmark", name)
 		}
 		for _, l := range lines {
-			for _, unit := range []string{"ns/op", "allocs/op", "steps/op"} {
+			for _, unit := range []string{"ns/op", "allocs/op", "B/op", "steps/op"} {
 				if l.Values[unit] <= 0 {
 					t.Errorf("%s: %s = %v, want > 0", name, unit, l.Values[unit])
 				}

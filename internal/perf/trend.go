@@ -52,7 +52,7 @@ type TrendReport struct {
 	// nothing to compare.
 	Window int
 	// Rows holds one row per figure present in any record, by benchmark
-	// name, then ns/op before allocs/op.
+	// name, then ns/op, allocs/op and B/op.
 	Rows []TrendRow
 }
 

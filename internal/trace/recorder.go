@@ -29,6 +29,13 @@ import (
 // clocks. The recorder remembers how much of the ledger it has shared: a
 // delivery that would write into that prefix first copies the ledger
 // (copy-on-write), so a shared view never changes.
+//
+// Each of the four is one contiguous slice, and a slice that outgrows its
+// storage moves into storage of twice its length. The views Clone shares
+// are capped at their length, so a clone's first append copies the shared
+// prefix into storage of its own. Reserve sizes the storage up front from a
+// Size: a run within it then moves nothing, and a clone copies its prefix
+// once, into room for its whole branch.
 type Recorder struct {
 	actions []Action
 	perNode [][]int
@@ -49,8 +56,8 @@ type Recorder struct {
 }
 
 // Size counts what a recorded run holds: its actions, its messages, and the
-// actions of each node. A Recorder sized from one allocates its storage up
-// front instead of growing it.
+// actions of each node. Recorder.Reserve takes one to allocate a run's
+// storage up front instead of growing it.
 type Size struct {
 	Actions  int
 	Messages int
@@ -72,29 +79,61 @@ func NewRecorder(n int) *Recorder {
 	}
 }
 
-// NewSizedRecorder returns a Recorder for an n-node system with storage for
-// a run of the given size, typically the Size of the execution the run
-// replays. The hint sets capacities only: a run that outgrows it grows as
-// under NewRecorder, and a hint whose PerNode length is not n (the zero
-// Size, for one) is ignored.
-func NewSizedRecorder(n int, hint Size) *Recorder {
-	r := NewRecorder(n)
-	if len(hint.PerNode) != n {
-		return r
+// Reserve makes room for a run of the given total size, typically the Size
+// of the execution the run replays or extends, so that recording up to it
+// moves no storage. Storage too small for the size moves once, into storage
+// of that size; for a clone, whose views are capped, that is the one copy
+// of its shared prefix, and its ledger is then its own, so no later
+// delivery copies it again. A size whose PerNode length is not the
+// recorder's node count (the zero Size, for one) is ignored. Results never
+// depend on Reserve.
+func (r *Recorder) Reserve(s Size) {
+	if len(s.PerNode) != len(r.perNode) {
+		return
 	}
-	r.actions = make([]Action, 0, hint.Actions)
-	r.ledger = make([]MsgRecord, 0, hint.Messages)
-	for i, k := range hint.PerNode {
-		r.perNode[i] = make([]int, 0, k)
+	if cap(r.actions) < s.Actions {
+		r.actions = resized(r.actions, s.Actions)
 	}
-	return r
+	for i, k := range s.PerNode {
+		if cap(r.perNode[i]) < k {
+			r.perNode[i] = resized(r.perNode[i], k)
+		}
+	}
+	if cap(r.ledger) < s.Messages {
+		r.ownLedger(s.Messages)
+	}
+}
+
+// resized returns s's elements in fresh storage of capacity c ≥ len(s).
+func resized[E any](s []E, c int) []E {
+	out := make([]E, len(s), c)
+	copy(out, s)
+	return out
+}
+
+// doubled is the capacity a full slice of n elements grows to.
+func doubled(n int) int { return max(2*n, 4) }
+
+// push appends v to s, first moving s into storage of twice its length if
+// it is full.
+func push[E any](s []E, v E) []E {
+	if len(s) == cap(s) {
+		s = resized(s, doubled(len(s)))
+	}
+	return append(s, v)
+}
+
+// ownLedger moves the ledger into fresh storage of capacity c, which no
+// snapshot or clone shares.
+func (r *Recorder) ownLedger(c int) {
+	r.ledger, r.shared = resized(r.ledger, c), 0
 }
 
 // OnAction implements the engine Observer interface: it appends the action
 // to the trace in processing order.
 func (r *Recorder) OnAction(a Action) {
-	r.perNode[a.Node] = append(r.perNode[a.Node], len(r.actions))
-	r.actions = append(r.actions, a)
+	r.perNode[a.Node] = push(r.perNode[a.Node], len(r.actions))
+	r.actions = push(r.actions, a)
 	if a.Kind != KindSend {
 		r.events++
 	}
@@ -103,7 +142,7 @@ func (r *Recorder) OnAction(a Action) {
 // OnDeclare implements the engine ClockObserver interface: it appends the
 // declaration to its node's history.
 func (r *Recorder) OnDeclare(d Decl) {
-	r.decls[d.Node] = append(r.decls[d.Node], d)
+	r.decls[d.Node] = push(r.decls[d.Node], d)
 }
 
 // Dispatched returns the number of engine events the recorded trace covers:
@@ -119,6 +158,16 @@ func (r *Recorder) OnSend(rec MsgRecord) {
 	if !rec.Dropped {
 		r.inFlight[rec.Key] = int32(len(r.ledger))
 	}
+	r.appendLedger(rec)
+}
+
+// appendLedger appends rec to the ledger. A full ledger first moves into
+// storage of its own, twice its length: a snapshot or clone may share the
+// old storage, but none shares the new.
+func (r *Recorder) appendLedger(rec MsgRecord) {
+	if len(r.ledger) == cap(r.ledger) {
+		r.ownLedger(doubled(len(r.ledger)))
+	}
 	r.ledger = append(r.ledger, rec)
 }
 
@@ -128,24 +177,26 @@ func (r *Recorder) OnSend(rec MsgRecord) {
 func (r *Recorder) OnDeliver(rec MsgRecord) {
 	i, ok := r.inFlight[rec.Key]
 	if !ok {
-		r.ledger = append(r.ledger, rec)
+		r.appendLedger(rec)
 		return
 	}
 	delete(r.inFlight, rec.Key)
 	if int(i) < r.shared {
-		owned := make([]MsgRecord, len(r.ledger), cap(r.ledger))
-		copy(owned, r.ledger)
-		r.ledger, r.shared = owned, 0
+		c := cap(r.ledger)
+		if c == len(r.ledger) {
+			c = doubled(c)
+		}
+		r.ownLedger(c)
 	}
 	r.ledger[i] = rec
 }
 
 // share returns views of the recorded actions, per-node indices and ledger
 // with capacity capped at length, and marks the whole ledger as shared. The
-// views alias the recorder's storage; an append through either a view or
-// the recorder then reallocates instead of writing past the shared prefix,
-// so neither side ever sees the other's later records, and OnDeliver copies
-// the ledger before it overwrites a shared record.
+// views alias the recorder's storage. An append through a view moves it
+// into storage of its own, while the recorder appends into spare capacity
+// that no view reaches, so neither side ever sees the other's later
+// records; OnDeliver copies the ledger before it overwrites a shared record.
 func (r *Recorder) share() ([]Action, [][]int, []MsgRecord) {
 	perNode := make([][]int, len(r.perNode))
 	for i, idxs := range r.perNode {

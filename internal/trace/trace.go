@@ -14,7 +14,10 @@
 // recorded storage instead of copying it: the action log is append-only,
 // and the ledger, whose records deliveries close in place, is copied on the
 // first write into a prefix a snapshot or clone still reads. Recorded traces
-// are therefore read-only.
+// are therefore read-only. A recorder's storage is contiguous: it doubles
+// when a run outgrows it, and Reserve sizes it up front from a Size, the
+// counts of a run like the one to be recorded, so that a clone's shared
+// prefix is copied once, into room for its whole branch.
 //
 // The paper's indistinguishability principle (§3): if the same actions occur
 // in the same per-node order at the same hardware-clock readings in two
@@ -125,8 +128,9 @@ type Decl struct {
 func StartDecl(node int) Decl { return Decl{Node: node, Mult: rat.FromInt(1)} }
 
 // ValueAt returns the logical clock the declaration defines at hardware
-// reading hw: Value + Mult·(hw − HW0).
-func (d Decl) ValueAt(hw rat.Rat) rat.Rat { return d.Value.Add(d.Mult.Mul(hw.Sub(d.HW0))) }
+// reading hw: Value + Mult·(hw − HW0). The pointer receiver spares the
+// per-call copy of the declaration on the engine's and trackers' hot paths.
+func (d *Decl) ValueAt(hw rat.Rat) rat.Rat { return d.Value.Add(d.Mult.Mul(hw.Sub(d.HW0))) }
 
 // MsgKey identifies the seq-th message sent from From to To in an execution.
 type MsgKey struct {
