@@ -44,28 +44,36 @@ type forkRun struct {
 	valid *gcs.ValidityTracker
 }
 
-// execEqual fails unless a and b hold the same actions, the same ledger
-// and the same compiled clocks: every node's logical and hardware clock,
-// segment by segment.
+// execEqual fails unless a and b hold the same horizon, the same actions,
+// the same ledger and the same clocks: every node's compiled logical clock,
+// segment by segment, and its hardware rate schedule, break by break.
 func execEqual(t *testing.T, label string, a, b *gcs.Execution) {
 	t.Helper()
-	for _, clock := range []string{"logical", "hardware"} {
-		xs, ys := a.Logical, b.Logical
-		if clock == "hardware" {
-			xs, ys = a.Hardware, b.Hardware
+	if !a.Duration.Equal(b.Duration) {
+		t.Fatalf("%s: horizon %s vs %s", label, a.Duration, b.Duration)
+	}
+	if len(a.Logical) != len(b.Logical) || len(a.Schedules) != len(b.Schedules) {
+		t.Fatalf("%s: %d logical clocks and %d schedules vs %d and %d", label, len(a.Logical), len(a.Schedules), len(b.Logical), len(b.Schedules))
+	}
+	for i := range a.Logical {
+		x, y := a.Logical[i].Segs(), b.Logical[i].Segs()
+		if len(x) != len(y) {
+			t.Fatalf("%s: node %d logical clock has %d segments vs %d", label, i, len(x), len(y))
 		}
-		if len(xs) != len(ys) {
-			t.Fatalf("%s: %d %s clocks vs %d", label, len(xs), clock, len(ys))
-		}
-		for i := range xs {
-			x, y := xs[i].Segs(), ys[i].Segs()
-			if len(x) != len(y) {
-				t.Fatalf("%s: node %d %s clock has %d segments vs %d", label, i, clock, len(x), len(y))
+		for k := range x {
+			if !x[k].From.Equal(y[k].From) || !x[k].V0.Equal(y[k].V0) || !x[k].Slope.Equal(y[k].Slope) {
+				t.Fatalf("%s: node %d logical clock segment %d differs: %+v vs %+v", label, i, k, x[k], y[k])
 			}
-			for k := range x {
-				if !x[k].From.Equal(y[k].From) || !x[k].V0.Equal(y[k].V0) || !x[k].Slope.Equal(y[k].Slope) {
-					t.Fatalf("%s: node %d %s clock segment %d differs: %+v vs %+v", label, i, clock, k, x[k], y[k])
-				}
+		}
+	}
+	for i := range a.Schedules {
+		x, y := a.Schedules[i].Rates(), b.Schedules[i].Rates()
+		if len(x) != len(y) {
+			t.Fatalf("%s: node %d rate schedule has %d breaks vs %d", label, i, len(x), len(y))
+		}
+		for k := range x {
+			if !x[k].At.Equal(y[k].At) || !x[k].Rate.Equal(y[k].Rate) {
+				t.Fatalf("%s: node %d rate break %d differs: %+v vs %+v", label, i, k, x[k], y[k])
 			}
 		}
 	}
@@ -85,9 +93,8 @@ func execEqual(t *testing.T, label string, a, b *gcs.Execution) {
 	}
 	for i := range a.Ledger {
 		x, y := &a.Ledger[i], &b.Ledger[i]
-		if x.Key != y.Key || x.Delivered != y.Delivered || x.Dropped != y.Dropped ||
-			!x.SendReal.Equal(y.SendReal) || !x.Delay.Equal(y.Delay) ||
-			(x.Delivered && !x.RecvReal.Equal(y.RecvReal)) {
+		if x.Key != y.Key || x.Dropped != y.Dropped || !x.SendReal.Equal(y.SendReal) ||
+			!x.Delay.Equal(y.Delay) || !x.RecvReal.Equal(y.RecvReal) {
 			t.Fatalf("%s: ledger entry %d differs: %+v vs %+v", label, i, *x, *y)
 		}
 	}
@@ -768,7 +775,7 @@ func TestFaultAdversaryForkMatrix(t *testing.T) {
 					dropped := 0
 					for _, rec := range execA.Ledger {
 						if rec.Dropped {
-							if rec.Delivered {
+							if execA.Delivered(&rec) {
 								t.Fatalf("ledger entry both dropped and delivered: %+v", rec)
 							}
 							dropped++

@@ -77,7 +77,7 @@ func TestIntegrationSweep(t *testing.T) {
 						if rec.Delay.Sign() < 0 || rec.Delay.Greater(d) {
 							t.Fatalf("message %v delay %s outside [0, %s]", rec.Key, rec.Delay, d)
 						}
-						if rec.Delivered {
+						if exec.Delivered(&rec) {
 							delivered++
 						}
 					}

@@ -21,17 +21,14 @@ func synthExec(t *testing.T, logical []*piecewise.PLF, dur rat.Rat) *trace.Execu
 		t.Fatal(err)
 	}
 	scheds := make([]*clock.Schedule, len(logical))
-	hw := make([]*piecewise.PLF, len(logical))
 	for i := range scheds {
 		scheds[i] = clock.Constant(ri(1))
-		hw[i] = scheds[i].HWFunc()
 	}
 	return &trace.Execution{
 		Net:       net,
 		Schedules: scheds,
 		Duration:  dur,
 		Logical:   logical,
-		Hardware:  hw,
 		PerNode:   make([][]int, len(logical)),
 	}
 }

@@ -1,6 +1,10 @@
 package dist
 
-import "fmt"
+import (
+	"fmt"
+
+	"gcs/internal/search"
+)
 
 // CellPlan bounds one cell of a campaign without executing any engine step:
 // exact candidate-count upper bounds from the move-set arithmetic.
@@ -32,17 +36,17 @@ func PlanCampaign(spec CampaignSpec) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	// Mirror search.Options defaults without running normalize: the planner
-	// must not need a live search.
+	// The search's own defaults, read without running a search: the
+	// planner must not need a live one.
 	rounds, beam, delayMut := spec.Rounds, spec.Beam, spec.DelayMutations
 	if rounds <= 0 {
-		rounds = 4
+		rounds = search.DefaultRounds
 	}
 	if beam <= 0 {
-		beam = 2
+		beam = search.DefaultBeam
 	}
 	if delayMut <= 0 {
-		delayMut = 16
+		delayMut = search.DefaultDelayMutations
 	}
 	p := &Plan{}
 	for _, cell := range spec.Cells {

@@ -141,7 +141,7 @@ func TestQuickLedgerConsistent(t *testing.T) {
 			if rec.Delay.Sign() < 0 || rec.Delay.Greater(d) {
 				return false
 			}
-			if rec.Delivered && !rec.RecvReal.Equal(rec.SendReal.Add(rec.Delay)) {
+			if !rec.RecvReal.Equal(rec.SendReal.Add(rec.Delay)) {
 				return false
 			}
 		}
@@ -152,13 +152,13 @@ func TestQuickLedgerConsistent(t *testing.T) {
 			}
 			recvs++
 			rec, ok := ledgerRecord(exec, trace.MsgKey{From: a.Peer, To: a.Node, Seq: a.MsgSeq})
-			if !ok || !rec.Delivered || !rec.RecvReal.Equal(a.Real) {
+			if !ok || !exec.Delivered(&rec) || !rec.RecvReal.Equal(a.Real) {
 				return false
 			}
 		}
 		delivered := 0
-		for _, rec := range exec.Ledger {
-			if rec.Delivered {
+		for i := range exec.Ledger {
+			if exec.Delivered(&exec.Ledger[i]) {
 				delivered++
 			}
 		}

@@ -359,8 +359,12 @@ func (e *Engine) Adversary() Adversary { return e.adv }
 // Now returns the real time of the last dispatched event.
 func (e *Engine) Now() rat.Rat { return e.now }
 
-// Horizon returns the real time through which the run is complete: no
-// pending event at time <= Horizon remains undispatched.
+// Horizon returns the real time the run has reached. After RunUntil(t) or
+// RunFor it is t, and the run is complete through it: no pending event at
+// time <= Horizon remains undispatched. Otherwise, on a new engine or after
+// Step, it is the time of the latest dispatched event (0 before any), and
+// other events at that instant may still be pending; RunUntil(Horizon())
+// completes the instant.
 func (e *Engine) Horizon() rat.Rat { return e.horizon }
 
 // Steps returns the number of events dispatched so far.
@@ -497,11 +501,10 @@ func (e *Engine) dispatch(ev *event) {
 				payload = ev.payload.MsgString()
 			}
 			rec := trace.MsgRecord{
-				Key:       trace.MsgKey{From: ev.from, To: ev.node, Seq: ev.msgSeq},
-				SendReal:  ev.sendReal,
-				RecvReal:  ev.time,
-				Delay:     ev.delay,
-				Delivered: true,
+				Key:      trace.MsgKey{From: ev.from, To: ev.node, Seq: ev.msgSeq},
+				SendReal: ev.sendReal,
+				RecvReal: ev.time,
+				Delay:    ev.delay,
 			}
 			if e.advObs != nil {
 				e.advObs.OnDeliver(rec)
@@ -520,14 +523,20 @@ func (e *Engine) dispatch(ev *event) {
 
 // Execution returns the run through the current horizon as a complete
 // Execution, compiled by rec from what it recorded (see
-// trace.Recorder.Execution). rec must have seen every event the engine
-// dispatched: attached (via Observe or WithObservers) before the first Step,
-// or, on a fork, the Clone of such a recorder taken at the fork point.
-// Execution returns an error for any other recorder, whose clocks would be
-// silently incomplete.
+// trace.Recorder.Execution). The run must be complete through the horizon,
+// since the Execution reads which messages were delivered off it: after
+// Step, an event still pending at the horizon's instant makes Execution
+// return an error, and RunUntil(Horizon()) completes the instant. rec must
+// have seen every event the engine dispatched: attached (via Observe or
+// WithObservers) before the first Step, or, on a fork, the Clone of such a
+// recorder taken at the fork point. Execution returns an error for any
+// other recorder, whose clocks would be silently incomplete.
 func (e *Engine) Execution(rec *trace.Recorder) (*trace.Execution, error) {
 	if e.err != nil {
 		return nil, e.err
+	}
+	if next, ok := e.NextEventTime(); ok && next.LessEq(e.horizon) {
+		return nil, fmt.Errorf("engine: the run is not complete at its horizon %s: an event is still pending there (call RunUntil(Horizon()) first)", e.horizon)
 	}
 	if seen := rec.Dispatched(); seen != e.steps {
 		return nil, fmt.Errorf("engine: recorder saw %d of %d dispatched events (attach it before the first Step, and give a fork the Clone of the trunk's recorder)", seen, e.steps)

@@ -316,6 +316,38 @@ func TestExecutionRejectsFreshRecorderOnFork(t *testing.T) {
 	}
 }
 
+// TestExecutionRefusesIncompleteInstant: one Step of a 3-node engine
+// dispatches one node's init at time 0 and leaves the horizon at 0 with the
+// other inits still pending there. The run is not complete at its horizon,
+// so Execution refuses it and names the remedy; after RunUntil(Horizon())
+// it compiles, and every node has its init action.
+func TestExecutionRefusesIncompleteInstant(t *testing.T) {
+	eng := newTestEngine(t, 3, tickProtocol{period: ri(1)})
+	rec := trace.NewRecorder(3)
+	eng.Observe(rec)
+	if _, err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if next, ok := eng.NextEventTime(); !ok || !next.LessEq(eng.Horizon()) {
+		t.Fatalf("after one Step: horizon %s, next event %s (pending %v); the instant is already complete", eng.Horizon(), next, ok)
+	}
+	if _, err := eng.Execution(rec); err == nil || !strings.Contains(err.Error(), "RunUntil(Horizon())") {
+		t.Fatalf("Execution at an incomplete instant: err = %v, want the RunUntil(Horizon()) error", err)
+	}
+	if err := eng.RunUntil(eng.Horizon()); err != nil {
+		t.Fatal(err)
+	}
+	exec, err := eng.Execution(rec)
+	if err != nil {
+		t.Fatalf("Execution after RunUntil(Horizon()): %v", err)
+	}
+	for i := 0; i < exec.N(); i++ {
+		if acts := exec.NodeActions(i); len(acts) == 0 || acts[0].Kind != trace.KindInit {
+			t.Fatalf("node %d's actions %+v do not start with its init", i, acts)
+		}
+	}
+}
+
 func TestRecorderRoundTrip(t *testing.T) {
 	net, err := network.Line(3)
 	if err != nil {

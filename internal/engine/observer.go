@@ -13,9 +13,10 @@ import (
 // deterministic order the simulator processes events:
 //
 //   - OnSend fires when a node transmits, after the adversary fixed the
-//     delay (the record's Delivered field is false);
+//     delay. The record is complete: it holds the delay and the receive
+//     time, or Dropped for a message the fault model removed;
 //   - OnDeliver fires when a message arrives, before the receiving node's
-//     callback runs (Delivered is true and RecvReal is set);
+//     callback runs, with the same record the send carried;
 //   - OnAction fires for every recorded node action in trace order. For
 //     dispatched events (init, timer, recv) it fires before the node's own
 //     callback runs; for send actions it fires at transmit time, from

@@ -67,7 +67,7 @@ func TestRunBasics(t *testing.T) {
 	}
 	delivered := 0
 	for _, rec := range exec.Ledger {
-		if rec.Delivered {
+		if exec.Delivered(&rec) {
 			delivered++
 			if !rec.Delay.Equal(ri(1)) {
 				t.Errorf("delay = %s, want 1", rec.Delay)
@@ -396,7 +396,7 @@ func TestLongDistanceSend(t *testing.T) {
 	if !rec.Delay.Equal(ri(2)) {
 		t.Errorf("delay = %s, want 2", rec.Delay)
 	}
-	if !rec.Delivered {
+	if !exec.Delivered(&rec) {
 		t.Error("message not delivered")
 	}
 }

@@ -151,6 +151,7 @@ func (rt *Runtime) Send(to int, msg Message) {
 		rec := trace.MsgRecord{
 			Key:      trace.MsgKey{From: rt.id, To: to, Seq: seq},
 			SendReal: e.now,
+			RecvReal: recv,
 			Delay:    delay,
 		}
 		if e.advObs != nil {

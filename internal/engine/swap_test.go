@@ -234,7 +234,7 @@ func sameRun(t *testing.T, a, b *trace.Execution) {
 			out = append(out, fmt.Sprintf("message %+v", m))
 		}
 		for i := range x.Logical {
-			out = append(out, fmt.Sprintf("node %d: logical %v, hardware %v", i, x.Logical[i].Segs(), x.Hardware[i].Segs()))
+			out = append(out, fmt.Sprintf("node %d: logical %v, hardware %v", i, x.Logical[i].Segs(), x.Schedules[i].Rates()))
 		}
 		return out
 	}

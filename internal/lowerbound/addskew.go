@@ -213,7 +213,7 @@ func planAddSkew(in AddSkewInput) (*skewPlan, error) {
 	for i := range in.Alpha.Ledger {
 		rec := &in.Alpha.Ledger[i]
 		key := rec.Key
-		if !rec.Delivered {
+		if !in.Alpha.Delivered(rec) {
 			// In flight at ℓ(α): keep it in flight in β by assigning the
 			// maximum delay; the indistinguishability check would catch any
 			// early arrival this fails to prevent.

@@ -88,7 +88,7 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 	for i := range alpha.Ledger {
 		rec := &alpha.Ledger[i]
 		key := rec.Key
-		if (key.From != in.I && key.To != in.I) || !rec.Delivered {
+		if (key.From != in.I && key.To != in.I) || !alpha.Delivered(rec) {
 			continue
 		}
 		d := alpha.Net.Dist(key.From, key.To)
@@ -148,7 +148,7 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 		rec := &alpha.Ledger[i]
 		key := rec.Key
 		switch {
-		case !rec.Delivered:
+		case !alpha.Delivered(rec):
 			// In flight at ℓ(α): keep it in flight.
 			script[key] = alpha.Net.Dist(key.From, key.To)
 		case key.From == in.I:

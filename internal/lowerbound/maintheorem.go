@@ -38,9 +38,10 @@ type MainTheoremInput struct {
 	// the previous round's checkpoint. Results are identical either way;
 	// the equivalence tests set it.
 	fromScratch bool
-	// sized, if set, is given each round's size hint and the Size of the
-	// α_{k+1} the round recorded; the hint tests set it.
-	sized func(k int, hint, got trace.Size)
+	// observe, if set, is given each round's size hint and the two
+	// snapshots the round took, β_k at T' and α_{k+1}; the hint and
+	// delivery tests set it.
+	observe func(k int, hint trace.Size, beta, next *trace.Execution)
 }
 
 // Round reports one iteration k → k+1.
@@ -194,8 +195,8 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if in.sized != nil {
-			in.sized(k, nextCfg.SizeHint, next.Size())
+		if in.observe != nil {
+			in.observe(k, nextCfg.SizeHint, as.Beta, next)
 		}
 		round.AddSkewGain = as.Gain
 		round.SkewAfterBeta = as.SkewBeta
@@ -302,7 +303,7 @@ func roundScript(plan *skewPlan, alpha *trace.Execution) map[trace.MsgKey]rat.Ra
 		rec := &alpha.Ledger[i]
 		switch {
 		case !plan.sendsBy(rec):
-		case rec.Delivered:
+		case alpha.Delivered(rec):
 			script[rec.Key] = plan.delays[i]
 		default:
 			script[rec.Key] = half.Mul(alpha.Net.Dist(rec.Key.From, rec.Key.To))

@@ -78,8 +78,10 @@ func TestMainTheoremStepBudget(t *testing.T) {
 
 // TestMainTheoremByteBudget pins the bytes the construction allocates on
 // max-gossip at branch 4, three rounds, where each recorder allocates its
-// storage about once per branch. Growing every recorder as it recorded, and
-// copying a resumed checkpoint's prefix on its first append, took 101.9 MB.
+// storage about once per branch and never copies its ledger to close a
+// delivery. Growing every recorder as it recorded, and copying a resumed
+// checkpoint's prefix on its first append, took 101.9 MB; copying each
+// round's ledger after its β snapshot took 62.5 MB.
 func TestMainTheoremByteBudget(t *testing.T) {
 	in := MainTheoremInput{Protocol: algorithms.MaxGossip(ri(1)), Params: DefaultParams(), Branch: 4, Rounds: 3}
 	// One processor and a collection first keep the runtime's own
@@ -92,9 +94,100 @@ func TestMainTheoremByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if b := after.TotalAlloc - before.TotalAlloc; b > 65_000_000 {
-		t.Fatalf("construction allocated %d bytes, want at most 65 MB", b)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 58_000_000 {
+		t.Fatalf("construction allocated %d bytes, want at most 58 MB", b)
 	}
+}
+
+// TestSnapshotsDeliverWhatTheyReceive: every β_k and α_{k+1} snapshot of
+// the Main Theorem reads which messages it delivered off its horizon, and
+// that agrees with its Recv actions: each Recv action matches a delivered
+// ledger record with an equal receive time, and there are as many delivered
+// records as Recv actions. The snapshots share storage with engines that
+// keep running (the round's own, on to α_{k+1}, and the checkpoint the next
+// round resumes), so they are checked once the whole construction is done,
+// on forked and on fresh rounds. The gradient cell exchanges every 1/2 of
+// hardware time, which with midpoint delays lands a receipt exactly on each
+// snapshot's horizon, so a message received at the horizon itself is
+// checked too; max-gossip's period-1 sends land on none.
+func TestSnapshotsDeliverWhatTheyReceive(t *testing.T) {
+	gradient := algorithms.DefaultGradientParams()
+	gradient.Period = rat.MustFrac(1, 2)
+	cells := []struct {
+		proto     engine.Protocol
+		rounds    int
+		atHorizon bool // every snapshot receives a message at its horizon
+	}{
+		{algorithms.MaxGossip(ri(1)), 3, false},
+		{algorithms.Gradient(gradient), 2, true},
+	}
+	for _, c := range cells {
+		for _, fromScratch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/rounds=%d/fromScratch=%v", c.proto.Name(), c.rounds, fromScratch), func(t *testing.T) {
+				type snapshot struct {
+					name string
+					exec *trace.Execution
+				}
+				var snaps []snapshot
+				in := MainTheoremInput{Protocol: c.proto, Params: DefaultParams(), Branch: 4, Rounds: c.rounds, fromScratch: fromScratch}
+				in.observe = func(k int, _ trace.Size, beta, next *trace.Execution) {
+					snaps = append(snaps, snapshot{fmt.Sprintf("β_%d", k), beta}, snapshot{fmt.Sprintf("α_%d", k+1), next})
+				}
+				if _, err := MainTheorem(in); err != nil {
+					t.Fatal(err)
+				}
+				if len(snaps) != 2*c.rounds {
+					t.Fatalf("%d snapshots, want %d", len(snaps), 2*c.rounds)
+				}
+				for _, s := range snaps {
+					if atHorizon := deliversWhatItReceives(t, s.name, s.exec); c.atHorizon && !atHorizon {
+						t.Fatalf("%s: no message received at the horizon %s; the boundary is untested", s.name, s.exec.Duration)
+					}
+				}
+			})
+		}
+	}
+}
+
+// deliversWhatItReceives fails unless exec's delivered ledger records are
+// exactly the messages its Recv actions receive, at the same times. It
+// fails too if exec has no message in flight at its horizon, or no Recv
+// action, which would leave one side of the check untested. It reports
+// whether some message is received at the horizon itself.
+func deliversWhatItReceives(t *testing.T, name string, exec *trace.Execution) (atHorizon bool) {
+	t.Helper()
+	index := make(map[trace.MsgKey]int, len(exec.Ledger))
+	delivered := 0
+	for i := range exec.Ledger {
+		index[exec.Ledger[i].Key] = i
+		if exec.Delivered(&exec.Ledger[i]) {
+			delivered++
+		}
+	}
+	if delivered == 0 || delivered == len(exec.Ledger) {
+		t.Fatalf("%s: %d of %d messages delivered by the horizon %s; the check needs both kinds", name, delivered, len(exec.Ledger), exec.Duration)
+	}
+	recvs := 0
+	for _, a := range exec.Actions {
+		if a.Kind != trace.KindRecv {
+			continue
+		}
+		recvs++
+		atHorizon = atHorizon || a.Real.Equal(exec.Duration)
+		key := trace.MsgKey{From: a.Peer, To: a.Node, Seq: a.MsgSeq}
+		i, ok := index[key]
+		if !ok {
+			t.Fatalf("%s: message %v received at %s has no ledger record", name, key, a.Real)
+		}
+		if rec := &exec.Ledger[i]; !exec.Delivered(rec) || !rec.RecvReal.Equal(a.Real) {
+			t.Fatalf("%s: message %v received at %s, but its record (receive time %s) reads delivered %v by the horizon %s",
+				name, key, a.Real, rec.RecvReal, exec.Delivered(rec), exec.Duration)
+		}
+	}
+	if recvs != delivered {
+		t.Fatalf("%s: %d Recv actions but %d delivered records by the horizon %s", name, recvs, delivered, exec.Duration)
+	}
+	return atHorizon
 }
 
 // TestRoundHintCoversRound: each round's size hint, scaled from α_k by the
@@ -109,8 +202,9 @@ func TestRoundHintCoversRound(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/rounds=%d", proto.Name(), rounds), func(t *testing.T) {
 				seen := 0
 				in := MainTheoremInput{Protocol: proto, Params: DefaultParams(), Branch: 4, Rounds: rounds}
-				in.sized = func(k int, hint, got trace.Size) {
+				in.observe = func(k int, hint trace.Size, _, next *trace.Execution) {
 					seen++
+					got := next.Size()
 					if hint.Actions < got.Actions || hint.Messages < got.Messages {
 						t.Errorf("round %d: hint %d actions, %d messages for a run of %d, %d", k, hint.Actions, hint.Messages, got.Actions, got.Messages)
 					}
@@ -174,7 +268,7 @@ func TestRoundCatchesEarlyInFlightDelivery(t *testing.T) {
 	// the instant it is sent.
 	var victim *trace.MsgRecord
 	for i := range alpha.Ledger {
-		if rec := &alpha.Ledger[i]; !rec.Delivered && plan.sendsBy(rec) {
+		if rec := &alpha.Ledger[i]; !alpha.Delivered(rec) && plan.sendsBy(rec) {
 			victim = rec
 		}
 	}

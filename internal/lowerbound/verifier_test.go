@@ -47,7 +47,7 @@ func TestVerifierCatchesCorruptedScript(t *testing.T) {
 	found := false
 	// Pick the first delivered mid-run message, in send order.
 	for _, rec := range alpha.Ledger {
-		if rec.Delivered && rec.RecvReal.Greater(ri(2)) && rec.RecvReal.Less(res.TPrime) {
+		if alpha.Delivered(&rec) && rec.RecvReal.Greater(ri(2)) && rec.RecvReal.Less(res.TPrime) {
 			victim, found = rec.Key, true
 			break
 		}
@@ -157,11 +157,14 @@ func TestLedgerViolationsReportSmallestKey(t *testing.T) {
 	T := p.Tau().Mul(ri(int64(n - 1)))
 	cfg, alpha := lineAlpha(t, proto, n, T, p)
 	mk := func(from, to int, seq uint64) trace.MsgKey { return trace.MsgKey{From: from, To: to, Seq: seq} }
-	// Received after the clean window, so the preconditions ignore them,
-	// and before they were sent: each sender speeds up no earlier than its
-	// receiver, so every remapped delay is negative.
+	// Received at S = 0, within α's horizon, so α delivered them, but
+	// outside the clean window (S, T], so the preconditions ignore them;
+	// and before they were sent, so every remapped delay is negative.
 	for _, key := range []trace.MsgKey{mk(2, 1, 1000), mk(2, 0, 1003), mk(1, 0, 1002), mk(1, 0, 1001), mk(3, 0, 1000)} {
-		alpha.Ledger = append(alpha.Ledger, trace.MsgRecord{Key: key, SendReal: T.Add(ri(2)), RecvReal: T.Add(ri(1)), Delivered: true})
+		alpha.Ledger = append(alpha.Ledger, trace.MsgRecord{Key: key, SendReal: ri(1), RecvReal: rat.Rat{}})
+		if !alpha.Delivered(&alpha.Ledger[len(alpha.Ledger)-1]) {
+			t.Fatalf("planted message %v is not delivered by α's horizon %s", key, alpha.Duration)
+		}
 	}
 	positions := make([]rat.Rat, n)
 	for k := range positions {
@@ -183,7 +186,7 @@ func TestLedgerViolationsReportSmallestKey(t *testing.T) {
 
 	cfg, alpha = lineAlpha(t, proto, n, ri(20), p)
 	for _, key := range []trace.MsgKey{mk(2, 3, 1000), mk(1, 2, 1001), mk(2, 1, 1000), mk(3, 2, 999)} {
-		alpha.Ledger = append(alpha.Ledger, trace.MsgRecord{Key: key, SendReal: ri(5), RecvReal: ri(5), Delivered: true})
+		alpha.Ledger = append(alpha.Ledger, trace.MsgRecord{Key: key, SendReal: ri(5), RecvReal: ri(5)})
 	}
 	want := "lowerbound: bounded-increase precondition (delays): message {1 2 1001} delay 0 outside [d/4, 3d/4]"
 	for run := 0; run < 20; run++ {

@@ -77,6 +77,15 @@ type Seed struct {
 	Schedules []*clock.Schedule
 }
 
+// The search's budget when Options leaves it unset (zero or negative):
+// greedy rounds, beam width and delay mutations per candidate and round.
+// The campaign planner (internal/dist) bounds a cell with the same values.
+const (
+	DefaultRounds         = 4
+	DefaultBeam           = 2
+	DefaultDelayMutations = 16
+)
+
 // Options configures a worst-case search.
 type Options struct {
 	Net      *network.Network
@@ -110,13 +119,14 @@ type Options struct {
 	Gradient core.GradientFunc
 
 	// Rounds bounds the greedy rounds (each round composes one more mutation
-	// on top of the beam). Default 4.
+	// on top of the beam). Default DefaultRounds.
 	Rounds int
-	// Beam is the number of best candidates expanded each round. Default 2.
+	// Beam is the number of best candidates expanded each round. Default
+	// DefaultBeam.
 	Beam int
 	// DelayMutations caps how many of a candidate's decisions are mutated
 	// per round, sampled evenly across the decision log so late decisions
-	// are reachable. Default 16.
+	// are reachable. Default DefaultDelayMutations.
 	DelayMutations int
 	// MutateTail, when nonzero (in (0, 1]), restricts delay-mutation
 	// sampling to the final MutateTail fraction of each parent's decision
@@ -356,13 +366,13 @@ func normalize(opt *Options) error {
 		return fmt.Errorf("search: base adversary %T is stateful but not cloneable (it observes the run without implementing engine.StatefulAdversary), so its candidates could not be forked, evaluated in parallel or replayed independently; implement CloneAdversary", opt.Base)
 	}
 	if opt.Rounds <= 0 {
-		opt.Rounds = 4
+		opt.Rounds = DefaultRounds
 	}
 	if opt.Beam <= 0 {
-		opt.Beam = 2
+		opt.Beam = DefaultBeam
 	}
 	if opt.DelayMutations <= 0 {
-		opt.DelayMutations = 16
+		opt.DelayMutations = DefaultDelayMutations
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)

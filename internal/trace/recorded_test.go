@@ -123,24 +123,32 @@ func deepCopy(e *trace.Execution) *trace.Execution {
 
 // TestExecutionSnapshotStable: a snapshot taken mid-run shares the
 // recorder's storage, yet stays exactly equal to a private copy of itself
-// after the engine keeps running and a second snapshot is taken.
+// after the engine keeps running, delivers the messages the snapshot has in
+// flight, and a second snapshot is taken. The snapshot still reads those
+// messages as in flight, and the second one as delivered.
 func TestExecutionSnapshotStable(t *testing.T) {
 	eng, rec := lineEngine(t, algorithms.MaxGossip(rat.FromInt(1)), 5)
 	t1 := rat.MustFrac(16, 3)
 	mid := runTo(t, eng, rec, t1)
-	inFlight := 0
-	for _, m := range mid.Ledger {
-		if !m.Delivered {
-			inFlight++
+	var undelivered []int
+	for i := range mid.Ledger {
+		if !mid.Delivered(&mid.Ledger[i]) {
+			undelivered = append(undelivered, i)
 		}
 	}
-	if inFlight == 0 {
-		t.Fatal("no message in flight at the snapshot; the ledger's copy-on-write is untested")
+	if len(undelivered) == 0 {
+		t.Fatal("no message in flight at the snapshot; its later deliveries are untested")
 	}
 	want := deepCopy(mid)
 	full := runTo(t, eng, rec, rat.FromInt(12))
 	if !reflect.DeepEqual(mid, want) {
 		t.Fatal("resuming the engine changed the mid-run snapshot")
+	}
+	for _, i := range undelivered {
+		if mid.Delivered(&mid.Ledger[i]) || !full.Delivered(&full.Ledger[i]) {
+			t.Fatalf("message %v: delivered %v at %s and %v at %s, want false then true",
+				mid.Ledger[i].Key, mid.Delivered(&mid.Ledger[i]), mid.Duration, full.Delivered(&full.Ledger[i]), full.Duration)
+		}
 	}
 	if len(full.Actions) <= len(mid.Actions) {
 		t.Fatalf("resumed run recorded %d actions, snapshot %d", len(full.Actions), len(mid.Actions))

@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"maps"
 
 	"gcs/internal/clock"
 	"gcs/internal/network"
@@ -21,21 +20,20 @@ import (
 // A Recorder must be attached before the first event is dispatched to
 // capture a complete trace; Engine.Execution refuses one that was not.
 //
-// The action log, the per-node index lists and the per-node declaration
-// histories are append-only: no recorded element is ever written again. The
-// ledger holds one record per message in send order; a delivery overwrites
-// its message's record in place. Clone shares all four instead of copying
-// them, and Execution all but the declarations, which it compiles into
-// clocks. The recorder remembers how much of the ledger it has shared: a
-// delivery that would write into that prefix first copies the ledger
-// (copy-on-write), so a shared view never changes.
+// Everything it records is append-only, and no recorded element is ever
+// written again: the action log, the per-node index lists, the per-node
+// declaration histories, and the ledger, whose records are complete at send
+// (a delivery is read off the execution's horizon, see
+// Execution.Delivered). Clone shares all four instead of copying them, and
+// Execution all but the declarations, which it compiles into clocks.
 //
 // Each of the four is one contiguous slice, and a slice that outgrows its
-// storage moves into storage of twice its length. The views Clone shares
-// are capped at their length, so a clone's first append copies the shared
-// prefix into storage of its own. Reserve sizes the storage up front from a
-// Size: a run within it then moves nothing, and a clone copies its prefix
-// once, into room for its whole branch.
+// storage moves into storage of twice its length. The views Clone and
+// Execution share are capped at their length, so a clone's first append
+// copies the shared prefix into storage of its own, and the recorder's own
+// appends land past the end of every view. Reserve sizes the storage up
+// front from a Size: a run within it then moves nothing, and a clone copies
+// its prefix once, into room for its whole branch.
 type Recorder struct {
 	actions []Action
 	perNode [][]int
@@ -43,12 +41,6 @@ type Recorder struct {
 	// implicit StartDecl.
 	decls  [][]Decl
 	ledger []MsgRecord
-	// inFlight maps each message sent but not yet delivered to its ledger
-	// index; a delivery removes its entry.
-	inFlight map[MsgKey]int32
-	// shared is the length of the ledger prefix that snapshots and clones
-	// may still read.
-	shared int
 	// events counts the Init, Timer and Recv actions recorded: one per
 	// engine event dispatched while the recorder (or the one it was cloned
 	// from) was attached.
@@ -72,21 +64,16 @@ func NewRecorder(n int) *Recorder {
 		start[i] = StartDecl(i)
 		decls[i] = start[i : i+1 : i+1]
 	}
-	return &Recorder{
-		perNode:  make([][]int, n),
-		decls:    decls,
-		inFlight: make(map[MsgKey]int32),
-	}
+	return &Recorder{perNode: make([][]int, n), decls: decls}
 }
 
 // Reserve makes room for a run of the given total size, typically the Size
 // of the execution the run replays or extends, so that recording up to it
 // moves no storage. Storage too small for the size moves once, into storage
 // of that size; for a clone, whose views are capped, that is the one copy
-// of its shared prefix, and its ledger is then its own, so no later
-// delivery copies it again. A size whose PerNode length is not the
-// recorder's node count (the zero Size, for one) is ignored. Results never
-// depend on Reserve.
+// of its shared prefix. A size whose PerNode length is not the recorder's
+// node count (the zero Size, for one) is ignored. Results never depend on
+// Reserve.
 func (r *Recorder) Reserve(s Size) {
 	if len(s.PerNode) != len(r.perNode) {
 		return
@@ -100,7 +87,7 @@ func (r *Recorder) Reserve(s Size) {
 		}
 	}
 	if cap(r.ledger) < s.Messages {
-		r.ownLedger(s.Messages)
+		r.ledger = resized(r.ledger, s.Messages)
 	}
 }
 
@@ -121,12 +108,6 @@ func push[E any](s []E, v E) []E {
 		s = resized(s, doubled(len(s)))
 	}
 	return append(s, v)
-}
-
-// ownLedger moves the ledger into fresh storage of capacity c, which no
-// snapshot or clone shares.
-func (r *Recorder) ownLedger(c int) {
-	r.ledger, r.shared = resized(r.ledger, c), 0
 }
 
 // OnAction implements the engine Observer interface: it appends the action
@@ -152,101 +133,58 @@ func (r *Recorder) OnDeclare(d Decl) {
 func (r *Recorder) Dispatched() uint64 { return r.events }
 
 // OnSend implements the engine Observer interface: it appends the message's
-// ledger record and, unless the message was dropped, remembers where it is
-// so the delivery can close it.
-func (r *Recorder) OnSend(rec MsgRecord) {
-	if !rec.Dropped {
-		r.inFlight[rec.Key] = int32(len(r.ledger))
-	}
-	r.appendLedger(rec)
-}
+// ledger record, which is complete at send.
+func (r *Recorder) OnSend(rec MsgRecord) { r.ledger = push(r.ledger, rec) }
 
-// appendLedger appends rec to the ledger. A full ledger first moves into
-// storage of its own, twice its length: a snapshot or clone may share the
-// old storage, but none shares the new.
-func (r *Recorder) appendLedger(rec MsgRecord) {
-	if len(r.ledger) == cap(r.ledger) {
-		r.ownLedger(doubled(len(r.ledger)))
-	}
-	r.ledger = append(r.ledger, rec)
-}
-
-// OnDeliver implements the engine Observer interface: it closes the
-// message's ledger record with the realized receive time. A message sent
-// before the recorder was attached has no open record and is appended.
-func (r *Recorder) OnDeliver(rec MsgRecord) {
-	i, ok := r.inFlight[rec.Key]
-	if !ok {
-		r.appendLedger(rec)
-		return
-	}
-	delete(r.inFlight, rec.Key)
-	if int(i) < r.shared {
-		c := cap(r.ledger)
-		if c == len(r.ledger) {
-			c = doubled(c)
-		}
-		r.ownLedger(c)
-	}
-	r.ledger[i] = rec
-}
+// OnDeliver implements the engine Observer interface. It records nothing:
+// the send recorded the receive time, and an execution that is complete
+// through its horizon has delivered exactly the messages its horizon
+// reaches (Execution.Delivered).
+func (r *Recorder) OnDeliver(MsgRecord) {}
 
 // share returns views of the recorded actions, per-node indices and ledger
-// with capacity capped at length, and marks the whole ledger as shared. The
-// views alias the recorder's storage. An append through a view moves it
-// into storage of its own, while the recorder appends into spare capacity
-// that no view reaches, so neither side ever sees the other's later
-// records; OnDeliver copies the ledger before it overwrites a shared record.
+// with capacity capped at length. The views alias the recorder's storage.
+// An append through a view moves it into storage of its own, while the
+// recorder appends into spare capacity that no view reaches, so neither
+// side ever sees the other's later records.
 func (r *Recorder) share() ([]Action, [][]int, []MsgRecord) {
 	perNode := make([][]int, len(r.perNode))
 	for i, idxs := range r.perNode {
 		perNode[i] = idxs[:len(idxs):len(idxs)]
 	}
-	r.shared = len(r.ledger)
-	return r.actions[:len(r.actions):len(r.actions)], perNode, r.ledger[:r.shared:r.shared]
+	return r.actions[:len(r.actions):len(r.actions)], perNode, r.ledger[:len(r.ledger):len(r.ledger)]
 }
 
 // Clone returns a recorder that continues from r's trace. Attach the clone
 // to a forked engine to keep recording a branched run: the clone carries the
 // shared prefix, and the original keeps recording its own branch untouched.
-// The recorded actions, declarations and ledger are shared, not copied; only
-// the index of messages in flight is.
+// The recorded actions, declarations and ledger are shared, not copied.
 func (r *Recorder) Clone() *Recorder {
 	actions, perNode, ledger := r.share()
 	decls := make([][]Decl, len(r.decls))
 	for i, ds := range r.decls {
 		decls[i] = ds[:len(ds):len(ds)]
 	}
-	return &Recorder{
-		actions:  actions,
-		perNode:  perNode,
-		decls:    decls,
-		ledger:   ledger,
-		inFlight: maps.Clone(r.inFlight),
-		shared:   len(ledger),
-		events:   r.events,
-	}
+	return &Recorder{actions: actions, perNode: perNode, decls: decls, ledger: ledger, events: r.events}
 }
 
 // Execution assembles the recorded trace with the environment into a
 // complete Execution through real time horizon: it compiles each node's
-// logical clock from its declarations and hardware schedule, and its
-// hardware clock from the schedule. The returned Execution is a stable,
-// read-only snapshot: its Actions, PerNode and Ledger share the recorder's
-// storage (see share). The engine can keep running (and the Recorder keep
-// recording) without changing it, and a later Execution call yields the
-// extended trace. Apart from the compiled clocks, a snapshot costs one slice
-// header per node whatever the trace's length; the first later delivery of
-// a message sent before it copies the ledger once.
+// logical clock from its declarations and hardware schedule. The run must
+// be complete through horizon, since delivery is read off it (see
+// Engine.Execution). The returned Execution is a stable, read-only
+// snapshot: its Actions, PerNode and Ledger share the recorder's storage
+// (see share), which nothing ever overwrites. The engine can keep running
+// (and the Recorder keep recording) without changing it, and a later
+// Execution call yields the extended trace. Apart from the compiled clocks,
+// a snapshot costs one slice header per node whatever the trace's length.
 func (r *Recorder) Execution(net *network.Network, scheds []*clock.Schedule, horizon rat.Rat) (*Execution, error) {
 	n := len(r.decls)
 	if net.N() != n || len(scheds) != n {
 		return nil, fmt.Errorf("trace: %d-node network and %d schedules for a %d-node recording", net.N(), len(scheds), n)
 	}
 	logical := make([]*piecewise.PLF, n)
-	hardware := make([]*piecewise.PLF, n)
 	for i, s := range scheds {
-		hardware[i] = s.HWFunc()
 		plf, err := compileLogical(s, r.decls[i], horizon)
 		if err != nil {
 			return nil, fmt.Errorf("trace: node %d logical clock: %w", i, err)
@@ -262,7 +200,6 @@ func (r *Recorder) Execution(net *network.Network, scheds []*clock.Schedule, hor
 		PerNode:   perNode,
 		Ledger:    ledger,
 		Logical:   logical,
-		Hardware:  hardware,
 	}, nil
 }
 

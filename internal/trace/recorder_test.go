@@ -106,7 +106,6 @@ func TestRecorderCloneBranchesDiverge(t *testing.T) {
 			record(orig, prefix, 0)
 			declare(orig, prefix, 0)
 			send(orig, 0, prefix, 1)
-			deliver(orig, 0, prefix, 1)
 			branch := cap(orig.actions) - len(orig.actions)
 			msgs := cap(orig.ledger) - len(orig.ledger)
 			decls := cap(orig.decls[0]) - len(orig.decls[0])
@@ -139,9 +138,9 @@ func TestRecorderCloneBranchesDiverge(t *testing.T) {
 			actionsOf(t, who("snapshot"), snap.Actions, snap.PerNode, prefix, 0, 0)
 			declsOf(t, who("original"), orig, prefix, decls, 1)
 			declsOf(t, who("clone"), clone, prefix, decls, 2)
-			ledgerOf(t, who("original"), orig.ledger, prefix+msgs, prefix, 2, false)
-			ledgerOf(t, who("clone"), clone.ledger, prefix+msgs, prefix, 3, false)
-			ledgerOf(t, who("snapshot"), snap.Ledger, prefix, prefix, 0, false)
+			ledgerOf(t, who("original"), orig.ledger, prefix+msgs, prefix, 2)
+			ledgerOf(t, who("clone"), clone.ledger, prefix+msgs, prefix, 3)
+			ledgerOf(t, who("snapshot"), snap.Ledger, prefix, prefix, 0)
 		}
 	}
 }
@@ -162,32 +161,26 @@ func base[E any](s []E) *E { return &s[:cap(s)][0] }
 
 // TestRecorderReserveHoldsRun: after Reserve(s), recording a run of size s
 // moves none of the recorder's storage. That holds on a fresh recorder and
-// on a clone whose prefix, some of it still in flight, it shares with its
-// original and a snapshot; those two keep their records.
+// on a clone whose prefix it shares with its original and a snapshot; those
+// two keep their records.
 func TestRecorderReserveHoldsRun(t *testing.T) {
-	const prefix, delivered, run = 6, 3, 40
+	const prefix, run = 6, 40
 	for _, fromClone := range []bool{false, true} {
 		orig := NewRecorder(2)
 		record(orig, prefix, 0)
 		send(orig, 0, prefix, 1)
-		deliver(orig, 0, delivered, 1)
 		snap := snapshotOf(t, orig)
-		r, done, first := orig.Clone(), prefix, delivered
+		r, done := orig.Clone(), prefix
 		if !fromClone {
-			r, done, first = NewRecorder(2), 0, 0
+			r, done = NewRecorder(2), 0
 		}
 		r.Reserve(Size{Actions: run, Messages: run, PerNode: []int{run / 2, run / 2}})
 		actions, ledger := base(r.actions), base(r.ledger)
 		perNode := []*int{base(r.perNode[0]), base(r.perNode[1])}
 
-		// The rest of the run: actions alternate over the two nodes, and
-		// every message is delivered.
+		// The rest of the run: actions alternate over the two nodes.
 		record(r, run-done, 1)
-		if fromClone {
-			deliver(r, delivered, prefix-delivered, 2)
-		}
 		send(r, uint64(done), run-done, 2)
-		deliver(r, uint64(done), run-done, 2)
 		if len(r.actions) != run || len(r.ledger) != run || len(r.perNode[0]) != run/2 || len(r.perNode[1]) != run/2 {
 			t.Fatalf("recorded %d actions (%d, %d per node) and %d messages, want the reserved %d (%d per node)",
 				len(r.actions), len(r.perNode[0]), len(r.perNode[1]), len(r.ledger), run, run/2)
@@ -195,11 +188,11 @@ func TestRecorderReserveHoldsRun(t *testing.T) {
 		if base(r.actions) != actions || base(r.ledger) != ledger || base(r.perNode[0]) != perNode[0] || base(r.perNode[1]) != perNode[1] {
 			t.Errorf("clone %v: storage moved within the reserved size", fromClone)
 		}
-		ledgerOf(t, "recorder", r.ledger, run, first, 2, true)
+		ledgerOf(t, "recorder", r.ledger, run, done, 2)
 		branchOf(t, "original", orig, prefix, 0, 0)
 		actionsOf(t, "snapshot", snap.Actions, snap.PerNode, prefix, 0, 0)
-		ledgerOf(t, "original", orig.ledger, prefix, delivered, 1, false)
-		ledgerOf(t, "snapshot", snap.Ledger, prefix, delivered, 1, false)
+		ledgerOf(t, "original", orig.ledger, prefix, prefix, 0)
+		ledgerOf(t, "snapshot", snap.Ledger, prefix, prefix, 0)
 	}
 }
 
@@ -230,19 +223,16 @@ func snapshotOf(t *testing.T, r *Recorder) *Execution {
 	return exec
 }
 
-// TestRecorderExecutionCostFlat: a snapshot shares the recorded actions and
-// ledger, and a clone copies only the index of messages in flight, so
-// neither their allocation counts nor their allocated bytes depend on how
-// many actions and messages were recorded. (A copy of 10000 actions or
-// ledger records would cost over a megabyte.)
+// TestRecorderExecutionCostFlat: a snapshot and a clone share the recorded
+// actions and ledger, so neither their allocation counts nor their
+// allocated bytes depend on how many actions and messages were recorded.
+// (A copy of 10000 actions or ledger records would cost over a megabyte.)
 func TestRecorderExecutionCostFlat(t *testing.T) {
-	const inFlight = 3
 	net, scheds := lineAtRate1(t, 4)
 	cost := func(k int, op func(*Recorder)) (allocs, bytes uint64) {
 		r := NewRecorder(4)
 		record(r, k, 0)
 		send(r, 0, k, 1)
-		deliver(r, 0, k-inFlight, 1)
 		// One processor and a collection first keep the runtime's own
 		// allocations out of the count.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -279,145 +269,34 @@ var (
 )
 
 // msg returns the ledger record of the seq-th message from node 0 to node
-// 1, sent at time seq with delay d, and received if delivered.
-func msg(seq uint64, d int64, delivered bool) MsgRecord {
-	rec := MsgRecord{Key: MsgKey{From: 0, To: 1, Seq: seq}, SendReal: ri(int64(seq)), Delay: ri(d)}
-	if delivered {
-		rec.RecvReal, rec.Delivered = ri(int64(seq)+d), true
-	}
-	return rec
+// 1, sent at time seq with delay d: complete at send, as the engine hands
+// it to OnSend.
+func msg(seq uint64, d int64) MsgRecord {
+	return MsgRecord{Key: MsgKey{From: 0, To: 1, Seq: seq}, SendReal: ri(int64(seq)), RecvReal: ri(int64(seq) + d), Delay: ri(d)}
 }
 
-// send records the sends of messages seq … seq+k−1 with delay d.
+// send records the sends of messages seq … seq+k−1 with delay d: branches
+// with different delays record the same message differently.
 func send(r *Recorder, seq uint64, k int, d int64) {
 	for j := 0; j < k; j++ {
-		r.OnSend(msg(seq+uint64(j), d, false))
-	}
-}
-
-// deliver records the deliveries of messages seq … seq+k−1 with delay d:
-// branches with different delays close the same message differently.
-func deliver(r *Recorder, seq uint64, k int, d int64) {
-	for j := 0; j < k; j++ {
-		r.OnDeliver(msg(seq+uint64(j), d, true))
+		r.OnSend(msg(seq+uint64(j), d))
 	}
 }
 
 // ledgerOf checks that ledger holds the records of messages 0 … n−1: the
-// first ones sent and delivered with delay 1, the rest sent with delay d and
-// delivered only if closed.
-func ledgerOf(t *testing.T, who string, ledger []MsgRecord, n, first int, d int64, closed bool) {
+// first ones sent with delay 1, the rest with delay d.
+func ledgerOf(t *testing.T, who string, ledger []MsgRecord, n, first int, d int64) {
 	t.Helper()
 	if len(ledger) != n {
 		t.Fatalf("%s: %d ledger records, want %d", who, len(ledger), n)
 	}
 	for j, rec := range ledger {
-		want := msg(uint64(j), 1, true)
+		want := msg(uint64(j), 1)
 		if j >= first {
-			want = msg(uint64(j), d, closed)
+			want = msg(uint64(j), d)
 		}
 		if !reflect.DeepEqual(rec, want) {
 			t.Fatalf("%s: ledger record %d is %+v, want %+v", who, j, rec, want)
 		}
-	}
-}
-
-// TestRecorderLedgerCopyOnWrite: a snapshot and a clone taken while
-// messages are in flight share the ledger with the recorder. Closing those
-// messages on the recorder and on the clone, in either order, copies the
-// shared ledger first, as does reserving room past the ledger's capacity on
-// either side first; a reservation within it copies nothing, and the
-// deliveries still do. The snapshot and the branch not yet delivered keep
-// their records, and each branch ends with its own deliveries.
-func TestRecorderLedgerCopyOnWrite(t *testing.T) {
-	const sent, delivered = 8, 3
-	type reservation struct {
-		who   string
-		extra int // messages past those recorded
-	}
-	for _, res := range []reservation{{"neither", 0}, {"original", 0}, {"original", sent}, {"clone", 0}, {"clone", sent}} {
-		for _, originalFirst := range []bool{true, false} {
-			orig := NewRecorder(2)
-			send(orig, 0, sent, 1)
-			deliver(orig, 0, delivered, 1)
-			snap := snapshotOf(t, orig)
-			fork := orig.Clone()
-			type branch struct {
-				who string
-				r   *Recorder
-				d   int64
-			}
-			branches := []branch{{"original", orig, 2}, {"clone", fork, 3}}
-			if !originalFirst {
-				branches[0], branches[1] = branches[1], branches[0]
-			}
-			for _, b := range branches {
-				if b.who == res.who {
-					b.r.Reserve(room(b.r, res.extra))
-				}
-			}
-			who := func(r string) string { return fmt.Sprintf("%s (%s reserved %d more)", r, res.who, res.extra) }
-			for k, b := range branches {
-				deliver(b.r, delivered, sent-delivered, b.d)
-				ledgerOf(t, who("snapshot"), snap.Ledger, sent, delivered, 1, false)
-				if k == 0 {
-					other := branches[1]
-					ledgerOf(t, who(other.who+" before its deliveries"), other.r.ledger, sent, delivered, 1, false)
-				}
-			}
-			for _, b := range branches {
-				ledgerOf(t, who(b.who), b.r.ledger, sent, delivered, b.d, true)
-				if len(b.r.inFlight) != 0 {
-					t.Fatalf("%s: %d messages still indexed as in flight after every delivery", who(b.who), len(b.r.inFlight))
-				}
-			}
-		}
-	}
-}
-
-// TestRecorderCloneCopiesLedgerOnce: a clone's ledger is capped at the
-// clone point, so its first write moves it into storage of its own, whether
-// that write is a send or a delivery into the shared prefix. That storage
-// has room to grow: closing every message still in flight and sending as
-// many again as the prefix holds moves it no more. The original and a
-// snapshot taken before the clone keep their records.
-func TestRecorderCloneCopiesLedgerOnce(t *testing.T) {
-	const sent, delivered = 8, 3
-	for _, sendFirst := range []bool{true, false} {
-		orig := NewRecorder(2)
-		send(orig, 0, sent, 1)
-		deliver(orig, 0, delivered, 1)
-		snap := snapshotOf(t, orig)
-		clone := orig.Clone()
-		// A write is a send, or the delivery of a record marked delivered.
-		var sends, deliveries []MsgRecord
-		for seq := uint64(sent); seq < 2*sent; seq++ {
-			sends = append(sends, msg(seq, 2, false))
-		}
-		for seq := uint64(delivered); seq < sent; seq++ {
-			deliveries = append(deliveries, msg(seq, 2, true))
-		}
-		writes := append(deliveries, sends...)
-		if sendFirst {
-			writes = append(sends, deliveries...)
-		}
-		at, moves := base(clone.ledger), 0
-		for _, rec := range writes {
-			if rec.Delivered {
-				clone.OnDeliver(rec)
-			} else {
-				clone.OnSend(rec)
-			}
-			if b := base(clone.ledger); b != at {
-				at, moves = b, moves+1
-			}
-		}
-		if moves != 1 {
-			t.Errorf("send first %v: the clone's ledger moved %d times, want once", sendFirst, moves)
-		}
-		deliver(clone, sent, sent, 2)
-		ledgerOf(t, "clone", clone.ledger, 2*sent, delivered, 2, true)
-		ledgerOf(t, "original", orig.ledger, sent, delivered, 1, false)
-		ledgerOf(t, "snapshot", snap.Ledger, sent, delivered, 1, false)
 	}
 }

@@ -5,19 +5,18 @@
 // An Execution holds, for every node, the ordered sequence of actions it
 // observed (init, timer firings, message receipts, sends), each stamped with
 // both the real time and the node's hardware-clock reading, plus the
-// compiled hardware and logical clocks as exact piecewise-linear functions
-// of real time, and a ledger of every message with its realized delay, in
-// send order.
+// compiled logical clocks as exact piecewise-linear functions of real time,
+// and a ledger of every message with its realized delay and receive time,
+// in send order. Which messages a run delivered is read off its horizon.
 //
 // A Recorder builds Executions from an engine's event stream, compiling each
-// logical clock from the declarations it recorded. Its snapshots share the
-// recorded storage instead of copying it: the action log is append-only,
-// and the ledger, whose records deliveries close in place, is copied on the
-// first write into a prefix a snapshot or clone still reads. Recorded traces
-// are therefore read-only. A recorder's storage is contiguous: it doubles
-// when a run outgrows it, and Reserve sizes it up front from a Size, the
-// counts of a run like the one to be recorded, so that a clone's shared
-// prefix is copied once, into room for its whole branch.
+// logical clock from the declarations it recorded. Everything it records is
+// final when recorded (a message's record at its send), so its snapshots
+// share the recorded storage instead of copying it, and recorded traces are
+// read-only. A recorder's storage is contiguous: it doubles when a run
+// outgrows it, and Reserve sizes it up front from a Size, the counts of a
+// run like the one to be recorded, so that a clone's shared prefix is
+// copied once, into room for its whole branch.
 //
 // The paper's indistinguishability principle (§3): if the same actions occur
 // in the same per-node order at the same hardware-clock readings in two
@@ -152,15 +151,17 @@ func (k MsgKey) Compare(o MsgKey) int {
 	return cmp.Compare(k.Seq, o.Seq)
 }
 
-// MsgRecord is a ledger entry for one message. Its payload is on the Send
-// and Recv actions, which is where indistinguishability compares it.
+// MsgRecord is a ledger entry for one message, complete when the message is
+// sent: the engine fixes the delay, and with it the receive time, at send.
+// Whether an execution delivered it depends on the execution's horizon (see
+// Execution.Delivered). Its payload is on the Send and Recv actions, which
+// is where indistinguishability compares it.
 type MsgRecord struct {
-	Key       MsgKey
-	SendReal  rat.Rat
-	RecvReal  rat.Rat // meaningful only when Delivered
-	Delay     rat.Rat
-	Delivered bool // received within the execution horizon
-	Dropped   bool // removed by the adversary's fault model at send; never delivered
+	Key      MsgKey
+	SendReal rat.Rat
+	RecvReal rat.Rat // SendReal + Delay; zero when Dropped
+	Delay    rat.Rat
+	Dropped  bool // removed by the adversary's fault model at send; never delivered
 }
 
 // Execution is a completed run.
@@ -176,7 +177,6 @@ type Execution struct {
 	PerNode   [][]int          // indices into Actions, per node
 	Ledger    []MsgRecord      // one record per message, in send order
 	Logical   []*piecewise.PLF // per-node logical clock over real time
-	Hardware  []*piecewise.PLF // per-node hardware clock over real time
 }
 
 // N returns the number of nodes.
@@ -187,6 +187,14 @@ func (e *Execution) LogicalAt(i int, t rat.Rat) rat.Rat { return e.Logical[i].Ev
 
 // HWAt returns H_i(t).
 func (e *Execution) HWAt(i int, t rat.Rat) rat.Rat { return e.Schedules[i].HW(t) }
+
+// Delivered reports whether the execution delivered rec, one of its ledger
+// records: the message was not dropped and arrives by the horizon. An
+// execution is complete through its horizon, so every such message was
+// received, and every other one is still in flight at ℓ(e) (or lost).
+func (e *Execution) Delivered(rec *MsgRecord) bool {
+	return !rec.Dropped && rec.RecvReal.LessEq(e.Duration)
+}
 
 // FinalSkew returns L_i(duration) − L_j(duration).
 func (e *Execution) FinalSkew(i, j int) rat.Rat {
@@ -268,7 +276,7 @@ func CheckDelayBounds(e *Execution, from, to, lo, hi rat.Rat) error {
 	var err error
 	for i := range e.Ledger {
 		rec := &e.Ledger[i]
-		if !rec.Delivered {
+		if !e.Delivered(rec) {
 			continue
 		}
 		if rec.RecvReal.LessEq(from) || rec.RecvReal.Greater(to) {

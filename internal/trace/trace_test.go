@@ -22,10 +22,8 @@ func buildExec(t *testing.T, dur rat.Rat, rates []rat.Rat, actions []Action) *Ex
 	}
 	scheds := make([]*clock.Schedule, 2)
 	logical := make([]*piecewise.PLF, 2)
-	hardware := make([]*piecewise.PLF, 2)
 	for i := range scheds {
 		scheds[i] = clock.Constant(rates[i])
-		hardware[i] = scheds[i].HWFunc()
 		logical[i] = scheds[i].HWFunc()
 	}
 	perNode := make([][]int, 2)
@@ -39,7 +37,6 @@ func buildExec(t *testing.T, dur rat.Rat, rates []rat.Rat, actions []Action) *Ex
 		Actions:   actions,
 		PerNode:   perNode,
 		Logical:   logical,
-		Hardware:  hardware,
 	}
 }
 
@@ -164,9 +161,7 @@ func TestCheckIndistinguishablePayload(t *testing.T) {
 func TestCheckDelayBounds(t *testing.T) {
 	e := buildExec(t, ri(10), []rat.Rat{ri(1), ri(1)}, nil)
 	key := MsgKey{From: 0, To: 1, Seq: 0}
-	e.Ledger = []MsgRecord{{
-		Key: key, SendReal: ri(1), RecvReal: ri(2), Delay: ri(1), Delivered: true,
-	}}
+	e.Ledger = []MsgRecord{{Key: key, SendReal: ri(1), RecvReal: ri(2), Delay: ri(1)}}
 	// d(0,1) = 2; delay 1 = d/2 within [1/4, 3/4]·d.
 	if err := CheckDelayBounds(e, rat.Rat{}, ri(10), rf(1, 4), rf(3, 4)); err != nil {
 		t.Fatal(err)
@@ -179,10 +174,24 @@ func TestCheckDelayBounds(t *testing.T) {
 	if err := CheckDelayBounds(e, ri(5), ri(10), rf(5, 8), ri(1)); err != nil {
 		t.Errorf("message outside window should be ignored: %v", err)
 	}
-	// Undelivered: ignored.
-	e.Ledger[0] = MsgRecord{Key: key, SendReal: ri(1), Delay: ri(2), Delivered: false}
-	if err := CheckDelayBounds(e, rat.Rat{}, ri(10), rf(1, 2), rf(1, 2)); err != nil {
-		t.Errorf("undelivered message should be ignored: %v", err)
+	// Received at the horizon itself: delivered, and checked.
+	e.Ledger[0] = MsgRecord{Key: key, SendReal: ri(9), RecvReal: ri(10), Delay: ri(1)}
+	if err := CheckDelayBounds(e, rat.Rat{}, ri(10), rf(5, 8), ri(1)); err == nil {
+		t.Error("a message received at the horizon escaped the delay check")
+	}
+	// Undelivered: still in flight at the horizon 10, or dropped. The
+	// window reaches past the horizon, so only delivery excludes them.
+	for _, rec := range []MsgRecord{
+		{Key: key, SendReal: ri(9), RecvReal: ri(11), Delay: ri(2)},
+		{Key: key, SendReal: ri(1), Dropped: true},
+	} {
+		e.Ledger[0] = rec
+		if e.Delivered(&e.Ledger[0]) {
+			t.Fatalf("%+v delivered by the horizon %s", rec, e.Duration)
+		}
+		if err := CheckDelayBounds(e, rat.Rat{}, ri(20), rf(1, 2), rf(1, 2)); err != nil {
+			t.Errorf("undelivered message should be ignored: %v", err)
+		}
 	}
 }
 
@@ -193,7 +202,7 @@ func TestCheckDelayBoundsReportsSmallestKey(t *testing.T) {
 	e := buildExec(t, ri(10), []rat.Rat{ri(1), ri(1)}, nil)
 	for _, key := range []MsgKey{{1, 0, 0}, {0, 1, 3}, {1, 0, 2}, {0, 1, 2}, {0, 1, 5}} {
 		// d(0,1) = 2; delay 0 is below the lower bound 2/4.
-		e.Ledger = append(e.Ledger, MsgRecord{Key: key, SendReal: ri(2), RecvReal: ri(2), Delivered: true})
+		e.Ledger = append(e.Ledger, MsgRecord{Key: key, SendReal: ri(2), RecvReal: ri(2)})
 	}
 	want := "trace: message {0 1 2} delay 0 outside [1/4, 3/4]·2"
 	for run := 0; run < 20; run++ {
