@@ -7,8 +7,9 @@ all: vet build test
 build:
 	$(GO) build ./...
 
-# -race gates the parallel search worker pool (internal/search) and the dist
-# coordinator's concurrent shard dispatch. The CI test job runs this target.
+# -race gates the parallel search worker pool (internal/search) and the obs
+# registry and event hub that gcssearch run -serve reads while a search
+# writes. The CI test job runs this target.
 test:
 	$(GO) test -race ./...
 
@@ -134,8 +135,8 @@ matrix:
 matrix-smoke:
 	$(GO) run ./cmd/gcsbench -matrix -smoke -json > BENCH_matrix.json
 
-# Distributed-search planning smoke: bound the committed example campaign
-# without executing a single engine step (the CI test job runs this — it
-# proves the spec parses and the move-set arithmetic holds).
+# Campaign planning smoke: bound the committed example campaign without
+# executing a single engine step (the CI test job runs this — it proves the
+# spec parses and validates and the move-set arithmetic holds).
 plan-smoke:
 	$(GO) run ./cmd/gcssearch plan -spec examples/campaign_e13_long.json

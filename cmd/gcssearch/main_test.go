@@ -1,20 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"gcs/internal/dist"
+	"gcs/internal/obs"
 )
 
 const exampleSpec = "../../examples/campaign_e13_long.json"
@@ -89,50 +89,46 @@ func TestRunExample(t *testing.T) {
 	}
 }
 
-// runCells runs the example campaign with -json and the given extra flags
-// and returns each cell's JSON line as a field map.
-func runCells(t *testing.T, extra ...string) []map[string]json.RawMessage {
-	t.Helper()
+// TestRunSummaryReconcilesMetrics: `run -json` ends with a summary whose
+// metrics snapshot accounts for every cell: the search counters equal the
+// sums of the cells' evaluated, engine_steps and candidate_steps, one
+// generation is counted per progress line, and the engines' own step counter
+// saw every dispatched event.
+func TestRunSummaryReconcilesMetrics(t *testing.T) {
 	var out bytes.Buffer
-	if err := cmdRun(append([]string{"-spec", exampleSpec, "-json"}, extra...), &out); err != nil {
+	if err := cmdRun([]string{"-spec", exampleSpec, "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	var cells []map[string]json.RawMessage
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		var line map[string]json.RawMessage
-		if err := dec.Decode(&line); err != nil {
-			t.Fatalf("-json output is not JSON lines: %v", err)
-		}
-		if _, ok := line["best_candidate"]; ok {
-			cells = append(cells, line)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	var sum runSummary
+	dec := json.NewDecoder(strings.NewReader(lines[len(lines)-1]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sum); err != nil {
+		t.Fatalf("last -json line is not the run summary: %v\n%s", err, lines[len(lines)-1])
+	}
+	if len(sum.Cells) != 2 {
+		t.Fatalf("summary has %d cells, want 2", len(sum.Cells))
+	}
+	var evaluated, engineSteps, candidateSteps uint64
+	for _, c := range sum.Cells {
+		evaluated += uint64(c.Evaluated)
+		engineSteps += c.EngineSteps
+		candidateSteps += c.CandidateSteps
+	}
+	generations := uint64(strings.Count(out.String(), `"cell_name"`))
+	for name, want := range map[string]uint64{
+		"gcs_search_candidates_total":      evaluated,
+		"gcs_search_engine_steps_total":    engineSteps,
+		"gcs_search_candidate_steps_total": candidateSteps,
+		"gcs_search_generations_total":     generations,
+		"gcs_engine_steps_total":           engineSteps,
+	} {
+		if ms, ok := sum.Metrics.Get(name); !ok || ms.Value != float64(want) {
+			t.Errorf("%s = %v (present %v), want %d", name, ms.Value, ok, want)
 		}
 	}
-	if len(cells) != 2 {
-		t.Fatalf("got %d cell lines, want 2:\n%s", len(cells), out.String())
-	}
-	return cells
-}
-
-// TestRunRemoteMatchesInProcess: the same campaign sharded over a worker
-// reports every cell field the in-process run does, byte for byte, except
-// engine_steps, which counts the trunk replays the shard layout adds.
-func TestRunRemoteMatchesInProcess(t *testing.T) {
-	srv := httptest.NewServer((&dist.Worker{}).Handler())
-	defer srv.Close()
-	local := runCells(t)
-	remote := runCells(t, "-workers", srv.URL, "-shards", "2")
-	for i := range local {
-		delete(local[i], "engine_steps")
-		delete(remote[i], "engine_steps")
-		if len(local[i]) != len(remote[i]) {
-			t.Fatalf("cell %d: %d fields in process, %d remote", i, len(local[i]), len(remote[i]))
-		}
-		for field, want := range local[i] {
-			if got := remote[i][field]; !bytes.Equal(got, want) {
-				t.Errorf("cell %d field %q: remote %s, in process %s", i, field, got, want)
-			}
-		}
+	if generations != 8 {
+		t.Errorf("%d progress lines, want 8 (4 generations per cell)", generations)
 	}
 }
 
@@ -144,84 +140,74 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestWorkerServesAndDrains: `worker` serves the example campaign on a
-// loopback port with the outcome TestRunExample pins, and SIGINT drains it:
-// cmdWorker returns nil and the port stops accepting connections.
-func TestWorkerServesAndDrains(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestServeMux: the mux `run -serve` publishes serves the registry on
+// /v1/metrics and the hub's events on /v1/events, and /debug/pprof only with
+// -debug.
+func TestServeMux(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("c_total", "a counter").Add(3)
+	hub := obs.NewHub(4)
+	srv := httptest.NewServer(serveMux(reg, hub, false))
+	defer srv.Close()
+	defer hub.Close() // ends the event stream before the server closes
+
+	body, code := get(t, srv.URL+obs.PathMetrics)
+	if code != http.StatusOK || !strings.Contains(body, "c_total 3") {
+		t.Fatalf("%s: HTTP %d\n%s", obs.PathMetrics, code, body)
+	}
+	if _, code := get(t, srv.URL+"/debug/pprof/"); code != http.StatusNotFound {
+		t.Fatalf("pprof reachable without -debug: HTTP %d", code)
+	}
+
+	// The stream handler subscribes before it answers, so the event published
+	// once the response arrives reaches this client.
+	res, err := http.Get(srv.URL + obs.PathEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	done := make(chan error, 1)
-	go func() { done <- cmdWorker([]string{"-listen", addr}) }()
-	// cmdWorker installs its signal handler before it listens, so once the
-	// ping answers, SIGINT drains the worker instead of killing the test.
-	url := "http://" + addr
-	for start := time.Now(); dist.Ping(nil, url) != nil; time.Sleep(10 * time.Millisecond) {
-		select {
-		case err := <-done:
-			t.Fatalf("worker on %s exited before serving: %v", addr, err)
-		default:
-		}
-		if time.Since(start) > 10*time.Second {
-			t.Fatalf("worker on %s never answered a ping", addr)
-		}
-	}
-
-	// The checks below report with t.Error, so the worker is drained
-	// whatever they find.
-	var text bytes.Buffer
-	if err := cmdRun([]string{"-spec", exampleSpec, "-workers", url}, &text); err != nil {
-		t.Error(err)
-	}
-	out := text.String()
-	for _, want := range []string{
-		"cell 0 two-node d=16:\n  baseline 0, searched worst case 43/3 (candidate 65)\n",
-		"cell 1 two-node d=64:\n  baseline 0, searched worst case 151/3 (candidate 65)\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("run report lacks %q:\n%s", want, out)
-		}
-	}
-	if n := strings.Count(out, "  3 rounds, 100 candidates, "); n != 2 {
-		t.Errorf("%d cells report 3 rounds and 100 candidates, want 2:\n%s", n, out)
-	}
-	if n := strings.Count(out, "(1 remote, 0 local)"); n != 8 {
-		t.Errorf("%d of 8 generations ran on the worker:\n%s", n, out)
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+	defer res.Body.Close()
+	hub.Publish(obs.Event{Scope: "run", Name: "generation", Data: 1})
+	line, err := bufio.NewReader(res.Body).ReadBytes('\n')
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("cmdWorker after SIGINT: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cmdWorker did not return after SIGINT")
+	var ev obs.Event
+	if err := json.Unmarshal(line, &ev); err != nil || ev.Scope != "run" || ev.Name != "generation" {
+		t.Fatalf("%s line %q: event %+v, error %v", obs.PathEvents, line, ev, err)
 	}
-	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
-		conn.Close()
-		t.Fatalf("%s still accepts connections after the drain", addr)
+
+	debug := httptest.NewServer(serveMux(reg, obs.NewHub(1), true))
+	defer debug.Close()
+	if _, code := get(t, debug.URL+"/debug/pprof/"); code != http.StatusOK {
+		t.Fatalf("pprof index with -debug: HTTP %d, want 200", code)
 	}
+}
+
+// get fetches url and returns its body and status code.
+func get(t *testing.T, url string) (string, int) {
+	t.Helper()
+	res, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body), res.StatusCode
 }
 
 // TestSubcommandsRejectStrayArgument: flag parsing stops at the first
 // argument that is not a flag, so each subcommand refuses a stray word
-// instead of running with the flags after it dropped. The worker's -listen
-// port is invalid, so a worker that let the word pass would fail on
-// listening, not on the word.
+// instead of running with the flags after it dropped.
 func TestSubcommandsRejectStrayArgument(t *testing.T) {
 	for name, tc := range map[string]struct {
 		cmd  func([]string) error
 		args []string
 	}{
-		"plan":   {func(args []string) error { return cmdPlan(args, io.Discard) }, []string{"-spec", exampleSpec, "stray"}},
-		"worker": {cmdWorker, []string{"-listen", "127.0.0.1:-1", "stray"}},
-		"run":    {func(args []string) error { return cmdRun(args, io.Discard) }, []string{"-spec", exampleSpec, "stray", "-json"}},
+		"plan": {func(args []string) error { return cmdPlan(args, io.Discard) }, []string{"-spec", exampleSpec, "stray"}},
+		"run":  {func(args []string) error { return cmdRun(args, io.Discard) }, []string{"-spec", exampleSpec, "stray", "-json"}},
 	} {
 		if err := tc.cmd(tc.args); err == nil || err.Error() != `unexpected argument "stray"` {
 			t.Errorf("%s %v: error %v, want one naming the stray argument", name, tc.args, err)
@@ -229,37 +215,30 @@ func TestSubcommandsRejectStrayArgument(t *testing.T) {
 	}
 }
 
-// TestBindFailureAnnouncesNothing: an address that cannot be bound fails the
-// subcommand before it announces the address or runs anything: nothing on
+// TestBindFailureAnnouncesNothing: an address that cannot be bound fails
+// `run -serve` before it announces the address or runs anything: nothing on
 // stderr, no report on stdout.
 func TestBindFailureAnnouncesNothing(t *testing.T) {
-	for name, cmd := range map[string]func(out io.Writer) error{
-		"run -serve": func(out io.Writer) error {
-			return cmdRun([]string{"-spec", exampleSpec, "-serve", "127.0.0.1:-1"}, out)
-		},
-		"worker -listen": func(io.Writer) error { return cmdWorker([]string{"-listen", "127.0.0.1:-1"}) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			stderr, err := os.CreateTemp(t.TempDir(), "stderr")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer stderr.Close()
-			saved := os.Stderr
-			os.Stderr = stderr
-			var out bytes.Buffer
-			err = cmd(&out)
-			os.Stderr = saved
-			if err == nil || !strings.Contains(err.Error(), "127.0.0.1:-1") {
-				t.Errorf("error %v, want one naming the address", err)
-			}
-			logged, rerr := os.ReadFile(stderr.Name())
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			if len(logged) > 0 || out.Len() > 0 {
-				t.Errorf("printed before failing:\nstderr: %s\nstdout: %s", logged, out.String())
-			}
-		})
-	}
+	t.Run("run -serve", func(t *testing.T) {
+		stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stderr.Close()
+		saved := os.Stderr
+		os.Stderr = stderr
+		var out bytes.Buffer
+		err = cmdRun([]string{"-spec", exampleSpec, "-serve", "127.0.0.1:-1"}, &out)
+		os.Stderr = saved
+		if err == nil || !strings.Contains(err.Error(), "127.0.0.1:-1") {
+			t.Errorf("error %v, want one naming the address", err)
+		}
+		logged, rerr := os.ReadFile(stderr.Name())
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if len(logged) > 0 || out.Len() > 0 {
+			t.Errorf("printed before failing:\nstderr: %s\nstdout: %s", logged, out.String())
+		}
+	})
 }

@@ -1,20 +1,8 @@
-// Package dist turns internal/search into a coordinator/worker service: a
-// coordinator partitions each campaign generation into deterministic shards
-// and dispatches them to workers over a versioned JSON-over-HTTP protocol;
-// workers rebuild the shard from the wire generation and run the same
-// prefix-cached evaluation the single-process search runs; the coordinator
-// merges shard results with the argmax-by-candidate-index reduction.
-//
-// The whole design leans on one invariant, proved and enforced in
-// internal/search: a Campaign's merge is byte-identical to single-process
-// Search for any shard layout, any shard count, and any arrival order
-// (EngineSteps excepted — trunk prefixes replay once per shard). dist
-// therefore owes no correctness argument of its own; what it adds is the
-// service plumbing — a campaign *spec* both sides rebuild identical
-// search.Options from, worker timeout/retry with reassignment to surviving
-// workers, and local degradation (a shard no worker can evaluate runs on the
-// coordinator, with the reason recorded in Result.Notes) — so a worker crash
-// mid-campaign changes nothing about the final bytes.
+// Package dist runs worst-case search campaigns: a campaign spec names a
+// protocol, a list of topology cells and the search budget in plain JSON,
+// PlanCampaign bounds its work without executing an engine step, and Run
+// searches each cell in this process with internal/search. `gcssearch plan`
+// and `gcssearch run` are its command line.
 package dist
 
 import (
@@ -29,8 +17,8 @@ import (
 )
 
 // CellSpec names one topology instance of a campaign. Cells are specs, not
-// objects: coordinator and worker each rebuild the network from the spec, so
-// only plain data crosses the wire.
+// objects: the network is rebuilt from the spec, so a campaign is plain
+// data.
 type CellSpec struct {
 	// Name labels the cell in progress events and results (defaults to
 	// "topology/n" when empty).
@@ -58,12 +46,21 @@ func (c CellSpec) Label() string {
 	return fmt.Sprintf("%s n=%d", c.Topology, c.N)
 }
 
-// maxRounds caps a remote spec's round budget: the planner keeps one bound
-// per round. The node count is capped by network.MaxNodes.
-const maxRounds = 1024
+// The caps on a spec's cell count and search budget. With the node count n
+// capped by network.MaxNodes (2^10), a parent contributes at most
+// 2n(1 + rate_windows) + 3·delay_mutations < 2^22 candidates to a
+// generation, a generation holds at most beam times that (< 2^32), a cell at
+// most 1 + rounds of those (< 2^42), and a plan at most maxCells cells
+// (< 2^52): no valid spec can overflow PlanCampaign's int arithmetic.
+const (
+	maxCells          = 1024
+	maxRounds         = 1024
+	maxBeam           = 1024
+	maxDelayMutations = 1024
+	maxRateWindows    = 1024
+)
 
-// Network rebuilds the cell's network. Deterministic in the spec alone:
-// coordinator and workers agree on the topology by construction.
+// Network rebuilds the cell's network, deterministically in the spec alone.
 func (c CellSpec) Network() (*network.Network, error) {
 	switch c.Topology {
 	case "line":
@@ -94,22 +91,21 @@ func (c CellSpec) edge() rat.Rat {
 	return rat.FromInt(1)
 }
 
-// CampaignSpec is a whole distributed campaign in plain data: the protocol,
-// the cells, the move-set budget, and the adversary — everything both sides
-// need to rebuild identical search.Options. It is the unit the wire protocol
-// ships (inside every ShardRequest) and the unit `gcssearch plan` bounds.
+// CampaignSpec is a whole campaign in plain data: the protocol, the cells,
+// the move-set budget, and the adversary — everything needed to rebuild each
+// cell's search.Options. It is the unit `gcssearch plan` bounds and
+// `gcssearch run` searches.
 type CampaignSpec struct {
 	// Protocol is a name algorithms.ByName accepts (algorithms.Names).
 	Protocol string `json:"protocol"`
 	// Cells are searched one after another; each is its own Campaign.
 	Cells []CellSpec `json:"cells"`
-	// Rho is the drift bound ρ (default 1/2).
+	// Rho is the drift bound ρ, in [0, 1); zero means the default 1/2.
 	Rho rat.Rat `json:"rho,omitempty"`
 	// Adversary seeds the search and serves as the tail for unscripted
 	// decisions: a name engine.AdversaryByName accepts (default midpoint).
-	// All of them are stateless, hence shard-safe; stateful bases enter
-	// campaigns only through the programmatic API, where search refuses any
-	// it cannot clone.
+	// All of them are stateless; stateful bases enter searches only through
+	// the programmatic API, where search refuses any it cannot clone.
 	Adversary string `json:"adversary,omitempty"`
 	// Seed feeds the random adversary.
 	Seed uint64 `json:"seed,omitempty"`
@@ -117,25 +113,43 @@ type CampaignSpec struct {
 	// objective compares against the linear envelope f(d) = 1 + d.
 	Objective string `json:"objective,omitempty"`
 
-	// Search budget, zero meaning the search.Options default.
+	// Search budget, zero meaning the search.Options default (RateWindows
+	// zero: no windowed rate surgery). Each is capped at 1024.
 	Rounds         int     `json:"rounds,omitempty"`
 	Beam           int     `json:"beam,omitempty"`
 	DelayMutations int     `json:"delay_mutations,omitempty"`
 	RateWindows    int     `json:"rate_windows,omitempty"`
 	MutateTail     rat.Rat `json:"mutate_tail,omitempty"`
-	// Threads bounds each evaluator's local worker pool (0 = GOMAXPROCS).
-	// A worker process may override it with its own capacity.
+	// Threads bounds the search's evaluation pool (0 = GOMAXPROCS).
 	Threads int `json:"threads,omitempty"`
 }
 
 // Validate checks the spec rebuilds: every cell's network, the protocol, the
-// adversary, and the objective, with the round budget under maxRounds.
+// adversary, and the objective, with ρ in [0, 1), no negative rate_windows,
+// and the cell count and search budget within their caps.
 func (s *CampaignSpec) Validate() error {
 	if len(s.Cells) == 0 {
 		return fmt.Errorf("dist: campaign has no cells")
 	}
-	if s.Rounds > maxRounds {
-		return fmt.Errorf("dist: %d rounds exceeds the cap of %d", s.Rounds, maxRounds)
+	for _, c := range []struct {
+		name     string
+		val, max int
+	}{
+		{"cells", len(s.Cells), maxCells},
+		{"rounds", s.Rounds, maxRounds},
+		{"beam", s.Beam, maxBeam},
+		{"delay_mutations", s.DelayMutations, maxDelayMutations},
+		{"rate_windows", s.RateWindows, maxRateWindows},
+	} {
+		if c.val > c.max {
+			return fmt.Errorf("dist: %d %s exceeds the cap of %d", c.val, c.name, c.max)
+		}
+	}
+	if s.RateWindows < 0 {
+		return fmt.Errorf("dist: negative rate_windows %d", s.RateWindows)
+	}
+	if s.Rho.Sign() < 0 || s.Rho.GreaterEq(rat.FromInt(1)) {
+		return fmt.Errorf("dist: rho %s outside [0, 1)", s.Rho)
 	}
 	for i := range s.Cells {
 		if _, err := s.Cells[i].Network(); err != nil {
@@ -181,10 +195,7 @@ func (s *CampaignSpec) rho() rat.Rat {
 	return rat.MustFrac(1, 2)
 }
 
-// CellOptions rebuilds the search.Options for cell i. Both sides of the wire
-// call exactly this, so coordinator-side Campaign state and worker-side
-// EvaluateShard always describe the same search — the precondition for the
-// byte-identity guarantee.
+// CellOptions rebuilds the search.Options for cell i.
 func (s *CampaignSpec) CellOptions(i int) (search.Options, error) {
 	if i < 0 || i >= len(s.Cells) {
 		return search.Options{}, fmt.Errorf("dist: cell %d of %d", i, len(s.Cells))

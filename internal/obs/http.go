@@ -6,8 +6,7 @@ import (
 	"net/http/pprof"
 )
 
-// Wire paths the observability layer serves, mounted next to the dist
-// protocol's /v1 endpoints.
+// Paths the observability layer serves (`gcssearch run -serve`).
 const (
 	// PathMetrics serves the registry snapshot: Prometheus text by default,
 	// JSON with ?format=json.

@@ -7,9 +7,9 @@ import (
 
 // Event is one structured run-trace event: a timestamped, named occurrence
 // with an arbitrary JSON-marshalable payload. The Scope/Name pair is the
-// event's identity ("campaign"/"generation", "run"/"result", ...); Data
-// carries the layer-specific record (a dist.ProgressEvent, a final result
-// summary, a metrics Snapshot).
+// event's identity ("run"/"generation", "run"/"result", ...); Data carries
+// the layer-specific record (a `gcssearch run` progress event, its final
+// result summary).
 type Event struct {
 	Time  time.Time `json:"time"`
 	Scope string    `json:"scope"`
@@ -18,8 +18,8 @@ type Event struct {
 }
 
 // Hub fans run-trace events out to any number of subscribers — the seam
-// between a producer that must never block (the coordinator's generation
-// loop) and consumers of unknown speed (HTTP streaming clients). Publish is
+// between a producer that must never block (a campaign's generation loop)
+// and consumers of unknown speed (HTTP streaming clients). Publish is
 // non-blocking: a subscriber whose buffer is full loses that event, and the
 // loss is counted rather than silently absorbed. Close terminates every
 // subscription; a closed hub drops all further publishes.

@@ -188,9 +188,9 @@ type decisionLogWire struct {
 }
 
 // MarshalJSON encodes the log as a replayable script: decisions in send
-// order with their exact rational times, delays, and bounds. This is the
-// wire format the distributed coordinator ships to workers, and a stable way
-// to save a found adversary for later replay.
+// order with their exact rational times, delays, and bounds: a stable way
+// to save a found adversary for later replay (the root package exports the
+// type as gcs.DecisionLog).
 func (l *DecisionLog) MarshalJSON() ([]byte, error) {
 	w := decisionLogWire{Events: l.events, Decisions: make([]decisionWire, len(l.decisions))}
 	for i, d := range l.decisions {

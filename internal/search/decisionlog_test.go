@@ -53,9 +53,8 @@ func captureLog(t *testing.T) *DecisionLog {
 	return log
 }
 
-// TestDecisionLogJSONRoundTrip: the wire format the coordinator ships to
-// workers must reproduce every decision — and the derived script — bit for
-// bit.
+// TestDecisionLogJSONRoundTrip: the JSON form a saved adversary is kept in
+// must reproduce every decision — and the derived script — bit for bit.
 func TestDecisionLogJSONRoundTrip(t *testing.T) {
 	log := captureLog(t)
 	data, err := json.Marshal(log)
@@ -97,9 +96,9 @@ func TestDecisionLogJSONRoundTrip(t *testing.T) {
 }
 
 // TestDecisionLogGolden pins the serialized form against a committed golden
-// file: the wire format is a compatibility surface (saved adversaries,
-// coordinator/worker exchanges), so accidental format drift must fail
-// loudly. Regenerate with `go test ./internal/search -run Golden -update`.
+// file: the JSON form is a compatibility surface (saved adversaries, and the
+// root package exports the type as gcs.DecisionLog), so accidental format
+// drift must fail loudly. Regenerate with `go test ./internal/search -run Golden -update`.
 func TestDecisionLogGolden(t *testing.T) {
 	log := captureLog(t)
 	var buf bytes.Buffer

@@ -10,8 +10,8 @@ import (
 )
 
 // TestMetricsReconcileWithResult pins the instrument contract: the counters
-// a Campaign advances while absorbing reconcile exactly with the final
-// Result's accounting, and attaching them changes no result byte.
+// a Campaign advances as it merges each generation reconcile exactly with
+// the final Result's accounting, and attaching them changes no result byte.
 func TestMetricsReconcileWithResult(t *testing.T) {
 	net, err := network.TwoNode(rat.FromInt(16))
 	if err != nil {

@@ -152,7 +152,7 @@ type Options struct {
 
 	// Metrics, when non-nil, receives campaign-level accounting (generations
 	// merged, candidates evaluated, engine steps, prefix-cache savings) as
-	// shard results are absorbed. EngineMetrics, when non-nil, instruments
+	// each generation is merged. EngineMetrics, when non-nil, instruments
 	// every engine this search constructs (trunks, forks, from-scratch
 	// evaluations) so its step counters advance live during evaluation, not
 	// just at merge time. Neither affects the search outcome in any way.
@@ -179,8 +179,7 @@ type Result struct {
 	Best rat.Rat
 	// BestCandidate is the winning candidate's global discovery index (0 =
 	// the unmutated base). Candidate indices are assigned in enumeration
-	// order, so this — like every other field except EngineSteps — is
-	// identical however the evaluation was scheduled or sharded.
+	// order, so this is identical however the evaluation was scheduled.
 	BestCandidate int
 	// Witness is the pair and time attaining Best (skew objectives) or the
 	// pair with the worst margin (margin objective).
@@ -211,11 +210,6 @@ type Result struct {
 	// EngineSteps is the prefix-cache speedup.
 	EngineSteps    uint64
 	CandidateSteps uint64
-	// Notes records evaluation-strategy degradations a driver applied — the
-	// distributed coordinator's worker failures and local fallbacks — so a
-	// caller (or a log reader) can see why a run evaluated slower than
-	// configured. Search itself never degrades and leaves it empty.
-	Notes []string
 }
 
 // StepsPerCandidate returns the engine events dispatched per evaluated
@@ -268,7 +262,7 @@ type candidate struct {
 	// event at/after divTime (Engine.SwapSchedule re-derives queued timer
 	// times from their hardware targets). schedOverride materializes the
 	// candidate's own set for from-scratch evaluation, dedup keys, and the
-	// wire form of evaluated candidates.
+	// candidate's entry in the beam.
 	swapNode  int
 	swapSched *clock.Schedule
 	divTime   rat.Rat
@@ -287,25 +281,15 @@ type evaluation struct {
 
 // Search hunts a skew-maximizing execution for opt.Protocol on opt.Net. See
 // the package comment for the algorithm; the result is deterministic in
-// Options alone.
-//
-// Search is the single-process driver of a Campaign: each generation is
-// evaluated as one whole-pool shard. The distributed coordinator
-// (internal/dist) drives the identical Campaign with the pool partitioned
-// across workers; the merge is argmax with ties broken on candidate index,
-// so both paths produce byte-identical Results (EngineSteps excepted — see
-// the Campaign doc).
+// Options alone. Search drives a Campaign to the end, one Step per
+// generation.
 func Search(opt Options) (*Result, error) {
 	c, err := NewCampaign(opt)
 	if err != nil {
 		return nil, err
 	}
 	for !c.Done() {
-		sr, err := c.EvaluateRange(0, c.NumPending())
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Absorb([]*ShardResult{sr}); err != nil {
+		if err := c.Step(); err != nil {
 			return nil, err
 		}
 	}
@@ -425,8 +409,8 @@ func applyRates(opt Options, override []*clock.Schedule, rates []rat.Rat) []*clo
 
 // schedOverride returns the candidate's own full schedule override — its
 // scheds with the rate-window swap applied — or nil when it has neither.
-// This is the candidate's identity (dedup keys, wire encoding of evaluated
-// candidates) and what a from-scratch evaluation runs under.
+// This is the candidate's identity (dedup keys, beam entries) and what a
+// from-scratch evaluation runs under.
 func schedOverride(c candidate) []*clock.Schedule {
 	if c.swapSched == nil {
 		return c.scheds

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"strings"
@@ -474,6 +475,93 @@ func TestSearchOptionValidation(t *testing.T) {
 	}
 }
 
+// seqCapped delays each message by half its bound while its sequence number
+// is below limit, and past its bound from there on, so a run that sends more
+// messages than the base run did fails.
+type seqCapped struct{ limit uint64 }
+
+func (a seqCapped) Delay(_, _ int, seq uint64, _, bound rat.Rat) rat.Rat {
+	if seq >= a.limit {
+		return bound.Add(ri(1))
+	}
+	return bound.Mul(rf(1, 2))
+}
+
+// TestSearchErrorNamesFirstFailure: a failed evaluation ends the search with
+// its generation's lowest-ID failure, worded by what failed — the base run,
+// a seed, or a mutation candidate — around the engine's own error.
+func TestSearchErrorNamesFirstFailure(t *testing.T) {
+	opt := lineOpts(t, 3, 4)
+	plain, err := Search(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A seed that scripts one message of the base run past its bound.
+	late := func(name string, k trace.MsgKey) Seed {
+		script := maps.Clone(plain.Script)
+		script[k] = opt.Net.Dist(k.From, k.To).Add(ri(1))
+		return Seed{Name: name, Script: script}
+	}
+	keys := scriptKeys(plain.Script)
+	seeds := []Seed{{Name: "fine", Script: plain.Script}, late("late", keys[len(keys)-1]), late("later", keys[0])}
+
+	drift := opt
+	drift.Rho = ri(2)
+	drift.Seeds = seeds
+	if _, err := Search(drift); err == nil || !strings.HasPrefix(err.Error(), "search: base run: engine: drift ρ=2 ") {
+		t.Errorf("ρ = 2 with failing seeds: error %v, want the base run's", err)
+	}
+	seeded := opt
+	seeded.Seeds = seeds
+	if _, err := Search(seeded); err == nil || !strings.HasPrefix(err.Error(), `search: seed "late": engine: adversary delay `) {
+		t.Errorf("two failing seeds: error %v, want the first one's", err)
+	}
+
+	// A tail adversary that fails any run sending more messages than the
+	// base run: the base passes and some round-one mutants fail.
+	norm := opt
+	if err := normalize(&norm); err != nil {
+		t.Fatal(err)
+	}
+	base := evaluate(norm, candidate{rates: make([]rat.Rat, opt.Net.N())})
+	if base.err != nil {
+		t.Fatal(base.err)
+	}
+	var limit uint64
+	for _, d := range base.log.Decisions() {
+		limit = max(limit, d.Key.Seq+1)
+	}
+	capped := opt
+	capped.Base = seqCapped{limit}
+	c, err := NewCampaign(capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Step(); err != nil {
+		t.Fatalf("round zero: %v", err)
+	}
+	var first *evaluation
+	failing := 0
+	for _, cand := range c.pending {
+		if ev := evaluate(c.opt, cand); ev.err != nil {
+			failing++
+			if first == nil || ev.cand.id < first.cand.id {
+				first = &ev
+			}
+		}
+	}
+	if failing < 2 {
+		t.Fatalf("weak fixture: %d of %d round-one candidates fail", failing, len(c.pending))
+	}
+	want := fmt.Sprintf("search: candidate %d: %v", first.cand.id, first.err)
+	if err := c.Step(); err == nil || err.Error() != want {
+		t.Errorf("round one: error %v, want %s", err, want)
+	}
+	if _, err := Search(capped); err == nil || err.Error() != want {
+		t.Errorf("Search: error %v, want %s", err, want)
+	}
+}
+
 // TestParseObjective round-trips the CLI names.
 func TestParseObjective(t *testing.T) {
 	for _, o := range []Objective{ObjectiveGlobalSkew, ObjectiveLocalSkew, ObjectiveGradientMargin} {
@@ -760,11 +848,7 @@ func TestKeyMatchesReferenceOnMutants(t *testing.T) {
 			var keys, refs []string
 			dups := 0
 			for !c.Done() {
-				sr, err := c.EvaluateRange(0, c.NumPending())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Absorb([]*ShardResult{sr}); err != nil {
+				if err := c.Step(); err != nil {
 					t.Fatal(err)
 				}
 				for _, parent := range c.beam {

@@ -47,9 +47,6 @@ func TestStatefulBasePrefixCacheMatchesFullResim(t *testing.T) {
 			t.Fatalf("workers=%d: prefix cache dispatched %d events, full resim %d; no sharing happened",
 				workers, cached.EngineSteps, scratch.EngineSteps)
 		}
-		if len(cached.Notes) != 0 {
-			t.Fatalf("cloneable stateful base triggered a degradation note: %v", cached.Notes)
-		}
 	}
 }
 
@@ -99,18 +96,6 @@ func TestNonCloneableBaseFallsBackSerial(t *testing.T) {
 	res, err := Search(opt)
 	if err == nil || !strings.Contains(err.Error(), "not cloneable") {
 		t.Fatalf("want a not-cloneable error, got result %+v, err %v", res, err)
-	}
-}
-
-// TestStatelessBaseHasNoNotes: Search records no notes of its own; only a
-// driver (the dist coordinator) appends degradation notes.
-func TestStatelessBaseHasNoNotes(t *testing.T) {
-	res, err := Search(lineOpts(t, 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Notes) != 0 {
-		t.Fatalf("stateless base produced notes: %v", res.Notes)
 	}
 }
 
