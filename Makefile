@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated perf-trend plan-smoke matrix matrix-smoke fuzz-smoke perf-smoke
+.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated perf-trend search-smoke matrix matrix-smoke fuzz-smoke perf-smoke
 
 all: vet build test
 
@@ -135,8 +135,11 @@ matrix:
 matrix-smoke:
 	$(GO) run ./cmd/gcsbench -matrix -smoke -json > BENCH_matrix.json
 
-# Campaign planning smoke: bound the committed example campaign without
-# executing a single engine step (the CI test job runs this — it proves the
-# spec parses and validates and the move-set arithmetic holds).
-plan-smoke:
+# Search CLI smoke on the committed example campaign, which the CI test job
+# runs: `plan` bounds it without executing an engine step (the spec parses
+# and validates, and the move-set arithmetic holds), then `run` searches both
+# cells in process (about 30 ms). Either one exiting non-zero fails the
+# target.
+search-smoke:
 	$(GO) run ./cmd/gcssearch plan -spec examples/campaign_e13_long.json
+	$(GO) run ./cmd/gcssearch run -spec examples/campaign_e13_long.json

@@ -2,7 +2,8 @@
 // (internal/dist): a campaign spec — cells × move sets × generations, a JSON
 // file — is bounded without executing a single engine step, and searched in
 // this process, cell after cell, by the same search.Search the experiments
-// run.
+// run. It is the one search command line: a single search is a one-cell
+// spec.
 //
 // Usage:
 //
@@ -22,8 +23,10 @@
 // (Rationals are exact strings: "16", "1/2".) `plan` bounds each cell's
 // generations and per-generation candidates from the move-set arithmetic
 // alone; `run` searches every cell, printing one progress line per merged
-// generation, and with -serve publishes its metrics on /v1/metrics and its
-// progress on /v1/events while it runs.
+// generation and then each cell's winner: value, witness, rate overrides and
+// script size (-json adds the script itself, as search.EncodeScript entries).
+// With -serve it publishes its metrics on /v1/metrics and its progress on
+// /v1/events while it runs; -debug, which needs -serve, adds /debug/pprof.
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"gcs/internal/dist"
@@ -174,6 +178,21 @@ func serveMux(reg *obs.Registry, hub *obs.Hub, debug bool) *http.ServeMux {
 	return mux
 }
 
+// rateOverrides lists the nodes whose rate the winning candidate overrides
+// (a zero rate keeps the node's base schedule), or "none".
+func rateOverrides(rates []rat.Rat) string {
+	var flips []string
+	for i, r := range rates {
+		if !r.IsZero() {
+			flips = append(flips, fmt.Sprintf("node %d → %s", i, r))
+		}
+	}
+	if len(flips) == 0 {
+		return "none"
+	}
+	return strings.Join(flips, ", ")
+}
+
 // cmdRun searches a campaign in process and streams per-generation progress
 // — to out always, and to attached HTTP clients on /v1/events when -serve is
 // set.
@@ -185,6 +204,9 @@ func cmdRun(args []string, out io.Writer) error {
 	debug := fs.Bool("debug", false, "with -serve: mount /debug/pprof on the serve mux")
 	if err := parse(fs, args); err != nil {
 		return err
+	}
+	if *debug && *serve == "" {
+		return fmt.Errorf("-debug mounts pprof on the -serve mux; add -serve or drop -debug")
 	}
 	spec, err := loadSpec(*specPath)
 	if err != nil {
@@ -274,6 +296,7 @@ func cmdRun(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  witness pair (%d, %d) at t=%s\n", co.WitnessI, co.WitnessJ, co.WitnessAt)
 		fmt.Fprintf(out, "  %d rounds, %d candidates, %d engine steps (%d re-simulated)\n",
 			co.Rounds, co.Evaluated, co.EngineSteps, co.CandidateSteps)
+		fmt.Fprintf(out, "  rate overrides: %s\n", rateOverrides(co.Rates))
 		fmt.Fprintf(out, "  script: %d scripted delays\n", len(co.Script))
 	}
 	_, err = fmt.Fprintf(out, "campaign: %d cell(s) in %s\n", len(cells), elapsed)

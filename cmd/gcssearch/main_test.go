@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -78,7 +80,8 @@ func TestRunExample(t *testing.T) {
 	out := text.String()
 	for _, want := range []string{
 		"cell 0 two-node d=16:\n  baseline 0, searched worst case 43/3 (candidate 65)\n",
-		"  3 rounds, 100 candidates, 6032 engine steps (12785 re-simulated)\n",
+		"  3 rounds, 100 candidates, 6032 engine steps (12785 re-simulated)\n" +
+			"  rate overrides: node 0 → 3/2, node 1 → 1/2\n",
 		"cell 1 two-node d=64:\n  baseline 0, searched worst case 151/3 (candidate 65)\n",
 		"  3 rounds, 100 candidates, 23938 engine steps (50602 re-simulated)\n",
 		"campaign: 2 cell(s) in ",
@@ -212,6 +215,32 @@ func TestSubcommandsRejectStrayArgument(t *testing.T) {
 		if err := tc.cmd(tc.args); err == nil || err.Error() != `unexpected argument "stray"` {
 			t.Errorf("%s %v: error %v, want one naming the stray argument", name, tc.args, err)
 		}
+	}
+}
+
+// TestMain runs the command itself instead of the tests when GCSSEARCH_MAIN
+// is set, so a test can drive it, exit status included, from a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("GCSSEARCH_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDebugNeedsServe: -debug mounts pprof on the -serve mux, so without
+// -serve it could not take effect; `run` refuses it, naming both flags,
+// before it reads the spec or runs anything.
+func TestDebugNeedsServe(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "run", "-spec", exampleSpec, "-debug")
+	cmd.Env = append(os.Environ(), "GCSSEARCH_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout.Len() != 0 ||
+		!strings.Contains(stderr.String(), "-debug") || !strings.Contains(stderr.String(), "-serve") {
+		t.Fatalf("exit %v, stdout %q, stderr %q; want exit 1 and an error naming -debug and -serve", err, stdout.String(), stderr.String())
 	}
 }
 

@@ -14,20 +14,21 @@ func TestRunHappyPaths(t *testing.T) {
 		topology string
 		n        int
 		adv      string
-		stream   bool
+		chart    bool
 	}{
-		{"gradient line", "gradient", "line", 7, "midpoint", false},
-		{"llw? no: max-gossip ring", "max-gossip", "ring", 6, "random", false},
-		{"max-flood grid", "max-flood", "grid", 9, "zero", false},
-		{"rbs star", "rbs", "star", 6, "random", false},
-		{"null complete", "null", "complete", 4, "max", false},
-		{"streamed gradient line", "gradient", "line", 7, "midpoint", true},
-		{"streamed max-gossip ring", "max-gossip", "ring", 6, "random", true},
-		{"streamed null complete", "null", "complete", 4, "max", true},
+		{"gradient line", "gradient", "line", 7, "midpoint", true},
+		{"llw? no: max-gossip ring", "max-gossip", "ring", 6, "random", true},
+		{"max-flood grid", "max-flood", "grid", 9, "zero", true},
+		{"rbs star", "rbs", "star", 6, "random", true},
+		{"null complete", "null", "complete", 4, "max", true},
+		// Without -chart nothing records the run: only the trackers see it.
+		{"streamed gradient line", "gradient", "line", 7, "midpoint", false},
+		{"streamed max-gossip ring", "max-gossip", "ring", 6, "random", false},
+		{"streamed null complete", "null", "complete", 4, "max", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := run(tc.proto, tc.topology, tc.n, "12", "1/2", tc.adv, 3, true, true, !tc.stream, tc.stream, false, "0"); err != nil {
+			if err := run(tc.proto, tc.topology, tc.n, "12", "1/2", tc.adv, 3, true, true, tc.chart, false, "0"); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -39,23 +40,23 @@ func TestRunErrors(t *testing.T) {
 		name                               string
 		proto, topology, dur, rho, advName string
 		n                                  int
-		stream, chart                      bool
+		chart                              bool
 	}{
-		{"bad proto", "nope", "line", "10", "1/2", "midpoint", 5, false, false},
-		{"bad topology", "null", "torus", "10", "1/2", "midpoint", 5, false, false},
-		{"bad duration", "null", "line", "x", "1/2", "midpoint", 5, false, false},
-		{"zero duration", "null", "line", "0", "1/2", "midpoint", 5, false, false},
-		{"bad rho", "null", "line", "10", "x", "midpoint", 5, false, false},
-		{"bad adversary", "null", "line", "10", "1/2", "chaos", 5, false, false},
-		{"rho too big", "null", "line", "10", "2", "midpoint", 5, false, false},
-		{"bad proto streamed", "nope", "line", "10", "1/2", "midpoint", 5, true, false},
-		{"bad adversary streamed", "null", "line", "10", "1/2", "chaos", 5, true, false},
-		{"rho too big streamed", "null", "line", "10", "2", "midpoint", 5, true, false},
-		{"stream+chart conflict", "null", "line", "10", "1/2", "midpoint", 5, true, true},
+		{"bad proto", "nope", "line", "10", "1/2", "midpoint", 5, true},
+		{"bad topology", "null", "torus", "10", "1/2", "midpoint", 5, false},
+		{"bad duration", "null", "line", "x", "1/2", "midpoint", 5, false},
+		{"zero duration", "null", "line", "0", "1/2", "midpoint", 5, false},
+		{"bad rho", "null", "line", "10", "x", "midpoint", 5, false},
+		{"bad adversary", "null", "line", "10", "1/2", "chaos", 5, true},
+		{"rho too big", "null", "line", "10", "2", "midpoint", 5, true},
+		// The same refusals without -chart, where no recorder is attached.
+		{"bad proto streamed", "nope", "line", "10", "1/2", "midpoint", 5, false},
+		{"bad adversary streamed", "null", "line", "10", "1/2", "chaos", 5, false},
+		{"rho too big streamed", "null", "line", "10", "2", "midpoint", 5, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := run(tc.proto, tc.topology, tc.n, tc.dur, tc.rho, tc.advName, 1, false, false, tc.chart, tc.stream, false, "0"); err == nil {
+			if err := run(tc.proto, tc.topology, tc.n, tc.dur, tc.rho, tc.advName, 1, false, false, tc.chart, false, "0"); err == nil {
 				t.Fatal("expected error")
 			}
 		})
@@ -63,29 +64,19 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunRejectsOversizedNetwork: a node count past the network cap is an
-// error naming the cap, recorded or streamed, not an out-of-memory crash.
+// error naming the cap, with or without -chart, not an out-of-memory crash.
 func TestRunRejectsOversizedNetwork(t *testing.T) {
-	for _, stream := range []bool{false, true} {
-		err := run("gradient", "line", 100000, "1", "1/2", "midpoint", 1, true, false, false, stream, false, "0")
+	for _, chart := range []bool{false, true} {
+		err := run("gradient", "line", 100000, "1", "1/2", "midpoint", 1, true, false, chart, false, "0")
 		if err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
-			t.Errorf("stream=%v: error %v, want the network node cap", stream, err)
+			t.Errorf("chart=%v: error %v, want the network node cap", chart, err)
 		}
 	}
 }
 
-// TestStreamMatchesRecordedCLI: the two CLI paths must report identical
-// metrics; this is asserted exactly in the library tests, here we just
-// exercise both paths on the same configuration end to end.
-func TestStreamMatchesRecordedCLI(t *testing.T) {
-	for _, stream := range []bool{false, true} {
-		if err := run("gradient", "line", 9, "20", "1/2", "random", 7, true, false, false, stream, false, "0"); err != nil {
-			t.Fatalf("stream=%v: %v", stream, err)
-		}
-	}
-}
-
-// TestAdaptiveMode exercises the online-adversary path: recorded and
-// streamed, auto and explicit thresholds, across topologies.
+// TestAdaptiveMode exercises the online-adversary path: with and without
+// the recorder -chart attaches, auto and explicit thresholds, across
+// topologies.
 func TestAdaptiveMode(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -93,83 +84,28 @@ func TestAdaptiveMode(t *testing.T) {
 		topology  string
 		n         int
 		threshold string
-		stream    bool
+		chart     bool
 	}{
-		{"recorded max-gossip line", "max-gossip", "line", 5, "0", false},
-		{"streamed gradient line", "gradient", "line", 5, "0", true},
-		{"explicit threshold ring", "max-flood", "ring", 5, "1/2", false},
-		{"two-node", "gradient", "line", 2, "0", false},
+		{"recorded max-gossip line", "max-gossip", "line", 5, "0", true},
+		{"streamed gradient line", "gradient", "line", 5, "0", false},
+		{"explicit threshold ring", "max-flood", "ring", 5, "1/2", true},
+		{"two-node", "gradient", "line", 2, "0", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := run(tc.proto, tc.topology, tc.n, "16", "1/2", "midpoint", 3,
-				true, false, false, tc.stream, true, tc.threshold); err != nil {
+				true, false, tc.chart, true, tc.threshold); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// TestAdaptiveModeErrors: a malformed threshold fails loudly, and -adaptive
-// cannot be combined with -search.
+// TestAdaptiveModeErrors: a malformed threshold fails loudly.
 func TestAdaptiveModeErrors(t *testing.T) {
 	if err := run("gradient", "line", 5, "16", "1/2", "midpoint", 3,
-		true, false, false, false, true, "x"); err == nil {
+		true, false, false, true, "x"); err == nil {
 		t.Fatal("bad threshold accepted")
-	}
-	if err := searchFlagConflicts(false, false, true); err == nil {
-		t.Fatal("-search plus -adaptive accepted")
-	}
-}
-
-// TestSearchMode exercises the worst-case hunter through the CLI path for
-// every objective and with a non-default seed adversary.
-func TestSearchMode(t *testing.T) {
-	cases := []struct {
-		name      string
-		proto     string
-		topology  string
-		n         int
-		adv       string
-		objective string
-	}{
-		{"global gradient line", "gradient", "line", 4, "midpoint", "global"},
-		{"local max-gossip ring", "max-gossip", "ring", 4, "random", "local"},
-		{"margin null line", "null", "line", 3, "zero", "margin"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := runSearch(tc.proto, tc.topology, tc.n, "6", "1/2", tc.adv, 3,
-				tc.objective, 2, 1, 2, 2, "1/2", false); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestSearchModeErrors: search-mode flag validation fails loudly.
-func TestSearchModeErrors(t *testing.T) {
-	cases := []struct {
-		name                                      string
-		proto, topology, dur, rho, adv, objective string
-		chart                                     bool
-	}{
-		{"bad objective", "null", "line", "6", "1/2", "midpoint", "chaos", false},
-		{"bad duration", "null", "line", "x", "1/2", "midpoint", "global", false},
-		{"zero duration", "null", "line", "0", "1/2", "midpoint", "global", false},
-		{"bad rho", "null", "line", "6", "x", "midpoint", "global", false},
-		{"bad proto", "nope", "line", "6", "1/2", "midpoint", "global", false},
-		{"bad topology", "null", "torus", "6", "1/2", "midpoint", "global", false},
-		{"bad adversary", "null", "line", "6", "1/2", "chaos", "global", false},
-		{"chart conflict", "null", "line", "6", "1/2", "midpoint", "global", true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := runSearch(tc.proto, tc.topology, 4, tc.dur, tc.rho, tc.adv, 1,
-				tc.objective, 1, 1, 1, 0, "0", tc.chart); err == nil {
-				t.Fatal("expected error")
-			}
-		})
 	}
 }
 
@@ -183,16 +119,51 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRejectsStrayArgument: flag parsing stops at the first argument that
-// is not a flag, so `-search global -dur 4 -n 3` would search line-9 at
-// the default duration; the command refuses the stray word instead.
-func TestRejectsStrayArgument(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-search", "global", "-dur", "4", "-n", "3")
+// gcssim runs the command in a child process with args and returns its
+// stdout and stderr; the test fails unless the exit status is want.
+func gcssim(t *testing.T, want int, args ...string) (string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "GCSSIM_MAIN=1")
 	var stdout, stderr strings.Builder
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
-	if err == nil || stdout.Len() != 0 || stderr.String() != "gcssim: unexpected argument \"global\"\n" {
-		t.Fatalf("exit %v, stdout %q, stderr %q; want a failure naming the stray argument", err, stdout.String(), stderr.String())
+	code := 0
+	if exit, ok := err.(*exec.ExitError); ok {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	if code != want {
+		t.Fatalf("gcssim %v: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", args, code, want, stdout.String(), stderr.String())
+	}
+	return stdout.String(), stderr.String()
+}
+
+// TestRejectsStrayArgument: flag parsing stops at the first argument that
+// is not a flag, so `-profile global -dur 4 -n 3` would run line-9 at the
+// default duration; the command refuses the stray word instead.
+func TestRejectsStrayArgument(t *testing.T) {
+	stdout, stderr := gcssim(t, 1, "-profile", "global", "-dur", "4", "-n", "3")
+	if stdout != "" || stderr != "gcssim: unexpected argument \"global\"\n" {
+		t.Fatalf("stdout %q, stderr %q; want a failure naming the stray argument", stdout, stderr)
+	}
+}
+
+// TestChartOnlyAppends: -chart attaches a recorder for the chart and
+// changes nothing else. The report with -chart is the report without it,
+// byte for byte, followed by the chart; the trackers read the same run
+// either way.
+func TestChartOnlyAppends(t *testing.T) {
+	for _, args := range [][]string{
+		{"-proto", "gradient", "-topology", "line", "-n", "9", "-dur", "20", "-adversary", "random", "-seed", "7", "-profile"},
+		{"-adaptive", "-proto", "max-gossip", "-topology", "ring", "-n", "6", "-dur", "16"},
+	} {
+		plain, _ := gcssim(t, 0, args...)
+		charted, _ := gcssim(t, 0, append(args, "-chart")...)
+		chart, ok := strings.CutPrefix(charted, plain)
+		if !ok || !strings.HasPrefix(chart, "\nskew over time: worst pair (") {
+			t.Fatalf("gcssim %v: the -chart report is not the plain one plus a chart\nplain:\n%s\nwith -chart:\n%s", args, plain, charted)
+		}
 	}
 }

@@ -80,9 +80,10 @@
 //	...
 //	fmt.Println(gcs.GlobalSkew(exec).Skew)
 //
-// See the examples/ directory for runnable scenarios, cmd/gcssim -stream
-// for the streaming driver, and cmd/gcsbench for the experiment harness
-// that regenerates every figure-level result.
+// See the examples/ directory for runnable scenarios, cmd/gcssim for one
+// streamed run from the command line, cmd/gcssearch for worst-case search
+// campaigns, and cmd/gcsbench for the experiment harness that regenerates
+// every figure-level result.
 package gcs
 
 import (

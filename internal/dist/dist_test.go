@@ -4,12 +4,19 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"gcs/internal/algorithms"
+	"gcs/internal/core"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
 	"gcs/internal/search"
 )
+
+// ratp returns a pointer to r, for a spec's explicit Rho.
+func ratp(r rat.Rat) *rat.Rat { return &r }
 
 // e13LongSpec is the acceptance workload: the E13 -long two-node diameter-16
 // search configuration (the same cell BenchmarkSearchPrefixCached measures).
@@ -21,7 +28,7 @@ func e13LongSpec() CampaignSpec {
 			Diameter: rat.FromInt(16),
 			Duration: rat.FromInt(32),
 		}},
-		Rho:            rat.MustFrac(1, 2),
+		Rho:            ratp(rat.MustFrac(1, 2)),
 		Rounds:         3,
 		Beam:           2,
 		DelayMutations: 8,
@@ -235,15 +242,21 @@ func invalidSpecs() []CampaignSpec {
 		{Protocol: "gradient", Cells: []CellSpec{{Topology: "line", N: 1000000, Duration: rat.FromInt(4)}}},
 		{Protocol: "gradient", Cells: []CellSpec{{Topology: "complete", N: network.MaxNodes + 1, Duration: rat.FromInt(4)}}},
 		{Protocol: "gradient", Rounds: maxRounds + 1, Cells: []CellSpec{{Topology: "line", N: 3, Duration: rat.FromInt(4)}}},
-		{Protocol: "gradient", Rho: rat.FromInt(2), Cells: line(3)},
-		{Protocol: "gradient", Rho: rat.MustFrac(-1, 2), Cells: line(3)},
-		{Protocol: "gradient", Rho: rat.FromInt(1), Cells: line(3)},
+		{Protocol: "gradient", Rho: ratp(rat.FromInt(2)), Cells: line(3)},
+		{Protocol: "gradient", Rho: ratp(rat.MustFrac(-1, 2)), Cells: line(3)},
+		{Protocol: "gradient", Rho: ratp(rat.FromInt(1)), Cells: line(3)},
 		{Protocol: "gradient", RateWindows: -3, Cells: line(3)},
 		{Protocol: "gradient", Beam: maxBeam + 1, Cells: line(3)},
 		{Protocol: "gradient", DelayMutations: maxDelayMutations + 1, Cells: line(3)},
 		{Protocol: "gradient", RateWindows: maxRateWindows + 1, Cells: line(3)},
 		{Protocol: "gradient", Cells: tooMany},
 		{Protocol: "gradient", RateWindows: 1 << 52, Beam: 1 << 52, Cells: line(network.MaxNodes)},
+		{Protocol: "gradient", Rounds: -2, Cells: line(3)},
+		{Protocol: "gradient", Beam: -5, Cells: line(3)},
+		{Protocol: "gradient", DelayMutations: -1, Cells: line(3)},
+		{Protocol: "gradient", Threads: -3, Cells: line(3)},
+		{Protocol: "gradient", Rho: ratp(rat.Rat{}), RateWindows: 2, Cells: line(3)},
+		{Protocol: "gradient", Seed: 1, Cells: []CellSpec{{Topology: "rgg", N: 6, Duration: rat.FromInt(4)}}},
 	}
 }
 
@@ -257,5 +270,161 @@ func TestSpecValidate(t *testing.T) {
 	good := e13LongSpec()
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSearchModeSpecErrors: the configurations gcssim -search refused before
+// `gcssearch run` took its searches over, each written as one bad field in
+// an otherwise valid spec, must fail to decode or to validate.
+func TestSearchModeSpecErrors(t *testing.T) {
+	const valid = `{"protocol": "null", "objective": "global", "adversary": "midpoint", "rho": "1/2",
+		"cells": [{"topology": "line", "n": 4, "duration": "6"}]}`
+	decode := func(data string) error {
+		var spec CampaignSpec
+		if err := json.Unmarshal([]byte(data), &spec); err != nil {
+			return err
+		}
+		return spec.Validate()
+	}
+	if err := decode(valid); err != nil {
+		t.Fatalf("the valid spec: %v", err)
+	}
+	for name, field := range map[string][2]string{
+		"bad objective": {`"global"`, `"chaos"`},
+		"bad duration":  {`"duration": "6"`, `"duration": "x"`},
+		"zero duration": {`"duration": "6"`, `"duration": "0"`},
+		"bad rho":       {`"rho": "1/2"`, `"rho": "x"`},
+		"bad proto":     {`"null"`, `"nope"`},
+		"bad topology":  {`"line"`, `"torus"`},
+		"bad adversary": {`"midpoint"`, `"chaos"`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := strings.Replace(valid, field[0], field[1], 1)
+			if err := decode(bad); err == nil {
+				t.Fatalf("accepted:\n%s", bad)
+			}
+		})
+	}
+}
+
+// searchModeCase is one configuration gcssim -search used to run, as the
+// one-cell campaign spec that replaces it and the search.Options gcssim
+// built from its flags.
+type searchModeCase struct {
+	name string
+	spec string
+	opt  func(t *testing.T) search.Options
+}
+
+// searchModeCases covers every objective (margin against f(d) = 1 + d), the
+// random adversary with a seed, an rgg cell placed by that seed, ρ = 0,
+// rate_windows, mutate_tail and threads, and the default budget of
+// `gcssim -search -proto gradient -topology line -n 5 -dur 8`.
+func searchModeCases() []searchModeCase {
+	proto := func(t *testing.T, name string) engine.Protocol {
+		p, err := algorithms.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	must := func(t *testing.T, net *network.Network, err error) *network.Network {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	half := rat.MustFrac(1, 2)
+	return []searchModeCase{
+		{
+			name: "global gradient line",
+			spec: `{"protocol": "gradient", "cells": [{"topology": "line", "n": 4, "duration": "6"}],
+				"seed": 3, "objective": "global", "rounds": 2, "beam": 1, "threads": 2,
+				"rate_windows": 2, "mutate_tail": "1/2"}`,
+			opt: func(t *testing.T) search.Options {
+				net, err := network.Line(4)
+				return search.Options{Net: must(t, net, err), Protocol: proto(t, "gradient"), Duration: rat.FromInt(6),
+					Rho: half, Base: engine.Midpoint(), Objective: search.ObjectiveGlobalSkew,
+					Rounds: 2, Beam: 1, Workers: 2, RateWindows: 2, MutateTail: half}
+			},
+		},
+		{
+			name: "local max-gossip ring",
+			spec: `{"protocol": "max-gossip", "cells": [{"topology": "ring", "n": 4, "duration": "6"}],
+				"adversary": "random", "seed": 3, "objective": "local", "rounds": 2, "beam": 1,
+				"threads": 2, "rate_windows": 2, "mutate_tail": "1/2"}`,
+			opt: func(t *testing.T) search.Options {
+				net, err := network.Ring(4)
+				return search.Options{Net: must(t, net, err), Protocol: proto(t, "max-gossip"), Duration: rat.FromInt(6),
+					Rho: half, Base: engine.HashAdversary{Seed: 3, Denom: 8}, Objective: search.ObjectiveLocalSkew,
+					Rounds: 2, Beam: 1, Workers: 2, RateWindows: 2, MutateTail: half}
+			},
+		},
+		{
+			name: "margin null line",
+			spec: `{"protocol": "null", "cells": [{"topology": "line", "n": 3, "duration": "6"}],
+				"adversary": "zero", "seed": 3, "objective": "margin", "rounds": 2, "beam": 1,
+				"threads": 2, "rate_windows": 2, "mutate_tail": "1/2"}`,
+			opt: func(t *testing.T) search.Options {
+				net, err := network.Line(3)
+				return search.Options{Net: must(t, net, err), Protocol: proto(t, "null"), Duration: rat.FromInt(6),
+					Rho: half, Base: engine.FractionAdversary{Frac: rat.Rat{}}, Objective: search.ObjectiveGradientMargin,
+					Gradient: core.LinearGradient(rat.FromInt(1), rat.FromInt(1)),
+					Rounds:   2, Beam: 1, Workers: 2, RateWindows: 2, MutateTail: half}
+			},
+		},
+		{
+			name: "random gradient rgg",
+			spec: `{"protocol": "gradient", "cells": [{"topology": "rgg", "n": 6, "duration": "6"}],
+				"adversary": "random", "seed": 8, "rounds": 2, "beam": 1}`,
+			opt: func(t *testing.T) search.Options {
+				net, err := network.RandomGeometric(6, 10, 4.5, 8)
+				return search.Options{Net: must(t, net, err), Protocol: proto(t, "gradient"), Duration: rat.FromInt(6),
+					Rho: half, Base: engine.HashAdversary{Seed: 8, Denom: 8}, Objective: search.ObjectiveGlobalSkew,
+					Rounds: 2, Beam: 1}
+			},
+		},
+		{
+			name: "rho zero gradient line",
+			spec: `{"protocol": "gradient", "cells": [{"topology": "line", "n": 4, "duration": "6"}],
+				"rho": "0", "rounds": 2, "beam": 1, "mutate_tail": "1/2"}`,
+			opt: func(t *testing.T) search.Options {
+				net, err := network.Line(4)
+				return search.Options{Net: must(t, net, err), Protocol: proto(t, "gradient"), Duration: rat.FromInt(6),
+					Base: engine.Midpoint(), Objective: search.ObjectiveGlobalSkew, Rounds: 2, Beam: 1, MutateTail: half}
+			},
+		},
+		{
+			name: "defaults gradient line",
+			spec: `{"protocol": "gradient", "cells": [{"topology": "line", "n": 5, "duration": "8"}]}`,
+			opt: func(t *testing.T) search.Options {
+				net, err := network.Line(5)
+				return search.Options{Net: must(t, net, err), Protocol: proto(t, "gradient"), Duration: rat.FromInt(8),
+					Rho: half, Base: engine.Midpoint(), Objective: search.ObjectiveGlobalSkew}
+			},
+		},
+	}
+}
+
+// TestSearchModeSpecs: every search gcssim -search could start is a one-cell
+// campaign spec, and dist.Run on that spec returns exactly the Result
+// search.Search returned on the Options gcssim built from its flags.
+func TestSearchModeSpecs(t *testing.T) {
+	for _, tc := range searchModeCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			var spec CampaignSpec
+			if err := json.Unmarshal([]byte(tc.spec), &spec); err != nil {
+				t.Fatal(err)
+			}
+			cells, err := Run(spec, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := search.Search(tc.opt(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsMatch(t, want, cells[0].Result)
+		})
 	}
 }

@@ -29,6 +29,11 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// The former gcssim -search configurations: an rgg cell and an explicit
+	// "rho": "0" among them.
+	for _, tc := range searchModeCases() {
+		f.Add([]byte(tc.spec))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec CampaignSpec
 		if err := json.Unmarshal(data, &spec); err != nil {

@@ -50,7 +50,7 @@ func PlanCampaign(spec CampaignSpec) (*Plan, error) {
 	}
 	p := &Plan{}
 	for _, cell := range spec.Cells {
-		net, err := cell.Network()
+		net, err := spec.network(cell)
 		if err != nil {
 			return nil, err
 		}

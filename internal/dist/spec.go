@@ -2,11 +2,14 @@
 // protocol, a list of topology cells and the search budget in plain JSON,
 // PlanCampaign bounds its work without executing an engine step, and Run
 // searches each cell in this process with internal/search. `gcssearch plan`
-// and `gcssearch run` are its command line.
+// and `gcssearch run` are its command line, and the spec is the one place
+// user input becomes search.Options: every search the command line can
+// start is a campaign spec, down to a single cell.
 package dist
 
 import (
 	"fmt"
+	"math"
 
 	"gcs/internal/algorithms"
 	"gcs/internal/core"
@@ -23,12 +26,13 @@ type CellSpec struct {
 	// Name labels the cell in progress events and results (defaults to
 	// "topology/n" when empty).
 	Name string `json:"name,omitempty"`
-	// Topology is one of line | ring | grid | star | complete | two-node.
+	// Topology is a name network.ByName accepts: line | ring | grid | star |
+	// complete | rgg | two-node. An rgg cell is placed by the campaign's Seed.
 	Topology string `json:"topology"`
 	// N is the node count (grid uses the nearest square; two-node ignores it).
 	N int `json:"n,omitempty"`
 	// Diameter parameterizes the two-node cell's distance d and the star /
-	// complete edge length (default 1). Line, ring, and grid derive their
+	// complete edge length (default 1). Line, ring, grid and rgg derive their
 	// diameter from N.
 	Diameter rat.Rat `json:"diameter,omitempty"`
 	// Duration is the cell's real-time horizon.
@@ -60,37 +64,6 @@ const (
 	maxRateWindows    = 1024
 )
 
-// Network rebuilds the cell's network, deterministically in the spec alone.
-func (c CellSpec) Network() (*network.Network, error) {
-	switch c.Topology {
-	case "line":
-		return network.Line(c.N)
-	case "ring":
-		return network.Ring(c.N)
-	case "grid":
-		return network.SquareGrid(c.N)
-	case "star":
-		return network.Star(c.N, c.edge())
-	case "complete":
-		return network.Complete(c.N, c.edge())
-	case "two-node":
-		if c.Diameter.Sign() <= 0 {
-			return nil, fmt.Errorf("dist: two-node cell needs a positive diameter, got %s", c.Diameter)
-		}
-		return network.TwoNode(c.Diameter)
-	default:
-		return nil, fmt.Errorf("dist: unknown topology %q (want line | ring | grid | star | complete | two-node)", c.Topology)
-	}
-}
-
-// edge is the star/complete edge length: Diameter when given, else 1.
-func (c CellSpec) edge() rat.Rat {
-	if c.Diameter.Sign() > 0 {
-		return c.Diameter
-	}
-	return rat.FromInt(1)
-}
-
 // CampaignSpec is a whole campaign in plain data: the protocol, the cells,
 // the move-set budget, and the adversary — everything needed to rebuild each
 // cell's search.Options. It is the unit `gcssearch plan` bounds and
@@ -100,21 +73,23 @@ type CampaignSpec struct {
 	Protocol string `json:"protocol"`
 	// Cells are searched one after another; each is its own Campaign.
 	Cells []CellSpec `json:"cells"`
-	// Rho is the drift bound ρ, in [0, 1); zero means the default 1/2.
-	Rho rat.Rat `json:"rho,omitempty"`
+	// Rho is the drift bound ρ, in [0, 1). Absent, it is 1/2; an explicit
+	// "0" is ρ = 0.
+	Rho *rat.Rat `json:"rho,omitempty"`
 	// Adversary seeds the search and serves as the tail for unscripted
 	// decisions: a name engine.AdversaryByName accepts (default midpoint).
 	// All of them are stateless; stateful bases enter searches only through
 	// the programmatic API, where search refuses any it cannot clone.
 	Adversary string `json:"adversary,omitempty"`
-	// Seed feeds the random adversary.
+	// Seed feeds the random adversary and places rgg cells' nodes.
 	Seed uint64 `json:"seed,omitempty"`
 	// Objective is global | local | margin (default global). The margin
 	// objective compares against the linear envelope f(d) = 1 + d.
 	Objective string `json:"objective,omitempty"`
 
 	// Search budget, zero meaning the search.Options default (RateWindows
-	// zero: no windowed rate surgery). Each is capped at 1024.
+	// zero: no windowed rate surgery). None may be negative, and each is
+	// capped at 1024.
 	Rounds         int     `json:"rounds,omitempty"`
 	Beam           int     `json:"beam,omitempty"`
 	DelayMutations int     `json:"delay_mutations,omitempty"`
@@ -125,8 +100,9 @@ type CampaignSpec struct {
 }
 
 // Validate checks the spec rebuilds: every cell's network, the protocol, the
-// adversary, and the objective, with ρ in [0, 1), no negative rate_windows,
-// and the cell count and search budget within their caps.
+// adversary, and the objective, with ρ in [0, 1), no negative budget, the
+// cell count and search budget within their caps, and no rate_windows under
+// ρ = 0 (search refuses windows that can pin no rate).
 func (s *CampaignSpec) Validate() error {
 	if len(s.Cells) == 0 {
 		return fmt.Errorf("dist: campaign has no cells")
@@ -140,19 +116,24 @@ func (s *CampaignSpec) Validate() error {
 		{"beam", s.Beam, maxBeam},
 		{"delay_mutations", s.DelayMutations, maxDelayMutations},
 		{"rate_windows", s.RateWindows, maxRateWindows},
+		{"threads", s.Threads, math.MaxInt},
 	} {
+		if c.val < 0 {
+			return fmt.Errorf("dist: negative %s %d", c.name, c.val)
+		}
 		if c.val > c.max {
 			return fmt.Errorf("dist: %d %s exceeds the cap of %d", c.val, c.name, c.max)
 		}
 	}
-	if s.RateWindows < 0 {
-		return fmt.Errorf("dist: negative rate_windows %d", s.RateWindows)
+	rho := s.rho()
+	if rho.Sign() < 0 || rho.GreaterEq(rat.FromInt(1)) {
+		return fmt.Errorf("dist: rho %s outside [0, 1)", rho)
 	}
-	if s.Rho.Sign() < 0 || s.Rho.GreaterEq(rat.FromInt(1)) {
-		return fmt.Errorf("dist: rho %s outside [0, 1)", s.Rho)
+	if s.RateWindows > 0 && rho.IsZero() {
+		return fmt.Errorf("dist: rate_windows %d with rho 0: windowed surgery pins rates to 1−ρ and 1+ρ, so it needs rho > 0", s.RateWindows)
 	}
 	for i := range s.Cells {
-		if _, err := s.Cells[i].Network(); err != nil {
+		if _, err := s.network(s.Cells[i]); err != nil {
 			return fmt.Errorf("dist: cell %d: %w", i, err)
 		}
 		if s.Cells[i].Duration.Sign() <= 0 {
@@ -189,10 +170,15 @@ func (s *CampaignSpec) objectiveName() string {
 }
 
 func (s *CampaignSpec) rho() rat.Rat {
-	if s.Rho.Sign() > 0 {
-		return s.Rho
+	if s.Rho == nil {
+		return rat.MustFrac(1, 2)
 	}
-	return rat.MustFrac(1, 2)
+	return *s.Rho
+}
+
+// network rebuilds cell c's network, deterministically in the spec alone.
+func (s *CampaignSpec) network(c CellSpec) (*network.Network, error) {
+	return network.ByName(c.Topology, c.N, c.Diameter, s.Seed)
 }
 
 // CellOptions rebuilds the search.Options for cell i.
@@ -201,7 +187,7 @@ func (s *CampaignSpec) CellOptions(i int) (search.Options, error) {
 		return search.Options{}, fmt.Errorf("dist: cell %d of %d", i, len(s.Cells))
 	}
 	cell := s.Cells[i]
-	net, err := cell.Network()
+	net, err := s.network(cell)
 	if err != nil {
 		return search.Options{}, err
 	}
@@ -232,7 +218,8 @@ func (s *CampaignSpec) CellOptions(i int) (search.Options, error) {
 		Workers:        s.Threads,
 	}
 	if obj == search.ObjectiveGradientMargin {
-		// The same envelope gcssim -search compares against: f(d) = 1 + d.
+		// Compare against the linear envelope f(d) = 1 + d: a margin > 0
+		// certifies the searched execution breaks it.
 		opt.Gradient = core.LinearGradient(rat.FromInt(1), rat.FromInt(1))
 	}
 	return opt, nil

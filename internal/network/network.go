@@ -16,6 +16,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"gcs/internal/rat"
 )
@@ -361,4 +362,40 @@ func RandomGeometric(n int, side int64, connectRadius float64, seed int64) (*Net
 		return nil, fmt.Errorf("network: random geometric graph disconnected (seed %d)", seed)
 	}
 	return New(fmt.Sprintf("rgg-%d-seed%d", n, seed), dist, neighbors)
+}
+
+// Names lists the topology names ByName accepts.
+func Names() []string {
+	return []string{"line", "ring", "grid", "star", "complete", "rgg", "two-node"}
+}
+
+// ByName builds the named topology: the one topology-name parser behind
+// gcssim -topology and a campaign spec's cells. n is the node count (grid
+// takes the largest square with at most n nodes; two-node ignores n). d is
+// the two-node distance and the star and complete edge length, 1 when d is
+// not positive (a two-node network needs d >= 1). rgg places n nodes in a
+// 10×10 square from seed and joins those within 4.5 of each other.
+func ByName(name string, n int, d rat.Rat, seed uint64) (*Network, error) {
+	edge := d
+	if edge.Sign() <= 0 {
+		edge = rat.FromInt(1)
+	}
+	switch name {
+	case "line":
+		return Line(n)
+	case "ring":
+		return Ring(n)
+	case "grid":
+		return SquareGrid(n)
+	case "star":
+		return Star(n, edge)
+	case "complete":
+		return Complete(n, edge)
+	case "rgg":
+		return RandomGeometric(n, 10, 4.5, int64(seed))
+	case "two-node":
+		return TwoNode(d)
+	default:
+		return nil, fmt.Errorf("network: unknown topology %q (want %s)", name, strings.Join(Names(), " | "))
+	}
 }

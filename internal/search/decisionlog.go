@@ -11,7 +11,8 @@
 // close does that come to the certified bounds?
 //
 // The search is replay-based: a DecisionLog observer captures every
-// per-message delay decision of a run as a replayable script, and candidate
+// per-message delay decision of a run as a replayable script (saved, when
+// it is saved, as EncodeScript's sorted entries), and candidate
 // mutations edit one decision (delay snapped to {0, bound/2, bound}), one
 // node's whole-run rate (flipped within ±ρ), or one node's rate over a
 // window (clock.ModifyWindow surgery), with a ScriptedAdversary tail
@@ -33,7 +34,6 @@
 package search
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gcs/internal/engine"
@@ -161,72 +161,4 @@ func (l *DecisionLog) Scripted(tail engine.Adversary) engine.ScriptedAdversary {
 // String returns a short summary for debugging.
 func (l *DecisionLog) String() string {
 	return fmt.Sprintf("decisionlog(%d decisions)", len(l.decisions))
-}
-
-// decisionWire is one captured decision in JSON form. Every field is an
-// exact rational (or integer), so a round-trip reproduces the decision bit
-// for bit.
-type decisionWire struct {
-	From     int     `json:"from"`
-	To       int     `json:"to"`
-	Seq      uint64  `json:"seq"`
-	SendReal rat.Rat `json:"send_real"`
-	Delay    rat.Rat `json:"delay"`
-	Bound    rat.Rat `json:"bound"`
-	Event    uint64  `json:"event"`
-}
-
-// decisionLogWire is the JSON form of a DecisionLog: the decisions in send
-// order plus the event counter, everything replay and mutation need. The
-// network is deliberately not serialized — each decision carries its own
-// delay bound — so a decoded log replays and enumerates mutations anywhere,
-// but cannot observe further engine runs (it has no network to read bounds
-// from; attach a fresh NewDecisionLog for that).
-type decisionLogWire struct {
-	Decisions []decisionWire `json:"decisions"`
-	Events    uint64         `json:"events"`
-}
-
-// MarshalJSON encodes the log as a replayable script: decisions in send
-// order with their exact rational times, delays, and bounds: a stable way
-// to save a found adversary for later replay (the root package exports the
-// type as gcs.DecisionLog).
-func (l *DecisionLog) MarshalJSON() ([]byte, error) {
-	w := decisionLogWire{Events: l.events, Decisions: make([]decisionWire, len(l.decisions))}
-	for i, d := range l.decisions {
-		w.Decisions[i] = decisionWire{
-			From:     d.Key.From,
-			To:       d.Key.To,
-			Seq:      d.Key.Seq,
-			SendReal: d.SendReal,
-			Delay:    d.Delay,
-			Bound:    d.Bound,
-			Event:    d.Event,
-		}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes a log serialized by MarshalJSON. The decoded log
-// supports Script, ScriptPrefix, Scripted, Decisions, and Clone exactly as
-// the original did; it is not attached to a network, so it must not be used
-// as a live engine observer (see MarshalJSON).
-func (l *DecisionLog) UnmarshalJSON(data []byte) error {
-	var w decisionLogWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	l.net = nil
-	l.events = w.Events
-	l.decisions = make([]Decision, len(w.Decisions))
-	for i, d := range w.Decisions {
-		l.decisions[i] = Decision{
-			Key:      trace.MsgKey{From: d.From, To: d.To, Seq: d.Seq},
-			SendReal: d.SendReal,
-			Delay:    d.Delay,
-			Bound:    d.Bound,
-			Event:    d.Event,
-		}
-	}
-	return nil
 }

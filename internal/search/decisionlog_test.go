@@ -1,11 +1,6 @@
 package search
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -17,13 +12,13 @@ import (
 	"gcs/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
-
-// captureLog runs the gradient protocol on a small line under the midpoint
-// adversary and returns the realized decision log — a deterministic run, so
-// its serialized form is golden-file stable.
-func captureLog(t *testing.T) *DecisionLog {
-	t.Helper()
+// TestDecisionLogMatchesLedger: a fixed run — gradient on a drifting 3-node
+// line under the midpoint adversary — captures one decision per message the
+// run's recorded ledger holds, in the same order: the same key, send time
+// and delay, the pair's distance as the bound, and as Event the count of
+// events dispatched up to the send (the recorded actions other than sends
+// before it).
+func TestDecisionLogMatchesLedger(t *testing.T) {
 	net, err := network.Line(3)
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +29,13 @@ func captureLog(t *testing.T) *DecisionLog {
 		clock.Constant(rf(7, 8)),
 	}
 	log := NewDecisionLog(net)
+	rec := trace.NewRecorder(net.N())
 	eng, err := engine.New(net,
 		engine.WithProtocol(algorithms.Gradient(algorithms.DefaultGradientParams())),
 		engine.WithAdversary(engine.Midpoint()),
 		engine.WithSchedules(scheds),
 		engine.WithRho(rf(1, 4)),
-		engine.WithObservers(log),
+		engine.WithObservers(log, rec),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -47,92 +43,36 @@ func captureLog(t *testing.T) *DecisionLog {
 	if err := eng.RunUntil(ri(6)); err != nil {
 		t.Fatal(err)
 	}
-	if log.Len() == 0 {
-		t.Fatal("run captured no decisions")
-	}
-	return log
-}
-
-// TestDecisionLogJSONRoundTrip: the JSON form a saved adversary is kept in
-// must reproduce every decision — and the derived script — bit for bit.
-func TestDecisionLogJSONRoundTrip(t *testing.T) {
-	log := captureLog(t)
-	data, err := json.Marshal(log)
+	exec, err := eng.Execution(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := new(DecisionLog)
-	if err := json.Unmarshal(data, back); err != nil {
-		t.Fatal(err)
+	if log.Len() == 0 || log.Len() != len(exec.Ledger) {
+		t.Fatalf("captured %d decisions, the ledger holds %d messages", log.Len(), len(exec.Ledger))
 	}
-	if back.Len() != log.Len() {
-		t.Fatalf("decoded %d decisions, want %d", back.Len(), log.Len())
-	}
-	for i, d := range log.Decisions() {
-		b := back.Decisions()[i]
-		if b.Key != d.Key || !b.SendReal.Equal(d.SendReal) || !b.Delay.Equal(d.Delay) ||
-			!b.Bound.Equal(d.Bound) || b.Event != d.Event {
-			t.Fatalf("decision %d differs: %+v vs %+v", i, b, d)
+	var events uint64
+	sends := 0
+	for _, a := range exec.Actions {
+		if a.Kind != trace.KindSend {
+			events++
+			continue
 		}
-	}
-	script, backScript := log.Script(), back.Script()
-	if len(backScript) != len(script) {
-		t.Fatalf("decoded script has %d entries, want %d", len(backScript), len(script))
-	}
-	for k, v := range script {
-		if bv, ok := backScript[k]; !ok || !bv.Equal(v) {
-			t.Fatalf("script entry %v differs: %s vs %s (present=%v)", k, v, bv, ok)
+		d, m := log.Decisions()[sends], exec.Ledger[sends]
+		if d.Key != m.Key || a.Node != m.Key.From || a.Peer != m.Key.To || a.MsgSeq != m.Key.Seq {
+			t.Fatalf("send %d: decision %v, ledger %v, action node %d peer %d seq %d", sends, d.Key, m.Key, a.Node, a.Peer, a.MsgSeq)
 		}
-	}
-	// The round-trip is idempotent: re-encoding the decoded log yields the
-	// same bytes.
-	again, err := json.Marshal(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, data) {
-		t.Fatalf("re-encoded log differs:\n%s\nvs\n%s", again, data)
-	}
-}
-
-// TestDecisionLogGolden pins the serialized form against a committed golden
-// file: the JSON form is a compatibility surface (saved adversaries, and the
-// root package exports the type as gcs.DecisionLog), so accidental format
-// drift must fail loudly. Regenerate with `go test ./internal/search -run Golden -update`.
-func TestDecisionLogGolden(t *testing.T) {
-	log := captureLog(t)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(log); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "decisionlog.golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+		bound := net.Dist(m.Key.From, m.Key.To)
+		if !d.SendReal.Equal(m.SendReal) || !d.Delay.Equal(m.Delay) || !d.Bound.Equal(bound) || d.Event != events {
+			t.Fatalf("send %d (%v): decision sent %s, delay %s, bound %s, event %d; ledger sent %s, delay %s, bound %s, event %d",
+				sends, m.Key, d.SendReal, d.Delay, d.Bound, d.Event, m.SendReal, m.Delay, bound, events)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		if !d.Delay.Equal(rf(1, 2).Mul(bound)) {
+			t.Fatalf("send %d: midpoint delay %s under bound %s", sends, d.Delay, bound)
 		}
+		sends++
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("serialized DecisionLog drifted from golden file %s:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
-	}
-	// The golden bytes themselves decode into a replayable log.
-	back := new(DecisionLog)
-	if err := json.Unmarshal(want, back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != log.Len() {
-		t.Fatalf("golden decodes to %d decisions, want %d", back.Len(), log.Len())
-	}
-	if adv := back.Scripted(engine.Midpoint()); len(adv.Delays) != len(log.Script()) {
-		t.Fatalf("decoded log scripts %d delays, want %d", len(adv.Delays), len(log.Script()))
+	if sends != log.Len() {
+		t.Fatalf("%d send actions for %d decisions", sends, log.Len())
 	}
 }
 
