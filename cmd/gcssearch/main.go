@@ -91,23 +91,25 @@ func parse(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-// loadSpec reads and validates a campaign spec file.
-func loadSpec(path string) (dist.CampaignSpec, error) {
-	var spec dist.CampaignSpec
+// loadSpec reads a campaign spec file and validates it, building each
+// cell's network once for the whole command.
+func loadSpec(path string) (*dist.Campaign, error) {
 	if path == "" {
-		return spec, fmt.Errorf("-spec is required")
+		return nil, fmt.Errorf("-spec is required")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return spec, err
+		return nil, err
 	}
+	var spec dist.CampaignSpec
 	if err := json.Unmarshal(data, &spec); err != nil {
-		return spec, fmt.Errorf("parse %s: %w", path, err)
+		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
-	if err := spec.Validate(); err != nil {
-		return spec, fmt.Errorf("%s: %w", path, err)
+	c, err := dist.NewCampaign(spec)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return spec, nil
+	return c, nil
 }
 
 // cmdPlan bounds a campaign's generations and candidates without executing
@@ -119,14 +121,11 @@ func cmdPlan(args []string, out io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	spec, err := loadSpec(*specPath)
+	c, err := loadSpec(*specPath)
 	if err != nil {
 		return err
 	}
-	plan, err := dist.PlanCampaign(spec)
-	if err != nil {
-		return err
-	}
+	plan := c.Plan()
 	if *jsonOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -208,7 +207,7 @@ func cmdRun(args []string, out io.Writer) error {
 	if *debug && *serve == "" {
 		return fmt.Errorf("-debug mounts pprof on the -serve mux; add -serve or drop -debug")
 	}
-	spec, err := loadSpec(*specPath)
+	c, err := loadSpec(*specPath)
 	if err != nil {
 		return err
 	}
@@ -246,7 +245,7 @@ func cmdRun(args []string, out io.Writer) error {
 		}
 	}
 	start := time.Now()
-	cells, err := dist.Run(spec, search.NewMetrics(reg), engine.NewMetrics(reg), progress)
+	cells, err := c.Run(search.NewMetrics(reg), engine.NewMetrics(reg), progress)
 	if err != nil {
 		return err
 	}

@@ -484,30 +484,54 @@ func (st *SkewTracker) Err() error { return st.err }
 func (st *SkewTracker) Time() rat.Rat { return st.pending }
 
 // Global returns the running global skew: the worst |L_i − L_j| over all
-// pairs and all processed times, with one witness pair and time.
+// pairs and all processed times, with one witness pair and time. While no
+// pair's skew has risen above 0, the witness is the first pair, as
+// GlobalSkew names it on a recorded run.
 func (st *SkewTracker) Global() PairSkew {
 	if st.global < 0 {
-		return PairSkew{}
+		return st.firstPair(false)
 	}
 	return st.Pair(st.global/st.n, st.global%st.n)
 }
 
 // Local returns the running local skew: the worst |L_i − L_j| over
-// distance-1 pairs.
+// distance-1 pairs. While none has risen above 0, the witness is the first
+// distance-1 pair, as LocalSkew names it on a recorded run.
 func (st *SkewTracker) Local() PairSkew {
 	if st.local < 0 {
-		return PairSkew{}
+		return st.firstPair(true)
 	}
 	return st.Pair(st.local/st.n, st.local%st.n)
 }
 
-// Pair returns the running worst skew for one pair.
+// firstPair returns the first pair in Network.Pairs order — the first
+// distance-1 pair when local is set — or the zero PairSkew when there is
+// none.
+func (st *SkewTracker) firstPair(local bool) PairSkew {
+	one := rat.FromInt(1)
+	for i := 0; i < st.n; i++ {
+		for j := i + 1; j < st.n; j++ {
+			if !local || st.net.Dist(i, j).Equal(one) {
+				return st.Pair(i, j)
+			}
+		}
+	}
+	return PairSkew{}
+}
+
+// Pair returns the running worst skew for one pair. A pair whose skew has
+// not risen above 0 is witnessed at time 0, the earliest time it attains
+// its maximum, as MaxAbsSkew names it on a recorded run.
 func (st *SkewTracker) Pair(i, j int) PairSkew {
 	if j < i {
 		i, j = j, i
 	}
 	idx := i*st.n + j
-	return PairSkew{I: i, J: j, Dist: st.net.Dist(i, j), Skew: st.skewR(idx), At: st.atR(idx)}
+	p := PairSkew{I: i, J: j, Dist: st.net.Dist(i, j), Skew: st.skewR(idx)}
+	if p.Skew.Sign() != 0 {
+		p.At = st.atR(idx)
+	}
+	return p
 }
 
 // Profile returns the running empirical gradient profile f̂(d) = max skew

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"gcs/internal/algorithms"
 	"gcs/internal/clock"
 	"gcs/internal/engine"
 	"gcs/internal/network"
@@ -148,6 +149,61 @@ func TestOnlineMatchesPostHocConstantRates(t *testing.T) {
 	f := LinearGradient(rat.FromInt(1), rat.MustFrac(1, 2))
 	exec, st, gt, vt := runBoth(t, cfg, f)
 	checkTrackersMatch(t, exec, st, gt, vt, f)
+}
+
+// TestZeroSkewWitnessMatchesPostHoc: on runs whose skew never rises above
+// 0, the trackers name the same witness as the post-hoc functions — the
+// first pair for the global skew, the first distance-1 pair for the local
+// one, and the zero PairSkew where there is no such pair — not pair (0,0).
+// The grid cell is llw on 16 nodes under the max adversary with every rate
+// 1; the two-node cell, at distance 2, has no distance-1 pair.
+func TestZeroSkewWitnessMatchesPostHoc(t *testing.T) {
+	grid, err := network.SquareGrid(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoNode, err := network.TwoNode(rat.FromInt(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxAdv, err := engine.AdversaryByName("max", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	llw, err := algorithms.ByName("llw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []*network.Network{grid, twoNode} {
+		scheds := make([]*clock.Schedule, net.N())
+		for i := range scheds {
+			scheds[i] = clock.Constant(rat.FromInt(1))
+		}
+		cfg := engine.Config{
+			Net:       net,
+			Schedules: scheds,
+			Adversary: maxAdv,
+			Protocol:  llw,
+			Duration:  rat.FromInt(25),
+			Rho:       rat.MustFrac(1, 4),
+		}
+		exec, st, _, _ := runBoth(t, cfg, LinearGradient(rat.FromInt(1), rat.MustFrac(1, 2)))
+		for _, c := range []struct {
+			name         string
+			online, post PairSkew
+		}{
+			{"global", st.Global(), GlobalSkew(exec)},
+			{"local", st.Local(), LocalSkew(exec)},
+		} {
+			if c.post.Skew.Sign() != 0 {
+				t.Fatalf("%s: %s skew %s, want a run whose skew stays 0", net.Name(), c.name, c.post.Skew)
+			}
+			if c.online.I != c.post.I || c.online.J != c.post.J || !c.online.Dist.Equal(c.post.Dist) ||
+				!c.online.Skew.Equal(c.post.Skew) || !c.online.At.Equal(c.post.At) {
+				t.Errorf("%s: %s witness online %+v, recorded %+v", net.Name(), c.name, c.online, c.post)
+			}
+		}
+	}
 }
 
 // TestOnlineMatchesPostHocRateBreaks exercises the merged rate-breakpoint

@@ -36,10 +36,20 @@ func e13LongSpec() CampaignSpec {
 	}
 }
 
+// campaign validates spec and builds its cells' networks.
+func campaign(t *testing.T, spec CampaignSpec) *Campaign {
+	t.Helper()
+	c, err := NewCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // singleProcess runs the spec's one cell through plain search.Search.
 func singleProcess(t *testing.T, spec CampaignSpec) *search.Result {
 	t.Helper()
-	opt, err := spec.CellOptions(0)
+	opt, err := campaign(t, spec).CellOptions(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestRunMatchesSearch(t *testing.T) {
 	spec := e13LongSpec()
 	want := singleProcess(t, spec)
 	var events []ProgressEvent
-	cells, err := Run(spec, nil, nil, func(ev ProgressEvent) { events = append(events, ev) })
+	cells, err := campaign(t, spec).Run(nil, nil, func(ev ProgressEvent) { events = append(events, ev) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +151,7 @@ func TestRunMatchesSearch(t *testing.T) {
 // the move-set arithmetic, no engine constructed.
 func TestPlanCampaign(t *testing.T) {
 	spec := e13LongSpec()
-	plan, err := PlanCampaign(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := campaign(t, spec).Plan()
 	if len(plan.Cells) != 1 {
 		t.Fatalf("got %d cell plans, want 1", len(plan.Cells))
 	}
@@ -175,9 +182,10 @@ func TestPlanCampaign(t *testing.T) {
 	}
 }
 
-// TestPlanBoundsHoldOnRun drives specs through Run, the runner `gcssearch
-// run` uses, and holds the plan to every generation it merged: per cell, at most Generations
-// rounds, and round r evaluating at most CandidatesPerGen[r] candidates.
+// TestPlanBoundsHoldOnRun drives specs through Campaign.Run, the runner
+// `gcssearch run` uses, and holds the plan to every generation it merged:
+// per cell, at most Generations rounds, and round r evaluating at most
+// CandidatesPerGen[r] candidates.
 // The specs are the committed example campaign and an E13 cell with
 // windowed rate surgery, so every term of the per-parent bound is live.
 func TestPlanBoundsHoldOnRun(t *testing.T) {
@@ -192,12 +200,10 @@ func TestPlanBoundsHoldOnRun(t *testing.T) {
 	windows := e13LongSpec()
 	windows.RateWindows = 4
 	for name, spec := range map[string]CampaignSpec{"example": example, "rate-windows": windows} {
-		plan, err := PlanCampaign(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := campaign(t, spec)
+		plan := c.Plan()
 		var events []ProgressEvent
-		if _, err := Run(spec, nil, nil, func(ev ProgressEvent) { events = append(events, ev) }); err != nil {
+		if _, err := c.Run(nil, nil, func(ev ProgressEvent) { events = append(events, ev) }); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		rounds := make([]int, len(plan.Cells))
@@ -222,8 +228,8 @@ func TestPlanBoundsHoldOnRun(t *testing.T) {
 }
 
 // invalidSpecs are the misconfigurations a spec author will actually
-// produce, and the specs past each cap that Validate must refuse: the last
-// of them would overflow PlanCampaign's arithmetic if it were planned.
+// produce, and the specs past each cap that NewCampaign must refuse: the last
+// of them would overflow Plan's arithmetic if it were planned.
 func invalidSpecs() []CampaignSpec {
 	line := func(n int) []CellSpec { return []CellSpec{{Topology: "line", N: n, Duration: rat.FromInt(4)}} }
 	tooMany := make([]CellSpec, maxCells+1)
@@ -263,14 +269,11 @@ func invalidSpecs() []CampaignSpec {
 // TestSpecValidate rejects every invalid spec and accepts the E13 one.
 func TestSpecValidate(t *testing.T) {
 	for i, s := range invalidSpecs() {
-		if err := s.Validate(); err == nil {
+		if _, err := NewCampaign(s); err == nil {
 			t.Fatalf("spec %d validated: %+v", i, s)
 		}
 	}
-	good := e13LongSpec()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	campaign(t, e13LongSpec())
 }
 
 // TestSearchModeSpecErrors: the configurations gcssim -search refused before
@@ -284,7 +287,8 @@ func TestSearchModeSpecErrors(t *testing.T) {
 		if err := json.Unmarshal([]byte(data), &spec); err != nil {
 			return err
 		}
-		return spec.Validate()
+		_, err := NewCampaign(spec)
+		return err
 	}
 	if err := decode(valid); err != nil {
 		t.Fatalf("the valid spec: %v", err)
@@ -407,7 +411,7 @@ func searchModeCases() []searchModeCase {
 }
 
 // TestSearchModeSpecs: every search gcssim -search could start is a one-cell
-// campaign spec, and dist.Run on that spec returns exactly the Result
+// campaign spec, and a Campaign's Run on that spec returns exactly the Result
 // search.Search returned on the Options gcssim built from its flags.
 func TestSearchModeSpecs(t *testing.T) {
 	for _, tc := range searchModeCases() {
@@ -416,7 +420,7 @@ func TestSearchModeSpecs(t *testing.T) {
 			if err := json.Unmarshal([]byte(tc.spec), &spec); err != nil {
 				t.Fatal(err)
 			}
-			cells, err := Run(spec, nil, nil, nil)
+			cells, err := campaign(t, spec).Run(nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

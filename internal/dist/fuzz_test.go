@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzCampaignSpec drives arbitrary bytes through the spec boundary
-// `gcssearch plan` and `gcssearch run` expose: decode, Validate, and for a
-// valid spec PlanCampaign, none of which may panic. A valid spec must plan
+// `gcssearch plan` and `gcssearch run` expose: decode, NewCampaign, and for
+// a valid spec Plan, none of which may panic. A valid spec must plan
 // to counts of at least 1, and each MaxCandidates, per cell and in total,
 // must equal the sum it is made of, summed without overflow: a plan whose
 // arithmetic wrapped fails here. A valid spec must also survive a marshal →
@@ -39,14 +39,11 @@ func FuzzCampaignSpec(f *testing.F) {
 		if err := json.Unmarshal(data, &spec); err != nil {
 			return
 		}
-		if err := spec.Validate(); err != nil {
+		c, err := NewCampaign(spec)
+		if err != nil {
 			return
 		}
-		plan, err := PlanCampaign(spec)
-		if err != nil {
-			t.Fatalf("valid spec failed to plan: %v", err)
-		}
-		checkPlanSums(t, plan)
+		checkPlanSums(t, c.Plan())
 		first, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatalf("valid spec does not marshal: %v", err)

@@ -30,12 +30,10 @@ type Plan struct {
 	MaxCandidates int `json:"max_candidates"`
 }
 
-// PlanCampaign bounds spec's work. No engine is constructed: the counts are
-// arithmetic over the spec.
-func PlanCampaign(spec CampaignSpec) (*Plan, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
+// Plan bounds the campaign's work. No engine is constructed: the counts are
+// arithmetic over the spec and the cells' node counts.
+func (c *Campaign) Plan() *Plan {
+	spec := &c.spec
 	// The search's own defaults, read without running a search: the
 	// planner must not need a live one.
 	rounds, beam, delayMut := spec.Rounds, spec.Beam, spec.DelayMutations
@@ -49,12 +47,8 @@ func PlanCampaign(spec CampaignSpec) (*Plan, error) {
 		delayMut = search.DefaultDelayMutations
 	}
 	p := &Plan{}
-	for _, cell := range spec.Cells {
-		net, err := spec.network(cell)
-		if err != nil {
-			return nil, err
-		}
-		n := net.N()
+	for i, cell := range spec.Cells {
+		n := c.nets[i].N()
 		// Per mutation generation, each of the Beam parents contributes at
 		// most: 2 whole-run rate flips per node (to 1−ρ and 1+ρ; the third
 		// choice always matches the current rate), 2 windowed pins per node
@@ -74,7 +68,7 @@ func PlanCampaign(spec CampaignSpec) (*Plan, error) {
 		p.Cells = append(p.Cells, cp)
 		p.MaxCandidates += cp.MaxCandidates
 	}
-	return p, nil
+	return p
 }
 
 // Render formats a plan as the human-readable `gcssearch plan` report.

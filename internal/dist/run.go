@@ -24,19 +24,16 @@ type CellResult struct {
 	Result *search.Result `json:"result"`
 }
 
-// Run searches every cell of spec in order, in this process: each cell is
-// one search.Campaign stepped to the end, so its Result is search.Search's
-// on the cell's options. sm and em, when non-nil, instrument every cell
-// (search.Options.Metrics and EngineMetrics); progress, when non-nil,
-// receives one event per merged generation. The first failing cell ends the
-// run.
-func Run(spec CampaignSpec, sm *search.Metrics, em *engine.Metrics, progress func(ProgressEvent)) ([]CellResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]CellResult, 0, len(spec.Cells))
-	for i, cell := range spec.Cells {
-		res, err := runCell(spec, i, sm, em, progress)
+// Run searches every cell of the campaign in order, in this process: each
+// cell is one search.Campaign stepped to the end, so its Result is
+// search.Search's on the cell's options. sm and em, when non-nil, instrument
+// every cell (search.Options.Metrics and EngineMetrics); progress, when
+// non-nil, receives one event per merged generation. The first failing cell
+// ends the run.
+func (c *Campaign) Run(sm *search.Metrics, em *engine.Metrics, progress func(ProgressEvent)) ([]CellResult, error) {
+	out := make([]CellResult, 0, len(c.spec.Cells))
+	for i, cell := range c.spec.Cells {
+		res, err := c.runCell(i, sm, em, progress)
 		if err != nil {
 			return nil, fmt.Errorf("dist: cell %d (%s): %w", i, cell.Label(), err)
 		}
@@ -45,26 +42,27 @@ func Run(spec CampaignSpec, sm *search.Metrics, em *engine.Metrics, progress fun
 	return out, nil
 }
 
-// runCell steps cell i's Campaign to the end, reporting each generation.
-func runCell(spec CampaignSpec, i int, sm *search.Metrics, em *engine.Metrics, progress func(ProgressEvent)) (*search.Result, error) {
-	opt, err := spec.CellOptions(i)
+// runCell steps cell i's search.Campaign to the end, reporting each
+// generation.
+func (c *Campaign) runCell(i int, sm *search.Metrics, em *engine.Metrics, progress func(ProgressEvent)) (*search.Result, error) {
+	opt, err := c.CellOptions(i)
 	if err != nil {
 		return nil, err
 	}
 	opt.Metrics, opt.EngineMetrics = sm, em
-	c, err := search.NewCampaign(opt)
+	sc, err := search.NewCampaign(opt)
 	if err != nil {
 		return nil, err
 	}
-	for !c.Done() {
-		ev := ProgressEvent{Cell: i, CellName: spec.Cells[i].Label(), Round: c.Round(), Candidates: c.NumPending()}
-		if err := c.Step(); err != nil {
+	for !sc.Done() {
+		ev := ProgressEvent{Cell: i, CellName: c.spec.Cells[i].Label(), Round: sc.Round(), Candidates: sc.NumPending()}
+		if err := sc.Step(); err != nil {
 			return nil, err
 		}
 		if progress != nil {
-			ev.Evaluated, ev.Best = c.Evaluated(), c.BestValue().String()
+			ev.Evaluated, ev.Best = sc.Evaluated(), sc.BestValue().String()
 			progress(ev)
 		}
 	}
-	return c.Result()
+	return sc.Result()
 }

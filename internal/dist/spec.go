@@ -1,9 +1,10 @@
 // Package dist runs worst-case search campaigns: a campaign spec names a
 // protocol, a list of topology cells and the search budget in plain JSON,
-// PlanCampaign bounds its work without executing an engine step, and Run
-// searches each cell in this process with internal/search. `gcssearch plan`
-// and `gcssearch run` are its command line, and the spec is the one place
-// user input becomes search.Options: every search the command line can
+// NewCampaign validates it and builds each cell's network once, and the
+// Campaign's Plan bounds its work without executing an engine step while its
+// Run searches each cell in this process with internal/search. `gcssearch
+// plan` and `gcssearch run` are its command line, and the spec is the one
+// place user input becomes search.Options: every search the command line can
 // start is a campaign spec, down to a single cell.
 package dist
 
@@ -20,8 +21,8 @@ import (
 )
 
 // CellSpec names one topology instance of a campaign. Cells are specs, not
-// objects: the network is rebuilt from the spec, so a campaign is plain
-// data.
+// objects: NewCampaign builds the network from the spec, so a campaign spec
+// is plain data.
 type CellSpec struct {
 	// Name labels the cell in progress events and results (defaults to
 	// "topology/n" when empty).
@@ -55,7 +56,7 @@ func (c CellSpec) Label() string {
 // 2n(1 + rate_windows) + 3·delay_mutations < 2^22 candidates to a
 // generation, a generation holds at most beam times that (< 2^32), a cell at
 // most 1 + rounds of those (< 2^42), and a plan at most maxCells cells
-// (< 2^52): no valid spec can overflow PlanCampaign's int arithmetic.
+// (< 2^52): no valid spec can overflow Plan's int arithmetic.
 const (
 	maxCells          = 1024
 	maxRounds         = 1024
@@ -99,13 +100,22 @@ type CampaignSpec struct {
 	Threads int `json:"threads,omitempty"`
 }
 
-// Validate checks the spec rebuilds: every cell's network, the protocol, the
-// adversary, and the objective, with ρ in [0, 1), no negative budget, the
-// cell count and search budget within their caps, and no rate_windows under
-// ρ = 0 (search refuses windows that can pin no rate).
-func (s *CampaignSpec) Validate() error {
+// Campaign is a validated spec with every cell's network built: Plan counts
+// and Run searches the networks NewCampaign built to validate the spec, so
+// a command builds each network once.
+type Campaign struct {
+	spec CampaignSpec
+	nets []*network.Network
+}
+
+// NewCampaign validates s and builds each cell's network. It checks the
+// spec rebuilds: every cell's network, the protocol, the adversary, and the
+// objective, with ρ in [0, 1), no negative budget, the cell count and search
+// budget within their caps, and no rate_windows under ρ = 0 (search refuses
+// windows that can pin no rate).
+func NewCampaign(s CampaignSpec) (*Campaign, error) {
 	if len(s.Cells) == 0 {
-		return fmt.Errorf("dist: campaign has no cells")
+		return nil, fmt.Errorf("dist: campaign has no cells")
 	}
 	for _, c := range []struct {
 		name     string
@@ -119,40 +129,43 @@ func (s *CampaignSpec) Validate() error {
 		{"threads", s.Threads, math.MaxInt},
 	} {
 		if c.val < 0 {
-			return fmt.Errorf("dist: negative %s %d", c.name, c.val)
+			return nil, fmt.Errorf("dist: negative %s %d", c.name, c.val)
 		}
 		if c.val > c.max {
-			return fmt.Errorf("dist: %d %s exceeds the cap of %d", c.val, c.name, c.max)
+			return nil, fmt.Errorf("dist: %d %s exceeds the cap of %d", c.val, c.name, c.max)
 		}
 	}
 	rho := s.rho()
 	if rho.Sign() < 0 || rho.GreaterEq(rat.FromInt(1)) {
-		return fmt.Errorf("dist: rho %s outside [0, 1)", rho)
+		return nil, fmt.Errorf("dist: rho %s outside [0, 1)", rho)
 	}
 	if s.RateWindows > 0 && rho.IsZero() {
-		return fmt.Errorf("dist: rate_windows %d with rho 0: windowed surgery pins rates to 1−ρ and 1+ρ, so it needs rho > 0", s.RateWindows)
+		return nil, fmt.Errorf("dist: rate_windows %d with rho 0: windowed surgery pins rates to 1−ρ and 1+ρ, so it needs rho > 0", s.RateWindows)
 	}
-	for i := range s.Cells {
-		if _, err := s.network(s.Cells[i]); err != nil {
-			return fmt.Errorf("dist: cell %d: %w", i, err)
+	nets := make([]*network.Network, len(s.Cells))
+	for i, cell := range s.Cells {
+		net, err := network.ByName(cell.Topology, cell.N, cell.Diameter, s.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("dist: cell %d: %w", i, err)
 		}
-		if s.Cells[i].Duration.Sign() <= 0 {
-			return fmt.Errorf("dist: cell %d (%s): non-positive duration %s", i, s.Cells[i].Label(), s.Cells[i].Duration)
+		if cell.Duration.Sign() <= 0 {
+			return nil, fmt.Errorf("dist: cell %d (%s): non-positive duration %s", i, cell.Label(), cell.Duration)
 		}
+		nets[i] = net
 	}
 	if _, err := algorithms.ByName(s.Protocol); err != nil {
-		return fmt.Errorf("dist: %w", err)
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if _, err := engine.AdversaryByName(s.adversaryName(), s.Seed); err != nil {
-		return fmt.Errorf("dist: %w", err)
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if _, err := search.ParseObjective(s.objectiveName()); err != nil {
-		return err
+		return nil, err
 	}
 	if s.MutateTail.Sign() < 0 || s.MutateTail.Greater(rat.FromInt(1)) {
-		return fmt.Errorf("dist: mutate_tail %s outside [0, 1]", s.MutateTail)
+		return nil, fmt.Errorf("dist: mutate_tail %s outside [0, 1]", s.MutateTail)
 	}
-	return nil
+	return &Campaign{spec: s, nets: nets}, nil
 }
 
 func (s *CampaignSpec) adversaryName() string {
@@ -176,21 +189,13 @@ func (s *CampaignSpec) rho() rat.Rat {
 	return *s.Rho
 }
 
-// network rebuilds cell c's network, deterministically in the spec alone.
-func (s *CampaignSpec) network(c CellSpec) (*network.Network, error) {
-	return network.ByName(c.Topology, c.N, c.Diameter, s.Seed)
-}
-
-// CellOptions rebuilds the search.Options for cell i.
-func (s *CampaignSpec) CellOptions(i int) (search.Options, error) {
+// CellOptions builds the search.Options for cell i on the cell's network.
+func (c *Campaign) CellOptions(i int) (search.Options, error) {
+	s := &c.spec
 	if i < 0 || i >= len(s.Cells) {
 		return search.Options{}, fmt.Errorf("dist: cell %d of %d", i, len(s.Cells))
 	}
 	cell := s.Cells[i]
-	net, err := s.network(cell)
-	if err != nil {
-		return search.Options{}, err
-	}
 	proto, err := algorithms.ByName(s.Protocol)
 	if err != nil {
 		return search.Options{}, fmt.Errorf("dist: %w", err)
@@ -204,7 +209,7 @@ func (s *CampaignSpec) CellOptions(i int) (search.Options, error) {
 		return search.Options{}, err
 	}
 	opt := search.Options{
-		Net:            net,
+		Net:            c.nets[i],
 		Protocol:       proto,
 		Duration:       cell.Duration,
 		Rho:            s.rho(),

@@ -36,7 +36,6 @@ package search
 import (
 	"fmt"
 
-	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
 	"gcs/internal/trace"
@@ -61,10 +60,16 @@ type Decision struct {
 // decision from the MsgRecord stream, in send order, and converts the run
 // into a replayable script for engine.ScriptedAdversary. Attach it with
 // Engine.Observe before the first step to capture the complete run.
+//
+// A log holds its decisions in two segments: prefix, the decisions of the
+// log it was cloned from, shared with that log and never written; and own,
+// the decisions captured since, in storage of its own. A fork's log thus
+// costs only the decisions the fork itself makes.
 type DecisionLog struct {
-	net       *network.Network
-	decisions []Decision
-	events    uint64 // dispatched events seen so far (== Engine.Steps())
+	net    *network.Network
+	prefix []Decision
+	own    []Decision
+	events uint64 // dispatched events seen so far (== Engine.Steps())
 }
 
 // NewDecisionLog returns a log for runs over net (needed to recover each
@@ -77,15 +82,31 @@ func NewDecisionLog(net *network.Network) *DecisionLog {
 // a forked engine to keep capturing a branched run's decisions: the clone
 // carries the shared prefix (including the event counter, so Decision.Event
 // stays aligned with Engine.Steps across the fork), and the original
-// continues logging its own branch untouched. The prefix is shared, not
-// copied: decisions are append-only, and the clone's view is capped at the
-// current length, so whichever branch appends first moves to storage of its
-// own. A clone costs the same at any log length.
+// continues logging its own branch untouched. The clone keeps l's decisions
+// as its never-written prefix and appends its own after them, so neither
+// the clone nor its sends copy l's decisions: a clone and its sends cost
+// the same at any log length. Cloning a clone that has decisions of its own
+// first joins its two segments, once, as Decisions does.
 func (l *DecisionLog) Clone() *DecisionLog {
-	return &DecisionLog{
-		net:       l.net,
-		decisions: l.decisions[:len(l.decisions):len(l.decisions)],
-		events:    l.events,
+	d := l.Decisions()
+	return &DecisionLog{net: l.net, prefix: d[:len(d):len(d)], events: l.events}
+}
+
+// reserve makes room for about n more decisions, so that capturing them
+// moves no storage. The search sizes each log once from its candidate's
+// script, which a mutant's run can outgrow by a few decisions (a changed
+// delay can bring a receipt, and the sends it triggers, before the
+// horizon), so reserve adds a sixteenth and four. Results never depend on
+// it.
+func (l *DecisionLog) reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	n += n/16 + 4
+	if n > cap(l.own)-len(l.own) {
+		own := make([]Decision, len(l.own), len(l.own)+n)
+		copy(own, l.own)
+		l.own = own
 	}
 }
 
@@ -107,7 +128,7 @@ func (l *DecisionLog) OnSend(rec trace.MsgRecord) {
 		// to replay or mutate.
 		return
 	}
-	l.decisions = append(l.decisions, Decision{
+	l.own = append(l.own, Decision{
 		Key:      rec.Key,
 		SendReal: rec.SendReal,
 		Delay:    rec.Delay,
@@ -120,45 +141,37 @@ func (l *DecisionLog) OnSend(rec trace.MsgRecord) {
 func (l *DecisionLog) OnDeliver(trace.MsgRecord) {}
 
 // Len returns the number of captured decisions.
-func (l *DecisionLog) Len() int { return len(l.decisions) }
+func (l *DecisionLog) Len() int { return len(l.prefix) + len(l.own) }
 
-// Decisions returns the captured decisions in send order. The caller must
-// not modify the returned slice.
-func (l *DecisionLog) Decisions() []Decision { return l.decisions }
+// Decisions returns the captured decisions in send order, as one contiguous
+// slice. A clone with decisions of its own joins its two segments into
+// storage of its own on the first call, once; every later call, and every
+// call on a log with one segment, returns the stored decisions as they are.
+// The caller must not modify the returned slice.
+func (l *DecisionLog) Decisions() []Decision {
+	if len(l.prefix) == 0 {
+		return l.own
+	}
+	if len(l.own) > 0 {
+		joined := append(make([]Decision, 0, l.Len()), l.prefix...)
+		l.own, l.prefix = append(joined, l.own...), nil
+		return l.own
+	}
+	return l.prefix
+}
 
 // Script converts the captured run into a replayable delay script.
 func (l *DecisionLog) Script() map[trace.MsgKey]rat.Rat {
-	out := make(map[trace.MsgKey]rat.Rat, len(l.decisions))
-	for _, d := range l.decisions {
-		out[d.Key] = d.Delay
+	out := make(map[trace.MsgKey]rat.Rat, l.Len())
+	for _, seg := range [2][]Decision{l.prefix, l.own} {
+		for _, d := range seg {
+			out[d.Key] = d.Delay
+		}
 	}
 	return out
-}
-
-// ScriptPrefix converts the first k decisions into a script; decisions
-// beyond the prefix are left to a tail adversary at replay time. k is
-// clamped to [0, Len()].
-func (l *DecisionLog) ScriptPrefix(k int) map[trace.MsgKey]rat.Rat {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(l.decisions) {
-		k = len(l.decisions)
-	}
-	out := make(map[trace.MsgKey]rat.Rat, k)
-	for _, d := range l.decisions[:k] {
-		out[d.Key] = d.Delay
-	}
-	return out
-}
-
-// Scripted wraps the captured script in a replaying adversary with the given
-// tail for decisions beyond the script.
-func (l *DecisionLog) Scripted(tail engine.Adversary) engine.ScriptedAdversary {
-	return engine.ScriptedAdversary{Delays: l.Script(), Fallback: tail}
 }
 
 // String returns a short summary for debugging.
 func (l *DecisionLog) String() string {
-	return fmt.Sprintf("decisionlog(%d decisions)", len(l.decisions))
+	return fmt.Sprintf("decisionlog(%d decisions)", l.Len())
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -131,28 +132,43 @@ func TestDecisionLogCloneIsolatesBranches(t *testing.T) {
 	}
 }
 
-// TestDecisionLogCloneCostIndependentOfLength: a fork's log clone shares the
-// trunk's decisions instead of copying them, so it costs the same at 10 and
-// at 10,000 decisions — the log header and nothing else.
+// TestDecisionLogCloneCostIndependentOfLength: a fork's log clone keeps the
+// trunk's decisions as a shared prefix, so neither the clone nor its first
+// send copies them: the two together allocate the same bytes at 10 and at
+// 10,000 decisions. Bytes, not allocations: a copy of the prefix is one
+// allocation at any length.
 func TestDecisionLogCloneCostIndependentOfLength(t *testing.T) {
 	net, err := network.Line(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(n int) float64 {
+	// One processor and a collection first keep the runtime's own
+	// allocations out of the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 16
+	bytes := func(n int) uint64 {
 		l := NewDecisionLog(net)
 		for seq := 0; seq < n; seq++ {
 			l.OnSend(sendRec(uint64(seq)))
 		}
-		var sink *DecisionLog
-		a := testing.AllocsPerRun(20, func() { sink = l.Clone() })
-		if sink.Len() != n {
-			t.Fatalf("clone of %d decisions has %d", n, sink.Len())
+		clones := make([]*DecisionLog, runs)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range clones {
+			clones[i] = l.Clone()
+			clones[i].OnSend(sendRec(uint64(n)))
 		}
-		return a
+		runtime.ReadMemStats(&after)
+		for _, c := range clones {
+			if c.Len() != n+1 {
+				t.Fatalf("clone of %d decisions holds %d after one send", n, c.Len())
+			}
+		}
+		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	small, large := allocs(10), allocs(10000)
-	if small != large || large > 1 {
-		t.Fatalf("Clone allocs: %v at 10 decisions, %v at 10,000; want equal and at most 1 (the header)", small, large)
+	small, large := bytes(10), bytes(10000)
+	if small != large {
+		t.Fatalf("Clone plus one send allocates %d bytes at 10 decisions, %d at 10,000; want equal", small, large)
 	}
 }

@@ -185,7 +185,10 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 			results[i] = evaluation{cand: c, err: err}
 			return
 		}
+		// Every mutant scripts exactly its parent's realized decisions, so
+		// its script sizes the run; the fork inherits the prefix.
 		flog := log.Clone()
+		flog.reserve(len(c.script) - flog.Len())
 		fork.Observe(fskew, flog)
 		prefix := fork.Steps()
 		spawn(func() { results[i] = finish(opt, c, fork, fskew, flog, prefix) })
@@ -270,13 +273,16 @@ func evaluate(opt Options, cand candidate) evaluation {
 }
 
 // newEval builds an evaluation engine from time zero: script over a fresh
-// Base tail on scheds, watched by a new skew tracker and decision log.
+// Base tail on scheds, watched by a new skew tracker and decision log. The
+// log is sized for the script, the run's expected decision count (the base,
+// with no script, grows its log as it goes).
 func newEval(opt Options, scheds []*clock.Schedule, script map[trace.MsgKey]rat.Rat) (*engine.Engine, *core.SkewTracker, *DecisionLog, error) {
 	skew, err := core.NewSkewTracker(opt.Net, scheds)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	log := NewDecisionLog(opt.Net)
+	log.reserve(len(script))
 	eng, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
 		engine.WithAdversary(engine.ScriptedAdversary{Delays: script, Fallback: baseTail(opt)}),

@@ -244,6 +244,29 @@ func TestRateMutantPrefixCacheMatchesFullResim(t *testing.T) {
 	}
 }
 
+// TestSearchByteBudget pins the bytes one prefix-cached search allocates on
+// the E13 -long workload, where each candidate's decision log shares its
+// trunk's decisions and is sized once from the candidate's script. Copying
+// the trunk's decisions into every fork's log on its first send, and growing
+// every log by doubling, took 3.5 MB.
+func TestSearchByteBudget(t *testing.T) {
+	opt := longE13Opts(t)
+	opt.Workers = 1
+	// One processor and a collection first keep the runtime's own
+	// allocations out of the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Search(opt); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 2_900_000 {
+		t.Fatalf("search allocated %d bytes, want at most 2.9 MB", b)
+	}
+}
+
 // TestSearchSeeded: a seeded search must start at, not below, the seed's
 // own objective value, and seeds must survive validation.
 func TestSearchSeeded(t *testing.T) {
@@ -659,10 +682,13 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Prefix replay: scripted decisions replay exactly; the rest fall back
-	// to the midpoint tail.
+	// Prefix replay: a script of the first half of the decisions replays
+	// them exactly; the rest fall back to the midpoint tail.
 	k := orig.Len() / 2
-	prefix := orig.ScriptPrefix(k)
+	prefix := make(map[trace.MsgKey]rat.Rat, k)
+	for _, d := range orig.Decisions()[:k] {
+		prefix[d.Key] = d.Delay
+	}
 	tail := runWith(engine.ScriptedAdversary{Delays: prefix, Fallback: engine.Midpoint()})
 	half := rf(1, 2)
 	for _, d := range tail.Decisions() {
@@ -675,14 +701,6 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Scripted() convenience wires the same script and tail.
-	sa := orig.Scripted(engine.Midpoint())
-	if len(sa.Delays) != orig.Len() {
-		t.Fatalf("Scripted() carries %d delays, want %d", len(sa.Delays), orig.Len())
-	}
-	if sa.Fallback == nil {
-		t.Fatal("Scripted() dropped the tail")
-	}
 }
 
 // TestScriptExhaustionFailsRun: a script with no fallback fails the run with
@@ -703,33 +721,6 @@ func TestScriptExhaustionFailsRun(t *testing.T) {
 	err = eng.RunUntil(ri(4))
 	if err == nil || !strings.Contains(err.Error(), "no Fallback") {
 		t.Fatalf("expected script-exhaustion error, got %v", err)
-	}
-}
-
-func mustLog(t *testing.T, net *network.Network, recs []trace.MsgRecord) *DecisionLog {
-	t.Helper()
-	log := NewDecisionLog(net)
-	for _, r := range recs {
-		log.OnSend(r)
-	}
-	return log
-}
-
-// TestScriptPrefixClamps: a prefix longer than the log is the whole log.
-func TestScriptPrefixClamps(t *testing.T) {
-	net, err := network.Line(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := mustLog(t, net, []trace.MsgRecord{
-		{Key: trace.MsgKey{From: 0, To: 1, Seq: 0}, Delay: rf(1, 2)},
-		{Key: trace.MsgKey{From: 1, To: 2, Seq: 0}, Delay: ri(1)},
-	})
-	if got := log.ScriptPrefix(10); len(got) != 2 {
-		t.Fatalf("clamped prefix has %d entries, want 2", len(got))
-	}
-	if got := log.ScriptPrefix(1); len(got) != 1 {
-		t.Fatalf("prefix(1) has %d entries, want 1", len(got))
 	}
 }
 
