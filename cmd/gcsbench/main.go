@@ -8,8 +8,8 @@
 //
 //	gcsbench            # the standard suite (seconds)
 //	gcsbench -long      # extended sweeps (minutes; larger diameters)
-//	gcsbench -only E4   # one experiment (E1..E14)
-//	gcsbench -stream    # E12 only: online skew metrics on large lines
+//	gcsbench -only E4   # one experiment (E1..E14); -only E12 is the
+//	                    # streaming scale sweep (online skew on large lines)
 //	gcsbench -json      # machine-readable tables (BENCH_*.json trend tracking)
 //	gcsbench -matrix    # the scenario matrix: generated topologies ×
 //	                    # fault models × drift profiles vs certified bounds
@@ -40,7 +40,6 @@ import (
 func main() {
 	long := flag.Bool("long", false, "extended sweeps (larger diameters; minutes)")
 	only := flag.String("only", "", "run a single experiment (E1..E14)")
-	stream := flag.Bool("stream", false, "run only the E12 streaming scale sweep")
 	jsonOut := flag.Bool("json", false, "emit experiment tables as machine-readable JSON")
 	matrix := flag.Bool("matrix", false, "run the scenario matrix (generated topologies × fault models × drift profiles vs certified bounds)")
 	smoke := flag.Bool("smoke", false, "with -matrix: run only the committed CI smoke subset (BENCH_matrix.json)")
@@ -51,7 +50,7 @@ func main() {
 	case flag.NArg() > 0:
 		err = fmt.Errorf("unexpected argument %q", flag.Arg(0))
 	case *matrix:
-		if *long || *only != "" || *stream {
+		if *long || *only != "" {
 			err = fmt.Errorf("-matrix combines only with -smoke and -json")
 		} else {
 			out, err = runMatrix(*smoke, *jsonOut)
@@ -59,7 +58,7 @@ func main() {
 	case *smoke:
 		err = fmt.Errorf("-smoke selects the matrix smoke subset and requires -matrix")
 	default:
-		out, err = run(*long, strings.ToUpper(*only), *stream, *jsonOut)
+		out, err = run(*long, strings.ToUpper(*only), *jsonOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gcsbench:", err)
@@ -131,13 +130,7 @@ var suite = []experiment{
 	{"E14", runE14},
 }
 
-func run(long bool, only string, stream, jsonOut bool) (string, error) {
-	if stream {
-		if only != "" && only != "E12" {
-			return "", fmt.Errorf("-stream runs only E12, but -only %s was requested", only)
-		}
-		only = "E12"
-	}
+func run(long bool, only string, jsonOut bool) (string, error) {
 	if only != "" {
 		found := false
 		for _, e := range suite {

@@ -9,17 +9,22 @@ import (
 )
 
 // TestSingleExperiments exercises the fast experiments end to end through
-// the CLI path. (E4 and the full suite are covered by the root benchmarks.)
+// the CLI path, each printing its own table and no other experiment's. (E4
+// and the full suite are covered by the root benchmarks.) E12 is the
+// streaming scale sweep, at its small standard sizes.
 func TestSingleExperiments(t *testing.T) {
-	for _, id := range []string{"E1", "E3", "E5", "E13", "E14"} {
+	for _, id := range []string{"E1", "E3", "E5", "E12", "E13", "E14"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			out, err := run(false, id, false, false)
+			out, err := run(false, id, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(out, "== "+id+":") {
 				t.Fatalf("output missing %s table:\n%s", id, out)
+			}
+			if id != "E1" && strings.Contains(out, "== E1:") {
+				t.Fatalf("-only %s also ran E1:\n%s", id, out)
 			}
 		})
 	}
@@ -28,36 +33,15 @@ func TestSingleExperiments(t *testing.T) {
 // TestUnknownExperimentErrors: a typo'd -only filter must fail loudly
 // instead of silently running nothing and exiting 0.
 func TestUnknownExperimentErrors(t *testing.T) {
-	if _, err := run(false, "E99", false, false); err == nil {
+	if _, err := run(false, "E99", false); err == nil {
 		t.Fatal("unknown experiment should error")
-	}
-}
-
-// TestStreamMode runs the E12 streaming sweep (small sizes keep it fast).
-func TestStreamMode(t *testing.T) {
-	out, err := run(false, "", true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "== E12:") {
-		t.Fatalf("stream mode output missing E12 table:\n%s", out)
-	}
-	if strings.Contains(out, "== E1:") {
-		t.Fatal("stream mode ran non-streaming experiments")
-	}
-}
-
-// TestStreamOnlyConflict: -stream with a different -only is contradictory.
-func TestStreamOnlyConflict(t *testing.T) {
-	if _, err := run(false, "E3", true, false); err == nil {
-		t.Fatal("conflicting -stream and -only should error")
 	}
 }
 
 // TestJSONMode: -json emits the same tables as a machine-readable array
 // with the stable {id, title, header, rows} schema and no text rendering.
 func TestJSONMode(t *testing.T) {
-	out, err := run(false, "E13", false, true)
+	out, err := run(false, "E13", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +74,7 @@ func TestJSONMode(t *testing.T) {
 // TestJSONModeMultiTable: an experiment emitting several tables (E9) keeps
 // them as separate JSON objects.
 func TestJSONModeMultiTable(t *testing.T) {
-	out, err := run(false, "E9", false, true)
+	out, err := run(false, "E9", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +93,7 @@ func TestJSONModeMultiTable(t *testing.T) {
 // that every table row ends in the "yes" ok column.
 func assertAllCellsOK(t *testing.T, id string) {
 	t.Helper()
-	out, err := run(false, id, false, false)
+	out, err := run(false, id, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +124,7 @@ func TestE14AllCellsOK(t *testing.T) { assertAllCellsOK(t, "E14") }
 // path as valid JSON (its ratio formatting shares fmtFloat with E13, which
 // maps ±Inf/NaN to stable strings instead of invalid bare tokens).
 func TestJSONModeE14(t *testing.T) {
-	out, err := run(false, "E14", false, true)
+	out, err := run(false, "E14", true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -905,7 +905,7 @@ func TestForkDivergence(t *testing.T) {
 	proto := gcs.MaxGossip(gcs.R(1))
 	build := func(adv gcs.Adversary) (*gcs.Engine, *gcs.DecisionLog) {
 		t.Helper()
-		log := gcs.NewDecisionLog(net)
+		log := gcs.NewDecisionLog()
 		eng, err := gcs.NewEngine(net,
 			gcs.WithProtocol(proto),
 			gcs.WithAdversary(adv),
@@ -945,25 +945,22 @@ func TestForkDivergence(t *testing.T) {
 	}
 	// Prefix decisions are shared; the fork's post-fork decisions take the
 	// full bound while the trunk keeps the midpoint.
-	half, one := gcs.Frac(1, 2), gcs.R(1)
+	half := gcs.Frac(1, 2)
+	bound := func(d gcs.Decision) gcs.Rat { return net.Dist(d.Key.From, d.Key.To) }
 	for i, d := range flog.Decisions() {
-		want := one
-		if i < prefix {
-			want = tlog.Decisions()[i].Delay
-		}
 		if i >= prefix {
-			if !d.Delay.Equal(want.Mul(d.Bound)) {
-				t.Fatalf("fork decision %d delay %s, want bound %s", i, d.Delay, d.Bound)
+			if !d.Delay.Equal(bound(d)) {
+				t.Fatalf("fork decision %d delay %s, want bound %s", i, d.Delay, bound(d))
 			}
 			continue
 		}
-		if !d.Delay.Equal(want) {
+		if want := tlog.Decisions()[i].Delay; !d.Delay.Equal(want) {
 			t.Fatalf("fork prefix decision %d delay %s, want trunk's %s", i, d.Delay, want)
 		}
 	}
 	for _, d := range tlog.Decisions() {
-		if !d.Delay.Equal(half.Mul(d.Bound)) {
-			t.Fatalf("trunk decision %v delay %s drifted off the midpoint %s", d.Key, d.Delay, half.Mul(d.Bound))
+		if !d.Delay.Equal(half.Mul(bound(d))) {
+			t.Fatalf("trunk decision %v delay %s drifted off the midpoint %s", d.Key, d.Delay, half.Mul(bound(d)))
 		}
 	}
 
@@ -978,7 +975,7 @@ func TestForkDivergence(t *testing.T) {
 	}
 	for i, d := range rlog.Decisions() {
 		f := flog.Decisions()[i]
-		if d.Key != f.Key || !d.Delay.Equal(f.Delay) || !d.SendReal.Equal(f.SendReal) || d.Event != f.Event {
+		if d.Key != f.Key || !d.Delay.Equal(f.Delay) || d.Event != f.Event {
 			t.Fatalf("replay decision %d differs: %+v vs %+v", i, d, f)
 		}
 	}

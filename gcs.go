@@ -404,10 +404,12 @@ type (
 	// SearchSeed is an initial candidate injected into the search beam —
 	// typically a certified construction exported via an AdversarySeed.
 	SearchSeed = search.Seed
-	// Decision is one captured per-message delay choice.
+	// Decision is one captured per-message delay choice: the message key,
+	// the delay, and the engine event that sent it.
 	Decision = search.Decision
 	// DecisionLog is an engine observer converting a run's delay decisions
-	// into a replayable script.
+	// into a replayable script; NewDecisionLog needs no network, since
+	// everything a decision holds comes off the engine's streams.
 	DecisionLog = search.DecisionLog
 )
 

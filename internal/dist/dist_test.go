@@ -236,7 +236,7 @@ func invalidSpecs() []CampaignSpec {
 	for i := range tooMany {
 		tooMany[i] = line(3)[0]
 	}
-	return []CampaignSpec{
+	specs := []CampaignSpec{
 		{},
 		{Protocol: "gradient"},
 		{Protocol: "nope", Cells: []CellSpec{{Topology: "line", N: 3, Duration: rat.FromInt(4)}}},
@@ -263,6 +263,46 @@ func invalidSpecs() []CampaignSpec {
 		{Protocol: "gradient", Threads: -3, Cells: line(3)},
 		{Protocol: "gradient", Rho: ratp(rat.Rat{}), RateWindows: 2, Cells: line(3)},
 		{Protocol: "gradient", Seed: 1, Cells: []CellSpec{{Topology: "rgg", N: 6, Duration: rat.FromInt(4)}}},
+	}
+	for _, cell := range badDiameterCells() {
+		specs = append(specs, CampaignSpec{Protocol: "max-gossip", Seed: 7, Cells: []CellSpec{cell}})
+	}
+	return specs
+}
+
+// badDiameterCells are cells whose one fault is their diameter: a negative
+// one, and one on each topology that derives its diameter from n.
+func badDiameterCells() []CellSpec {
+	cell := func(topology string, n int, d rat.Rat) CellSpec {
+		return CellSpec{Topology: topology, N: n, Diameter: d, Duration: rat.FromInt(4)}
+	}
+	return []CellSpec{
+		cell("star", 4, rat.FromInt(-3)),
+		cell("complete", 4, rat.MustFrac(-1, 2)),
+		cell("two-node", 0, rat.FromInt(-2)),
+		cell("line", 4, rat.FromInt(3)),
+		cell("ring", 4, rat.FromInt(2)),
+		cell("grid", 9, rat.FromInt(4)),
+		cell("rgg", 16, rat.FromInt(1)),
+	}
+}
+
+// TestSpecRefusesBadDiameter: each bad-diameter cell fails on its diameter,
+// and the same cell without it validates (the two-node cell with a positive
+// one), so no other fault hides the refusal.
+func TestSpecRefusesBadDiameter(t *testing.T) {
+	for _, cell := range badDiameterCells() {
+		spec := CampaignSpec{Protocol: "max-gossip", Seed: 7, Cells: []CellSpec{cell}}
+		if _, err := NewCampaign(spec); err == nil || !strings.Contains(err.Error(), "diameter") {
+			t.Errorf("%s cell with diameter %s: error %v, want a refusal naming the diameter", cell.Topology, cell.Diameter, err)
+		}
+		spec.Cells[0].Diameter = rat.Rat{}
+		if cell.Topology == "two-node" {
+			spec.Cells[0].Diameter = cell.Diameter.Neg()
+		}
+		if _, err := NewCampaign(spec); err != nil {
+			t.Errorf("%s cell without its bad diameter: %v", cell.Topology, err)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gcs/internal/algorithms"
 	"gcs/internal/core"
@@ -34,7 +35,7 @@ type CellSpec struct {
 	N int `json:"n,omitempty"`
 	// Diameter parameterizes the two-node cell's distance d and the star /
 	// complete edge length (default 1). Line, ring, grid and rgg derive their
-	// diameter from N.
+	// diameter from N and refuse one; no cell takes a negative one.
 	Diameter rat.Rat `json:"diameter,omitempty"`
 	// Duration is the cell's real-time horizon.
 	Duration rat.Rat `json:"duration"`
@@ -111,8 +112,9 @@ type Campaign struct {
 // NewCampaign validates s and builds each cell's network. It checks the
 // spec rebuilds: every cell's network, the protocol, the adversary, and the
 // objective, with ρ in [0, 1), no negative budget, the cell count and search
-// budget within their caps, and no rate_windows under ρ = 0 (search refuses
-// windows that can pin no rate).
+// budget within their caps, no rate_windows under ρ = 0 (search refuses
+// windows that can pin no rate), and no negative diameter or diameter on a
+// cell that derives it from n.
 func NewCampaign(s CampaignSpec) (*Campaign, error) {
 	if len(s.Cells) == 0 {
 		return nil, fmt.Errorf("dist: campaign has no cells")
@@ -144,6 +146,14 @@ func NewCampaign(s CampaignSpec) (*Campaign, error) {
 	}
 	nets := make([]*network.Network, len(s.Cells))
 	for i, cell := range s.Cells {
+		// network.ByName reads a negative diameter as the default edge of 1,
+		// and a line, ring, grid or rgg cell derives its own from n.
+		switch {
+		case cell.Diameter.Sign() < 0:
+			return nil, fmt.Errorf("dist: cell %d (%s): negative diameter %s", i, cell.Label(), cell.Diameter)
+		case !cell.Diameter.IsZero() && slices.Contains([]string{"line", "ring", "grid", "rgg"}, cell.Topology):
+			return nil, fmt.Errorf("dist: cell %d (%s): diameter %s on a %s cell, which derives it from n", i, cell.Label(), cell.Diameter, cell.Topology)
+		}
 		net, err := network.ByName(cell.Topology, cell.N, cell.Diameter, s.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("dist: cell %d: %w", i, err)

@@ -207,7 +207,7 @@ func TestDecisionLogSkipsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := FaultModel{LossNum: 1, LossDen: 2, LossSeed: 99}
-	log := search.NewDecisionLog(net)
+	log := search.NewDecisionLog()
 	rec := trace.NewRecorder(net.N())
 	eng, err := engine.New(net,
 		engine.WithProtocol(algorithms.MaxGossip(ri(1))),

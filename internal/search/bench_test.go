@@ -23,7 +23,7 @@ func benchCandidates(b *testing.B, opt Options) []candidate {
 	if seedEval.err != nil {
 		b.Fatal(seedEval.err)
 	}
-	return mutations(opt, seedEval)
+	return mutations(opt, seedEval, seedEval.log.Script())
 }
 
 // BenchmarkSearch measures candidate-evaluation throughput of one search

@@ -82,7 +82,7 @@ func NewCampaign(opt Options) (*Campaign, error) {
 	}
 	seen := make(map[string]bool, len(initial))
 	for _, c := range initial {
-		seen[string(key(nil, c, nil))] = true
+		seen[string(key(nil, c, scriptKeys(c.script)))] = true
 	}
 	return &Campaign{
 		opt:     opt,
@@ -191,7 +191,8 @@ func beamEntry(ev evaluation) evaluation {
 
 // advance enumerates the next mutation generation off the merged beam, or
 // finishes the campaign when the round budget is spent or no unseen mutation
-// remains.
+// remains. Each parent's realized script is built once, here: its mutants
+// share it, its trunk replays it, and its sorted keys order their keys.
 func (c *Campaign) advance() {
 	if c.mutRounds >= c.opt.Rounds {
 		c.pending = nil
@@ -201,8 +202,9 @@ func (c *Campaign) advance() {
 	var cands []candidate
 	var buf []byte
 	for _, parent := range c.beam {
-		order := scriptKeys(parent.log.Script())
-		for _, m := range mutations(c.opt, parent) {
+		script := parent.log.Script()
+		order := scriptKeys(script)
+		for _, m := range mutations(c.opt, parent, script) {
 			buf = key(buf[:0], m, order)
 			if c.seen[string(buf)] {
 				continue

@@ -16,7 +16,11 @@
 // mutations edit one decision (delay snapped to {0, bound/2, bound}), one
 // node's whole-run rate (flipped within ±ρ), or one node's rate over a
 // window (clock.ModifyWindow surgery), with a ScriptedAdversary tail
-// handling decisions beyond the script.
+// handling decisions beyond the script. Every mutant of a beam parent shares
+// the parent's script, built once per generation and never written: rate
+// and window mutants run on it as it is, and a delay mutant carries only its
+// one changed decision, laid over the script as a one-entry
+// ScriptedAdversary.
 //
 // Evaluation is prefix-cached: two candidates sharing a decision-script
 // prefix share the prefix execution, exactly the structure of the Fan &
@@ -24,7 +28,8 @@
 // prefix indistinguishable). Each round groups the beam's delay mutants by
 // parent, replays the shared parent prefix once on a trunk engine, forks the
 // engine (Engine.Fork + tracker Clones) at each mutant's first diverging
-// decision, and evaluates only the suffix. Rate mutants change hardware
+// decision, and evaluates only the suffix; window mutants fork the same
+// trunk at their window's start. Whole-run rate mutants change hardware
 // schedules from time zero, so they — and injected Seeds — are evaluated
 // from scratch. The fork-based evaluation is byte-identical to full
 // re-simulation (asserted by tests).
@@ -36,24 +41,23 @@ package search
 import (
 	"fmt"
 
-	"gcs/internal/network"
 	"gcs/internal/rat"
 	"gcs/internal/trace"
 )
 
 // Decision is one captured per-message delay choice: the message identity,
-// when it was sent, the adversary's chosen delay, the bound d(from,to) the
-// choice was made within, and the 1-based index of the dispatched engine
-// event during which the send happened. Event is what lets the prefix-cached
-// evaluator position a fork exactly before the event that realizes a mutated
-// decision: replay Event−1 events, fork, and the mutant's whole divergence
-// plays out in the fork.
+// the adversary's chosen delay, and the 1-based index of the dispatched
+// engine event during which the send happened. Event is what lets the
+// prefix-cached evaluator position a fork exactly before the event that
+// realizes a mutated decision: replay Event−1 events, fork, and the mutant's
+// whole divergence plays out in the fork. The delay's bound is the network's
+// distance between the endpoints, so a decision does not repeat it. A delay
+// mutant's edit is a Decision too: the changed key, its new delay, and the
+// Event of the parent's decision, where the mutant diverges.
 type Decision struct {
-	Key      trace.MsgKey
-	SendReal rat.Rat
-	Delay    rat.Rat
-	Bound    rat.Rat
-	Event    uint64
+	Key   trace.MsgKey
+	Delay rat.Rat
+	Event uint64
 }
 
 // DecisionLog is an engine observer that captures every per-message delay
@@ -66,16 +70,15 @@ type Decision struct {
 // the decisions captured since, in storage of its own. A fork's log thus
 // costs only the decisions the fork itself makes.
 type DecisionLog struct {
-	net    *network.Network
 	prefix []Decision
 	own    []Decision
 	events uint64 // dispatched events seen so far (== Engine.Steps())
 }
 
-// NewDecisionLog returns a log for runs over net (needed to recover each
-// decision's delay bound).
-func NewDecisionLog(net *network.Network) *DecisionLog {
-	return &DecisionLog{net: net}
+// NewDecisionLog returns an empty log; it reads everything it records off
+// the engine's MsgRecord and action streams.
+func NewDecisionLog() *DecisionLog {
+	return &DecisionLog{}
 }
 
 // Clone returns a log that continues from l's decisions. Attach the clone to
@@ -89,7 +92,7 @@ func NewDecisionLog(net *network.Network) *DecisionLog {
 // first joins its two segments, once, as Decisions does.
 func (l *DecisionLog) Clone() *DecisionLog {
 	d := l.Decisions()
-	return &DecisionLog{net: l.net, prefix: d[:len(d):len(d)], events: l.events}
+	return &DecisionLog{prefix: d[:len(d):len(d)], events: l.events}
 }
 
 // reserve makes room for about n more decisions, so that capturing them
@@ -128,13 +131,7 @@ func (l *DecisionLog) OnSend(rec trace.MsgRecord) {
 		// to replay or mutate.
 		return
 	}
-	l.own = append(l.own, Decision{
-		Key:      rec.Key,
-		SendReal: rec.SendReal,
-		Delay:    rec.Delay,
-		Bound:    l.net.Dist(rec.Key.From, rec.Key.To),
-		Event:    l.events,
-	})
+	l.own = append(l.own, Decision{Key: rec.Key, Delay: rec.Delay, Event: l.events})
 }
 
 // OnDeliver implements the engine Observer interface (no-op).

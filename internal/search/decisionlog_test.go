@@ -15,10 +15,9 @@ import (
 
 // TestDecisionLogMatchesLedger: a fixed run — gradient on a drifting 3-node
 // line under the midpoint adversary — captures one decision per message the
-// run's recorded ledger holds, in the same order: the same key, send time
-// and delay, the pair's distance as the bound, and as Event the count of
-// events dispatched up to the send (the recorded actions other than sends
-// before it).
+// run's recorded ledger holds, in the same order: the same key and delay,
+// and as Event the count of events dispatched up to the send (the recorded
+// actions other than sends before it).
 func TestDecisionLogMatchesLedger(t *testing.T) {
 	net, err := network.Line(3)
 	if err != nil {
@@ -29,7 +28,7 @@ func TestDecisionLogMatchesLedger(t *testing.T) {
 		clock.Constant(rf(9, 8)),
 		clock.Constant(rf(7, 8)),
 	}
-	log := NewDecisionLog(net)
+	log := NewDecisionLog()
 	rec := trace.NewRecorder(net.N())
 	eng, err := engine.New(net,
 		engine.WithProtocol(algorithms.Gradient(algorithms.DefaultGradientParams())),
@@ -62,12 +61,11 @@ func TestDecisionLogMatchesLedger(t *testing.T) {
 		if d.Key != m.Key || a.Node != m.Key.From || a.Peer != m.Key.To || a.MsgSeq != m.Key.Seq {
 			t.Fatalf("send %d: decision %v, ledger %v, action node %d peer %d seq %d", sends, d.Key, m.Key, a.Node, a.Peer, a.MsgSeq)
 		}
-		bound := net.Dist(m.Key.From, m.Key.To)
-		if !d.SendReal.Equal(m.SendReal) || !d.Delay.Equal(m.Delay) || !d.Bound.Equal(bound) || d.Event != events {
-			t.Fatalf("send %d (%v): decision sent %s, delay %s, bound %s, event %d; ledger sent %s, delay %s, bound %s, event %d",
-				sends, m.Key, d.SendReal, d.Delay, d.Bound, d.Event, m.SendReal, m.Delay, bound, events)
+		if !d.Delay.Equal(m.Delay) || d.Event != events {
+			t.Fatalf("send %d (%v): decision delay %s, event %d; ledger delay %s, event %d",
+				sends, m.Key, d.Delay, d.Event, m.Delay, events)
 		}
-		if !d.Delay.Equal(rf(1, 2).Mul(bound)) {
+		if bound := net.Dist(m.Key.From, m.Key.To); !d.Delay.Equal(rf(1, 2).Mul(bound)) {
 			t.Fatalf("send %d: midpoint delay %s under bound %s", sends, d.Delay, bound)
 		}
 		sends++
@@ -97,12 +95,8 @@ func logSeqs(l *DecisionLog) []uint64 {
 // clone appends first, and with spare capacity in the original's storage
 // (the case a shared, uncapped view would get wrong).
 func TestDecisionLogCloneIsolatesBranches(t *testing.T) {
-	net, err := network.Line(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, originalFirst := range []bool{true, false} {
-		orig := NewDecisionLog(net)
+		orig := NewDecisionLog()
 		for seq := uint64(0); seq < 5; seq++ { // 5 appends leave spare capacity
 			orig.OnSend(sendRec(seq))
 		}
@@ -138,16 +132,12 @@ func TestDecisionLogCloneIsolatesBranches(t *testing.T) {
 // 10,000 decisions. Bytes, not allocations: a copy of the prefix is one
 // allocation at any length.
 func TestDecisionLogCloneCostIndependentOfLength(t *testing.T) {
-	net, err := network.Line(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// One processor and a collection first keep the runtime's own
 	// allocations out of the count.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 16
 	bytes := func(n int) uint64 {
-		l := NewDecisionLog(net)
+		l := NewDecisionLog()
 		for seq := 0; seq < n; seq++ {
 			l.OnSend(sendRec(uint64(seq)))
 		}

@@ -9,8 +9,8 @@
 // to just before each mutant's diverging event (mutants are processed in
 // divergence order, so the trunk advances monotonically and is replayed at
 // most once per parent), and forking there: Engine.Fork clones the engine,
-// the online trackers are Cloned alongside, the fork gets the mutant's
-// script as its adversary, and only the suffix is simulated.
+// the online trackers are Cloned alongside, the mutant's edited decision is
+// laid over the fork's adversary, and only the suffix is simulated.
 //
 // Equivalence to from-scratch evaluation is structural: the fork point lies
 // strictly before the first diverging decision, the forked state equals what
@@ -26,9 +26,10 @@
 // tells it when, without dispatching anything — and swaps the mutated
 // schedule into the fork (Engine.SwapSchedule), which re-derives queued
 // timer times from their hardware targets through the new schedule; the
-// cloned skew tracker swaps alongside. Whole-run rate mutants and seeds
-// change hardware schedules from time zero, so they share no prefix and
-// evaluate from scratch on the same worker pool.
+// cloned skew tracker swaps alongside, and the fork keeps its adversary.
+// Whole-run rate mutants and seeds change hardware schedules from time
+// zero, so they share no prefix and evaluate from scratch on the same
+// worker pool.
 //
 // Stateful tail adversaries (engine.StatefulAdversary) are fork-safe: every
 // trunk and every from-scratch evaluation runs against an independent clone
@@ -91,9 +92,8 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 	}
 	trunkSteps := make([]uint64, len(order))
 	for gi, plog := range order {
-		gi, plog := gi, plog
-		idxs := groups[plog]
-		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, idxs, plog, results, spawn) })
+		gi, idxs := gi, groups[plog]
+		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, idxs, results, spawn) })
 	}
 	wg.Wait()
 
@@ -115,7 +115,7 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 // monotone, so the trunk only ever steps forward and is replayed at most
 // once per parent. It returns the number of events the trunk itself
 // dispatched.
-func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, results []evaluation, spawn func(func())) uint64 {
+func runTrunk(opt Options, cands []candidate, idxs []int, results []evaluation, spawn func(func())) uint64 {
 	var delays, wins []int
 	for _, i := range idxs {
 		if cands[i].swapSched != nil {
@@ -125,8 +125,8 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 		}
 	}
 	sort.Slice(delays, func(a, b int) bool {
-		if cands[delays[a]].divEvent != cands[delays[b]].divEvent {
-			return cands[delays[a]].divEvent < cands[delays[b]].divEvent
+		if ea, eb := cands[delays[a]].edit.Event, cands[delays[b]].edit.Event; ea != eb {
+			return ea < eb
 		}
 		return delays[a] < delays[b]
 	})
@@ -145,7 +145,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 			results[i] = evaluation{cand: cands[i], err: err}
 		}
 	}
-	trunk, skew, log, err := newEval(opt, trunkScheds(opt, cands[idxs[0]]), plog.Script())
+	trunk, skew, log, err := newEval(opt, trunkScheds(opt, cands[idxs[0]]), cands[idxs[0]].script, nil)
 	if err != nil {
 		failRest(err)
 		return 0
@@ -153,12 +153,12 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 	// dispatchFork branches candidate i off the trunk's current state and
 	// spawns its suffix evaluation. The fork's adversary is Fork's own clone
 	// of the trunk's scripted adversary — its tail carries the decision state
-	// accumulated over the shared prefix. Rebind the mutant's script over
-	// that tail, not over a pristine Base: a full re-simulation of this
-	// candidate would have evolved the very same tail state by this event.
-	// A window mutant additionally swaps its mutated schedule into the fork
-	// and the cloned tracker — re-deriving queued timer times from their
-	// hardware targets — before anything of the suffix runs.
+	// accumulated over the shared prefix, exactly the state a full
+	// re-simulation of this candidate would have evolved by this event. A
+	// delay mutant lays its edit over that adversary; a window mutant keeps
+	// it, and instead swaps its mutated schedule into the fork and the cloned
+	// tracker — re-deriving queued timer times from their hardware targets —
+	// before anything of the suffix runs.
 	dispatchFork := func(i int) {
 		c := cands[i]
 		fork, err := trunk.Fork()
@@ -167,26 +167,20 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 			return
 		}
 		fskew := skew.Clone()
-		if c.swapSched != nil {
-			if err := fork.SwapSchedule(c.swapNode, c.swapSched); err != nil {
-				results[i] = evaluation{cand: c, err: err}
-				return
+		switch {
+		case c.swapSched != nil:
+			if err = fork.SwapSchedule(c.swapNode, c.swapSched); err == nil {
+				err = fskew.SwapSchedule(c.swapNode, c.swapSched)
 			}
-			if err := fskew.SwapSchedule(c.swapNode, c.swapSched); err != nil {
-				results[i] = evaluation{cand: c, err: err}
-				return
-			}
+		case c.edit != nil:
+			err = fork.SetAdversary(overlay(c.edit, fork.Adversary()))
 		}
-		tail := baseTail(opt)
-		if sc, ok := fork.Adversary().(engine.ScriptedAdversary); ok && sc.Fallback != nil {
-			tail = sc.Fallback
-		}
-		if err := fork.SetAdversary(engine.ScriptedAdversary{Delays: c.script, Fallback: tail}); err != nil {
+		if err != nil {
 			results[i] = evaluation{cand: c, err: err}
 			return
 		}
-		// Every mutant scripts exactly its parent's realized decisions, so
-		// its script sizes the run; the fork inherits the prefix.
+		// The parent's realized script sizes the mutant's run; the fork
+		// inherits the prefix.
 		flog := log.Clone()
 		flog.reserve(len(c.script) - flog.Len())
 		fork.Observe(fskew, flog)
@@ -206,7 +200,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 		}
 		// Fork every delay mutant positioned just before its diverging event.
 		for di < len(delays) {
-			target := cands[delays[di]].divEvent
+			target := cands[delays[di]].edit.Event
 			if target > 0 {
 				target-- // replay everything before the diverging event
 			}
@@ -265,7 +259,7 @@ func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTrac
 // evaluate re-simulates one candidate from scratch and reads the objective
 // off the online trackers.
 func evaluate(opt Options, cand candidate) evaluation {
-	eng, skew, log, err := newEval(opt, effectiveScheds(opt, cand), cand.script)
+	eng, skew, log, err := newEval(opt, effectiveScheds(opt, cand), cand.script, cand.edit)
 	if err != nil {
 		return evaluation{cand: cand, err: err}
 	}
@@ -273,19 +267,19 @@ func evaluate(opt Options, cand candidate) evaluation {
 }
 
 // newEval builds an evaluation engine from time zero: script over a fresh
-// Base tail on scheds, watched by a new skew tracker and decision log. The
-// log is sized for the script, the run's expected decision count (the base,
-// with no script, grows its log as it goes).
-func newEval(opt Options, scheds []*clock.Schedule, script map[trace.MsgKey]rat.Rat) (*engine.Engine, *core.SkewTracker, *DecisionLog, error) {
+// Base tail, with edit (if any) over both, on scheds, watched by a new skew
+// tracker and decision log. The log is sized for the script, the run's
+// expected decision count (the base, with no script, grows its log).
+func newEval(opt Options, scheds []*clock.Schedule, script map[trace.MsgKey]rat.Rat, edit *Decision) (*engine.Engine, *core.SkewTracker, *DecisionLog, error) {
 	skew, err := core.NewSkewTracker(opt.Net, scheds)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	log := NewDecisionLog(opt.Net)
+	log := NewDecisionLog()
 	log.reserve(len(script))
 	eng, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
-		engine.WithAdversary(engine.ScriptedAdversary{Delays: script, Fallback: baseTail(opt)}),
+		engine.WithAdversary(overlay(edit, engine.ScriptedAdversary{Delays: script, Fallback: baseTail(opt)})),
 		engine.WithSchedules(scheds),
 		engine.WithRho(opt.Rho),
 		engine.WithObservers(skew, log),

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -247,13 +246,12 @@ type candidate struct {
 	scheds []*clock.Schedule // non-nil: full base-schedule override
 
 	// Prefix lineage, set on delay and window mutants: the parent's realized
-	// decision log plus the divergence point. A delay mutant diverges at its
-	// first changed decision (divIdx into the parent log, divEvent its
-	// dispatch-event index). A nil parent (whole-run rate mutants, seeds,
-	// the base) evaluates from scratch.
-	parent   *DecisionLog
-	divIdx   int
-	divEvent uint64
+	// decision log, whose script every mutant of it shares as its own. A
+	// delay mutant's edit is its one changed decision, laid over that script
+	// (overlay); edit.Event is where it diverges. A nil parent (whole-run
+	// rate mutants, seeds, the base) evaluates from scratch.
+	parent *DecisionLog
+	edit   *Decision
 
 	// Rate-window lineage: the mutant equals its parent except node
 	// swapNode's schedule is swapSched, which agrees with the parent's on
@@ -266,6 +264,15 @@ type candidate struct {
 	swapNode  int
 	swapSched *clock.Schedule
 	divTime   rat.Rat
+}
+
+// overlay lays a delay mutant's edit over adv, the adversary its run already
+// has, as a one-entry script; a nil edit leaves adv as it is.
+func overlay(edit *Decision, adv engine.Adversary) engine.Adversary {
+	if edit == nil {
+		return adv
+	}
+	return engine.ScriptedAdversary{Delays: map[trace.MsgKey]rat.Rat{edit.Key: edit.Delay}, Fallback: adv}
 }
 
 // evaluation is a candidate's simulated outcome.
@@ -427,18 +434,14 @@ var delaySnaps = []rat.Rat{{}, rat.MustFrac(1, 2), rat.FromInt(1)}
 // mutations enumerates the deterministic single-step edits of a parent
 // candidate: per-node whole-run rate flips within ±ρ, windowed rate surgery
 // (when enabled), then per-decision delay snaps over an even sample of the
-// parent's realized decision log (optionally restricted to its tail). Delay
-// mutants and window mutants carry prefix lineage (a window mutant's
-// schedule agrees with its parent's before the window, so everything before
-// it is shared execution); whole-run rate flips change clocks from time zero
-// and evaluate from scratch.
-func mutations(opt Options, parent evaluation) []candidate {
+// parent's realized decision log (optionally restricted to its tail). Every
+// mutant shares script, the parent's realized script, and none writes to
+// it: a delay mutant carries its one changed decision as an edit. Delay and
+// window mutants carry prefix lineage (a window mutant's schedule agrees
+// with its parent's before the window); whole-run rate flips change clocks
+// from time zero and evaluate from scratch.
+func mutations(opt Options, parent evaluation, script map[trace.MsgKey]rat.Rat) []candidate {
 	var out []candidate
-
-	// Rate-change candidates never edit their script, so they can share one
-	// copy of the parent's realized decisions (read-only during replay); each
-	// delay mutant edits a clone of it.
-	shared := parent.log.Script()
 	one := rat.FromInt(1)
 	rateChoices := []rat.Rat{one.Sub(opt.Rho), one, one.Add(opt.Rho)}
 	for node := 0; node < opt.Net.N(); node++ {
@@ -449,27 +452,26 @@ func mutations(opt Options, parent evaluation) []candidate {
 			}
 			rates := append([]rat.Rat(nil), parent.cand.rates...)
 			rates[node] = r
-			out = append(out, candidate{script: shared, rates: rates, scheds: parent.cand.scheds})
+			out = append(out, candidate{script: script, rates: rates, scheds: parent.cand.scheds})
 		}
 	}
-	out = append(out, windowMutations(opt, parent, shared)...)
+	out = append(out, windowMutations(opt, parent, script)...)
 
 	decs := parent.log.Decisions()
 	for _, idx := range sampleTail(len(decs), opt.DelayMutations, opt.MutateTail) {
 		d := decs[idx]
+		bound := opt.Net.Dist(d.Key.From, d.Key.To)
 		for _, frac := range delaySnaps {
-			v := frac.Mul(d.Bound)
+			v := frac.Mul(bound)
 			if v.Equal(d.Delay) {
 				continue
 			}
-			script := maps.Clone(shared)
-			script[d.Key] = v
 			out = append(out, candidate{
 				script: script,
 				rates:  parent.cand.rates,
 				scheds: parent.cand.scheds,
 				parent: parent.log,
-				divIdx: idx, divEvent: d.Event,
+				edit:   &Decision{Key: d.Key, Delay: v, Event: d.Event},
 			})
 		}
 	}
@@ -485,7 +487,7 @@ func mutations(opt Options, parent evaluation) []candidate {
 // untouched, the mutant shares the parent's execution prefix up to the
 // window start: the candidate carries prefix lineage and the trunk
 // scheduler forks it there, swapping the schedule into the fork.
-func windowMutations(opt Options, parent evaluation, shared map[trace.MsgKey]rat.Rat) []candidate {
+func windowMutations(opt Options, parent evaluation, script map[trace.MsgKey]rat.Rat) []candidate {
 	if opt.RateWindows <= 0 || opt.Rho.Sign() <= 0 {
 		return nil
 	}
@@ -508,7 +510,7 @@ func windowMutations(opt Options, parent evaluation, shared map[trace.MsgKey]rat
 					continue
 				}
 				out = append(out, candidate{
-					script:    shared,
+					script:    script,
 					rates:     make([]rat.Rat, opt.Net.N()),
 					scheds:    parentScheds,
 					parent:    parent.log,
@@ -606,14 +608,12 @@ func sampleIndices(n, k int) []int {
 	return out
 }
 
-// key appends a candidate's dedup key to b: its rates, its script entries in
-// MsgKey.Compare order, and its full schedule override when one is present.
-// Two candidates get equal keys exactly when all three are equal. order is
-// the script's keys in that order, when the caller has them: every mutant of
-// one parent scripts exactly the parent's decision keys, so Campaign.advance
-// sorts them once per parent instead of once per mutant. When the script
-// does not hold exactly order's keys — a seed, or a nil order — key sorts
-// the script's own keys.
+// key appends a candidate's dedup key to b: its rates, its script entries
+// in MsgKey.Compare order with its edit in place, and its full schedule
+// override when one is present. Two candidates get equal keys exactly when
+// all three are equal. order lists the script's keys in that order: every
+// mutant of one parent shares the parent's script, so Campaign.advance sorts
+// them once per parent.
 func key(b []byte, c candidate, order []trace.MsgKey) []byte {
 	for i, r := range c.rates {
 		b = append(b, 'r')
@@ -622,10 +622,21 @@ func key(b []byte, c candidate, order []trace.MsgKey) []byte {
 		b = appendRat(b, r)
 		b = append(b, ';')
 	}
-	start := len(b)
-	b, ok := appendScript(b, c.script, order)
-	if !ok {
-		b, _ = appendScript(b[:start], c.script, scriptKeys(c.script))
+	for i, k := range order {
+		v := c.script[k]
+		if c.edit != nil && k == c.edit.Key {
+			v = c.edit.Delay
+		}
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = strconv.AppendInt(b, int64(k.From), 10)
+		b = append(b, '>')
+		b = strconv.AppendInt(b, int64(k.To), 10)
+		b = append(b, '#')
+		b = strconv.AppendUint(b, k.Seq, 10)
+		b = append(b, '=')
+		b = appendRat(b, v)
 	}
 	if scheds := schedOverride(c); scheds != nil {
 		for i, s := range scheds {
@@ -641,32 +652,6 @@ func key(b []byte, c candidate, order []trace.MsgKey) []byte {
 		}
 	}
 	return b
-}
-
-// appendScript appends script's entries in the given key order, separated by
-// ';'. It reports false, leaving a partial rendering, when order does not
-// list exactly the script's keys.
-func appendScript(b []byte, script map[trace.MsgKey]rat.Rat, order []trace.MsgKey) ([]byte, bool) {
-	if len(order) != len(script) {
-		return b, false
-	}
-	for i, k := range order {
-		v, ok := script[k]
-		if !ok {
-			return b, false
-		}
-		if i > 0 {
-			b = append(b, ';')
-		}
-		b = strconv.AppendInt(b, int64(k.From), 10)
-		b = append(b, '>')
-		b = strconv.AppendInt(b, int64(k.To), 10)
-		b = append(b, '#')
-		b = strconv.AppendUint(b, k.Seq, 10)
-		b = append(b, '=')
-		b = appendRat(b, v)
-	}
-	return b, true
 }
 
 // appendRat appends r.Key() to b, without building the string when the

@@ -2,7 +2,7 @@ package search
 
 import (
 	"fmt"
-	"maps"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -246,9 +246,11 @@ func TestRateMutantPrefixCacheMatchesFullResim(t *testing.T) {
 
 // TestSearchByteBudget pins the bytes one prefix-cached search allocates on
 // the E13 -long workload, where each candidate's decision log shares its
-// trunk's decisions and is sized once from the candidate's script. Copying
-// the trunk's decisions into every fork's log on its first send, and growing
-// every log by doubling, took 3.5 MB.
+// trunk's decisions and is sized once from the candidate's script, and every
+// mutant shares its parent's script. Copying the trunk's decisions into
+// every fork's log on its first send, and growing every log by doubling,
+// took 3.5 MB; giving every delay mutant a copy of its parent's script to
+// change one entry took 2.6 MB.
 func TestSearchByteBudget(t *testing.T) {
 	opt := longE13Opts(t)
 	opt.Workers = 1
@@ -262,8 +264,115 @@ func TestSearchByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if b := after.TotalAlloc - before.TotalAlloc; b > 2_900_000 {
-		t.Fatalf("search allocated %d bytes, want at most 2.9 MB", b)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 2_000_000 {
+		t.Fatalf("search allocated %d bytes, want at most 2.0 MB", b)
+	}
+}
+
+// scriptsEqual reports whether two delay scripts hold the same entries.
+func scriptsEqual(a, b map[trace.MsgKey]rat.Rat) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || !v.Equal(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// edited returns a copy of script with k's delay set to v.
+func edited(script map[trace.MsgKey]rat.Rat, k trace.MsgKey, v rat.Rat) map[trace.MsgKey]rat.Rat {
+	out := make(map[trace.MsgKey]rat.Rat, len(script)+1)
+	for kk, vv := range script {
+		out[kk] = vv
+	}
+	out[k] = v
+	return out
+}
+
+// TestMutantsShareParentScript: over one generation of the E13 -long
+// workload with rate windows, every mutant of a beam parent — rate, window
+// and delay mutants alike — holds the one script map the campaign built for
+// that parent; a delay mutant's edit changes one entry on a key of that
+// script; and evaluating the generation leaves each parent's script equal to
+// its log's Script(). A per-mutant copy of the script fails the first check.
+func TestMutantsShareParentScript(t *testing.T) {
+	opt := longE13Opts(t)
+	opt.RateWindows = 4
+	c, err := NewCampaign(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(c.beam) < 2 && !c.Done() { // round zero leaves the base alone in the beam
+		if err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Done() {
+		t.Fatal("campaign finished before its beam held two parents")
+	}
+	parents := make(map[*DecisionLog]bool, len(c.beam))
+	for _, p := range c.beam {
+		parents[p.log] = true
+	}
+	scripts := make(map[*DecisionLog]map[trace.MsgKey]rat.Rat) // each parent's shared script
+	owner := make(map[uintptr]*DecisionLog)                    // and whose it is
+	var rate, window, delay []candidate
+	for _, m := range c.pending {
+		switch {
+		case m.parent == nil:
+			rate = append(rate, m)
+			continue
+		case m.edit != nil:
+			delay = append(delay, m)
+		default:
+			window = append(window, m)
+		}
+		if !parents[m.parent] {
+			t.Fatalf("candidate %d names a parent log outside the beam", m.id)
+		}
+		p := reflect.ValueOf(m.script).Pointer()
+		if s, ok := scripts[m.parent]; ok && reflect.ValueOf(s).Pointer() != p {
+			t.Fatalf("candidate %d holds a script map of its own, not its parent's", m.id)
+		}
+		if o, ok := owner[p]; ok && o != m.parent {
+			t.Fatalf("candidate %d shares a script map with another parent's mutants", m.id)
+		}
+		scripts[m.parent], owner[p] = m.script, m.parent
+	}
+	if len(rate) == 0 || len(window) == 0 || len(delay) == 0 || len(scripts) != len(c.beam) {
+		t.Fatalf("weak fixture: %d rate, %d window, %d delay mutants over %d of %d parents",
+			len(rate), len(window), len(delay), len(scripts), len(c.beam))
+	}
+	for _, m := range rate {
+		if m.edit != nil {
+			t.Fatalf("rate mutant %d carries an edit", m.id)
+		}
+		if _, ok := owner[reflect.ValueOf(m.script).Pointer()]; !ok {
+			t.Fatalf("rate mutant %d holds a script map no parent's mutants share", m.id)
+		}
+	}
+	for _, m := range delay {
+		old, ok := m.script[m.edit.Key]
+		if !ok || old.Equal(m.edit.Delay) {
+			t.Fatalf("delay mutant %d: edit %v=%s on script entry %s (present %v)", m.id, m.edit.Key, m.edit.Delay, old, ok)
+		}
+	}
+	evals, _ := evalAll(c.opt, c.pending)
+	for _, ev := range evals {
+		if ev.err != nil {
+			t.Fatalf("candidate %d: %v", ev.cand.id, ev.err)
+		}
+		if e := ev.cand.edit; e != nil && !ev.log.Script()[e.Key].Equal(e.Delay) {
+			t.Fatalf("candidate %d: its run did not realize its edit", ev.cand.id)
+		}
+	}
+	for log, s := range scripts {
+		if !scriptsEqual(s, log.Script()) {
+			t.Fatal("evaluating the generation wrote into a parent's shared script")
+		}
 	}
 }
 
@@ -521,9 +630,7 @@ func TestSearchErrorNamesFirstFailure(t *testing.T) {
 	}
 	// A seed that scripts one message of the base run past its bound.
 	late := func(name string, k trace.MsgKey) Seed {
-		script := maps.Clone(plain.Script)
-		script[k] = opt.Net.Dist(k.From, k.To).Add(ri(1))
-		return Seed{Name: name, Script: script}
+		return Seed{Name: name, Script: edited(plain.Script, k, opt.Net.Dist(k.From, k.To).Add(ri(1)))}
 	}
 	keys := scriptKeys(plain.Script)
 	seeds := []Seed{{Name: "fine", Script: plain.Script}, late("late", keys[len(keys)-1]), late("later", keys[0])}
@@ -645,7 +752,7 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 	dur := ri(6)
 	runWith := func(adv engine.Adversary) *DecisionLog {
 		t.Helper()
-		log := NewDecisionLog(net)
+		log := NewDecisionLog()
 		eng, err := engine.New(net,
 			engine.WithProtocol(proto),
 			engine.WithAdversary(adv),
@@ -677,7 +784,7 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 	}
 	for i, d := range replay.Decisions() {
 		o := orig.Decisions()[i]
-		if d.Key != o.Key || !d.Delay.Equal(o.Delay) || !d.SendReal.Equal(o.SendReal) || !d.Bound.Equal(o.Bound) {
+		if d.Key != o.Key || !d.Delay.Equal(o.Delay) || d.Event != o.Event {
 			t.Fatalf("decision %d differs: %+v vs %+v", i, d, o)
 		}
 	}
@@ -696,8 +803,8 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 			if !d.Delay.Equal(want) {
 				t.Fatalf("scripted decision %v delay %s, want %s", d.Key, d.Delay, want)
 			}
-		} else if !d.Delay.Equal(half.Mul(d.Bound)) {
-			t.Fatalf("tail decision %v delay %s, want midpoint %s", d.Key, d.Delay, half.Mul(d.Bound))
+		} else if mid := half.Mul(net.Dist(d.Key.From, d.Key.To)); !d.Delay.Equal(mid) {
+			t.Fatalf("tail decision %v delay %s, want midpoint %s", d.Key, d.Delay, mid)
 		}
 	}
 
@@ -770,16 +877,20 @@ func TestSearchLaneEquivalence(t *testing.T) {
 	resultsEqual(t, auto, run("rat from scratch", engine.LaneRat, true))
 }
 
-// refKey is the dedup key as first written: every script entry rendered with
-// fmt and the entries sorted as strings. key must induce exactly the same
-// duplicate relation.
+// refKey is the dedup key as first written: every entry of the candidate's
+// script, its edit applied to a copy, rendered with fmt and the entries
+// sorted as strings. key must induce exactly the same duplicate relation.
 func refKey(c candidate) string {
 	var b strings.Builder
 	for i, r := range c.rates {
 		fmt.Fprintf(&b, "r%d=%s;", i, r.Key())
 	}
-	entries := make([]string, 0, len(c.script))
-	for k, v := range c.script {
+	script := c.script
+	if c.edit != nil {
+		script = edited(script, c.edit.Key, c.edit.Delay)
+	}
+	entries := make([]string, 0, len(script))
+	for k, v := range script {
 		entries = append(entries, fmt.Sprintf("%d>%d#%d=%s", k.From, k.To, k.Seq, v.Key()))
 	}
 	sort.Strings(entries)
@@ -817,9 +928,9 @@ func checkSameDuplicates(t *testing.T, keys, refs []string) {
 // TestKeyMatchesReferenceOnMutants: over every mutant the campaign enumerates
 // in its generations — duplicates included, across parents and rounds — the
 // per-parent key order produces the reference's duplicate relation, and every
-// mutant scripts exactly its parent's decision keys (the order the key is
-// built from). The 12-node line has node ids >= 10, where string order and
-// numeric order disagree.
+// mutant scripts its parent's script (the one the order is built from), with
+// a delay mutant's edit on one of its keys. The 12-node line has node ids
+// >= 10, where string order and numeric order disagree.
 func TestKeyMatchesReferenceOnMutants(t *testing.T) {
 	windows := longE13Opts(t)
 	windows.RateWindows = 4
@@ -843,21 +954,18 @@ func TestKeyMatchesReferenceOnMutants(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, parent := range c.beam {
-					order := scriptKeys(parent.log.Script())
-					for i, m := range mutations(c.opt, parent) {
-						if len(m.script) != len(order) {
-							t.Fatalf("mutant %d scripts %d keys, parent has %d", i, len(m.script), len(order))
+					script := parent.log.Script()
+					order := scriptKeys(script)
+					for i, m := range mutations(c.opt, parent, script) {
+						if reflect.ValueOf(m.script).Pointer() != reflect.ValueOf(script).Pointer() {
+							t.Fatalf("mutant %d does not hold its parent's script", i)
 						}
-						for _, k := range order {
-							if _, ok := m.script[k]; !ok {
-								t.Fatalf("mutant %d lacks parent key %v", i, k)
+						if m.edit != nil {
+							if _, ok := script[m.edit.Key]; !ok {
+								t.Fatalf("mutant %d edits %v, not a key of its parent's script", i, m.edit.Key)
 							}
 						}
-						k := string(key(nil, m, order))
-						if fallback := string(key(nil, m, nil)); fallback != k {
-							t.Fatalf("mutant %d: key depends on the supplied order:\n%q\n%q", i, k, fallback)
-						}
-						keys, refs = append(keys, k), append(refs, refKey(m))
+						keys, refs = append(keys, string(key(nil, m, order))), append(refs, refKey(m))
 					}
 				}
 			}
@@ -879,9 +987,9 @@ func TestKeyMatchesReferenceOnMutants(t *testing.T) {
 // TestKeyMatchesReferenceOnEdgeCases: hand-built candidates the mutation
 // stream rarely produces — fractional and big delays, nil vs empty scripts,
 // nil vs set schedule overrides, a window swap against its materialized
-// override, zero rate entries, and scripts that do not match the supplied
-// order (the sorting fallback) — keep the reference's duplicate relation,
-// and a candidate's key never depends on the order it was built from.
+// override, zero rate entries, and edits laid over a shared script against
+// the scripts they spell out — keep the reference's duplicate relation when
+// each key is built from the candidate's own script order.
 func TestKeyMatchesReferenceOnEdgeCases(t *testing.T) {
 	huge, err := rat.Parse("123456789012345678901234567890/7")
 	if err != nil {
@@ -890,15 +998,8 @@ func TestKeyMatchesReferenceOnEdgeCases(t *testing.T) {
 	wide := rf(1<<40+1, 3) // int64 parts beyond the fast-arithmetic range
 	k := func(from, to int, seq uint64) trace.MsgKey { return trace.MsgKey{From: from, To: to, Seq: seq} }
 	base := map[trace.MsgKey]rat.Rat{k(0, 1, 0): rf(1, 2), k(1, 0, 0): ri(1), k(10, 2, 3): ri(2)}
-	edit := func(key trace.MsgKey, v rat.Rat) map[trace.MsgKey]rat.Rat {
-		s := make(map[trace.MsgKey]rat.Rat, len(base))
-		for kk, vv := range base {
-			s[kk] = vv
-		}
-		s[key] = v
-		return s
-	}
-	order := scriptKeys(base)
+	edit := func(key trace.MsgKey, v rat.Rat) map[trace.MsgKey]rat.Rat { return edited(base, key, v) }
+	over := func(key trace.MsgKey, v rat.Rat) *Decision { return &Decision{Key: key, Delay: v, Event: 7} }
 	one, fast, slow := clock.Constant(ri(1)), clock.Constant(rf(3, 2)), clock.Constant(rf(1, 2))
 	window, err := one.ModifyWindow(ri(2), ri(4), func(rat.Rat) rat.Rat { return rf(3, 2) })
 	if err != nil {
@@ -913,7 +1014,7 @@ func TestKeyMatchesReferenceOnEdgeCases(t *testing.T) {
 		{rates: zero, script: edit(k(10, 2, 3), huge)},                                                               // big-Rat delay
 		{rates: zero, script: edit(k(10, 2, 3), wide)},                                                               // wide int64 delay
 		{rates: zero, script: edit(k(1, 0, 0), ri(0))},                                                               // zero delay
-		{rates: zero, script: edit(k(2, 10, 3), ri(2))},                                                              // extra key: length mismatch
+		{rates: zero, script: edit(k(2, 10, 3), ri(2))},                                                              // extra key
 		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 1, 0): rf(1, 2), k(1, 0, 0): ri(1), k(2, 10, 3): ri(2)}}, // same length, other key
 		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 1, 0): rf(1, 2), k(1, 0, 0): ri(1), k(2, 10, 3): ri(2)}}, // its duplicate
 		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(1, 0, 1): ri(1)}},
@@ -936,26 +1037,30 @@ func TestKeyMatchesReferenceOnEdgeCases(t *testing.T) {
 		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(2, 1, 5): ri(1)}},
 		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 2, 5): ri(1)}}, // To,
 		{rates: zero, script: map[trace.MsgKey]rat.Rat{k(0, 1, 6): ri(1)}}, // Seq
+
+		{rates: zero, script: base, edit: over(k(0, 1, 0), rf(1, 3))},                                       // 30: an edit over the script, as 3 spells it out
+		{rates: zero, script: base, edit: over(k(0, 1, 0), rf(2, 4))},                                       // an edit to the value it replaces, as 0
+		{rates: zero, script: base, edit: over(k(10, 2, 3), huge)},                                          // as 4
+		{rates: zero, script: base, edit: over(k(1, 0, 0), ri(0))},                                          // as 6
+		{rates: zero, script: base, edit: over(k(1, 0, 0), rf(1, 3))},                                       // the same delay on another key than 30
+		{rates: zero, scheds: []*clock.Schedule{one, slow}, script: base, edit: over(k(0, 1, 0), rf(1, 2))}, // as 20
+		{rates: []rat.Rat{{}, ri(1)}, script: base, edit: over(k(0, 1, 0), rf(1, 3))},                       // other rates than 30
 	}
 	keys := make([]string, len(cands))
 	refs := make([]string, len(cands))
 	for i, c := range cands {
-		keys[i] = string(key(nil, c, order))
+		keys[i] = string(key(nil, c, scriptKeys(c.script)))
 		refs[i] = refKey(c)
-		if own := string(key(nil, c, scriptKeys(c.script))); own != keys[i] {
-			t.Fatalf("candidate %d: key depends on the supplied order:\n%q\n%q", i, keys[i], own)
-		}
-		if none := string(key(nil, c, nil)); none != keys[i] {
-			t.Fatalf("candidate %d: nil order changes the key:\n%q\n%q", i, keys[i], none)
-		}
 	}
 	checkSameDuplicates(t, keys, refs)
-	for _, pair := range [][2]int{{0, 1}, {0, 2}, {8, 9}, {12, 13}, {12, 16}, {17, 18}, {21, 22}, {20, 24}, {20, 25}} {
+	for _, pair := range [][2]int{{0, 1}, {0, 2}, {8, 9}, {12, 13}, {12, 16}, {17, 18}, {21, 22}, {20, 24}, {20, 25},
+		{3, 30}, {0, 31}, {4, 32}, {6, 33}, {20, 35}} {
 		if keys[pair[0]] != keys[pair[1]] {
 			t.Errorf("candidates %d and %d should be duplicates:\n%q\n%q", pair[0], pair[1], keys[pair[0]], keys[pair[1]])
 		}
 	}
-	for _, pair := range [][2]int{{0, 3}, {0, 4}, {4, 5}, {0, 6}, {7, 8}, {0, 8}, {10, 11}, {12, 14}, {12, 17}, {14, 15}, {19, 20}, {21, 23}, {0, 20}, {26, 27}, {26, 28}, {26, 29}} {
+	for _, pair := range [][2]int{{0, 3}, {0, 4}, {4, 5}, {0, 6}, {7, 8}, {0, 8}, {10, 11}, {12, 14}, {12, 17}, {14, 15}, {19, 20}, {21, 23}, {0, 20}, {26, 27}, {26, 28}, {26, 29},
+		{0, 30}, {30, 34}, {30, 36}} {
 		if keys[pair[0]] == keys[pair[1]] {
 			t.Errorf("candidates %d and %d should differ, both key %q", pair[0], pair[1], keys[pair[0]])
 		}

@@ -122,27 +122,29 @@ func TestPrefixSchedulerEdgeCases(t *testing.T) {
 		t.Fatalf("parent run captured only %d decisions", len(decs))
 	}
 
-	mutate := func(idx int) map[trace.MsgKey]rat.Rat {
-		s := parent.log.Script()
+	// Every candidate shares the parent's script; each carries one edit over
+	// it, positioned at the edited decision's event.
+	script := parent.log.Script()
+	edit := func(idx int, event uint64) *Decision {
 		d := decs[idx]
-		v := d.Bound // snap to the full bound; the base is Midpoint, so this diverges
+		v := opt.Net.Dist(d.Key.From, d.Key.To) // snap to the full bound; the base is Midpoint, so this diverges
 		if v.Equal(d.Delay) {
 			v = rat.Rat{}
 		}
-		s[d.Key] = v
-		return s
+		return &Decision{Key: d.Key, Delay: v, Event: event}
 	}
+	last := decs[len(decs)-1]
 	cands := []candidate{
 		// Diverges at the first captured decision: the trunk must not replay
 		// a single event before forking.
-		{script: mutate(0), rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: decs[0].Event},
+		{script: script, rates: parentCand.rates, parent: parent.log, edit: edit(0, decs[0].Event)},
 		// Bogus divergence event 0 (before any dispatched event): must fork
 		// from the initial state and still match from-scratch.
-		{script: mutate(0), rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: 0},
-		// Identical to the parent — divergence never occurs; the fork just
-		// replays the parent's tail.
-		{script: parent.log.Script(), rates: parentCand.rates, parent: parent.log,
-			divIdx: len(decs) - 1, divEvent: decs[len(decs)-1].Event},
+		{script: script, rates: parentCand.rates, parent: parent.log, edit: edit(0, 0)},
+		// Identical to the parent — its edit rewrites the last decision to
+		// the delay it already has, so divergence never occurs; the fork
+		// just replays the parent's tail.
+		{script: script, rates: parentCand.rates, parent: parent.log, edit: &last},
 	}
 	for i := range cands {
 		cands[i].id = i + 1
@@ -169,6 +171,12 @@ func TestPrefixSchedulerEdgeCases(t *testing.T) {
 				t.Fatalf("candidate %d decision %d differs: %+v vs %+v", i, k, fd[k], sd[k])
 			}
 		}
+		if e := cands[i].edit; !f.log.Script()[e.Key].Equal(e.Delay) {
+			t.Fatalf("candidate %d: decision %v realized %s, its edit says %s", i, e.Key, f.log.Script()[e.Key], e.Delay)
+		}
+	}
+	if want := parent.log.Script(); !scriptsEqual(script, want) {
+		t.Fatal("evaluating the candidates wrote into the parent's shared script")
 	}
 	// The identical candidate's outcome equals its parent's exactly.
 	if !forked[2].value.Equal(parent.value) || forked[2].steps != parent.steps {
