@@ -101,8 +101,8 @@ func loadSpec(path string) (*dist.Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	var spec dist.CampaignSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
+	spec, err := dist.DecodeSpec(data)
+	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
 	c, err := dist.NewCampaign(spec)

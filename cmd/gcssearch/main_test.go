@@ -96,7 +96,8 @@ func TestRunExample(t *testing.T) {
 // metrics snapshot accounts for every cell: the search counters equal the
 // sums of the cells' evaluated, engine_steps and candidate_steps, one
 // generation is counted per progress line, and the engines' own step counter
-// saw every dispatched event.
+// saw every dispatched event: the evaluations' and those of the replays that
+// record beam entries.
 func TestRunSummaryReconcilesMetrics(t *testing.T) {
 	var out bytes.Buffer
 	if err := cmdRun([]string{"-spec", exampleSpec, "-json"}, &out); err != nil {
@@ -119,12 +120,16 @@ func TestRunSummaryReconcilesMetrics(t *testing.T) {
 		candidateSteps += c.CandidateSteps
 	}
 	generations := uint64(strings.Count(out.String(), `"cell_name"`))
+	record, ok := sum.Metrics.Get("gcs_search_record_steps_total")
+	if !ok || record.Value <= 0 {
+		t.Fatalf("gcs_search_record_steps_total = %v (present %v), want a positive count", record.Value, ok)
+	}
 	for name, want := range map[string]uint64{
 		"gcs_search_candidates_total":      evaluated,
 		"gcs_search_engine_steps_total":    engineSteps,
 		"gcs_search_candidate_steps_total": candidateSteps,
 		"gcs_search_generations_total":     generations,
-		"gcs_engine_steps_total":           engineSteps,
+		"gcs_engine_steps_total":           engineSteps + uint64(record.Value),
 	} {
 		if ms, ok := sum.Metrics.Get(name); !ok || ms.Value != float64(want) {
 			t.Errorf("%s = %v (present %v), want %d", name, ms.Value, ok, want)

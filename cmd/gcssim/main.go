@@ -56,7 +56,7 @@ func main() {
 		profile   = flag.Bool("profile", false, "print the empirical gradient profile f̂(d)")
 		chart     = flag.Bool("chart", false, "plot worst-pair and worst-adjacent skew over time (records the execution)")
 		adaptive  = flag.Bool("adaptive", false, "schedule with the online §2 adversary (adaptive scheduler) instead of -adversary")
-		threshStr = flag.String("threshold", "0", "adaptive release threshold: observed source-front hardware gap (0 = ρ·dur/3; with -adaptive)")
+		threshStr = flag.String("threshold", "0", "adaptive release threshold: observed source-front hardware gap (0 = ρ·dur/3; needs -adaptive)")
 	)
 	flag.Parse()
 	var err error
@@ -76,16 +76,17 @@ func main() {
 // profile come from the online trackers; with chart, a Recorder also keeps
 // the execution for plot.TimeSeries.
 func run(protoName, topology string, n int, durStr, rhoStr, advName string, seed uint64, fastEnd, profile, chart, adaptive bool, threshStr string) error {
-	if adaptive {
-		var conflict error
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "adversary" {
-				conflict = fmt.Errorf("-adaptive schedules with the online adversary; drop -adversary")
-			}
-		})
-		if conflict != nil {
-			return conflict
+	var conflict error
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case adaptive && f.Name == "adversary":
+			conflict = fmt.Errorf("-adaptive schedules with the online adversary; drop -adversary")
+		case !adaptive && f.Name == "threshold":
+			conflict = fmt.Errorf("-threshold sets the adaptive scheduler's release; add -adaptive or drop -threshold")
 		}
+	})
+	if conflict != nil {
+		return conflict
 	}
 	dur, err := rat.Parse(durStr)
 	if err != nil {

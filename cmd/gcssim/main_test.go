@@ -150,6 +150,29 @@ func TestRejectsStrayArgument(t *testing.T) {
 	}
 }
 
+// TestRejectsFlagConflicts: a flag the run would ignore is refused, not
+// dropped: -adversary beside -adaptive, which schedules with the online
+// adversary, and -threshold without -adaptive, whose value only the adaptive
+// scheduler reads (so -threshold xyz would otherwise run and exit 0).
+func TestRejectsFlagConflicts(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-adaptive", "-adversary", "max", "-n", "3", "-dur", "4"}, "gcssim: -adaptive schedules with the online adversary; drop -adversary\n"},
+		{[]string{"-threshold", "xyz", "-n", "3", "-dur", "4"}, "gcssim: -threshold sets the adaptive scheduler's release; add -adaptive or drop -threshold\n"},
+		{[]string{"-threshold", "1/2", "-n", "3", "-dur", "4"}, "gcssim: -threshold sets the adaptive scheduler's release; add -adaptive or drop -threshold\n"},
+	} {
+		stdout, stderr := gcssim(t, 1, tc.args...)
+		if stdout != "" || stderr != tc.want {
+			t.Errorf("gcssim %v: stdout %q, stderr %q; want only %q", tc.args, stdout, stderr, tc.want)
+		}
+	}
+	// Each flag is accepted on its own side of -adaptive.
+	gcssim(t, 0, "-adaptive", "-threshold", "1/2", "-n", "3", "-dur", "4")
+	gcssim(t, 0, "-adversary", "max", "-n", "3", "-dur", "4")
+}
+
 // TestChartOnlyAppends: -chart attaches a recorder for the chart and
 // changes nothing else. The report with -chart is the report without it,
 // byte for byte, followed by the chart; the trackers read the same run

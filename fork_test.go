@@ -895,7 +895,9 @@ func TestFaultAdversaryStatefulInnerFork(t *testing.T) {
 // TestForkDivergence: a fork rebound to a different adversary diverges from
 // the trunk without disturbing it — the branching the prefix-cached search
 // performs — and matches a fresh run under a script that switches delays at
-// the same decision boundary.
+// the same decision boundary. The fork's decisions go to a fresh log, which
+// counts events from the fork point: each of its Events is the fresh run's
+// less the fork's Steps() there.
 func TestForkDivergence(t *testing.T) {
 	net, err := gcs.Line(4)
 	if err != nil {
@@ -924,7 +926,7 @@ func TestForkDivergence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prefix := tlog.Len()
+	prefix, forkSteps := tlog.Len(), trunk.Steps()
 	fork, err := trunk.Fork()
 	if err != nil {
 		t.Fatal(err)
@@ -932,7 +934,7 @@ func TestForkDivergence(t *testing.T) {
 	if err := fork.SetAdversary(gcs.FractionAdversary{Frac: gcs.R(1)}); err != nil {
 		t.Fatal(err)
 	}
-	flog := tlog.Clone()
+	flog := gcs.NewDecisionLog()
 	fork.Observe(flog)
 	if err := fork.RunUntil(dur); err != nil {
 		t.Fatal(err)
@@ -940,22 +942,16 @@ func TestForkDivergence(t *testing.T) {
 	if err := trunk.RunUntil(dur); err != nil {
 		t.Fatal(err)
 	}
-	if flog.Len() <= prefix {
-		t.Fatal("fork made no decisions after the fork point")
+	if prefix == 0 || flog.Len() == 0 {
+		t.Fatalf("%d decisions before the fork point, %d after it", prefix, flog.Len())
 	}
-	// Prefix decisions are shared; the fork's post-fork decisions take the
-	// full bound while the trunk keeps the midpoint.
+	// The fork's decisions take the full bound while the trunk keeps the
+	// midpoint.
 	half := gcs.Frac(1, 2)
 	bound := func(d gcs.Decision) gcs.Rat { return net.Dist(d.Key.From, d.Key.To) }
 	for i, d := range flog.Decisions() {
-		if i >= prefix {
-			if !d.Delay.Equal(bound(d)) {
-				t.Fatalf("fork decision %d delay %s, want bound %s", i, d.Delay, bound(d))
-			}
-			continue
-		}
-		if want := tlog.Decisions()[i].Delay; !d.Delay.Equal(want) {
-			t.Fatalf("fork prefix decision %d delay %s, want trunk's %s", i, d.Delay, want)
+		if !d.Delay.Equal(bound(d)) {
+			t.Fatalf("fork decision %d delay %s, want bound %s", i, d.Delay, bound(d))
 		}
 	}
 	for _, d := range tlog.Decisions() {
@@ -964,17 +960,26 @@ func TestForkDivergence(t *testing.T) {
 		}
 	}
 
-	// The fork's whole run equals a fresh run under its realized script.
-	replay, rlog := build(gcs.ScriptedAdversary{Delays: flog.Script()})
+	// The fork's whole run — the trunk's decisions before the fork point,
+	// then the fork's own — equals a fresh run under its realized script.
+	script := flog.Script()
+	whole := append(append([]gcs.Decision(nil), tlog.Decisions()[:prefix]...), flog.Decisions()...)
+	for _, d := range tlog.Decisions()[:prefix] {
+		script[d.Key] = d.Delay
+	}
+	replay, rlog := build(gcs.ScriptedAdversary{Delays: script})
 	if err := replay.RunUntil(dur); err != nil {
 		t.Fatal(err)
 	}
-	if rlog.Len() != flog.Len() || replay.Steps() != fork.Steps() {
+	if rlog.Len() != len(whole) || replay.Steps() != fork.Steps() {
 		t.Fatalf("replay: %d decisions / %d steps, fork: %d / %d",
-			rlog.Len(), replay.Steps(), flog.Len(), fork.Steps())
+			rlog.Len(), replay.Steps(), len(whole), fork.Steps())
 	}
 	for i, d := range rlog.Decisions() {
-		f := flog.Decisions()[i]
+		f := whole[i]
+		if i >= prefix {
+			f.Event += forkSteps
+		}
 		if d.Key != f.Key || !d.Delay.Equal(f.Delay) || d.Event != f.Event {
 			t.Fatalf("replay decision %d differs: %+v vs %+v", i, d, f)
 		}

@@ -50,10 +50,10 @@
 // Engine state is forkable: Engine.Fork returns an independent engine at the
 // exact same point of the run (deep-cloned event queue and per-node state,
 // via the Protocol.CloneState contract), Engine.SetAdversary rebinds the
-// fork's delay adversary, and the online trackers, Recorder, and DecisionLog
-// all Clone so a branch's metrics continue seamlessly. Fork is what lets a
-// shared execution prefix be simulated once and branched — the structure of
-// the paper's constructions, and the engine of the prefix-cached worst-case
+// fork's delay adversary, and the online trackers and Recorder all Clone so
+// a branch's metrics continue seamlessly. Fork is what lets a shared
+// execution prefix be simulated once and branched — the structure of the
+// paper's constructions, and the engine of the prefix-cached worst-case
 // search (see Search).
 //
 // Adversaries may be adaptive: one that implements Observer is fed the
@@ -408,8 +408,8 @@ type (
 	// the delay, and the engine event that sent it.
 	Decision = search.Decision
 	// DecisionLog is an engine observer converting a run's delay decisions
-	// into a replayable script; NewDecisionLog needs no network, since
-	// everything a decision holds comes off the engine's streams.
+	// into a replayable script (the search records each beam entry with one);
+	// NewDecisionLog needs no network: a decision comes off the engine's streams.
 	DecisionLog = search.DecisionLog
 )
 

@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -193,8 +193,8 @@ func TestPlanBoundsHoldOnRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var example CampaignSpec
-	if err := json.Unmarshal(data, &example); err != nil {
+	example, err := DecodeSpec(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	windows := e13LongSpec()
@@ -264,10 +264,67 @@ func invalidSpecs() []CampaignSpec {
 		{Protocol: "gradient", Rho: ratp(rat.Rat{}), RateWindows: 2, Cells: line(3)},
 		{Protocol: "gradient", Seed: 1, Cells: []CellSpec{{Topology: "rgg", N: 6, Duration: rat.FromInt(4)}}},
 	}
-	for _, cell := range badDiameterCells() {
+	for _, cell := range append(badDiameterCells(), strayTwoNodeCells()...) {
 		specs = append(specs, CampaignSpec{Protocol: "max-gossip", Seed: 7, Cells: []CellSpec{cell}})
 	}
 	return specs
+}
+
+// strayTwoNodeCells are two-node cells whose one fault is an n other than
+// the 0 or 2 a two-node cell takes.
+func strayTwoNodeCells() []CellSpec {
+	var cells []CellSpec
+	for _, n := range []int{-5, 1, 3, 100000} {
+		cells = append(cells, CellSpec{Topology: "two-node", N: n, Diameter: rat.FromInt(2), Duration: rat.FromInt(4)})
+	}
+	return cells
+}
+
+// TestSpecRefusesStrayTwoNodeN: each stray-n two-node cell fails on its n,
+// and the same cell with n 0 or 2 validates, so no other fault hides the
+// refusal.
+func TestSpecRefusesStrayTwoNodeN(t *testing.T) {
+	for _, cell := range strayTwoNodeCells() {
+		spec := CampaignSpec{Protocol: "max-gossip", Seed: 7, Cells: []CellSpec{cell}}
+		if _, err := NewCampaign(spec); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("n %d on a two-node cell", cell.N)) {
+			t.Errorf("two-node cell with n %d: error %v, want a refusal naming its n", cell.N, err)
+		}
+		for _, n := range []int{0, 2} {
+			spec.Cells[0].N = n
+			if _, err := NewCampaign(spec); err != nil {
+				t.Errorf("two-node cell with n %d: %v", n, err)
+			}
+		}
+	}
+}
+
+// TestDecodeSpecRefusesUnknownKeys: a spec with one top-level or cell key
+// misspelled fails to decode with an error naming that key, where
+// json.Unmarshal would drop it and leave the field at its default; so does
+// data after the spec's object, while trailing white space decodes.
+func TestDecodeSpecRefusesUnknownKeys(t *testing.T) {
+	const valid = `{"protocol": "max-gossip", "rho": "1/2", "adversary": "midpoint", "seed": 1, "objective": "global",
+		"rounds": 1, "beam": 1, "delay_mutations": 1, "rate_windows": 1, "mutate_tail": "1/2", "threads": 1,
+		"cells": [{"name": "c", "topology": "two-node", "n": 2, "diameter": "2", "duration": "4"}]}`
+	if _, err := DecodeSpec([]byte(valid + "\n\t ")); err != nil {
+		t.Fatalf("the valid spec: %v", err)
+	}
+	for _, key := range []string{"protocol", "rho", "adversary", "seed", "objective", "rounds", "beam",
+		"delay_mutations", "rate_windows", "mutate_tail", "threads", "cells",
+		"name", "topology", "n", "diameter", "duration"} {
+		bad := strings.Replace(valid, `"`+key+`":`, `"`+key+`_":`, 1)
+		if bad == valid {
+			t.Fatalf("no key %q in the valid spec", key)
+		}
+		if _, err := DecodeSpec([]byte(bad)); err == nil || !strings.Contains(err.Error(), `"`+key+`_"`) {
+			t.Errorf("key %q misspelled: error %v, want one naming %q", key, err, key+"_")
+		}
+	}
+	for _, tail := range []string{" {}", "x", ` {"protocol": "null"}`} {
+		if _, err := DecodeSpec([]byte(valid + tail)); err == nil {
+			t.Errorf("data %q after the spec decoded", tail)
+		}
+	}
 }
 
 // badDiameterCells are cells whose one fault is their diameter: a negative
@@ -323,11 +380,11 @@ func TestSearchModeSpecErrors(t *testing.T) {
 	const valid = `{"protocol": "null", "objective": "global", "adversary": "midpoint", "rho": "1/2",
 		"cells": [{"topology": "line", "n": 4, "duration": "6"}]}`
 	decode := func(data string) error {
-		var spec CampaignSpec
-		if err := json.Unmarshal([]byte(data), &spec); err != nil {
+		spec, err := DecodeSpec([]byte(data))
+		if err != nil {
 			return err
 		}
-		_, err := NewCampaign(spec)
+		_, err = NewCampaign(spec)
 		return err
 	}
 	if err := decode(valid); err != nil {
@@ -456,8 +513,8 @@ func searchModeCases() []searchModeCase {
 func TestSearchModeSpecs(t *testing.T) {
 	for _, tc := range searchModeCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			var spec CampaignSpec
-			if err := json.Unmarshal([]byte(tc.spec), &spec); err != nil {
+			spec, err := DecodeSpec([]byte(tc.spec))
+			if err != nil {
 				t.Fatal(err)
 			}
 			cells, err := campaign(t, spec).Run(nil, nil, nil)

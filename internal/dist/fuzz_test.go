@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzCampaignSpec drives arbitrary bytes through the spec boundary
-// `gcssearch plan` and `gcssearch run` expose: decode, NewCampaign, and for
+// `gcssearch plan` and `gcssearch run` expose: DecodeSpec, NewCampaign, and for
 // a valid spec Plan, none of which may panic. A valid spec must plan
 // to counts of at least 1, and each MaxCandidates, per cell and in total,
 // must equal the sum it is made of, summed without overflow: a plan whose
@@ -35,8 +35,8 @@ func FuzzCampaignSpec(f *testing.F) {
 		f.Add([]byte(tc.spec))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var spec CampaignSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
+		spec, err := DecodeSpec(data)
+		if err != nil {
 			return
 		}
 		c, err := NewCampaign(spec)
@@ -48,8 +48,8 @@ func FuzzCampaignSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid spec does not marshal: %v", err)
 		}
-		var back CampaignSpec
-		if err := json.Unmarshal(first, &back); err != nil {
+		back, err := DecodeSpec(first)
+		if err != nil {
 			t.Fatalf("marshalled spec does not decode: %v\n%s", err, first)
 		}
 		second, err := json.Marshal(back)

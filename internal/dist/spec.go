@@ -9,7 +9,10 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 
@@ -31,11 +34,11 @@ type CellSpec struct {
 	// Topology is a name network.ByName accepts: line | ring | grid | star |
 	// complete | rgg | two-node. An rgg cell is placed by the campaign's Seed.
 	Topology string `json:"topology"`
-	// N is the node count (grid uses the nearest square; two-node ignores it).
+	// N is the node count (grid uses the nearest square; two-node takes 0 or 2).
 	N int `json:"n,omitempty"`
-	// Diameter parameterizes the two-node cell's distance d and the star /
-	// complete edge length (default 1). Line, ring, grid and rgg derive their
-	// diameter from N and refuse one; no cell takes a negative one.
+	// Diameter is the two-node cell's distance d (required, at least 1) and
+	// the star / complete edge length (default 1). Line, ring, grid and rgg
+	// derive theirs from N and refuse one; no cell takes a negative one.
 	Diameter rat.Rat `json:"diameter,omitempty"`
 	// Duration is the cell's real-time horizon.
 	Duration rat.Rat `json:"duration"`
@@ -101,6 +104,22 @@ type CampaignSpec struct {
 	Threads int `json:"threads,omitempty"`
 }
 
+// DecodeSpec decodes a campaign spec as `gcssearch` reads it: a key that
+// names no spec or cell field is an error, not a default, and so is data
+// after the object, as with json.Unmarshal. NewCampaign validates the rest.
+func DecodeSpec(data []byte) (CampaignSpec, error) {
+	var s CampaignSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return CampaignSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return CampaignSpec{}, fmt.Errorf("dist: data after the campaign spec")
+	}
+	return s, nil
+}
+
 // Campaign is a validated spec with every cell's network built: Plan counts
 // and Run searches the networks NewCampaign built to validate the spec, so
 // a command builds each network once.
@@ -113,8 +132,8 @@ type Campaign struct {
 // spec rebuilds: every cell's network, the protocol, the adversary, and the
 // objective, with ρ in [0, 1), no negative budget, the cell count and search
 // budget within their caps, no rate_windows under ρ = 0 (search refuses
-// windows that can pin no rate), and no negative diameter or diameter on a
-// cell that derives it from n.
+// windows that can pin no rate), no negative diameter or diameter on a cell
+// that derives it from n, and no n but 0 or 2 on a two-node cell.
 func NewCampaign(s CampaignSpec) (*Campaign, error) {
 	if len(s.Cells) == 0 {
 		return nil, fmt.Errorf("dist: campaign has no cells")
@@ -153,6 +172,8 @@ func NewCampaign(s CampaignSpec) (*Campaign, error) {
 			return nil, fmt.Errorf("dist: cell %d (%s): negative diameter %s", i, cell.Label(), cell.Diameter)
 		case !cell.Diameter.IsZero() && slices.Contains([]string{"line", "ring", "grid", "rgg"}, cell.Topology):
 			return nil, fmt.Errorf("dist: cell %d (%s): diameter %s on a %s cell, which derives it from n", i, cell.Label(), cell.Diameter, cell.Topology)
+		case cell.Topology == "two-node" && cell.N != 0 && cell.N != 2:
+			return nil, fmt.Errorf("dist: cell %d (%s): n %d on a two-node cell, which has 2 nodes", i, cell.Label(), cell.N)
 		}
 		net, err := network.ByName(cell.Topology, cell.N, cell.Diameter, s.Seed)
 		if err != nil {

@@ -35,8 +35,9 @@ import (
 // The fork starts with no observers (the cloned adversary's own feedback
 // hook rebinds automatically — it is not part of the observer lists). To
 // continue online metrics across the fork point, Clone the trackers that
-// watched the prefix (SkewTracker.Clone, DecisionLog.Clone, Recorder.Clone,
-// ...) and attach the clones with Observe before driving the fork.
+// watched the prefix (SkewTracker.Clone, Recorder.Clone, ...) and attach the
+// clones with Observe before driving the fork: a fresh observer sees only
+// the fork's own events.
 //
 // Fork must be called between steps, never from inside an observer or node
 // callback, and fails on an engine already poisoned by an error.

@@ -19,10 +19,12 @@ func benchCandidates(b *testing.B, opt Options) []candidate {
 	if err := normalize(&opt); err != nil {
 		b.Fatal(err)
 	}
-	seedEval := evaluate(opt, candidate{rates: make([]rat.Rat, opt.Net.N())})
+	log := NewDecisionLog()
+	seedEval := evaluate(opt, candidate{rates: make([]rat.Rat, opt.Net.N())}, log)
 	if seedEval.err != nil {
 		b.Fatal(seedEval.err)
 	}
+	seedEval.log = log
 	return mutations(opt, seedEval, seedEval.log.Script())
 }
 

@@ -111,9 +111,10 @@ func (c *Campaign) BestValue() rat.Rat { return c.best.value }
 
 // Step evaluates the pending generation and merges it: round zero fixes the
 // baseline, every round re-reduces the beam, and the greedy fixpoint or the
-// round budget ends the campaign. A failed evaluation ends the campaign with
-// the generation's lowest-ID failure, worded by what failed: the base run, a
-// seed, or a mutation candidate.
+// round budget ends the campaign; a round that goes on records each
+// candidate that newly took a beam place. A failed evaluation ends the
+// campaign with the generation's lowest-ID failure, worded by what failed:
+// the base run, a seed, or a mutation candidate; so does a failed recording.
 func (c *Campaign) Step() error {
 	if c.done {
 		return fmt.Errorf("search: campaign already finished")
@@ -156,37 +157,60 @@ func (c *Campaign) Step() error {
 		c.rounds++
 	}
 	// Only the generation's top-Beam can enter the beam. Each entry is copied
-	// out of evals, so the rest of the generation (its decision logs
-	// included) is garbage once Step returns.
+	// out of evals, so the rest of the generation is garbage once Step
+	// returns.
 	top := reduce(evals, c.opt.Beam)
 	pool := make([]evaluation, 0, len(c.beam)+len(top))
-	pool = append(pool, c.beam...)
-	for _, ev := range top {
-		pool = append(pool, beamEntry(ev))
-	}
-	c.beam = reduce(pool, c.opt.Beam)
-	if c.round > 0 && !c.beam[0].value.Greater(c.best.value) {
+	pool = append(append(pool, c.beam...), top...)
+	beam := reduce(pool, c.opt.Beam)
+	if c.round > 0 && !beam[0].value.Greater(c.best.value) {
 		c.done = true // no round improvement: greedy fixpoint
 		return nil
 	}
-	c.best = c.beam[0]
+	for i := range beam {
+		if err := c.record(&beam[i]); err != nil {
+			c.done = true
+			return err
+		}
+	}
+	c.beam, c.best = beam, beam[0]
 	c.advance()
 	return nil
 }
 
-// beamEntry is an evaluation as a beam parent: the candidate's own rates and
-// schedule set (schedOverride applies a window mutant's swap), and no script
-// or lineage. A parent's mutations take their script from its decision log
-// and their schedules from its scheds, so a window mutant kept with its
-// lineage would hand its delay mutants the un-swapped schedules of its own
-// parent.
-func beamEntry(ev evaluation) evaluation {
-	return evaluation{
+// record makes ev, new to the beam, a beam parent: it runs the candidate
+// once more, from scratch with a decision log attached, and the replay must
+// reach its evaluation's value and witness, forked or not, so
+// fork-versus-scratch equivalence is checked on every candidate the search
+// builds on. The entry keeps the log, its own rates and schedule set
+// (schedOverride applies a window mutant's swap), and no script or lineage:
+// a parent's mutations take their script from its log and their schedules
+// from its scheds, so a window mutant kept with its lineage would hand its
+// delay mutants the un-swapped schedules of its own parent.
+func (c *Campaign) record(ev *evaluation) error {
+	if ev.log != nil {
+		return nil // kept from an earlier generation
+	}
+	log := NewDecisionLog()
+	rep := evaluate(c.opt, ev.cand, log)
+	if m := c.opt.Metrics; m != nil {
+		m.RecordSteps.Add(rep.steps)
+	}
+	w, v := rep.witness, ev.witness
+	switch {
+	case rep.err != nil:
+		return fmt.Errorf("search: candidate %d: recording replay: %w", ev.cand.id, rep.err)
+	case !rep.value.Equal(ev.value) || w.I != v.I || w.J != v.J || !w.Skew.Equal(v.Skew) || !w.At.Equal(v.At):
+		return fmt.Errorf("search: candidate %d: its recording replay reached %s (pair %d,%d at t=%s), its evaluation %s (pair %d,%d at t=%s)",
+			ev.cand.id, rep.value, w.I, w.J, w.At, ev.value, v.I, v.J, v.At)
+	}
+	*ev = evaluation{
 		cand:    candidate{id: ev.cand.id, rates: ev.cand.rates, scheds: schedOverride(ev.cand)},
 		value:   ev.value,
 		witness: ev.witness,
-		log:     ev.log,
+		log:     log,
 	}
+	return nil
 }
 
 // advance enumerates the next mutation generation off the merged beam, or

@@ -10,29 +10,31 @@
 // automated adversary force on an arbitrary protocol and topology, and how
 // close does that come to the certified bounds?
 //
-// The search is replay-based: a DecisionLog observer captures every
-// per-message delay decision of a run as a replayable script (saved, when
-// it is saved, as EncodeScript's sorted entries), and candidate
-// mutations edit one decision (delay snapped to {0, bound/2, bound}), one
-// node's whole-run rate (flipped within ±ρ), or one node's rate over a
-// window (clock.ModifyWindow surgery), with a ScriptedAdversary tail
-// handling decisions beyond the script. Every mutant of a beam parent shares
-// the parent's script, built once per generation and never written: rate
-// and window mutants run on it as it is, and a delay mutant carries only its
-// one changed decision, laid over the script as a one-entry
-// ScriptedAdversary.
+// The search is replay-based: candidates run with no decision log, and each
+// one that newly takes a beam place runs once more from scratch with a
+// DecisionLog observer attached, which captures every per-message delay
+// decision as a replayable script (saved, when it is saved, as
+// EncodeScript's sorted entries). Candidate mutations edit one decision
+// (delay snapped to {0, bound/2, bound}), one node's whole-run rate (flipped
+// within ±ρ), or one node's rate over a window (clock.ModifyWindow surgery),
+// with a ScriptedAdversary tail handling decisions beyond the script. Every
+// mutant of a beam parent shares the parent's script, built once per
+// generation and never written: rate and window mutants run on it as it is,
+// and a delay mutant carries only its one changed decision, laid over the
+// script as a one-entry ScriptedAdversary.
 //
 // Evaluation is prefix-cached: two candidates sharing a decision-script
 // prefix share the prefix execution, exactly the structure of the Fan &
 // Lynch constructions (perturb a base execution at chosen points, keep the
 // prefix indistinguishable). Each round groups the beam's delay mutants by
 // parent, replays the shared parent prefix once on a trunk engine, forks the
-// engine (Engine.Fork + tracker Clones) at each mutant's first diverging
+// engine (Engine.Fork + SkewTracker.Clone) at each mutant's first diverging
 // decision, and evaluates only the suffix; window mutants fork the same
 // trunk at their window's start. Whole-run rate mutants change hardware
 // schedules from time zero, so they — and injected Seeds — are evaluated
 // from scratch. The fork-based evaluation is byte-identical to full
-// re-simulation (asserted by tests).
+// re-simulation: tests assert it, and each beam entry's replay must reach
+// its evaluation's value and witness, or the campaign fails.
 // Candidates are evaluated concurrently by a bounded worker pool and reduced
 // by deterministic argmax with ties broken on candidate index, so the result
 // is byte-identical regardless of worker count or GOMAXPROCS.
@@ -63,54 +65,18 @@ type Decision struct {
 // DecisionLog is an engine observer that captures every per-message delay
 // decision from the MsgRecord stream, in send order, and converts the run
 // into a replayable script for engine.ScriptedAdversary. Attach it with
-// Engine.Observe before the first step to capture the complete run.
-//
-// A log holds its decisions in two segments: prefix, the decisions of the
-// log it was cloned from, shared with that log and never written; and own,
-// the decisions captured since, in storage of its own. A fork's log thus
-// costs only the decisions the fork itself makes.
+// Engine.Observe before the first step to capture the complete run; a log
+// attached to a fork counts events from the fork point. The search attaches
+// one only to the replay that records a new beam entry.
 type DecisionLog struct {
-	prefix []Decision
-	own    []Decision
-	events uint64 // dispatched events seen so far (== Engine.Steps())
+	decisions []Decision
+	events    uint64 // dispatched events seen so far
 }
 
 // NewDecisionLog returns an empty log; it reads everything it records off
 // the engine's MsgRecord and action streams.
 func NewDecisionLog() *DecisionLog {
 	return &DecisionLog{}
-}
-
-// Clone returns a log that continues from l's decisions. Attach the clone to
-// a forked engine to keep capturing a branched run's decisions: the clone
-// carries the shared prefix (including the event counter, so Decision.Event
-// stays aligned with Engine.Steps across the fork), and the original
-// continues logging its own branch untouched. The clone keeps l's decisions
-// as its never-written prefix and appends its own after them, so neither
-// the clone nor its sends copy l's decisions: a clone and its sends cost
-// the same at any log length. Cloning a clone that has decisions of its own
-// first joins its two segments, once, as Decisions does.
-func (l *DecisionLog) Clone() *DecisionLog {
-	d := l.Decisions()
-	return &DecisionLog{prefix: d[:len(d):len(d)], events: l.events}
-}
-
-// reserve makes room for about n more decisions, so that capturing them
-// moves no storage. The search sizes each log once from its candidate's
-// script, which a mutant's run can outgrow by a few decisions (a changed
-// delay can bring a receipt, and the sends it triggers, before the
-// horizon), so reserve adds a sixteenth and four. Results never depend on
-// it.
-func (l *DecisionLog) reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	n += n/16 + 4
-	if n > cap(l.own)-len(l.own) {
-		own := make([]Decision, len(l.own), len(l.own)+n)
-		copy(own, l.own)
-		l.own = own
-	}
 }
 
 // OnAction implements the engine Observer interface: dispatched events
@@ -131,39 +97,24 @@ func (l *DecisionLog) OnSend(rec trace.MsgRecord) {
 		// to replay or mutate.
 		return
 	}
-	l.own = append(l.own, Decision{Key: rec.Key, Delay: rec.Delay, Event: l.events})
+	l.decisions = append(l.decisions, Decision{Key: rec.Key, Delay: rec.Delay, Event: l.events})
 }
 
 // OnDeliver implements the engine Observer interface (no-op).
 func (l *DecisionLog) OnDeliver(trace.MsgRecord) {}
 
 // Len returns the number of captured decisions.
-func (l *DecisionLog) Len() int { return len(l.prefix) + len(l.own) }
+func (l *DecisionLog) Len() int { return len(l.decisions) }
 
-// Decisions returns the captured decisions in send order, as one contiguous
-// slice. A clone with decisions of its own joins its two segments into
-// storage of its own on the first call, once; every later call, and every
-// call on a log with one segment, returns the stored decisions as they are.
-// The caller must not modify the returned slice.
-func (l *DecisionLog) Decisions() []Decision {
-	if len(l.prefix) == 0 {
-		return l.own
-	}
-	if len(l.own) > 0 {
-		joined := append(make([]Decision, 0, l.Len()), l.prefix...)
-		l.own, l.prefix = append(joined, l.own...), nil
-		return l.own
-	}
-	return l.prefix
-}
+// Decisions returns the captured decisions in send order. The caller must
+// not modify the returned slice.
+func (l *DecisionLog) Decisions() []Decision { return l.decisions }
 
 // Script converts the captured run into a replayable delay script.
 func (l *DecisionLog) Script() map[trace.MsgKey]rat.Rat {
-	out := make(map[trace.MsgKey]rat.Rat, l.Len())
-	for _, seg := range [2][]Decision{l.prefix, l.own} {
-		for _, d := range seg {
-			out[d.Key] = d.Delay
-		}
+	out := make(map[trace.MsgKey]rat.Rat, len(l.decisions))
+	for _, d := range l.decisions {
+		out[d.Key] = d.Delay
 	}
 	return out
 }

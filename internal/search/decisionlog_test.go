@@ -1,15 +1,12 @@
 package search
 
 import (
-	"runtime"
-	"slices"
 	"testing"
 
 	"gcs/internal/algorithms"
 	"gcs/internal/clock"
 	"gcs/internal/engine"
 	"gcs/internal/network"
-	"gcs/internal/rat"
 	"gcs/internal/trace"
 )
 
@@ -72,93 +69,5 @@ func TestDecisionLogMatchesLedger(t *testing.T) {
 	}
 	if sends != log.Len() {
 		t.Fatalf("%d send actions for %d decisions", sends, log.Len())
-	}
-}
-
-// sendRec is a delivered send from node 0 to node 1 with the given sequence
-// number.
-func sendRec(seq uint64) trace.MsgRecord {
-	return trace.MsgRecord{Key: trace.MsgKey{From: 0, To: 1, Seq: seq}, Delay: rat.FromInt(1)}
-}
-
-// logSeqs lists a log's decision sequence numbers in send order.
-func logSeqs(l *DecisionLog) []uint64 {
-	out := make([]uint64, l.Len())
-	for i, d := range l.Decisions() {
-		out[i] = d.Key.Seq
-	}
-	return out
-}
-
-// TestDecisionLogCloneIsolatesBranches: a clone shares its parent's prefix,
-// yet each branch sees only its own appends — whether the original or the
-// clone appends first, and with spare capacity in the original's storage
-// (the case a shared, uncapped view would get wrong).
-func TestDecisionLogCloneIsolatesBranches(t *testing.T) {
-	for _, originalFirst := range []bool{true, false} {
-		orig := NewDecisionLog()
-		for seq := uint64(0); seq < 5; seq++ { // 5 appends leave spare capacity
-			orig.OnSend(sendRec(seq))
-		}
-		orig.OnAction(trace.Action{Kind: trace.KindRecv})
-		clone := orig.Clone()
-		if originalFirst {
-			orig.OnSend(sendRec(100))
-			clone.OnSend(sendRec(200))
-		} else {
-			clone.OnSend(sendRec(200))
-			orig.OnSend(sendRec(100))
-		}
-		orig.OnSend(sendRec(101))
-		clone.OnSend(sendRec(201))
-		want := map[*DecisionLog][]uint64{
-			orig:  {0, 1, 2, 3, 4, 100, 101},
-			clone: {0, 1, 2, 3, 4, 200, 201},
-		}
-		for l, w := range want {
-			if got := logSeqs(l); !slices.Equal(got, w) {
-				t.Fatalf("originalFirst=%v: %s decisions %v, want %v", originalFirst, l, got, w)
-			}
-		}
-		if d := clone.Decisions()[5]; d.Event != 1 {
-			t.Fatalf("originalFirst=%v: clone's first own decision at event %d, want 1 (the event count carries over)", originalFirst, d.Event)
-		}
-	}
-}
-
-// TestDecisionLogCloneCostIndependentOfLength: a fork's log clone keeps the
-// trunk's decisions as a shared prefix, so neither the clone nor its first
-// send copies them: the two together allocate the same bytes at 10 and at
-// 10,000 decisions. Bytes, not allocations: a copy of the prefix is one
-// allocation at any length.
-func TestDecisionLogCloneCostIndependentOfLength(t *testing.T) {
-	// One processor and a collection first keep the runtime's own
-	// allocations out of the count.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 16
-	bytes := func(n int) uint64 {
-		l := NewDecisionLog()
-		for seq := 0; seq < n; seq++ {
-			l.OnSend(sendRec(uint64(seq)))
-		}
-		clones := make([]*DecisionLog, runs)
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range clones {
-			clones[i] = l.Clone()
-			clones[i].OnSend(sendRec(uint64(n)))
-		}
-		runtime.ReadMemStats(&after)
-		for _, c := range clones {
-			if c.Len() != n+1 {
-				t.Fatalf("clone of %d decisions holds %d after one send", n, c.Len())
-			}
-		}
-		return (after.TotalAlloc - before.TotalAlloc) / runs
-	}
-	small, large := bytes(10), bytes(10000)
-	if small != large {
-		t.Fatalf("Clone plus one send allocates %d bytes at 10 decisions, %d at 10,000; want equal", small, large)
 	}
 }

@@ -22,6 +22,10 @@ type Metrics struct {
 	// PrefixSavedSteps counts the engine events prefix caching saved:
 	// CandidateSteps − EngineSteps, accumulated per merged generation.
 	PrefixSavedSteps *obs.Counter
+	// RecordSteps counts the engine events of the replays that record new
+	// beam entries, which EngineSteps leaves out: an engine.Metrics attached
+	// to the same searches counts EngineSteps + RecordSteps.
+	RecordSteps *obs.Counter
 }
 
 // NewMetrics registers the search instrument set in r.
@@ -32,5 +36,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		EngineSteps:      r.Counter("gcs_search_engine_steps_total", "engine events dispatched by candidate evaluations"),
 		CandidateSteps:   r.Counter("gcs_search_candidate_steps_total", "from-scratch-equivalent engine events of candidate evaluations"),
 		PrefixSavedSteps: r.Counter("gcs_search_prefix_saved_steps_total", "engine events saved by prefix-cached evaluation"),
+		RecordSteps:      r.Counter("gcs_search_record_steps_total", "engine events dispatched by the replays that record beam entries"),
 	}
 }

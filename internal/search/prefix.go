@@ -58,8 +58,8 @@ import (
 func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 	results := make([]evaluation, len(cands))
 
-	// Partition: delay mutants group by parent log, everything else is
-	// from-scratch work.
+	// Partition: delay and window mutants group by their parent's recorded
+	// log, everything else is from-scratch work.
 	var scratch []int
 	groups := make(map[*DecisionLog][]int)
 	var order []*DecisionLog
@@ -145,7 +145,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, results []evaluation, 
 			results[i] = evaluation{cand: cands[i], err: err}
 		}
 	}
-	trunk, skew, log, err := newEval(opt, trunkScheds(opt, cands[idxs[0]]), cands[idxs[0]].script, nil)
+	trunk, skew, err := newEval(opt, trunkScheds(opt, cands[idxs[0]]), cands[idxs[0]].script, nil)
 	if err != nil {
 		failRest(err)
 		return 0
@@ -179,13 +179,9 @@ func runTrunk(opt Options, cands []candidate, idxs []int, results []evaluation, 
 			results[i] = evaluation{cand: c, err: err}
 			return
 		}
-		// The parent's realized script sizes the mutant's run; the fork
-		// inherits the prefix.
-		flog := log.Clone()
-		flog.reserve(len(c.script) - flog.Len())
-		fork.Observe(fskew, flog)
+		fork.Observe(fskew)
 		prefix := fork.Steps()
-		spawn(func() { results[i] = finish(opt, c, fork, fskew, flog, prefix) })
+		spawn(func() { results[i] = finish(opt, c, fork, fskew, prefix) })
 	}
 	for di < len(delays) || wi < len(wins) {
 		// Fork every window mutant whose divergence has arrived: the next
@@ -236,10 +232,11 @@ func runTrunk(opt Options, cands []candidate, idxs []int, results []evaluation, 
 	return trunk.Steps()
 }
 
-// finish drives a forked engine to the horizon and reads the objective off
-// its cloned tracker — the suffix half of an evaluation. prefix is the event
-// count inherited from the trunk, excluded from the evaluation's own cost.
-func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTracker, log *DecisionLog, prefix uint64) evaluation {
+// finish drives an evaluation engine to the horizon and reads the objective
+// off its tracker — for a fork, the suffix half of an evaluation. prefix is
+// the event count inherited from the trunk, excluded from the evaluation's
+// own cost.
+func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTracker, prefix uint64) evaluation {
 	ev := evaluation{cand: cand}
 	if err := eng.RunUntil(opt.Duration); err != nil {
 		ev.err = err
@@ -249,7 +246,6 @@ func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTrac
 		ev.err = err
 		return ev
 	}
-	ev.log = log
 	ev.steps = eng.Steps()
 	ev.cost = eng.Steps() - prefix
 	ev.value, ev.witness = objectiveValue(opt, skew)
@@ -257,34 +253,33 @@ func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTrac
 }
 
 // evaluate re-simulates one candidate from scratch and reads the objective
-// off the online trackers.
-func evaluate(opt Options, cand candidate) evaluation {
-	eng, skew, log, err := newEval(opt, effectiveScheds(opt, cand), cand.script, cand.edit)
+// off the online trackers; obs watch the run too (the replay that records a
+// beam entry passes its decision log, and no candidate evaluation any).
+func evaluate(opt Options, cand candidate, obs ...engine.Observer) evaluation {
+	eng, skew, err := newEval(opt, effectiveScheds(opt, cand), cand.script, cand.edit)
 	if err != nil {
 		return evaluation{cand: cand, err: err}
 	}
-	return finish(opt, cand, eng, skew, log, 0)
+	eng.Observe(obs...)
+	return finish(opt, cand, eng, skew, 0)
 }
 
 // newEval builds an evaluation engine from time zero: script over a fresh
 // Base tail, with edit (if any) over both, on scheds, watched by a new skew
-// tracker and decision log. The log is sized for the script, the run's
-// expected decision count (the base, with no script, grows its log).
-func newEval(opt Options, scheds []*clock.Schedule, script map[trace.MsgKey]rat.Rat, edit *Decision) (*engine.Engine, *core.SkewTracker, *DecisionLog, error) {
+// tracker.
+func newEval(opt Options, scheds []*clock.Schedule, script map[trace.MsgKey]rat.Rat, edit *Decision) (*engine.Engine, *core.SkewTracker, error) {
 	skew, err := core.NewSkewTracker(opt.Net, scheds)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	log := NewDecisionLog()
-	log.reserve(len(script))
 	eng, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
 		engine.WithAdversary(overlay(edit, engine.ScriptedAdversary{Delays: script, Fallback: baseTail(opt)})),
 		engine.WithSchedules(scheds),
 		engine.WithRho(opt.Rho),
-		engine.WithObservers(skew, log),
+		engine.WithObservers(skew),
 		engine.WithMetrics(opt.EngineMetrics),
 		engine.WithLane(opt.lane),
 	)
-	return eng, skew, log, err
+	return eng, skew, err
 }

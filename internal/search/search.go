@@ -150,11 +150,12 @@ type Options struct {
 	Workers int
 
 	// Metrics, when non-nil, receives campaign-level accounting (generations
-	// merged, candidates evaluated, engine steps, prefix-cache savings) as
-	// each generation is merged. EngineMetrics, when non-nil, instruments
-	// every engine this search constructs (trunks, forks, from-scratch
-	// evaluations) so its step counters advance live during evaluation, not
-	// just at merge time. Neither affects the search outcome in any way.
+	// merged, candidates evaluated, engine steps, prefix-cache savings,
+	// recording replays' steps) as each generation is merged. EngineMetrics,
+	// when non-nil, instruments every engine this search constructs (trunks,
+	// forks, from-scratch evaluations, recording replays) so its step
+	// counters advance live during evaluation, not just at merge time.
+	// Neither affects the search outcome in any way.
 	Metrics       *Metrics
 	EngineMetrics *engine.Metrics
 
@@ -201,11 +202,12 @@ type Result struct {
 	// number of candidate simulations.
 	Rounds    int
 	Evaluated int
-	// EngineSteps counts the engine events actually dispatched across the
-	// whole search — shared prefixes once, plus the trunk replays that
-	// position the forks. CandidateSteps counts what the same evaluations
-	// would have dispatched re-simulated from scratch (the sum of every
-	// candidate's full execution length); the ratio CandidateSteps /
+	// EngineSteps counts the engine events the candidate evaluations
+	// actually dispatched across the whole search — shared prefixes once,
+	// plus the trunk replays that position the forks, and not the replays
+	// that record beam entries. CandidateSteps counts what the same
+	// evaluations would have dispatched re-simulated from scratch (the sum of
+	// every candidate's full execution length); the ratio CandidateSteps /
 	// EngineSteps is the prefix-cache speedup.
 	EngineSteps    uint64
 	CandidateSteps uint64
@@ -245,7 +247,7 @@ type candidate struct {
 	rates  []rat.Rat
 	scheds []*clock.Schedule // non-nil: full base-schedule override
 
-	// Prefix lineage, set on delay and window mutants: the parent's realized
+	// Prefix lineage, set on delay and window mutants: the parent's recorded
 	// decision log, whose script every mutant of it shares as its own. A
 	// delay mutant's edit is its one changed decision, laid over that script
 	// (overlay); edit.Event is where it diverges. A nil parent (whole-run
@@ -275,7 +277,8 @@ func overlay(edit *Decision, adv engine.Adversary) engine.Adversary {
 	return engine.ScriptedAdversary{Delays: map[trace.MsgKey]rat.Rat{edit.Key: edit.Delay}, Fallback: adv}
 }
 
-// evaluation is a candidate's simulated outcome.
+// evaluation is a candidate's simulated outcome. Only a beam entry holds a
+// log: the one its recording replay captured.
 type evaluation struct {
 	cand    candidate
 	value   rat.Rat

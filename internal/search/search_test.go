@@ -245,12 +245,13 @@ func TestRateMutantPrefixCacheMatchesFullResim(t *testing.T) {
 }
 
 // TestSearchByteBudget pins the bytes one prefix-cached search allocates on
-// the E13 -long workload, where each candidate's decision log shares its
-// trunk's decisions and is sized once from the candidate's script, and every
-// mutant shares its parent's script. Copying the trunk's decisions into
-// every fork's log on its first send, and growing every log by doubling,
-// took 3.5 MB; giving every delay mutant a copy of its parent's script to
-// change one entry took 2.6 MB.
+// the E13 -long workload, where candidates run with no decision log, each
+// beam entry is recorded by one replay, and every mutant shares its parent's
+// script. Copying the trunk's decisions into every fork's log on its first
+// send, and growing every log by doubling, took 3.5 MB; giving every delay
+// mutant a copy of its parent's script to change one entry took 2.6 MB; a
+// decision log on every candidate, sharing its trunk's decisions and sized
+// once from its script, took 1.75 MB.
 func TestSearchByteBudget(t *testing.T) {
 	opt := longE13Opts(t)
 	opt.Workers = 1
@@ -296,8 +297,9 @@ func edited(script map[trace.MsgKey]rat.Rat, k trace.MsgKey, v rat.Rat) map[trac
 // workload with rate windows, every mutant of a beam parent — rate, window
 // and delay mutants alike — holds the one script map the campaign built for
 // that parent; a delay mutant's edit changes one entry on a key of that
-// script; and evaluating the generation leaves each parent's script equal to
-// its log's Script(). A per-mutant copy of the script fails the first check.
+// script, and a recorded replay of the mutant realizes it; and evaluating
+// the generation leaves each parent's script equal to its log's Script(). A
+// per-mutant copy of the script fails the first check.
 func TestMutantsShareParentScript(t *testing.T) {
 	opt := longE13Opts(t)
 	opt.RateWindows = 4
@@ -365,8 +367,11 @@ func TestMutantsShareParentScript(t *testing.T) {
 		if ev.err != nil {
 			t.Fatalf("candidate %d: %v", ev.cand.id, ev.err)
 		}
-		if e := ev.cand.edit; e != nil && !ev.log.Script()[e.Key].Equal(e.Delay) {
-			t.Fatalf("candidate %d: its run did not realize its edit", ev.cand.id)
+	}
+	for _, m := range delay {
+		log := NewDecisionLog()
+		if rec := evaluate(c.opt, m, log); rec.err != nil || !log.Script()[m.edit.Key].Equal(m.edit.Delay) {
+			t.Fatalf("candidate %d: its recorded run did not realize its edit (err %v)", m.id, rec.err)
 		}
 	}
 	for log, s := range scripts {
@@ -653,12 +658,12 @@ func TestSearchErrorNamesFirstFailure(t *testing.T) {
 	if err := normalize(&norm); err != nil {
 		t.Fatal(err)
 	}
-	base := evaluate(norm, candidate{rates: make([]rat.Rat, opt.Net.N())})
-	if base.err != nil {
+	log := NewDecisionLog()
+	if base := evaluate(norm, candidate{rates: make([]rat.Rat, opt.Net.N())}, log); base.err != nil {
 		t.Fatal(base.err)
 	}
 	var limit uint64
-	for _, d := range base.log.Decisions() {
+	for _, d := range log.Decisions() {
 		limit = max(limit, d.Key.Seq+1)
 	}
 	capped := opt

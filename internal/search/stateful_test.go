@@ -103,28 +103,30 @@ func TestNonCloneableBaseFallsBackSerial(t *testing.T) {
 // arithmetic — a candidate diverging at the very first captured decision
 // (no shared prefix), one diverging at event 0 (before anything dispatched),
 // and one identical to its parent (no divergence exists) must all evaluate
-// byte-identically to from-scratch simulation instead of forking at a bogus
-// index.
+// to the value, witness and steps of from-scratch simulation instead of
+// forking at a bogus index, and each forked candidate's recording replay must
+// pass the campaign's check and realize the candidate's edit.
 func TestPrefixSchedulerEdgeCases(t *testing.T) {
 	opt := lineOpts(t, 4, 2)
 	if err := normalize(&opt); err != nil {
 		t.Fatal(err)
 	}
 
-	// Capture a parent run: the unmutated base candidate.
+	// Capture a parent run: the unmutated base candidate, recorded.
 	parentCand := candidate{id: 0, rates: make([]rat.Rat, opt.Net.N())}
-	parent := evaluate(opt, parentCand)
+	plog := NewDecisionLog()
+	parent := evaluate(opt, parentCand, plog)
 	if parent.err != nil {
 		t.Fatal(parent.err)
 	}
-	decs := parent.log.Decisions()
+	decs := plog.Decisions()
 	if len(decs) < 2 {
 		t.Fatalf("parent run captured only %d decisions", len(decs))
 	}
 
 	// Every candidate shares the parent's script; each carries one edit over
 	// it, positioned at the edited decision's event.
-	script := parent.log.Script()
+	script := plog.Script()
 	edit := func(idx int, event uint64) *Decision {
 		d := decs[idx]
 		v := opt.Net.Dist(d.Key.From, d.Key.To) // snap to the full bound; the base is Midpoint, so this diverges
@@ -137,14 +139,14 @@ func TestPrefixSchedulerEdgeCases(t *testing.T) {
 	cands := []candidate{
 		// Diverges at the first captured decision: the trunk must not replay
 		// a single event before forking.
-		{script: script, rates: parentCand.rates, parent: parent.log, edit: edit(0, decs[0].Event)},
+		{script: script, rates: parentCand.rates, parent: plog, edit: edit(0, decs[0].Event)},
 		// Bogus divergence event 0 (before any dispatched event): must fork
 		// from the initial state and still match from-scratch.
-		{script: script, rates: parentCand.rates, parent: parent.log, edit: edit(0, 0)},
+		{script: script, rates: parentCand.rates, parent: plog, edit: edit(0, 0)},
 		// Identical to the parent — its edit rewrites the last decision to
 		// the delay it already has, so divergence never occurs; the fork
 		// just replays the parent's tail.
-		{script: script, rates: parentCand.rates, parent: parent.log, edit: &last},
+		{script: script, rates: parentCand.rates, parent: plog, edit: &last},
 	}
 	for i := range cands {
 		cands[i].id = i + 1
@@ -153,29 +155,26 @@ func TestPrefixSchedulerEdgeCases(t *testing.T) {
 	scratchOpt := opt
 	scratchOpt.fromScratch = true
 	scratch, _ := evalAll(scratchOpt, cands)
+	c := &Campaign{opt: opt, round: 1}
 	for i := range cands {
 		f, s := forked[i], scratch[i]
 		if f.err != nil || s.err != nil {
 			t.Fatalf("candidate %d: forked err=%v scratch err=%v", i, f.err, s.err)
 		}
-		if !f.value.Equal(s.value) || f.steps != s.steps {
-			t.Fatalf("candidate %d: forked value %s steps %d, scratch value %s steps %d",
-				i, f.value, f.steps, s.value, s.steps)
+		if !f.value.Equal(s.value) || f.steps != s.steps || f.witness.I != s.witness.I || f.witness.J != s.witness.J ||
+			!f.witness.Skew.Equal(s.witness.Skew) || !f.witness.At.Equal(s.witness.At) {
+			t.Fatalf("candidate %d: forked value %s witness %+v steps %d, scratch value %s witness %+v steps %d",
+				i, f.value, f.witness, f.steps, s.value, s.witness, s.steps)
 		}
-		fd, sd := f.log.Decisions(), s.log.Decisions()
-		if len(fd) != len(sd) {
-			t.Fatalf("candidate %d: forked %d decisions, scratch %d", i, len(fd), len(sd))
+		rec := f
+		if err := c.record(&rec); err != nil {
+			t.Fatalf("candidate %d: %v", i, err)
 		}
-		for k := range fd {
-			if fd[k].Key != sd[k].Key || !fd[k].Delay.Equal(sd[k].Delay) || fd[k].Event != sd[k].Event {
-				t.Fatalf("candidate %d decision %d differs: %+v vs %+v", i, k, fd[k], sd[k])
-			}
-		}
-		if e := cands[i].edit; !f.log.Script()[e.Key].Equal(e.Delay) {
-			t.Fatalf("candidate %d: decision %v realized %s, its edit says %s", i, e.Key, f.log.Script()[e.Key], e.Delay)
+		if e := cands[i].edit; !rec.log.Script()[e.Key].Equal(e.Delay) {
+			t.Fatalf("candidate %d: decision %v realized %s, its edit says %s", i, e.Key, rec.log.Script()[e.Key], e.Delay)
 		}
 	}
-	if want := parent.log.Script(); !scriptsEqual(script, want) {
+	if want := plog.Script(); !scriptsEqual(script, want) {
 		t.Fatal("evaluating the candidates wrote into the parent's shared script")
 	}
 	// The identical candidate's outcome equals its parent's exactly.
